@@ -17,9 +17,8 @@ from .spectral import (PseudospectrumField, SpectrumResult, ZGrid, eigenvalues,
                        spectrum_free_radius)
 from .geometry import (DeformationCheck, EscapeField, Trajectory, build_escape,
                        check_deformed_ellipticity, flow, nontrapping_check)
-from .fbi import (BargmannWeight, ComplexGrid, FBIOperator, egorov_conjugate,
-                  elliptic_residual, gaussian_state, make_fbi,
-                  toeplitz_residual, weight_phi_t)
+from .fbi import (BargmannWeight, ComplexGrid, FBIOperator, elliptic_residual,
+                  gaussian_state, make_fbi, toeplitz_residual, weight_phi_t)
 from .experiments import (FitResult, SweepConfig, SweepRecord, fit_power_law,
                           parse_config, resolvent_growth_check, run_sweep)
 

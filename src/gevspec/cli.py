@@ -9,8 +9,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import experiments, fbi, geometry, quantize, spectral, svgout
 from .symbols import model_from_tag
 
@@ -119,19 +117,18 @@ def _cmd_toeplitz(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["h,res_t0,res_deformed"]
     expo = experiments.exponent_for(model)
-    records = []
+    res_t0 = []
     for h in cfg.h_list:
         r0 = experiments.toeplitz_probe(model, esc, h, 0.0)
         t = -cfg.epsilon_deform * h ** expo
         rt = experiments.toeplitz_probe(model, esc, h, t) if esc else float("nan")
         rows.append(f"{h:.17g},{r0:.17g},{rt:.17g}")
-        records.append((h, r0, rt))
+        res_t0.append(r0)
         print(rows[-1])
     (out_dir / "toeplitz.csv").write_text("\n".join(rows) + "\n",
                                           encoding="utf-8")
-    if len(records) >= 4:
-        hs = np.array([r[0] for r in records])
-        slope0 = np.polyfit(np.log(hs), np.log([r[1] for r in records]), 1)[0]
+    if len(res_t0) >= 4:
+        slope0 = experiments.fit_power_law(cfg.h_list, res_t0).slope
         print(f"slope(t=0) = {slope0:.3f}")
         if slope0 < 0.9:
             print("warning: residual slope below 0.9")
@@ -231,17 +228,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (experiments.ConfigError, quantize.GridError,
-            quantize.ResolutionError, spectral.BudgetError,
-            geometry.GeometryConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # checked first: FitError, GridExtentError, EllipticityError and
+    # CoverageError subclass ValueError, which the config clause also takes
     except (experiments.NumericalFailure, spectral.SolverError,
             geometry.EscapeConstructionError, geometry.CoverageError,
             fbi.GridExtentError, fbi.EllipticityError,
             experiments.FitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (experiments.ConfigError, quantize.GridError,
+            quantize.ResolutionError, spectral.BudgetError,
+            geometry.GeometryConfigError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -13,16 +13,15 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import fbi, geometry, quantize, spectral, svgout
+from . import fbi, geometry, quantize, spectral
 from .symbols import ModelInstance, model_from_tag
 
-CSV_HEADER = "h,r,sigma_min_probe,resnorm,margin_c,gamma,toeplitz_res"
 XI_PROBE = 1.146  # packet momentum where the model's next-order xi correction vanishes
 MAX_EIG_N = 2048
 BOUNDED_RESOLVENT_CAP = 1e8
@@ -65,7 +64,6 @@ class SweepConfig:
     with_toeplitz: bool = True
     with_deform: bool = True
     output_dir: str = "."
-    seed: int = 0
 
     def __post_init__(self):
         if not self.h_list:
@@ -130,8 +128,6 @@ def parse_config(path: Union[str, Path]) -> SweepConfig:
                 kwargs["with_deform"] = _BOOL[val.lower()]
             elif key == "output_dir":
                 kwargs["output_dir"] = val
-            elif key == "seed":
-                kwargs["seed"] = int(val)
             else:
                 raise ConfigError(f"unknown config key {key!r}")
         if "model_tag" not in kwargs or "h_list" not in kwargs:
@@ -141,6 +137,16 @@ def parse_config(path: Union[str, Path]) -> SweepConfig:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad config value: {exc}") from exc
+
+
+# (sweep.csv column, SweepRecord field): the CSV header, every CSV row and
+# the summary.json records all come from this list
+CSV_COLUMNS = (("h", "h"), ("r", "free_radius"),
+               ("sigma_min_probe", "sigma_min_probe"),
+               ("resnorm", "resolvent_norm"), ("margin_c", "margin_c"),
+               ("gamma", "gamma_measured"), ("toeplitz_res", "toeplitz_residual"),
+               ("epsilon_used", "epsilon_used"), ("n_points", "n_points"))
+CSV_HEADER = ",".join(col for col, _ in CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -155,11 +161,12 @@ class SweepRecord:
     epsilon_used: float = float("nan")
     n_points: int = 0
 
+    def as_dict(self) -> dict:
+        """Field values keyed by their sweep.csv column names."""
+        return {col: getattr(self, name) for col, name in CSV_COLUMNS}
+
     def csv_row(self) -> str:
-        vals = [self.h, self.free_radius, self.sigma_min_probe,
-                self.resolvent_norm, self.margin_c, self.gamma_measured,
-                self.toeplitz_residual]
-        return ",".join(f"{v:.17g}" for v in vals)
+        return ",".join(f"{v:.17g}" for v in self.as_dict().values())
 
 
 @dataclass(frozen=True)
@@ -205,16 +212,13 @@ def _measure_one(cfg: SweepConfig, model: ModelInstance, esc, h: float) -> Sweep
     spec = spectral.eigenvalues(P)
     r = spectral.spectrum_free_radius(spec, z0)
     direction = cfg.probe_direction / abs(cfg.probe_direction)
-    z_probe = z0 + direction * (r / 2.0)
-    sig = spectral.sigma_min(P, z_probe)
-    resnorm = spectral.resolvent_norm(P, z_probe)
-    if math.isinf(resnorm):
-        z_probe = z0 + direction * (0.75 * r)
-        sig = spectral.sigma_min(P, z_probe)
-        resnorm = spectral.resolvent_norm(P, z_probe)
-        if math.isinf(resnorm):
-            raise NumericalFailure(
-                f"resolvent singular at both probes for h = {h}")
+    for frac in (0.5, 0.75):
+        sig = spectral.sigma_min(P, z0 + direction * (frac * r))
+        resnorm = spectral.resolvent_from_sigma(P, sig)
+        if not math.isinf(resnorm):
+            break
+    else:
+        raise NumericalFailure(f"resolvent singular at both probes for h = {h}")
 
     margin = esc.margin_c if esc is not None else float("nan")
     gamma = float("nan")
@@ -242,13 +246,18 @@ def _measure_one(cfg: SweepConfig, model: ModelInstance, esc, h: float) -> Sweep
 def run_sweep(cfg: SweepConfig,
               csv_path: Optional[Union[str, Path]] = None) -> List[SweepRecord]:
     """Execute the sweep; failures at single h-points are recorded and
-    skipped, and finished rows are flushed to CSV immediately in h order."""
+    skipped, and finished rows are flushed to CSV immediately in h order.
+
+    The escape function is built only for the deformation check, its one
+    reader; the Toeplitz probe runs at t = 0, where the weight ignores it.
+    """
     model = model_from_tag(cfg.model_tag)
     esc = None
-    try:
-        esc = geometry.build_escape(model, T=cfg.escape_T)
-    except (geometry.EscapeConstructionError, geometry.GeometryConfigError):
-        esc = None
+    if cfg.with_deform:
+        try:
+            esc = geometry.build_escape(model, T=cfg.escape_T)
+        except (geometry.EscapeConstructionError, geometry.GeometryConfigError):
+            pass
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -261,14 +270,13 @@ def run_sweep(cfg: SweepConfig,
         fh.write(CSV_HEADER + "\n")
         fh.flush()
         if workers == 1:
-            futures = [(h, None) for h in cfg.h_list]
-            results = ((h, _try_measure(cfg, model, esc, h)) for h, _ in futures)
+            results = (_try_measure(cfg, model, esc, h) for h in cfg.h_list)
         else:
             pool = ThreadPoolExecutor(max_workers=workers)
-            futs = [(h, pool.submit(_try_measure, cfg, model, esc, h))
+            futs = [pool.submit(_try_measure, cfg, model, esc, h)
                     for h in cfg.h_list]
-            results = ((h, f.result()) for h, f in futs)
-        for h, rec in results:
+            results = (f.result() for f in futs)
+        for rec in results:
             if rec is None:
                 continue
             records.append(rec)
@@ -288,42 +296,36 @@ def _try_measure(cfg, model, esc, h) -> Optional[SweepRecord]:
         return None
 
 
-_FIELDS: dict = {
-    "free_radius": lambda r: r.free_radius,
-    "sigma_min_probe": lambda r: r.sigma_min_probe,
-    "resolvent_norm": lambda r: r.resolvent_norm,
-    "toeplitz_residual": lambda r: r.toeplitz_residual,
-}
-
-
-def fit_power_law(records: Sequence[SweepRecord],
-                  selector: Union[str, Callable]) -> FitResult:
-    """Least squares of log(value) on log(h); nonpositive or non-finite
-    values are excluded with a warning, and at least 4 must remain."""
-    get = _FIELDS[selector] if isinstance(selector, str) else selector
-    hs, ys = [], []
-    for rec in records:
-        v = get(rec)
-        if not (np.isfinite(v) and v > 0):
-            print(f"[fit] excluding h = {rec.h}: value {v} not positive finite")
-            continue
-        hs.append(rec.h)
-        ys.append(v)
-    if len(hs) < 4:
-        raise FitError(f"only {len(hs)} usable records, need at least 4")
-    x = np.log(np.asarray(hs))
-    y = np.log(np.asarray(ys))
+def _line_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
+    """Least-squares line y ~ slope * x + intercept; returns
+    (slope, intercept, r_squared), with r_squared 1 for constant y."""
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return FitResult(float(slope), float(intercept), r2, len(hs))
+    return float(slope), float(intercept), r2
 
 
-def resolvent_growth_check(records: Sequence[SweepRecord], s: float,
-                           bounded_cap: float = BOUNDED_RESOLVENT_CAP) -> dict:
-    """Fit log resolvent against h^{-1/s}; a good linear fit or a uniformly
-    bounded resolvent both stay within the exponential budget."""
+def fit_power_law(hs: Sequence[float], values: Sequence[float]) -> FitResult:
+    """Least squares of log(value) on log(h); nonpositive or non-finite
+    values are excluded with a warning, and at least 4 must remain."""
+    keep_h, keep_v = [], []
+    for h, v in zip(hs, values):
+        if not (np.isfinite(v) and v > 0):
+            print(f"[fit] excluding h = {h}: value {v} not positive finite")
+            continue
+        keep_h.append(h)
+        keep_v.append(v)
+    if len(keep_h) < 4:
+        raise FitError(f"only {len(keep_h)} usable records, need at least 4")
+    slope, intercept, r2 = _line_fit(np.log(np.asarray(keep_h)),
+                                     np.log(np.asarray(keep_v)))
+    return FitResult(slope, intercept, r2, len(keep_h))
+
+
+def resolvent_growth_check(records: Sequence[SweepRecord], s: float) -> dict:
+    """Fit log resolvent against h^{-1/s}; a good linear fit or a resolvent
+    bounded by BOUNDED_RESOLVENT_CAP both stay within the exponential budget."""
     pts = [(r.h, r.resolvent_norm) for r in records
            if np.isfinite(r.resolvent_norm) and r.resolvent_norm > 0]
     if len(pts) < 2:
@@ -331,19 +333,14 @@ def resolvent_growth_check(records: Sequence[SweepRecord], s: float,
     hs = np.array([p[0] for p in pts])
     rn = np.array([p[1] for p in pts])
     max_norm = float(rn.max())
-    bounded = max_norm <= bounded_cap
+    bounded = max_norm <= BOUNDED_RESOLVENT_CAP
     if math.isinf(s):
         return {"slope": 0.0, "intercept": float(np.log(max_norm)),
                 "r_squared": float("nan"), "regime": "bounded",
                 "max_resolvent": max_norm, "pass": bounded}
-    x = hs ** (-1.0 / s)
-    y = np.log(rn)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = _line_fit(hs ** (-1.0 / s), np.log(rn))
     regime = "exponential-fit" if (r2 >= 0.9 and slope > 0) else "bounded"
-    return {"slope": float(slope), "intercept": float(intercept),
+    return {"slope": slope, "intercept": intercept,
             "r_squared": r2, "regime": regime, "max_resolvent": max_norm,
             "pass": bool(r2 >= 0.9 or bounded)}
 
@@ -370,7 +367,8 @@ def radius_scaling_summary(records: Sequence[SweepRecord],
            "radius_min": float(min(r.free_radius for r in recs)),
            "spectrum_approaches_z0": bool(approaching)}
     if approaching and len(recs) >= 4:
-        fit = fit_power_law(recs, "free_radius")
+        fit = fit_power_law([r.h for r in recs],
+                            [r.free_radius for r in recs])
         out["radius_fit_slope"] = fit.slope
         out["radius_fit_r2"] = fit.r_squared
         out["exponent_within_band"] = bool(abs(fit.slope - expo) <= 0.15)
@@ -378,34 +376,19 @@ def radius_scaling_summary(records: Sequence[SweepRecord],
 
 
 def emit_outputs(cfg: SweepConfig, records: Sequence[SweepRecord],
-                 fits: dict,
-                 fields: Sequence[Tuple[spectral.PseudospectrumField,
-                                        Optional[spectral.SpectrumResult],
-                                        Optional[Tuple[complex, float]]]] = ()) -> List[str]:
-    """Write the summary JSON and any pseudospectrum SVGs; returns paths."""
+                 fits: dict) -> List[str]:
+    """Write the summary JSON; returns its path in a list."""
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     summary = {
         "model": cfg.model_tag,
         "h_list": list(cfg.h_list),
         "n_records": len(records),
         "fits": fits,
-        "records": [rec.csv_row() for rec in records],
+        "records": [rec.as_dict() for rec in records],
     }
     spath = out_dir / "summary.json"
     with open(spath, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
-    written.append(str(spath))
-    for k, (psf, spec, circle) in enumerate(fields):
-        g = psf.z_grid
-        extent = (g.center.real - g.re_span, g.center.real + g.re_span,
-                  g.center.imag - g.im_span, g.center.imag + g.im_span)
-        path = str(out_dir / f"pseudospectrum_{k}.svg")
-        svgout.heatmap_svg(psf.sigma_min.T, extent, path, log10=True,
-                           points=None if spec is None else spec.eigenvalues,
-                           circle=circle,
-                           title=f"log10 sigma_min, {cfg.model_tag}")
-        written.append(path)
-    return written
+    return [str(spath)]

@@ -72,7 +72,6 @@ class FBIOperator:
     h: float
     real_grid: RealGrid
     cgrid: ComplexGrid
-    normalization: float
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.matrix @ u
@@ -145,10 +144,10 @@ def make_fbi(real_grid: RealGrid, cgrid: ComplexGrid, h: float) -> FBIOperator:
     x = cgrid.nodes()
     kern = np.exp(1j * (1j * (x[:, None] - y[None, :]) ** 2 / 2.0) / h)
     mat = h ** (-0.75) * real_grid.spacing * kern
-    op = FBIOperator(mat, h, real_grid, cgrid, 1.0)
+    op = FBIOperator(mat, h, real_grid, cgrid)
     u0 = gaussian_state(real_grid, h)
     c = 1.0 / op.norm_phi(op.apply(u0))
-    return FBIOperator(c * mat, h, real_grid, cgrid, c)
+    return FBIOperator(c * mat, h, real_grid, cgrid)
 
 
 def weight_phi_t(esc: Optional[EscapeField], t: float,
@@ -180,16 +179,6 @@ def _check_unitarity(fbi_op: FBIOperator) -> None:
             f"transform unitarity defect {defect:.2e} exceeds {UNITARITY_TOL}")
 
 
-def egorov_conjugate(P: WeylMatrix, fbi_op: FBIOperator) -> np.ndarray:
-    """Bargmann-side operator T P T*; realizes the pushed-forward symbol.
-
-    Materializes the full M x M matrix; for large complex grids prefer
-    apply_conjugated, which applies the three factors in sequence.
-    """
-    _check_unitarity(fbi_op)
-    return fbi_op.matrix @ P.entries @ fbi_op.adjoint()
-
-
 def apply_conjugated(P: WeylMatrix, fbi_op: FBIOperator,
                      U: np.ndarray) -> np.ndarray:
     """(T P T*) U without forming the conjugated matrix."""
@@ -214,16 +203,14 @@ def _symbol_on_section(model: ModelInstance, weight: BargmannWeight) -> np.ndarr
 
 def toeplitz_residual(model: ModelInstance, fbi_op: FBIOperator,
                       esc: Optional[EscapeField], t: float,
-                      u: np.ndarray, v: np.ndarray,
-                      P: Optional[WeylMatrix] = None) -> float:
+                      u: np.ndarray, v: np.ndarray) -> float:
     """Normalized defect of the weighted pairing against symbol multiplication.
 
     Compares <(T P T*) U, V>_{Phi_t} with the integral of a~(x, xi_t) U
     conj(V) against the Phi_t weight, for U = Tu, V = Tv.
     """
     _check_unitarity(fbi_op)
-    if P is None:
-        P = assemble_weyl(model.symbol, fbi_op.real_grid, fbi_op.h)
+    P = assemble_weyl(model.symbol, fbi_op.real_grid, fbi_op.h)
     weight = weight_phi_t(esc, t, fbi_op)
     U = fbi_op.apply(u)
     V = fbi_op.apply(v)
@@ -245,8 +232,7 @@ class EllipticSample:
 def elliptic_residual(model: ModelInstance, fbi_op: FBIOperator,
                       esc: Optional[EscapeField], t: float, u: np.ndarray,
                       U_box: Tuple[Tuple[float, float], Tuple[float, float]],
-                      ellipticity_floor: float = 0.25,
-                      P: Optional[WeylMatrix] = None) -> EllipticSample:
+                      ellipticity_floor: float = 0.25) -> EllipticSample:
     """Exterior weighted mass of Tu against the operator-side majorant.
 
     U_box is an (a, b) rectangle on the complex grid; the symbol must stay
@@ -265,8 +251,7 @@ def elliptic_residual(model: ModelInstance, fbi_op: FBIOperator,
         raise EllipticityError(
             f"symbol not elliptic outside U at node x = {x[k]:.4f} "
             f"(|a - z0| = {abs(sym_field[k] - model.z0):.3e} < {ellipticity_floor})")
-    if P is None:
-        P = assemble_weyl(model.symbol, fbi_op.real_grid, fbi_op.h)
+    P = assemble_weyl(model.symbol, fbi_op.real_grid, fbi_op.h)
     _check_unitarity(fbi_op)
     U = fbi_op.apply(u)
     w = fbi_op.weights_phi(weight.phi_values)
@@ -294,11 +279,3 @@ def fit_elliptic_constants(samples: List[EllipticSample]) -> dict:
     return {"c_operator": float(coef[0]), "c_h": float(coef[1]),
             "pass": ok, "lhs": y.tolist(), "rhs": rhs.tolist()}
 
-
-def bargmann_csv_lines(fbi_op: FBIOperator, U: np.ndarray,
-                       phi_values: np.ndarray) -> List[str]:
-    lines = ["re_x,im_x,re_u,im_u,phi"]
-    for x, val, phi in zip(fbi_op.cgrid.nodes(), U, phi_values):
-        lines.append(f"{x.real:.17g},{x.imag:.17g},"
-                     f"{val.real:.17g},{val.imag:.17g},{phi:.17g}")
-    return lines

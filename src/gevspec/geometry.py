@@ -21,6 +21,7 @@ from .symbols import Box, GevreySymbol, ModelInstance, smooth_step
 FLOW_BOX_HALF_WIDTH = 50.0
 DEFAULT_DT = 1e-2
 MAX_FLOW_STEPS = 1_000_000
+ZERO_TOL = 1e-3  # a lattice point with |p - z0| <= ZERO_TOL counts as a zero
 
 
 class GeometryConfigError(ValueError):
@@ -58,11 +59,6 @@ class EscapeField:
     cutoff_center: Tuple[float, float]
     model_tag: str
     T: float
-
-    @property
-    def sample_points(self) -> np.ndarray:
-        X, K = np.meshgrid(self.x_axis, self.xi_axis, indexing="ij")
-        return np.stack([X, K], axis=-1)
 
     def _interp(self, values: np.ndarray):
         return RegularGridInterpolator((self.x_axis, self.xi_axis), values,
@@ -274,11 +270,11 @@ def _default_lattice(box: Box) -> Box:
 
 def build_escape(model: ModelInstance, T: float = 4.0,
                  lattice: Optional[Box] = None, n_x: int = 129, n_xi: int = 129,
-                 dt: float = DEFAULT_DT, zero_tol: float = 1e-3) -> EscapeField:
+                 dt: float = DEFAULT_DT) -> EscapeField:
     """Construct the escape function on a phase-space lattice and certify it.
 
     margin_c is -max of H_{Im p} G over the numerical zero set
-    {|p - z0| <= zero_tol}; a nonpositive margin raises, reporting the
+    {|p - z0| <= ZERO_TOL}; a nonpositive margin raises, reporting the
     offending zero point, since the downstream deformation has no
     ellipticity gain without it.
     """
@@ -313,10 +309,10 @@ def build_escape(model: ModelInstance, T: float = 4.0,
     HG = ((G_all[m:2 * m] - G_all[2 * m:]) / (2.0 * dt)).reshape(X.shape)
 
     vals = np.asarray(sym.value(X, K))
-    zero_mask = np.abs(vals - model.z0) <= zero_tol
+    zero_mask = np.abs(vals - model.z0) <= ZERO_TOL
     if not zero_mask.any():
         raise GeometryConfigError(
-            f"no lattice points with |p - z0| <= {zero_tol}")
+            f"no lattice points with |p - z0| <= {ZERO_TOL}")
     hg_zero = HG[zero_mask]
     margin_c = float(-hg_zero.max())
     field = EscapeField(x_axis, xi_axis, G, HG, margin_c, r_outer, center,
@@ -374,11 +370,3 @@ def escape_csv_lines(field: EscapeField) -> List[str]:
                          f"{field.G_values[i, j]:.17g},{field.HG_values[i, j]:.17g}")
     return lines
 
-
-def summary_dict(field: EscapeField, check: Optional[DeformationCheck] = None) -> dict:
-    out = {"model": field.model_tag, "T": field.T, "margin_c": field.margin_c,
-           "cutoff_radius": field.cutoff_radius, "sup_G": field.sup_G}
-    if check is not None:
-        out.update({"t": check.t, "gamma_measured": check.gamma_measured,
-                    "ext_order": check.ext_order})
-    return out

@@ -240,6 +240,10 @@ def load_weyl(path, half_width_L: float | None = None) -> WeylMatrix:
             raise GridError(f"bad magic in {path}")
         (n,) = struct.unpack("<I", fh.read(4))
         (h,) = struct.unpack("<d", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<c16").reshape(n, n)
+        payload = fh.read()
+    if len(payload) != 16 * n * n:
+        raise GridError(f"{path}: header says N = {n}, which needs "
+                        f"{16 * n * n} payload bytes, found {len(payload)}")
+    data = np.frombuffer(payload, dtype="<c16").reshape(n, n)
     grid = RealGrid(half_width_L if half_width_L is not None else 1.0, n)
     return WeylMatrix(data.astype(complex), h, grid, "loaded")

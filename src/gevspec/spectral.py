@@ -6,13 +6,15 @@ values independent of evaluation order.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
 from typing import List
 
 import numpy as np
 import scipy.linalg
 
-from .quantize import WeylMatrix
+from .quantize import WeylMatrix, save_weyl
 
 BOUNDARY_MASS_THRESHOLD = 1e-6
 BOUNDARY_FRACTION = 0.10  # outer fraction of grid nodes counted as boundary
@@ -68,9 +70,8 @@ def eigenvalues(P: WeylMatrix) -> SpectrumResult:
     try:
         vals, vecs = scipy.linalg.eig(P.entries)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        import tempfile
-        from .quantize import save_weyl
-        path = tempfile.mktemp(prefix="weyl_fail_", suffix=".bin")
+        fd, path = tempfile.mkstemp(prefix="weyl_fail_", suffix=".bin")
+        os.close(fd)
         save_weyl(path, P)
         raise SolverError(f"dense eigensolver failed; matrix dumped to {path}") from exc
     edge = max(1, int(round(0.5 * BOUNDARY_FRACTION * n)))
@@ -146,7 +147,12 @@ def spectrum_free_radius(spec: SpectrumResult, z0: complex,
 
 def resolvent_norm(P: WeylMatrix, z: complex) -> float:
     """1 / sigma_min(P - z); returns inf when z sits in the spectrum."""
-    s = sigma_min(P, z)
+    return resolvent_from_sigma(P, sigma_min(P, z))
+
+
+def resolvent_from_sigma(P: WeylMatrix, s: float) -> float:
+    """1 / s for s = sigma_min(P - z); inf when s is at or below
+    RESOLVENT_SINGULAR_TOL * max(max |P_jk|, 1), where z counts as spectrum."""
     scale = max(np.abs(P.entries).max(), 1.0)
     if s <= RESOLVENT_SINGULAR_TOL * scale:
         return float("inf")

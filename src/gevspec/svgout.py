@@ -36,10 +36,9 @@ def heatmap_svg(values: np.ndarray,
                 path: str,
                 log10: bool = False,
                 points: Optional[Sequence[complex]] = None,
-                circle: Optional[Tuple[complex, float]] = None,
                 title: str = "",
                 width_px: int = 640) -> None:
-    """Write a colormapped field with optional point overlay and circle.
+    """Write a colormapped field with an optional point overlay.
 
     values has shape (nx, ny) over extent (x_lo, x_hi, y_lo, y_hi) with the
     first axis along x; y increases upward in data coordinates.
@@ -87,14 +86,6 @@ def heatmap_svg(values: np.ndarray,
                 px, py = to_px(z.real, z.imag)
                 parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" '
                              f'fill="none" stroke="white" stroke-width="1"/>')
-    if circle is not None:
-        c, rad = circle
-        px, py = to_px(c.real, c.imag)
-        rx = rad / (x_hi - x_lo) * width_px
-        ry = rad / (y_hi - y_lo) * height_px
-        parts.append(f'<ellipse cx="{px:.2f}" cy="{py:.2f}" rx="{rx:.2f}" '
-                     f'ry="{ry:.2f}" fill="none" stroke="red" '
-                     f'stroke-width="1.5" stroke-dasharray="4 3"/>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts))

@@ -8,7 +8,7 @@ flows and complex extensions need derivatives to high accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -23,15 +23,14 @@ class GevreySymbol:
     """A symbol p(x, xi) with its first two derivatives.
 
     order_s is the Gevrey order (math.inf marks analytic symbols),
-    bound_C a declared sup bound, zero_set_hint a phase-space box
-    containing the zero set of p - z0 when known.
+    zero_set_hint a phase-space box containing the zero set of p - z0 when
+    known.
     """
 
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
     hess: Callable[[np.ndarray, np.ndarray], np.ndarray]
     order_s: float
-    bound_C: float
     zero_set_hint: Optional[Box] = None
     xi_extent: float = 4.0
     name: str = "custom"
@@ -48,7 +47,6 @@ class GevreySymbol:
 class ModelInstance:
     symbol: GevreySymbol
     z0: complex
-    multiplier_q: Optional[GevreySymbol] = None
     family_tag: str = "custom"
 
     @property
@@ -103,22 +101,6 @@ def smooth_step(u):
     return lo / (lo + hi + 1e-300)
 
 
-def _const_symbol(c: complex, name: str) -> GevreySymbol:
-    def value(x, xi):
-        return np.full(np.broadcast(x, xi).shape, c, dtype=complex)
-
-    def grad(x, xi):
-        z = np.zeros(np.broadcast(x, xi).shape, dtype=complex)
-        return z, z.copy()
-
-    def hess(x, xi):
-        shape = np.broadcast(x, xi).shape
-        return np.zeros(shape + (2, 2), dtype=complex)
-
-    return GevreySymbol(value, grad, hess, order_s=ANALYTIC, bound_C=abs(c) + 1.0,
-                        name=name)
-
-
 def make_davies() -> ModelInstance:
     """The complex harmonic oscillator symbol xi^2 + i x^2."""
 
@@ -135,11 +117,10 @@ def make_davies() -> ModelInstance:
         H[..., 1, 1] = 2.0
         return H
 
-    sym = GevreySymbol(value, grad, hess, order_s=ANALYTIC, bound_C=1e6,
+    sym = GevreySymbol(value, grad, hess, order_s=ANALYTIC,
                        zero_set_hint=((-0.5, 0.5), (-0.5, 0.5)),
                        xi_extent=4.0, name="davies")
-    return ModelInstance(sym, z0=0j, multiplier_q=_const_symbol(np.exp(1j * np.pi / 4), "q-davies"),
-                         family_tag="davies")
+    return ModelInstance(sym, z0=0j, family_tag="davies")
 
 
 def make_gevrey_transport(s: float) -> ModelInstance:
@@ -174,11 +155,10 @@ def make_gevrey_transport(s: float) -> ModelInstance:
         H[..., 1, 1] = -2j * sech2 * np.tanh(np.broadcast_to(xi, shape))
         return H
 
-    sym = GevreySymbol(value, grad, hess, order_s=s, bound_C=2.0,
+    sym = GevreySymbol(value, grad, hess, order_s=s,
                        zero_set_hint=((-1.3, 1.3), (-0.4, 0.4)),
                        xi_extent=4.0, name=f"gevrey-transport:s={s:g}")
-    return ModelInstance(sym, z0=0j, multiplier_q=_const_symbol(1j, "q-transport"),
-                         family_tag=f"gevrey-transport:s={s:g}")
+    return ModelInstance(sym, z0=0j, family_tag=f"gevrey-transport:s={s:g}")
 
 
 def make_analytic_transport() -> ModelInstance:
@@ -208,11 +188,10 @@ def make_analytic_transport() -> ModelInstance:
         H[..., 1, 1] = -2j * sech2 * np.tanh(np.broadcast_to(xi, shape))
         return H
 
-    sym = GevreySymbol(value, grad, hess, order_s=ANALYTIC, bound_C=2.0,
+    sym = GevreySymbol(value, grad, hess, order_s=ANALYTIC,
                        zero_set_hint=((-0.5, 0.5), (-0.4, 0.4)),
                        xi_extent=4.0, name="analytic-transport")
-    return ModelInstance(sym, z0=0j, multiplier_q=_const_symbol(1j, "q-transport"),
-                         family_tag="analytic-transport")
+    return ModelInstance(sym, z0=0j, family_tag="analytic-transport")
 
 
 def make_trapped_toy() -> ModelInstance:
@@ -230,7 +209,7 @@ def make_trapped_toy() -> ModelInstance:
         H[..., 0, 0] = 2j
         return H
 
-    sym = GevreySymbol(value, grad, hess, order_s=ANALYTIC, bound_C=1e6,
+    sym = GevreySymbol(value, grad, hess, order_s=ANALYTIC,
                        zero_set_hint=((-0.5, 0.5), (-1.0, 1.0)),
                        xi_extent=4.0, name="trapped-toy")
     return ModelInstance(sym, z0=0j, family_tag="trapped-toy")

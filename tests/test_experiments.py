@@ -1,10 +1,10 @@
+import json
 import math
-import os
 
 import numpy as np
 import pytest
 
-from gevspec import cli, experiments
+from gevspec import cli, experiments, geometry, spectral
 from gevspec.experiments import (ConfigError, FitError, NumericalFailure,
                                  SweepConfig, SweepRecord, fit_power_law,
                                  grid_for, parse_config,
@@ -33,8 +33,7 @@ class TestConfigParsing:
             "escape_T = 3.0\n"
             "toeplitz = false\n"
             "deform = no\n"
-            "output_dir = out\n"
-            "seed = 7\n", encoding="utf-8")
+            "output_dir = out\n", encoding="utf-8")
         cfg = parse_config(path)
         assert cfg.model_tag == "gevrey-transport:s=2"
         assert cfg.h_list == (0.2, 0.1, 0.05)
@@ -47,7 +46,6 @@ class TestConfigParsing:
         assert not cfg.with_toeplitz
         assert not cfg.with_deform
         assert cfg.output_dir == "out"
-        assert cfg.seed == 7
 
     def test_missing_required_keys(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -55,11 +53,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="h_list"):
             parse_config(path)
 
-    def test_unknown_key(self, tmp_path):
+    @pytest.mark.parametrize("key", ["widget", "seed"])
+    def test_unknown_key(self, tmp_path, key):
         path = tmp_path / "bad.cfg"
-        path.write_text("model = davies\nh_list = 0.1\nwidget = 3\n",
+        path.write_text(f"model = davies\nh_list = 0.1\n{key} = 3\n",
                         encoding="utf-8")
-        with pytest.raises(ConfigError, match="widget"):
+        with pytest.raises(ConfigError, match=key):
             parse_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -97,29 +96,26 @@ class TestGridRule:
 
 
 class TestFits:
+    HS = (0.2, 0.1, 0.05, 0.025)
+
     def test_exact_half_power(self):
-        recs = [record(h, r=h ** 0.5) for h in (0.2, 0.1, 0.05, 0.025)]
-        fit = fit_power_law(recs, "free_radius")
+        fit = fit_power_law(self.HS, [h ** 0.5 for h in self.HS])
         assert fit.slope == pytest.approx(0.5, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_with_prefactor(self):
-        recs = [record(h, r=3.0 * h) for h in (0.2, 0.1, 0.05, 0.025)]
-        fit = fit_power_law(recs, "free_radius")
+        fit = fit_power_law(self.HS, [3.0 * h for h in self.HS])
         assert fit.slope == pytest.approx(1.0, abs=1e-12)
         assert fit.intercept == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_nonpositive_values_excluded(self, capsys):
-        recs = [record(h, r=h) for h in (0.2, 0.1, 0.05, 0.025)]
-        recs.append(record(0.0125, r=-1.0))
-        fit = fit_power_law(recs, "free_radius")
+        fit = fit_power_law(self.HS + (0.0125,), list(self.HS) + [-1.0])
         assert fit.n_points == 4
         assert "excluding" in capsys.readouterr().out
 
     def test_too_few_records(self):
-        recs = [record(h, r=h) for h in (0.2, 0.1, 0.05)]
         with pytest.raises(FitError):
-            fit_power_law(recs, "free_radius")
+            fit_power_law(self.HS[:3], self.HS[:3])
 
     def test_resolvent_exponential_synthetic(self):
         recs = [record(h, res=math.exp(2.0 * h ** -0.5))
@@ -187,6 +183,38 @@ class TestSweep:
         assert len(lines) == 3
         assert float(lines[1].split(",")[0]) == 0.2
         assert float(lines[2].split(",")[0]) == 0.05
+
+    def test_deform_off_skips_escape(self, tmp_path, monkeypatch):
+        def no_escape(*args, **kwargs):
+            raise AssertionError("escape function built with deform off")
+
+        monkeypatch.setattr(geometry, "build_escape", no_escape)
+        cfg = SweepConfig("davies", (0.1,), half_width_L=8.0, n_points=256,
+                          with_toeplitz=False, with_deform=False,
+                          output_dir=str(tmp_path))
+        (rec,) = run_sweep(cfg, tmp_path / "sweep.csv")
+        assert math.isnan(rec.margin_c)
+        row = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()[1]
+        header = experiments.CSV_HEADER.split(",")
+        assert row.split(",")[header.index("margin_c")] == "nan"
+
+    def test_one_sigma_min_per_probe(self, tmp_path, monkeypatch):
+        calls = []
+        real = spectral.sigma_min
+
+        def counting(P, z):
+            calls.append(z)
+            return real(P, z)
+
+        monkeypatch.setattr(spectral, "sigma_min", counting)
+        cfg = SweepConfig("davies", (0.2, 0.1), half_width_L=8.0,
+                          n_points=256, with_toeplitz=False,
+                          with_deform=False, output_dir=str(tmp_path))
+        records = run_sweep(cfg, tmp_path / "sweep.csv")
+        assert len(records) == 2
+        assert len(calls) == 2
+        for rec in records:
+            assert rec.resolvent_norm == 1.0 / rec.sigma_min_probe
 
     def test_reruns_are_bit_identical(self, tmp_path):
         cfg = SweepConfig("davies", (0.1,), half_width_L=8.0, n_points=256,
@@ -262,8 +290,34 @@ class TestCli:
             f"output_dir = {tmp_path}\n", encoding="utf-8")
         code = cli.main(["scaling", "--config", str(cfg)])
         assert code == cli.EXIT_OK
-        assert (tmp_path / "sweep.csv").exists()
-        assert (tmp_path / "summary.json").exists()
+        lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        columns = lines[0].split(",")
+        assert columns[-2:] == ["epsilon_used", "n_points"]
+        assert lines[1].split(",")[-1] == "256"
+        summary = json.loads((tmp_path / "summary.json").read_text(
+            encoding="utf-8"))
+        assert len(summary["records"]) == summary["n_records"] >= 1
+        first = summary["records"][0]
+        assert sorted(first) == sorted(columns)
+        assert first["h"] == 0.1
+        assert first["n_points"] == 256
+        assert first["r"] == pytest.approx(0.1, rel=1e-3)
+
+    def test_toeplitz_nan_residual_is_numerical_failure(self, tmp_path,
+                                                        monkeypatch):
+        def fake_probe(model, esc, h, t):
+            return float("nan") if h == 0.05 else h
+
+        monkeypatch.setattr(geometry, "build_escape",
+                            lambda *args, **kwargs: None)
+        monkeypatch.setattr(experiments, "toeplitz_probe", fake_probe)
+        cfg = tmp_path / "toeplitz.cfg"
+        cfg.write_text(
+            "model = gevrey-transport:s=2\n"
+            "h_list = 0.2, 0.1, 0.05, 0.025\n"
+            f"output_dir = {tmp_path}\n", encoding="utf-8")
+        code = cli.main(["toeplitz", "--config", str(cfg)])
+        assert code == cli.EXIT_NUMERICAL
 
     def test_missing_config_is_config_error(self, tmp_path):
         code = cli.main(["scaling", "--config", str(tmp_path / "absent.cfg")])

@@ -3,8 +3,7 @@ import pytest
 import scipy.linalg
 
 from gevspec.fbi import (ComplexGrid, EllipticityError, GridExtentError,
-                         apply_conjugated, bargmann_csv_lines, default_cgrid,
-                         egorov_conjugate, elliptic_residual,
+                         apply_conjugated, default_cgrid, elliptic_residual,
                          fit_elliptic_constants, gaussian_state, make_fbi,
                          toeplitz_residual, weight_phi_t)
 from gevspec.quantize import (RealGrid, WeylMatrix, assemble_weyl,
@@ -103,7 +102,7 @@ class TestEgorov:
         P = assemble_weyl(real_bump, grid, h)
         op = make_fbi(grid, default_cgrid(h, re_span=2.0, im_span=2.0,
                                           cells_per_width=2.0), h)
-        M = egorov_conjugate(P, op)
+        M = apply_conjugated(P, op, np.eye(op.matrix.shape[0]))
         W = op.weights_phi(op.phi0())
         WM = W[:, None] * M
         defect = np.abs(WM - WM.conj().T).max() / np.abs(WM).max()
@@ -125,7 +124,7 @@ class TestToeplitz:
     def test_identity_symbol_residual(self, op_h01):
         one = plain_symbol(lambda x, xi: np.ones(np.broadcast(x, xi).shape,
                                                  dtype=complex), "one", 0.0)
-        model = ModelInstance(one, 0j, None, "one")
+        model = ModelInstance(one, 0j, "one")
         u = gaussian_state(op_h01.real_grid, op_h01.h, 0.2, 0.1)
         v = gaussian_state(op_h01.real_grid, op_h01.h, -0.1, 0.3)
         assert toeplitz_residual(model, op_h01, None, 0.0, u, v) < 1e-6
@@ -190,9 +189,9 @@ class TestElliptic:
             H[..., 1, 1] = 2.0
             return H
 
-        sym = GevreySymbol(val, grad, hess, order_s=ANALYTIC, bound_C=20.0,
+        sym = GevreySymbol(val, grad, hess, order_s=ANALYTIC,
                            name="shifted-square", xi_extent=3.9)
-        model = ModelInstance(sym, 0j, None, "shifted-square")
+        model = ModelInstance(sym, 0j, "shifted-square")
         u = gaussian_state(op_h01.real_grid, op_h01.h, 0.4, 0.7, hermite=1)
         empty_box = ((10.0, 11.0), (10.0, 11.0))
         s = elliptic_residual(model, op_h01, None, 0.0, u, empty_box)
@@ -206,12 +205,3 @@ class TestElliptic:
         with pytest.raises(EllipticityError):
             elliptic_residual(gevrey2, op_h01, None, 0.0, u, tiny_box)
 
-
-class TestReporting:
-    def test_bargmann_csv_layout(self, op_h01):
-        u = gaussian_state(op_h01.real_grid, op_h01.h)
-        U = op_h01.apply(u)
-        lines = bargmann_csv_lines(op_h01, U, op_h01.phi0())
-        assert lines[0] == "re_x,im_x,re_u,im_u,phi"
-        assert len(lines) == op_h01.cgrid.re_n * op_h01.cgrid.im_n + 1
-        assert len(lines[1].split(",")) == 5

@@ -6,7 +6,7 @@ from gevspec import geometry
 from gevspec.geometry import (CoverageError, EscapeConstructionError,
                               GeometryConfigError, build_escape,
                               check_deformed_ellipticity, escape_csv_lines,
-                              flow, nontrapping_check, summary_dict)
+                              flow, nontrapping_check)
 from gevspec.symbols import (gevrey_flat, make_davies, make_gevrey_transport,
                              make_trapped_toy)
 
@@ -159,10 +159,3 @@ class TestReporting:
         n = len(escape_gevrey2.x_axis) * len(escape_gevrey2.xi_axis)
         assert len(lines) == n + 1
         assert len(lines[1].split(",")) == 4
-
-    def test_summary_contents(self, gevrey2, escape_gevrey2):
-        check = check_deformed_ellipticity(gevrey2, escape_gevrey2, -0.02)
-        d = summary_dict(escape_gevrey2, check)
-        assert d["margin_c"] == escape_gevrey2.margin_c
-        assert d["gamma_measured"] == check.gamma_measured
-        assert d["model"] == gevrey2.tag

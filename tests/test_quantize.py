@@ -20,7 +20,7 @@ def plain_symbol(f, name, xi_extent=4.0):
         grad=lambda x, xi: (zeros(x, xi), zeros(x, xi)),
         hess=lambda x, xi: np.zeros(np.broadcast(x, xi).shape + (2, 2),
                                     dtype=complex),
-        order_s=ANALYTIC, bound_C=10.0, name=name, xi_extent=xi_extent)
+        order_s=ANALYTIC, name=name, xi_extent=xi_extent)
 
 
 ONE = plain_symbol(lambda x, xi: np.ones(np.broadcast(x, xi).shape,
@@ -193,6 +193,13 @@ class TestSerialization:
         path = tmp_path / "junk.weyl"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(GridError):
+            load_weyl(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "cut.weyl"
+        save_weyl(path, assemble_weyl(ONE, RealGrid(4.0, 8), 0.25))
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(GridError, match="payload"):
             load_weyl(path)
 
     def test_header_layout(self, tmp_path):
