@@ -95,11 +95,6 @@ class FBIOperator:
         w = self.weights_phi(phi_values)
         return complex(np.sum(U * np.conj(V) * w))
 
-    def adjoint(self) -> np.ndarray:
-        """T* with respect to the dx and Phi_0-weighted pairings."""
-        w = self.weights_phi(self.phi0())
-        return (self.matrix.conj().T * w) / self.real_grid.spacing
-
     def real_norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(self.real_grid.spacing * np.sum(np.abs(u) ** 2)))
 
@@ -142,12 +137,17 @@ def make_fbi(real_grid: RealGrid, cgrid: ComplexGrid, h: float) -> FBIOperator:
             f"real-grid edge; need half_width_L >= {need:.3f}")
     y = real_grid.nodes
     x = cgrid.nodes()
-    kern = np.exp(1j * (1j * (x[:, None] - y[None, :]) ** 2 / 2.0) / h)
-    mat = h ** (-0.75) * real_grid.spacing * kern
+    # e^{i phi(x, y) / h} = e^{-(x - y)^2 / (2h)}, built and scaled in one
+    # M x N array so no full-size temporaries exist
+    mat = x[:, None] - y[None, :]
+    mat *= mat
+    mat /= -2.0 * h
+    np.exp(mat, out=mat)
+    mat *= h ** (-0.75) * real_grid.spacing
     op = FBIOperator(mat, h, real_grid, cgrid)
     u0 = gaussian_state(real_grid, h)
-    c = 1.0 / op.norm_phi(op.apply(u0))
-    return FBIOperator(c * mat, h, real_grid, cgrid)
+    mat *= 1.0 / op.norm_phi(op.apply(u0))
+    return op
 
 
 def weight_phi_t(esc: Optional[EscapeField], t: float,
@@ -181,8 +181,16 @@ def _check_unitarity(fbi_op: FBIOperator) -> None:
 
 def apply_conjugated(P: WeylMatrix, fbi_op: FBIOperator,
                      U: np.ndarray) -> np.ndarray:
-    """(T P T*) U without forming the conjugated matrix."""
-    return fbi_op.apply(P.entries @ (fbi_op.adjoint() @ U))
+    """(T P T*) U without forming the conjugated matrix.
+
+    T* is the adjoint for the dx and Phi_0-weighted pairings, applied as
+    conj(T^T conj(w U)) / dx so the M x N adjoint is never materialized;
+    U is a vector or an (M, k) block.
+    """
+    w = fbi_op.weights_phi(fbi_op.phi0())
+    wU = (U.T * w).T
+    TsU = np.conj(fbi_op.matrix.T @ np.conj(wU)) / fbi_op.real_grid.spacing
+    return fbi_op.apply(P.entries @ TsU)
 
 
 def _symbol_on_section(model: ModelInstance, weight: BargmannWeight) -> np.ndarray:

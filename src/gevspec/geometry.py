@@ -3,9 +3,14 @@
 The escape function follows the time-averaging recipe
     G(rho) = chi_cut(rho) * (-int_0^inf chi_T(t) Re p(Phi_t rho) dt
                              + int_0^inf chi_T(t) Re p(Phi_-t rho) dt)
-along the flow Phi_t of H_{Im p}. Under Re p >= 0 plus nontrapping this gives
-H_{Im p} G = 2 Re p + int chi_T'(t) (Re p(Phi_t) + Re p(Phi_-t)) dt <= -c
-on the zero set, which is checked numerically rather than assumed.
+along the flow Phi_t of H_{Im p}. Writing G = chi_cut * raw, integration by
+parts in t gives
+    H_{Im p} raw = 2 Re p + int_0^inf chi_T'(t) (Re p(Phi_t) + Re p(Phi_-t)) dt
+    H_{Im p} G   = chi_cut * H_{Im p} raw + raw * H_{Im p} chi_cut,
+so one flow batch from the lattice yields both G and H_{Im p} G: the two
+time integrals share the trajectory samples, and the cutoff term is
+analytic. Under Re p >= 0 plus nontrapping H_{Im p} G <= -c on the zero
+set, which is checked numerically rather than assumed.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from .symbols import Box, GevreySymbol, ModelInstance, smooth_step
+from .symbols import (Box, GevreySymbol, ModelInstance, smooth_step,
+                      smooth_step_d1)
 
 FLOW_BOX_HALF_WIDTH = 50.0
 DEFAULT_DT = 1e-2
@@ -53,7 +59,7 @@ class EscapeField:
     x_axis: np.ndarray
     xi_axis: np.ndarray
     G_values: np.ndarray   # shape (len(x_axis), len(xi_axis))
-    HG_values: np.ndarray  # same shape, H_{Im p} G by flow differencing
+    HG_values: np.ndarray  # same shape, H_{Im p} G by integration by parts
     margin_c: float
     cutoff_radius: float
     cutoff_center: Tuple[float, float]
@@ -217,27 +223,58 @@ def _chi_T(T: float, t: np.ndarray) -> np.ndarray:
     return 1.0 - smooth_step(np.asarray(t, dtype=float) / T - 1.0)
 
 
+def _chi_T_d1(T: float, t: np.ndarray) -> np.ndarray:
+    """d/dt of _chi_T; supported on [T, 2T] and nonpositive."""
+    return -smooth_step_d1(np.asarray(t, dtype=float) / T - 1.0) / T
+
+
 def _chi_cut(center: Tuple[float, float], r_inner: float, r_outer: float,
              x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     r = np.hypot(np.asarray(x) - center[0], np.asarray(xi) - center[1])
     return 1.0 - smooth_step((r - r_inner) / (r_outer - r_inner))
 
 
-def _escape_integral(sym: GevreySymbol, x0: np.ndarray, xi0: np.ndarray,
-                     T: float, dt: float) -> np.ndarray:
-    """-int chi_T Re p(Phi_t) dt + int chi_T Re p(Phi_-t) dt, trapezoid in t."""
-    n_steps = int(round(2.0 * T / dt))
-    t_nodes = dt * np.arange(n_steps + 1)
-    w = _chi_T(T, t_nodes) * dt
+def _chi_cut_grad(center: Tuple[float, float], r_inner: float, r_outer: float,
+                  x: np.ndarray, xi: np.ndarray):
+    """(d_x, d_xi) of _chi_cut. The radial derivative vanishes for
+    r <= r_inner, so clipping r there keeps the quotient finite at the center."""
+    dx = np.asarray(x) - center[0]
+    dk = np.asarray(xi) - center[1]
+    r = np.hypot(dx, dk)
+    width = r_outer - r_inner
+    radial = -smooth_step_d1((r - r_inner) / width) / (width * np.maximum(r, r_inner))
+    return radial * dx, radial * dk
+
+
+def _trapezoid_weights(f: np.ndarray, dt: float) -> np.ndarray:
+    w = f * dt
     w[0] *= 0.5
     w[-1] *= 0.5
-    total = np.zeros(x0.shape)
+    return w
+
+
+def _escape_integral(sym: GevreySymbol, x0: np.ndarray, xi0: np.ndarray,
+                     T: float, dt: float):
+    """raw = -int chi_T Re p(Phi_t) dt + int chi_T Re p(Phi_-t) dt and its
+    flow derivative H_{Im p} raw = 2 Re p + int chi_T' (Re p(Phi_t) +
+    Re p(Phi_-t)) dt, both trapezoid in t over the same trajectories."""
+    n_steps = int(round(2.0 * T / dt))
+    t_nodes = dt * np.arange(n_steps + 1)
+    w = _trapezoid_weights(_chi_T(T, t_nodes), dt)
+    w_d1 = _trapezoid_weights(_chi_T_d1(T, t_nodes), dt)
+    re0 = np.real(np.asarray(sym.value(x0, xi0)))
+    raw = np.zeros(x0.shape)
+    h_raw = 2.0 * re0
     for sign in (1.0, -1.0):
-        acc = w[0] * np.real(np.asarray(sym.value(x0, xi0)))
+        acc = w[0] * re0
+        acc_d1 = w_d1[0] * re0
         for k, (x, xi) in enumerate(_flow_batch(sym, x0, xi0, n_steps, sign * dt)):
-            acc = acc + w[k + 1] * np.real(np.asarray(sym.value(x, xi)))
-        total = total - sign * acc
-    return total
+            re = np.real(np.asarray(sym.value(x, xi)))
+            acc += w[k + 1] * re
+            acc_d1 += w_d1[k + 1] * re
+        raw = raw - sign * acc
+        h_raw += acc_d1
+    return raw, h_raw
 
 
 def _deriv_1d(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:
@@ -294,19 +331,12 @@ def build_escape(model: ModelInstance, T: float = 4.0,
     diag = float(np.hypot(hxhi - hxlo, hkhi - hklo))
     r_outer = 2.0 * diag
 
-    xf = X.ravel()
-    kf = K.ravel()
-    # three staggered batches: lattice points and their images one flow step
-    # forward/backward, so H_{Im p} G comes from differencing G along the flow
-    xp, kp = _rk4_step(sym, xf, kf, dt)
-    xm, km = _rk4_step(sym, xf, kf, -dt)
-    bx = np.concatenate([xf, xp, xm])
-    bk = np.concatenate([kf, kp, km])
-    raw = _escape_integral(sym, bx, bk, T, dt)
-    G_all = _chi_cut(center, diag, r_outer, bx, bk) * raw
-    m = xf.size
-    G = G_all[:m].reshape(X.shape)
-    HG = ((G_all[m:2 * m] - G_all[2 * m:]) / (2.0 * dt)).reshape(X.shape)
+    raw, h_raw = _escape_integral(sym, X, K, T, dt)
+    chi = _chi_cut(center, diag, r_outer, X, K)
+    chi_x, chi_xi = _chi_cut_grad(center, diag, r_outer, X, K)
+    fx, fk = _hamiltonian_im(sym, X, K)
+    G = chi * raw
+    HG = chi * h_raw + raw * (fx * chi_x + fk * chi_xi)
 
     vals = np.asarray(sym.value(X, K))
     zero_mask = np.abs(vals - model.z0) <= ZERO_TOL

@@ -101,6 +101,16 @@ def smooth_step(u):
     return lo / (lo + hi + 1e-300)
 
 
+def smooth_step_d1(u):
+    """Derivative of smooth_step in u; zero outside (0, 1)."""
+    u = np.asarray(u, dtype=float)
+    lo = np.asarray(gevrey_flat(2.0, u))
+    hi = np.asarray(gevrey_flat(2.0, 1.0 - u))
+    d_lo = _gevrey_flat_d1(2.0, u)
+    d_hi = _gevrey_flat_d1(2.0, 1.0 - u)
+    return (d_lo * hi + lo * d_hi) / (lo + hi + 1e-300) ** 2
+
+
 def make_davies() -> ModelInstance:
     """The complex harmonic oscillator symbol xi^2 + i x^2."""
 

@@ -241,7 +241,7 @@ def test_criterion_10_determinism(capsys, tmp_path):
         "model = davies\n"
         "h_list = 0.1, 0.05\n"
         "L = 8\n"
-        "n_points = 256\n"
+        "n_points = 512\n"
         "toeplitz = false\n"
         "deform = false\n"
         f"output_dir = {tmp_path}\n", encoding="utf-8")
@@ -250,8 +250,9 @@ def test_criterion_10_determinism(capsys, tmp_path):
         code = cli.main(["scaling", "--config", str(cfg_path)])
         assert code == cli.EXIT_OK
         blobs.append((tmp_path / "sweep.csv").read_bytes())
-    ok = blobs[0] == blobs[1] and len(blobs[0]) > 0
+    n_rows = len(blobs[0].splitlines()) - 1
+    ok = blobs[0] == blobs[1] and n_rows == 2
     announce(capsys, 10, ok,
              f"repeated scaling runs bit-identical: {blobs[0] == blobs[1]} "
-             f"({len(blobs[0])} bytes)")
+             f"({n_rows} rows, {len(blobs[0])} bytes)")
     assert ok

@@ -284,7 +284,7 @@ class TestCli:
             "model = davies\n"
             "h_list = 0.1, 0.05\n"
             "L = 8\n"
-            "n_points = 256\n"
+            "n_points = 512\n"
             "toeplitz = false\n"
             "deform = false\n"
             f"output_dir = {tmp_path}\n", encoding="utf-8")
@@ -293,14 +293,14 @@ class TestCli:
         lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
         columns = lines[0].split(",")
         assert columns[-2:] == ["epsilon_used", "n_points"]
-        assert lines[1].split(",")[-1] == "256"
+        assert lines[1].split(",")[-1] == "512"
         summary = json.loads((tmp_path / "summary.json").read_text(
             encoding="utf-8"))
-        assert len(summary["records"]) == summary["n_records"] >= 1
+        assert len(summary["records"]) == summary["n_records"] == 2
         first = summary["records"][0]
         assert sorted(first) == sorted(columns)
         assert first["h"] == 0.1
-        assert first["n_points"] == 256
+        assert first["n_points"] == 512
         assert first["r"] == pytest.approx(0.1, rel=1e-3)
 
     def test_toeplitz_nan_residual_is_numerical_failure(self, tmp_path,

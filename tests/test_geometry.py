@@ -11,6 +11,15 @@ from gevspec.symbols import (gevrey_flat, make_davies, make_gevrey_transport,
                              make_trapped_toy)
 
 
+def _pairing_error(esc, model):
+    """Pointwise |HG_values - (H_{Im p} . lattice gradient of G)|: two
+    independent discretizations of the same field H_{Im p} G."""
+    gx, gxi = geometry._lattice_gradient(esc.G_values, esc.x_axis, esc.xi_axis)
+    X, K = np.meshgrid(esc.x_axis, esc.xi_axis, indexing="ij")
+    fx, fk = geometry._hamiltonian_im(model.symbol, X, K)
+    return np.abs(fx * gx + fk * gxi - esc.HG_values)
+
+
 class TestFlow:
     def test_unit_speed_translation_on_zero_line(self, gevrey2):
         # on xi = 0 the flow is d/dt (x, xi) = (sech^2(0), 0) = (1, 0)
@@ -108,17 +117,25 @@ class TestBuildEscape:
         assert abs(bad[0]) < 0.1
 
     def test_flow_and_lattice_derivatives_agree(self, gevrey2):
-        # H_{Im p} G from flow differencing against the symplectic pairing
-        # of lattice gradients; independent discretizations of the same field
         lattice = ((-2.5, 2.5), (-1.5, 1.5))
         esc = build_escape(gevrey2, lattice=lattice, n_x=361, n_xi=145,
                            dt=5e-3)
-        gx, gxi = geometry._lattice_gradient(esc.G_values, esc.x_axis,
-                                             esc.xi_axis)
+        err = _pairing_error(esc, gevrey2)[2:-2, 2:-2].max()
+        assert err < 1e-4
+
+    def test_cutoff_term_matches_lattice_derivatives(self, gevrey2):
+        # the lattice above stays inside chi_cut = 1; this one runs from the
+        # zero set out across the cutoff annulus, where H_{Im p} chi_cut != 0.
+        # Near x = +-1 the flat factor defeats the lattice differences, so
+        # the pairing is compared on the annulus only
+        esc = build_escape(gevrey2, lattice=((-1.0, 6.0), (-0.5, 0.5)),
+                           n_x=281, n_xi=21)
         X, K = np.meshgrid(esc.x_axis, esc.xi_axis, indexing="ij")
-        fx, fk = geometry._hamiltonian_im(gevrey2.symbol, X, K)
-        hg_lattice = fx * gx + fk * gxi
-        err = np.abs(hg_lattice[2:-2, 2:-2] - esc.HG_values[2:-2, 2:-2]).max()
+        chi = geometry._chi_cut(esc.cutoff_center, esc.cutoff_radius / 2.0,
+                                esc.cutoff_radius, X, K)
+        annulus = ((chi > 0.0) & (chi < 1.0))[2:-2, 2:-2]
+        assert annulus.any()
+        err = _pairing_error(esc, gevrey2)[2:-2, 2:-2][annulus].max()
         assert err < 1e-4
 
 
