@@ -23,7 +23,6 @@ from . import fbi, geometry, quantize, spectral
 from .symbols import ModelInstance, model_from_tag
 
 XI_PROBE = 1.146  # packet momentum where the model's next-order xi correction vanishes
-MAX_EIG_N = 2048
 BOUNDED_RESOLVENT_CAP = 1e8
 EPS_HALVINGS = 4
 
@@ -181,9 +180,9 @@ def grid_for(cfg: SweepConfig, h: float, xi_extent: float = 4.0) -> quantize.Rea
     n = cfg.n_points
     if n is None:
         n = max(quantize.required_n_points(cfg.half_width_L, h, xi_extent), 32)
-    if n > MAX_EIG_N:
+    if n > spectral.MAX_DENSE_N:
         raise NumericalFailure(
-            f"grid rule demands N = {n} > {MAX_EIG_N} at h = {h}")
+            f"grid rule demands N = {n} > {spectral.MAX_DENSE_N} at h = {h}")
     return quantize.RealGrid(cfg.half_width_L, n)
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .symbols import GevreySymbol
 
@@ -67,6 +69,12 @@ class WeylMatrix:
     @property
     def n(self) -> int:
         return self.grid.n_points
+
+    @cached_property
+    def schur(self):
+        """Complex Schur form (T, Z) with entries = Z T Z*, T upper
+        triangular and Z unitary; computed on first use and kept."""
+        return scipy.linalg.schur(self.entries, output="complex")
 
 
 def required_n_points(half_width_L: float, h: float, xi_extent: float) -> int:

@@ -1,5 +1,11 @@
 """Dense spectral computations: eigenvalues, sigma_min sweeps, resolvent norms.
 
+Every query reads one complex Schur form P = Z T Z*, computed on the first
+query and kept on the WeylMatrix: the eigenvalues are diag(T), the
+eigenvectors Z X with X from back-substitution on T, and sigma_min(P - z) =
+sigma_min(T - z) comes from Lanczos with triangular solves on T (the EigTool
+design: Trefethen, Acta Numerica 1999; Wright & Trefethen, SISC 2001).
+
 All routines are deterministic; pseudospectrum grids evaluate pointwise with
 values independent of evaluation order.
 """
@@ -9,18 +15,28 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import ztrsv
 
 from .quantize import WeylMatrix, save_weyl
 
 BOUNDARY_MASS_THRESHOLD = 1e-6
 BOUNDARY_FRACTION = 0.10  # outer fraction of grid nodes counted as boundary
-RESOLVENT_SINGULAR_TOL = 1e-14
 MAX_PSEUDOSPECTRUM_RES = 512
+MAX_DENSE_N = 2048  # largest matrix order the Schur factorization runs at
+# read by bench/worker.py and bench/tests/test_bench.py only; no path in src/
 SVD_DIRECT_MAX_N = 512
+# Lanczos steps per sigma_min before SolverError. Far from the spectrum the
+# smallest singular values cluster (relative spacing ~3e-7 at N = 1024), and
+# the worst z of the make_pseudospectrum window takes 202, 335 and 670 steps
+# at N = 512, 1024 and 2048.
+LANCZOS_MAX_STEPS = 1000
+# stop once the Ritz residual bounds the sigma_min error by
+# LANCZOS_RTOL * sigma plus the roundoff floor
+LANCZOS_RTOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -62,64 +78,92 @@ class PseudospectrumField:
     sigma_min: np.ndarray  # shape (im_n, re_n)
 
 
-def eigenvalues(P: WeylMatrix) -> SpectrumResult:
-    """All eigenvalues with per-eigenvector boundary-mass diagnostics."""
-    n = P.n
-    if n > 2048:
-        raise BudgetError(f"dense eigensolve limited to N <= 2048, got {n}")
+def _schur(P: WeylMatrix) -> Tuple[np.ndarray, np.ndarray]:
+    """P's cached Schur factors (T, Z); the size budget is checked first."""
+    if P.n > MAX_DENSE_N:
+        raise BudgetError(
+            f"dense factorization limited to N <= {MAX_DENSE_N}, got {P.n}")
     try:
-        vals, vecs = scipy.linalg.eig(P.entries)
+        return P.schur
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         fd, path = tempfile.mkstemp(prefix="weyl_fail_", suffix=".bin")
         os.close(fd)
         save_weyl(path, P)
-        raise SolverError(f"dense eigensolver failed; matrix dumped to {path}") from exc
+        raise SolverError(f"Schur factorization failed; matrix dumped to {path}") from exc
+
+
+def eigenvalues(P: WeylMatrix) -> SpectrumResult:
+    """All eigenvalues with per-eigenvector boundary-mass diagnostics."""
+    n = P.n
+    T, Z = _schur(P)
+    # T is triangular, so balancing isolates every eigenvalue and eig only
+    # back-substitutes for T's eigenvectors X (values: diag(T)); P's are Z X
+    vals, X = scipy.linalg.eig(T)
     edge = max(1, int(round(0.5 * BOUNDARY_FRACTION * n)))
-    mass = np.abs(vecs) ** 2
-    total = mass.sum(axis=0)
-    bmass = (mass[:edge].sum(axis=0) + mass[n - edge:].sum(axis=0)) / total
+    edge_rows = np.concatenate((Z[:edge], Z[n - edge:])) @ X
+    # Z is unitary, so the columns of X carry the norms of Z X
+    bmass = (np.abs(edge_rows) ** 2).sum(axis=0) / (np.abs(X) ** 2).sum(axis=0)
     order = np.argsort(np.abs(vals), kind="stable")
     return SpectrumResult(vals[order], bmass[order], P.h, P.symbol_tag)
 
 
 def sigma_min(P: WeylMatrix, z: complex) -> float:
-    """Smallest singular value of P - z."""
-    A = P.entries - z * np.eye(P.n)
-    if P.n <= SVD_DIRECT_MAX_N:
-        return float(scipy.linalg.svdvals(A)[-1])
-    return _sigma_min_inverse_iteration(A)
+    """Smallest singular value of P - z.
+
+    P - z = Z (T - z) Z* has the singular values of the triangular R = T - z,
+    so this runs Lanczos on R^-1 R^-* (largest eigenvalue 1 / sigma_min^2)
+    with full reorthogonalization: each step is two triangular solves. Raises
+    SolverError when LANCZOS_MAX_STEPS steps do not meet the stop rule.
+    """
+    T, _ = _schur(P)
+    n = P.n
+    R = np.array(T, order="F")  # the layout ztrsv reads without a copy
+    np.fill_diagonal(R, T.diagonal() - z)
+    if not np.all(np.diagonal(R)):
+        return 0.0  # z is an eigenvalue to the last bit
+    floor = roundoff_floor(P)
+    steps = min(LANCZOS_MAX_STEPS, n)
+    V = np.empty((steps, n), dtype=complex)
+    rng = np.random.default_rng(0)  # a fixed start vector
+    V[0] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    V[0] /= np.linalg.norm(V[0])
+    alpha, beta = np.empty(steps), np.empty(steps)
+    for k in range(steps):
+        w = ztrsv(R, ztrsv(R, V[k], trans=2), overwrite_x=1)
+        if not np.all(np.isfinite(w)):
+            return 0.0  # R^-1 overflows: singular to working precision
+        alpha[k] = np.vdot(V[k], w).real
+        basis = V[:k + 1]
+        for _ in range(2):  # full reorthogonalization; twice is enough
+            w -= basis.T @ (basis @ w.conj()).conj()
+        beta[k] = np.linalg.norm(w)
+        # largest Ritz value theta and its eigenvector s in the Krylov basis
+        (theta,), s = scipy.linalg.eigh_tridiagonal(
+            alpha[:k + 1], beta[:k], select="i", select_range=(k, k))
+        sigma = 1.0 / np.sqrt(theta)
+        # |theta - 1/sigma_min^2| <= beta_k |s_k|, and sigma moves by at most
+        # half the relative change of theta
+        if (beta[k] * abs(s[-1, 0]) * sigma
+                <= 2.0 * theta * (LANCZOS_RTOL * sigma + floor) or k + 1 == n):
+            return float(sigma)
+        if k + 1 < steps:
+            V[k + 1] = w / beta[k]
+    raise SolverError(f"sigma_min(P - z) at z = {z}, N = {n}: Lanczos did "
+                      f"not converge in {steps} steps")
+
+
+def roundoff_floor(P: WeylMatrix) -> float:
+    """eps * sqrt(N) * ||P||_F: the Schur factors are exact for some P + E
+    with ||E|| below this, so a sigma_min(P - z) at or under it carries no
+    digit and z counts as spectrum."""
+    return np.finfo(float).eps * np.sqrt(P.n) * scipy.linalg.norm(
+        P.entries, check_finite=False)
 
 
 def sigma_min_direct(P: WeylMatrix, z: complex) -> float:
+    """Reference value from the full SVD of P - z."""
     A = P.entries - z * np.eye(P.n)
     return float(scipy.linalg.svdvals(A)[-1])
-
-
-def _sigma_min_inverse_iteration(A: np.ndarray, tol: float = 1e-12,
-                                 max_iter: int = 200) -> float:
-    """Inverse iteration on A* A via one LU of A; deterministic start vector."""
-    n = A.shape[0]
-    try:
-        lu, piv = scipy.linalg.lu_factor(A)
-    except scipy.linalg.LinAlgError:
-        return 0.0
-    v = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
-    sigma = np.inf
-    for _ in range(max_iter):
-        try:
-            w = scipy.linalg.lu_solve((lu, piv), v, trans=2)  # A^-* v
-            w = scipy.linalg.lu_solve((lu, piv), w)           # A^-1 A^-* v
-        except (scipy.linalg.LinAlgError, FloatingPointError):
-            return 0.0
-        nw = np.linalg.norm(w)
-        if not np.isfinite(nw) or nw == 0.0:
-            return 0.0
-        new_sigma = 1.0 / np.sqrt(nw)
-        v = w / nw
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1e-300):
-            return float(new_sigma)
-        sigma = new_sigma
-    return float(sigma)
 
 
 def pseudospectrum(P: WeylMatrix, window: ZGrid) -> PseudospectrumField:
@@ -152,9 +196,8 @@ def resolvent_norm(P: WeylMatrix, z: complex) -> float:
 
 def resolvent_from_sigma(P: WeylMatrix, s: float) -> float:
     """1 / s for s = sigma_min(P - z); inf when s is at or below
-    RESOLVENT_SINGULAR_TOL * max(max |P_jk|, 1), where z counts as spectrum."""
-    scale = max(np.abs(P.entries).max(), 1.0)
-    if s <= RESOLVENT_SINGULAR_TOL * scale:
+    roundoff_floor(P), where z counts as spectrum."""
+    if s <= roundoff_floor(P):
         return float("inf")
     return 1.0 / s
 

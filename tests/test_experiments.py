@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gevspec import cli, experiments, geometry, spectral
 from gevspec.experiments import (ConfigError, FitError, NumericalFailure,
@@ -224,6 +225,48 @@ class TestSweep:
         run_sweep(cfg, p1)
         run_sweep(cfg, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestOneFactorization:
+    """Each matrix is factored once, by scipy.linalg.schur; no dense eig of
+    P, LU or SVD runs on the sweep or pseudospectrum paths."""
+
+    @pytest.fixture
+    def schur_calls(self, monkeypatch):
+        calls = []
+        real_schur, real_eig = scipy.linalg.schur, scipy.linalg.eig
+
+        def counting_schur(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real_schur(a, *args, **kwargs)
+
+        def triangular_eig(a, *args, **kwargs):
+            assert np.array_equal(np.triu(a), a), "eig called on a dense matrix"
+            return real_eig(a, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("second factorization of the matrix")
+
+        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+        monkeypatch.setattr(scipy.linalg, "eig", triangular_eig)
+        monkeypatch.setattr(scipy.linalg, "lu_factor", forbidden)
+        monkeypatch.setattr(scipy.linalg, "svdvals", forbidden)
+        return calls
+
+    def test_sweep_point(self, schur_calls):
+        cfg = SweepConfig("davies", (0.1,), half_width_L=8.0, n_points=256,
+                          with_toeplitz=False, with_deform=False)
+        rec = experiments._measure_one(cfg, model_from_tag("davies"), None, 0.1)
+        assert np.isfinite(rec.resolvent_norm)
+        assert schur_calls == [(256, 256)]
+
+    def test_pseudospectrum_command(self, schur_calls, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["pseudospectrum", "--model", "davies", "--h", "0.1",
+                         "--center", "0.1,0.1", "--span", "0.2", "--res", "3",
+                         "--L", "8", "--N", "256", "--out", "field"])
+        assert code == cli.EXIT_OK
+        assert schur_calls == [(256, 256)]
 
 
 class TestWorkers:

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gevspec import spectral
 from gevspec.quantize import RealGrid, WeylMatrix, assemble_weyl
-from gevspec.spectral import (BudgetError, PseudospectrumField, SolverError,
-                              SpectrumResult, ZGrid, eigenvalues,
+from gevspec.spectral import (MAX_DENSE_N, BudgetError, PseudospectrumField,
+                              SolverError, SpectrumResult, ZGrid, eigenvalues,
                               pseudospectrum, pseudospectrum_csv_lines,
                               resolvent_norm, sigma_min, sigma_min_direct,
                               spectrum_csv_lines, spectrum_free_radius)
+from gevspec.symbols import model_from_tag
 from test_quantize import BUMP, ONE, plain_symbol
 
 
@@ -45,9 +48,26 @@ class TestEigenvalues:
         assert spec.boundary_mass.min() == 0.0
         assert spec.boundary_mass.max() == pytest.approx(1.0)
 
-    def test_budget_error_on_large_matrix(self):
+    def test_budget_error_on_large_matrix(self, monkeypatch):
+        def no_schur(*args, **kwargs):
+            raise AssertionError("factored a matrix above the budget")
+
+        monkeypatch.setattr(scipy.linalg, "schur", no_schur)
+        # P.n reads the grid, so the entries need not be allocated at full size
+        P = WeylMatrix(np.eye(4, dtype=complex), 0.1,
+                       RealGrid(4.0, 2 * MAX_DENSE_N), "oversized")
         with pytest.raises(BudgetError):
-            eigenvalues(wrap(np.eye(4096)))
+            eigenvalues(P)
+        with pytest.raises(BudgetError):
+            sigma_min(P, 0.5)
+
+    def test_values_are_the_schur_diagonal(self, rng):
+        n = 64
+        P = wrap(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        T, Z = P.schur
+        assert np.allclose(Z @ T @ Z.conj().T, P.entries)
+        assert np.array_equal(np.sort_complex(eigenvalues(P).eigenvalues),
+                              np.sort_complex(np.diag(T)))
 
     def test_retained_filters_edge_modes(self):
         n = 64
@@ -73,14 +93,27 @@ class TestSigmaMin:
         assert sigma_min(P, complex(lam[3])) <= 1e-10 * scale
         assert resolvent_norm(P, complex(lam[3])) == np.inf
 
-    def test_inverse_iteration_matches_direct_svd(self):
+    def test_lanczos_matches_direct_svd(self):
         rng = np.random.default_rng(11)
-        n = 1024  # above the direct-SVD cutoff
+        n = 1024
         M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         P = wrap(M / np.sqrt(n))
         for z in (0.3 + 0.2j, -1.0):
             assert sigma_min(P, z) == pytest.approx(
-                sigma_min_direct(P, z), rel=1e-8)
+                sigma_min_direct(P, z), rel=1e-10)
+        # the two smallest singular values of P - z lie 0.4% apart here;
+        # inverse iteration on (P - z)* (P - z) capped at 200 steps ends
+        # 3.7e-3 off
+        model = model_from_tag("gevrey-transport:s=2")
+        P = assemble_weyl(model.symbol, RealGrid(6.0, 1024), 0.025)
+        z = -0.4 - 0.6j
+        assert sigma_min(P, z) == pytest.approx(sigma_min_direct(P, z),
+                                                rel=1e-10)
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 2)
+        with pytest.raises(SolverError, match="did not converge"):
+            sigma_min(hermitian_example(), 100.0)
 
     @given(dre=st.floats(-0.5, 0.5), dim=st.floats(-0.5, 0.5))
     @settings(max_examples=25, deadline=None)
