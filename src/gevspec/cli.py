@@ -69,7 +69,6 @@ def _cmd_pseudospectrum(args) -> int:
     window = spectral.ZGrid(_parse_complex(args.center), args.span, args.span,
                             args.res, args.res)
     field = spectral.pseudospectrum(P, window)
-    spec = spectral.eigenvalues(P)
     stem = args.out or f"pseudospectrum_{args.model.replace(':', '_')}"
     csv_path = f"{stem}.csv"
     Path(csv_path).write_text(
@@ -80,7 +79,7 @@ def _cmd_pseudospectrum(args) -> int:
     extent = (c.real - window.re_span, c.real + window.re_span,
               c.imag - window.im_span, c.imag + window.im_span)
     svgout.heatmap_svg(field.sigma_min.T, extent, svg_path, log10=True,
-                       points=spec.eigenvalues,
+                       points=spectral.schur_eigenvalues(P),
                        title=f"log10 sigma_min, {args.model}, h={args.h}")
     print(f"wrote {csv_path} and {svg_path}")
     return EXIT_OK

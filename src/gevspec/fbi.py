@@ -5,6 +5,17 @@ is a Gaussian, the base weight is Phi_0(x) = (Im x)^2 / 2, and the canonical
 map kappa_phi(y, eta) = (y - i eta, eta) restricts on the Phi_0 Lagrangian
 to kappa_phi^{-1}(x) = (Re x, -Im x). Deformed weights are realized to first
 order as Phi_t = Phi_0 + t G(Re x, -Im x).
+
+The kernel is never stored as an M x N matrix. At a node x = a_j + i b_k it
+factors exactly as
+
+    e^{-(x - y)^2 / 2h} = c[j, k] G[j, y] E[k, y],
+    c = e^{(b^2 - 2i a b) / 2h},  G = e^{-(a - y)^2 / 2h},  E = e^{i b y / h},
+
+so T u = c o ((G o u) E^T) is one (re_n x N) by (N x im_n) product and T*
+is the transposed pair. |c| = e^{b^2 / 2h} is finite only while
+im_span^2 / 2h < log(float max) ~ 709.78, i.e. h > im_span^2 / 1419.57;
+make_fbi raises GridExtentError below that.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from .symbols import ModelInstance, taylor_extension
 
 UNITARITY_TOL = 1e-6
 DECAY_LOG = 27.64  # -log(1e-12); Gaussian tail budget at the real-grid edge
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))  # ~709.78
 
 
 class GridExtentError(ValueError):
@@ -67,8 +79,42 @@ def default_cgrid(h: float, re_span: float = 3.0, im_span: float = 3.0,
 
 
 @dataclass(frozen=True)
+class FactoredKernel:
+    """The (re_n * im_n) x N transform kernel c[j, k] G[j, y] E[k, y].
+
+    Rows are the complex nodes j-major, as ComplexGrid.nodes(); vectors and
+    (rows, m) blocks are applied through the factors only.
+    """
+
+    c: np.ndarray  # (re_n, im_n), carries the h^{-3/4} dx and calibration
+    G: np.ndarray  # (re_n, N), real
+    E: np.ndarray  # (im_n, N)
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return self.c.size, self.G.shape[1]
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        re_n, im_n = self.c.shape
+        n = self.G.shape[1]
+        # rows (j, l) of G[j, y] u[y, l] against E^T: one GEMM for any width
+        Gu = (self.G[:, None, :] * u.reshape(n, -1).T).reshape(-1, n)
+        out = (Gu @ self.E.T).reshape(re_n, -1, im_n) * self.c[:, None, :]
+        return out.transpose(0, 2, 1).reshape((re_n * im_n,) + u.shape[1:])
+
+    def adjoint_matmul(self, V: np.ndarray) -> np.ndarray:
+        """K* V = sum_j G[j, y] ((conj(c) o V) conj(E))[j, y]."""
+        re_n, im_n = self.c.shape
+        n = self.G.shape[1]
+        cV = V.reshape(re_n, im_n, -1) * np.conj(self.c)[:, :, None]
+        R = cV.transpose(0, 2, 1).reshape(-1, im_n) @ np.conj(self.E)
+        return np.einsum("jy,jly->yl", self.G, R.reshape(re_n, -1, n)).reshape(
+            (n,) + V.shape[1:])
+
+
+@dataclass(frozen=True)
 class FBIOperator:
-    matrix: np.ndarray  # (re_n * im_n, N)
+    matrix: FactoredKernel  # shape (re_n * im_n, N)
     h: float
     real_grid: RealGrid
     cgrid: ComplexGrid
@@ -124,9 +170,10 @@ def gaussian_state(grid: RealGrid, h: float, x0: float = 0.0, xi0: float = 0.0,
 
 
 def make_fbi(real_grid: RealGrid, cgrid: ComplexGrid, h: float) -> FBIOperator:
-    """Build the transform matrix Tu(x) = C h^{-3/4} int e^{-(x-y)^2/(2h)} u dy.
+    """Build the transform Tu(x) = C h^{-3/4} int e^{-(x-y)^2/(2h)} u dy.
 
-    The constant is calibrated so the standard Gaussian has unit Phi_0 norm;
+    The kernel is kept in its factors c, G, E (module docstring). The
+    constant is calibrated so the standard Gaussian has unit Phi_0 norm;
     calibration absorbs the quadrature error of the row sums.
     """
     margin = real_grid.half_width_L - cgrid.re_span
@@ -135,18 +182,24 @@ def make_fbi(real_grid: RealGrid, cgrid: ComplexGrid, h: float) -> FBIOperator:
         raise GridExtentError(
             f"kernel tail {np.exp(-margin**2 / (2*h)):.2e} above 1e-12 at the "
             f"real-grid edge; need half_width_L >= {need:.3f}")
+    if cgrid.im_span ** 2 / (2.0 * h) >= LOG_FLOAT_MAX:
+        h_min = cgrid.im_span ** 2 / (2.0 * LOG_FLOAT_MAX)
+        raise GridExtentError(
+            f"kernel factor e^((Im x)^2 / 2h) overflows at im_span = "
+            f"{cgrid.im_span:g}, h = {h:g}; need h > {h_min:.6g}")
     y = real_grid.nodes
-    x = cgrid.nodes()
-    # e^{i phi(x, y) / h} = e^{-(x - y)^2 / (2h)}, built and scaled in one
-    # M x N array so no full-size temporaries exist
-    mat = x[:, None] - y[None, :]
-    mat *= mat
-    mat /= -2.0 * h
-    np.exp(mat, out=mat)
-    mat *= h ** (-0.75) * real_grid.spacing
-    op = FBIOperator(mat, h, real_grid, cgrid)
+    a = cgrid.re_axis
+    b = cgrid.im_axis
+    G = a[:, None] - y[None, :]
+    G *= G
+    G /= -2.0 * h
+    np.exp(G, out=G)
+    E = np.exp((1j / h) * (b[:, None] * y[None, :]))
+    c = np.exp((b[None, :] ** 2 - 2j * (a[:, None] * b[None, :])) / (2.0 * h))
+    c *= h ** (-0.75) * real_grid.spacing
+    op = FBIOperator(FactoredKernel(c, G, E), h, real_grid, cgrid)
     u0 = gaussian_state(real_grid, h)
-    mat *= 1.0 / op.norm_phi(op.apply(u0))
+    c *= 1.0 / op.norm_phi(op.apply(u0))
     return op
 
 
@@ -183,13 +236,12 @@ def apply_conjugated(P: WeylMatrix, fbi_op: FBIOperator,
                      U: np.ndarray) -> np.ndarray:
     """(T P T*) U without forming the conjugated matrix.
 
-    T* is the adjoint for the dx and Phi_0-weighted pairings, applied as
-    conj(T^T conj(w U)) / dx so the M x N adjoint is never materialized;
-    U is a vector or an (M, k) block.
+    T* is the adjoint for the dx and Phi_0-weighted pairings, K* (w U) / dx
+    with K the factored kernel; U is a vector or an (M, k) block.
     """
     w = fbi_op.weights_phi(fbi_op.phi0())
     wU = (U.T * w).T
-    TsU = np.conj(fbi_op.matrix.T @ np.conj(wU)) / fbi_op.real_grid.spacing
+    TsU = fbi_op.matrix.adjoint_matmul(wU) / fbi_op.real_grid.spacing
     return fbi_op.apply(P.entries @ TsU)
 
 

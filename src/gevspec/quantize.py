@@ -108,10 +108,19 @@ def assemble_weyl(sym: GevreySymbol, grid: RealGrid, h: float,
     rows = np.broadcast_to(rows, (2 * n - 1, n))
     # entry at difference d = j - k is (-1)^d * F_a[d mod N] with F_a = ifft over m
     F = np.fft.ifft(rows, axis=1)
-    j = np.arange(n)
-    a = j[:, None] + j[None, :]
-    d = j[:, None] - j[None, :]
-    P = F[a, d % n] * np.where(d % 2 == 0, 1.0, -1.0)
+    del rows  # not read again; freeing it lowers the peak at large N
+    # F[j + k, (j - k) mod N] sits at flat offset j(N+1) + k(N-1), plus N
+    # above the diagonal: two strided views of F, no index arrays
+    strided = np.lib.stride_tricks.as_strided
+    step = F.strides[1]
+    strides = ((n + 1) * step, (n - 1) * step)
+    lower = strided(F, (n, n), strides, writeable=False)
+    upper = strided(F.reshape(-1)[n:], (n - 1, n), strides, writeable=False)
+    P = lower.copy()
+    for j in range(n - 1):
+        P[j, j + 1:] = upper[j, j + 1:]
+    P[0::2, 1::2] *= -1.0
+    P[1::2, 0::2] *= -1.0
     return WeylMatrix(P, h, grid, sym.name)
 
 

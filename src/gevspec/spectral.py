@@ -107,6 +107,12 @@ def eigenvalues(P: WeylMatrix) -> SpectrumResult:
     return SpectrumResult(vals[order], bmass[order], P.h, P.symbol_tag)
 
 
+def schur_eigenvalues(P: WeylMatrix) -> np.ndarray:
+    """The eigenvalues alone, diag(T), in the order eigenvalues() returns."""
+    vals = np.diag(_schur(P)[0])
+    return vals[np.argsort(np.abs(vals), kind="stable")]
+
+
 def sigma_min(P: WeylMatrix, z: complex) -> float:
     """Smallest singular value of P - z.
 

@@ -54,16 +54,23 @@ class ModelInstance:
         return self.family_tag
 
 
+def _positive(t):
+    """(t > 0, t with its other entries set to 1): the flat functions are
+    evaluated on every entry and selected with np.where, so the positive
+    entries see the same elementwise operations as a masked gather would."""
+    pos = t > 0
+    return pos, np.where(pos, t, 1.0)
+
+
 def gevrey_flat(s: float, t):
     """The canonical Gevrey-s flat function: exp(-t^(-1/(s-1))) for t > 0, else 0."""
     if not s > 1:
         raise ValueError(f"Gevrey order must exceed 1, got {s}")
     t = np.asarray(t, dtype=float)
     a = 1.0 / (s - 1.0)
-    out = np.zeros_like(t)
-    pos = t > 0
+    pos, tp = _positive(t)
     with np.errstate(over="ignore"):
-        out[pos] = np.exp(-t[pos] ** (-a))
+        out = np.where(pos, np.exp(-tp ** (-a)), 0.0)
     if out.ndim == 0:
         return float(out)
     return out
@@ -73,22 +80,17 @@ def _gevrey_flat_d1(s: float, t):
     """First derivative of gevrey_flat in t (vanishes for t <= 0)."""
     t = np.asarray(t, dtype=float)
     a = 1.0 / (s - 1.0)
-    out = np.zeros_like(t)
-    pos = t > 0
-    tp = t[pos]
-    out[pos] = np.exp(-tp ** (-a)) * a * tp ** (-a - 1.0)
-    return out
+    pos, tp = _positive(t)
+    return np.where(pos, np.exp(-tp ** (-a)) * a * tp ** (-a - 1.0), 0.0)
 
 
 def _gevrey_flat_d2(s: float, t):
     t = np.asarray(t, dtype=float)
     a = 1.0 / (s - 1.0)
-    out = np.zeros_like(t)
-    pos = t > 0
-    tp = t[pos]
+    pos, tp = _positive(t)
     e = np.exp(-tp ** (-a))
-    out[pos] = e * ((a * tp ** (-a - 1.0)) ** 2 - a * (a + 1.0) * tp ** (-a - 2.0))
-    return out
+    return np.where(pos, e * ((a * tp ** (-a - 1.0)) ** 2
+                              - a * (a + 1.0) * tp ** (-a - 2.0)), 0.0)
 
 
 def smooth_step(u):

@@ -261,6 +261,11 @@ class TestOneFactorization:
         assert schur_calls == [(256, 256)]
 
     def test_pseudospectrum_command(self, schur_calls, tmp_path, monkeypatch):
+        # the eigenvalue overlay reads diag(T): no eigenvectors at all
+        def no_eig(*args, **kwargs):
+            raise AssertionError("eig called for the eigenvalue overlay")
+
+        monkeypatch.setattr(scipy.linalg, "eig", no_eig)
         monkeypatch.chdir(tmp_path)
         code = cli.main(["pseudospectrum", "--model", "davies", "--h", "0.1",
                          "--center", "0.1,0.1", "--span", "0.2", "--res", "3",

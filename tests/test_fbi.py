@@ -50,6 +50,81 @@ class TestUnitarity:
         with pytest.raises(GridExtentError, match="half_width_L"):
             make_fbi(RealGrid(4.0, 128), default_cgrid(0.2), 0.2)
 
+    def test_overflow_precondition_raises(self):
+        # e^{(Im x)^2 / 2h} at im_span = 3 overflows unless h > 9 / 1419.56
+        with pytest.raises(GridExtentError, match=r"need h > 0\.00633997"):
+            make_fbi(RealGrid(8.0, 128), ComplexGrid(0.5, 3.0, 5, 5), 0.006)
+
+
+def dense_kernel(op):
+    """The M x N kernel from its closed form, calibrated as make_fbi is."""
+    x = op.cgrid.nodes()
+    y = op.real_grid.nodes
+    K = (op.h ** -0.75 * op.real_grid.spacing
+         * np.exp(-(x[:, None] - y[None, :]) ** 2 / (2.0 * op.h)))
+    u0 = gaussian_state(op.real_grid, op.h)
+    return K / op.norm_phi(K @ u0)
+
+
+def phi_rel(op, got, ref):
+    """Relative error in the Phi_0-weighted norm, column by column."""
+    w = op.weights_phi(op.phi0())
+    err = np.sqrt((np.abs(got - ref) ** 2 * w[:, None]).sum(axis=0))
+    return (err / np.sqrt((np.abs(ref) ** 2 * w[:, None]).sum(axis=0))).max()
+
+
+def rel(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+class TestFactoredKernel:
+    @pytest.fixture(scope="class")
+    def dense(self, op_h01):
+        return dense_kernel(op_h01)
+
+    @pytest.fixture(scope="class")
+    def states(self, op_h01):
+        rng = np.random.default_rng(5)
+        n = op_h01.real_grid.n_points
+        cols = [gaussian_state(op_h01.real_grid, op_h01.h, x0, xi0, herm)
+                for x0, xi0, herm in STATES]
+        cols.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        return np.stack(cols, axis=1)
+
+    def test_shape(self, op_h01):
+        assert op_h01.matrix.shape == (op_h01.cgrid.re_n * op_h01.cgrid.im_n,
+                                       op_h01.real_grid.n_points)
+
+    def test_apply_matches_dense(self, op_h01, dense, states):
+        got = np.stack([op_h01.apply(u) for u in states.T], axis=1)
+        assert phi_rel(op_h01, got, dense @ states) < 1e-12
+
+    def test_adjoint_matches_dense(self, op_h01, dense, states):
+        # T* pairs with Phi_0-weighted data: V = w T u
+        w = op_h01.weights_phi(op_h01.phi0())
+        for u in states.T:
+            V = w * (dense @ u)
+            assert rel(op_h01.matrix.adjoint_matmul(V),
+                       dense.conj().T @ V) < 1e-12
+
+    def test_adjoint_pairing(self, op_h01, states):
+        K = op_h01.matrix
+        w = op_h01.weights_phi(op_h01.phi0())
+        for u, v in zip(states.T, states.T[::-1]):
+            V = w * (K @ v)
+            lhs = np.vdot(V, K @ u)
+            rhs = np.vdot(K.adjoint_matmul(V), u)
+            assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_block_equals_columns(self, op_h01, states):
+        K = op_h01.matrix
+        cols = np.stack([K @ u for u in states.T], axis=1)
+        assert phi_rel(op_h01, K @ states, cols) < 1e-13
+        w = op_h01.weights_phi(op_h01.phi0())
+        V = w[:, None] * cols
+        adj_cols = np.stack([K.adjoint_matmul(v) for v in V.T], axis=1)
+        assert rel(K.adjoint_matmul(V), adj_cols) < 1e-13
+
 
 class TestWeights:
     def test_base_weight_is_quadratic_exactly(self, op_h01):

@@ -7,7 +7,7 @@ from gevspec.quantize import (GridError, RealGrid, ResolutionError, WeylMatrix,
                               assemble_weyl, compose_and_extract,
                               interior_window, inverse_weyl, load_weyl,
                               required_n_points, save_weyl)
-from gevspec.symbols import ANALYTIC, GevreySymbol
+from gevspec.symbols import ANALYTIC, GevreySymbol, model_from_tag
 
 
 def plain_symbol(f, name, xi_extent=4.0):
@@ -102,6 +102,26 @@ class TestAssembly:
         for h in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 assemble_weyl(ONE, RealGrid(4.0, 64), h)
+
+    @pytest.mark.parametrize("tag", ["davies", "gevrey-transport:s=2",
+                                     "analytic-transport"])
+    @pytest.mark.parametrize("grid", [RealGrid(4.0, 128), RealGrid(8.0, 256)])
+    def test_matches_index_gather_formula(self, tag, grid):
+        # reference: P_jk = (-1)^(j-k) F[j + k, (j - k) mod N] gathered
+        # through N x N index arrays
+        h = 0.1
+        sym = model_from_tag(tag).symbol
+        n = grid.n_points
+        mids = -grid.half_width_L + 0.5 * grid.spacing * np.arange(2 * n - 1)
+        rows = np.broadcast_to(np.asarray(
+            sym.value(mids[:, None], grid.theta_nodes(h)[None, :]),
+            dtype=complex), (2 * n - 1, n))
+        F = np.fft.ifft(rows, axis=1)
+        j = np.arange(n)
+        a = j[:, None] + j[None, :]
+        d = j[:, None] - j[None, :]
+        ref = F[a, d % n] * np.where(d % 2 == 0, 1.0, -1.0)
+        assert np.array_equal(assemble_weyl(sym, grid, h).entries, ref)
 
     @given(alpha_re=st.floats(-2, 2), alpha_im=st.floats(-2, 2),
            beta_re=st.floats(-2, 2))

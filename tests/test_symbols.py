@@ -46,6 +46,26 @@ class TestGevreyFlat:
         fd = (gevrey_flat(2.5, t + d) - gevrey_flat(2.5, t - d)) / (2 * d)
         assert np.allclose(symbols._gevrey_flat_d1(2.5, t), fd, atol=1e-7)
 
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+    def test_matches_masked_evaluation(self, s):
+        # reference: the closed forms evaluated on the positive entries only
+        # and scattered into zeros; equal to the last bit
+        t = np.random.default_rng(3).uniform(-2.0, 4.0, (40, 30))
+        t[0, :3] = (0.0, -0.0, 1e-12)
+        a = 1.0 / (s - 1.0)
+        pos = t > 0
+        tp = t[pos]
+        ref = [np.exp(-tp ** (-a)),
+               np.exp(-tp ** (-a)) * a * tp ** (-a - 1.0),
+               np.exp(-tp ** (-a)) * ((a * tp ** (-a - 1.0)) ** 2
+                                      - a * (a + 1.0) * tp ** (-a - 2.0))]
+        got = [gevrey_flat(s, t), symbols._gevrey_flat_d1(s, t),
+               symbols._gevrey_flat_d2(s, t)]
+        for g, r in zip(got, ref):
+            assert g.shape == t.shape and g.dtype == np.float64
+            assert np.array_equal(g[pos], r)
+            assert np.all(g[~pos] == 0.0)
+
 
 class TestSmoothStep:
     def test_endpoints(self):
