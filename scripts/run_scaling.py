@@ -2,16 +2,14 @@
 """Run the spectrum-free-radius sweeps for both transport models and print
 the scaling verdicts.
 
-Writes results/<model>/sweep.csv and summary.json. GPS_WORKERS parallelizes
-across h-points.
+Each config runs as `gevspec scaling --config <cfg>` and writes
+results/<model>/sweep.csv and summary.json. Returns the worst exit code.
 """
 
-import math
 import sys
 from pathlib import Path
 
-from gevspec import experiments
-from gevspec.symbols import model_from_tag
+from gevspec import cli
 
 CONFIGS = [
     Path(__file__).resolve().parent.parent / "configs" / "gevrey2_scaling.cfg",
@@ -20,26 +18,9 @@ CONFIGS = [
 
 
 def main() -> int:
-    for cfg_path in CONFIGS:
-        cfg = experiments.parse_config(cfg_path)
-        model = model_from_tag(cfg.model_tag)
-        print(f"== {cfg.model_tag}: sweeping h = {cfg.h_list}")
-        records = experiments.run_sweep(cfg)
-        radius = experiments.radius_scaling_summary(records, model)
-        resolvent = experiments.resolvent_growth_check(
-            records, model.symbol.order_s)
-        paths = experiments.emit_outputs(
-            cfg, records, {"radius": radius, "resolvent": resolvent})
-        print(f"   radius: c_lower_bound = {radius['c_lower_bound']:.3f} "
-              f"(target exponent {radius['exponent_target']:.3g}), "
-              f"min r = {radius['radius_min']:.3f}")
-        if "radius_fit_slope" in radius:
-            print(f"   fitted exponent {radius['radius_fit_slope']:.3f}, "
-                  f"within band: {radius['exponent_within_band']}")
-        print(f"   resolvent: regime {resolvent['regime']}, "
-              f"r2 = {resolvent['r_squared']}, pass = {resolvent['pass']}")
-        print(f"   outputs: {', '.join(paths)}")
-    return 0
+    codes = [cli.main(["scaling", "--config", str(cfg_path)])
+             for cfg_path in CONFIGS]
+    return max(codes)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 Modules: symbols (model catalog), quantize (matrix assembly and inversion),
 spectral (eigenvalues and sigma_min sweeps), geometry (flows, escape
-functions, deformations), fbi (Gaussian-phase transform and weighted
-estimates), experiments (h-sweeps, fits, CLI).
+functions, deformations), fbi (Gaussian-phase transform, deformed weights
+and the Toeplitz residual), experiments (spectral h-sweeps and fits), cli
+(the gevspec command line).
 """
 
 from .symbols import (ANALYTIC, GevreySymbol, ModelInstance, gevrey_flat,
@@ -17,8 +18,8 @@ from .spectral import (PseudospectrumField, SpectrumResult, ZGrid, eigenvalues,
                        spectrum_free_radius)
 from .geometry import (DeformationCheck, EscapeField, Trajectory, build_escape,
                        check_deformed_ellipticity, flow, nontrapping_check)
-from .fbi import (BargmannWeight, ComplexGrid, FBIOperator, elliptic_residual,
-                  gaussian_state, make_fbi, toeplitz_residual, weight_phi_t)
+from .fbi import (BargmannWeight, ComplexGrid, FBIOperator, gaussian_state,
+                  make_fbi, toeplitz_residual, weight_phi_t)
 from .experiments import (FitResult, SweepConfig, SweepRecord, fit_power_law,
                           parse_config, resolvent_growth_check, run_sweep)
 

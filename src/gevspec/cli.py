@@ -86,21 +86,33 @@ def _cmd_pseudospectrum(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
+    """Run the sweep, write summary.json and print the scaling verdicts."""
     cfg = experiments.parse_config(args.config)
+    print(f"== {cfg.model_tag}: sweeping h = {cfg.h_list}")
     records = experiments.run_sweep(cfg)
     if not records:
         print("no records produced")
         experiments.emit_outputs(cfg, records, {})
         return EXIT_OK
     model = model_from_tag(cfg.model_tag)
-    fits: dict = {"radius": experiments.radius_scaling_summary(records, model)}
+    radius = experiments.radius_scaling_summary(records, model)
+    print(f"   radius: c_lower_bound = {radius['c_lower_bound']:.3f} "
+          f"(target exponent {radius['exponent_target']:.3g}), "
+          f"min r = {radius['radius_min']:.3f}")
+    if "radius_fit_slope" in radius:
+        print(f"   fitted exponent {radius['radius_fit_slope']:.3f}, "
+              f"within band: {radius['exponent_within_band']}")
     try:
-        fits["resolvent"] = experiments.resolvent_growth_check(
+        resolvent = experiments.resolvent_growth_check(
             records, model.symbol.order_s)
+        print(f"   resolvent: regime {resolvent['regime']}, "
+              f"r2 = {resolvent['r_squared']}, pass = {resolvent['pass']}")
     except experiments.FitError as exc:
-        fits["resolvent"] = {"error": str(exc)}
-    paths = experiments.emit_outputs(cfg, records, fits)
-    print(f"{len(records)} records; outputs: {', '.join(paths)}")
+        resolvent = {"error": str(exc)}
+        print(f"   resolvent: {exc}")
+    paths = experiments.emit_outputs(
+        cfg, records, {"radius": radius, "resolvent": resolvent})
+    print(f"   {len(records)} records; outputs: {', '.join(paths)}")
     return EXIT_OK
 
 
@@ -227,12 +239,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # checked first: FitError, GridExtentError, EllipticityError and
-    # CoverageError subclass ValueError, which the config clause also takes
+    # checked first: FitError, GridExtentError and CoverageError subclass
+    # ValueError, which the config clause also takes
     except (experiments.NumericalFailure, spectral.SolverError,
             geometry.EscapeConstructionError, geometry.CoverageError,
-            fbi.GridExtentError, fbi.EllipticityError,
-            experiments.FitError) as exc:
+            fbi.GridExtentError, experiments.FitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (experiments.ConfigError, quantize.GridError,

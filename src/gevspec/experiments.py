@@ -1,9 +1,9 @@
 """Sweep orchestration: h-sweeps, power-law fits, persistence, and summaries.
 
 A sweep walks a decreasing h list, quantizes the model at each h on the
-grid rule N(h), measures the spectrum-free radius around z0 and the
-resolvent at a half-radius probe, and runs the escape, deformation, and
-Toeplitz checks. Rows are written to CSV as they finish so an interrupted
+grid rule N(h), and from one Schur factorization per matrix measures the
+spectrum-free radius r around the model's z0 and the resolvent at the probe
+point z0 - r/2. Rows are written to CSV as they finish so an interrupted
 sweep leaves a valid prefix.
 """
 
@@ -11,20 +11,17 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import fbi, geometry, quantize, spectral
+from . import fbi, quantize, spectral
 from .symbols import ModelInstance, model_from_tag
 
 XI_PROBE = 1.146  # packet momentum where the model's next-order xi correction vanishes
 BOUNDED_RESOLVENT_CAP = 1e8
-EPS_HALVINGS = 4
 
 
 class ConfigError(ValueError):
@@ -39,29 +36,14 @@ class NumericalFailure(RuntimeError):
     pass
 
 
-def _workers() -> int:
-    raw = os.environ.get("GPS_WORKERS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"GPS_WORKERS must be an integer, got {raw!r}") from exc
-        return max(1, n)
-    return 1
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     model_tag: str
     h_list: Tuple[float, ...]
     half_width_L: float = 4.0
     n_points: Optional[int] = None
-    z0: Optional[complex] = None
-    epsilon_deform: float = 0.1
-    probe_direction: complex = -1.0 + 0.0j
-    escape_T: float = 4.0
-    with_toeplitz: bool = True
-    with_deform: bool = True
+    epsilon_deform: float = 0.1  # read by `gevspec toeplitz`, not the sweep
+    escape_T: float = 4.0  # read by `gevspec toeplitz`, not the sweep
     output_dir: str = "."
 
     def __post_init__(self):
@@ -76,13 +58,7 @@ class SweepConfig:
             raise ConfigError("L must be positive")
         if not self.epsilon_deform > 0:
             raise ConfigError("epsilon must be positive")
-        if abs(self.probe_direction) == 0:
-            raise ConfigError("probe_direction must be nonzero")
         model_from_tag(self.model_tag)  # raises ValueError for unknown tags
-
-
-_BOOL = {"true": True, "false": False, "1": True, "0": False,
-         "yes": True, "no": False}
 
 
 def parse_config(path: Union[str, Path]) -> SweepConfig:
@@ -111,20 +87,10 @@ def parse_config(path: Union[str, Path]) -> SweepConfig:
                 kwargs["half_width_L"] = float(val)
             elif key == "n_points":
                 kwargs["n_points"] = int(val)
-            elif key == "z0":
-                re_s, im_s = val.split(",")
-                kwargs["z0"] = complex(float(re_s), float(im_s))
             elif key == "epsilon":
                 kwargs["epsilon_deform"] = float(val)
-            elif key == "probe_direction":
-                re_s, im_s = val.split(",")
-                kwargs["probe_direction"] = complex(float(re_s), float(im_s))
             elif key == "escape_T":
                 kwargs["escape_T"] = float(val)
-            elif key == "toeplitz":
-                kwargs["with_toeplitz"] = _BOOL[val.lower()]
-            elif key == "deform":
-                kwargs["with_deform"] = _BOOL[val.lower()]
             elif key == "output_dir":
                 kwargs["output_dir"] = val
             else:
@@ -132,7 +98,7 @@ def parse_config(path: Union[str, Path]) -> SweepConfig:
         if "model_tag" not in kwargs or "h_list" not in kwargs:
             raise ConfigError("config must set both 'model' and 'h_list'")
         return SweepConfig(**kwargs)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(f"bad config value: {exc}") from exc
@@ -142,9 +108,7 @@ def parse_config(path: Union[str, Path]) -> SweepConfig:
 # the summary.json records all come from this list
 CSV_COLUMNS = (("h", "h"), ("r", "free_radius"),
                ("sigma_min_probe", "sigma_min_probe"),
-               ("resnorm", "resolvent_norm"), ("margin_c", "margin_c"),
-               ("gamma", "gamma_measured"), ("toeplitz_res", "toeplitz_residual"),
-               ("epsilon_used", "epsilon_used"), ("n_points", "n_points"))
+               ("resnorm", "resolvent_norm"), ("n_points", "n_points"))
 CSV_HEADER = ",".join(col for col, _ in CSV_COLUMNS)
 
 
@@ -154,10 +118,6 @@ class SweepRecord:
     free_radius: float
     sigma_min_probe: float
     resolvent_norm: float
-    margin_c: float
-    gamma_measured: float
-    toeplitz_residual: float
-    epsilon_used: float = float("nan")
     n_points: int = 0
 
     def as_dict(self) -> dict:
@@ -204,95 +164,46 @@ def toeplitz_probe(model: ModelInstance, esc, h: float, t: float,
     return fbi.toeplitz_residual(model, op, esc, t, u, v)
 
 
-def _measure_one(cfg: SweepConfig, model: ModelInstance, esc, h: float) -> SweepRecord:
-    z0 = cfg.z0 if cfg.z0 is not None else model.z0
+def _measure_one(cfg: SweepConfig, model: ModelInstance, h: float) -> SweepRecord:
     grid = grid_for(cfg, h)
     P = quantize.assemble_weyl(model.symbol, grid, h)
     spec = spectral.eigenvalues(P)
-    r = spectral.spectrum_free_radius(spec, z0)
-    direction = cfg.probe_direction / abs(cfg.probe_direction)
+    r = spectral.spectrum_free_radius(spec, model.z0)
     for frac in (0.5, 0.75):
-        sig = spectral.sigma_min(P, z0 + direction * (frac * r))
+        sig = spectral.sigma_min(P, model.z0 - frac * r)
         resnorm = spectral.resolvent_from_sigma(P, sig)
         if not math.isinf(resnorm):
             break
     else:
         raise NumericalFailure(f"resolvent singular at both probes for h = {h}")
-
-    margin = esc.margin_c if esc is not None else float("nan")
-    gamma = float("nan")
-    eps_used = float("nan")
-    if cfg.with_deform and esc is not None:
-        eps = cfg.epsilon_deform
-        for _ in range(EPS_HALVINGS + 1):
-            t = -eps * h ** exponent_for(model)
-            check = geometry.check_deformed_ellipticity(model, esc, t)
-            if check.gamma_measured > 0:
-                gamma = check.gamma_measured
-                eps_used = eps
-                break
-            eps *= 0.5
-        else:
-            gamma = check.gamma_measured
-            eps_used = eps
-    toep = float("nan")
-    if cfg.with_toeplitz:
-        toep = toeplitz_probe(model, esc, h, 0.0)
-    return SweepRecord(h, r, sig, resnorm, margin, gamma, toep,
-                       epsilon_used=eps_used, n_points=grid.n_points)
+    return SweepRecord(h, r, sig, resnorm, n_points=grid.n_points)
 
 
 def run_sweep(cfg: SweepConfig,
               csv_path: Optional[Union[str, Path]] = None) -> List[SweepRecord]:
     """Execute the sweep; failures at single h-points are recorded and
-    skipped, and finished rows are flushed to CSV immediately in h order.
-
-    The escape function is built only for the deformation check, its one
-    reader; the Toeplitz probe runs at t = 0, where the weight ignores it.
-    """
+    skipped, and finished rows are flushed to CSV immediately in h order."""
     model = model_from_tag(cfg.model_tag)
-    esc = None
-    if cfg.with_deform:
-        try:
-            esc = geometry.build_escape(model, T=cfg.escape_T)
-        except (geometry.EscapeConstructionError, geometry.GeometryConfigError):
-            pass
-
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if csv_path is None:
         csv_path = out_dir / "sweep.csv"
 
     records: List[SweepRecord] = []
-    workers = _workers()
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         fh.flush()
-        if workers == 1:
-            results = (_try_measure(cfg, model, esc, h) for h in cfg.h_list)
-        else:
-            pool = ThreadPoolExecutor(max_workers=workers)
-            futs = [pool.submit(_try_measure, cfg, model, esc, h)
-                    for h in cfg.h_list]
-            results = (f.result() for f in futs)
-        for rec in results:
-            if rec is None:
+        for h in cfg.h_list:
+            try:
+                rec = _measure_one(cfg, model, h)
+            except (NumericalFailure, spectral.SolverError,
+                    spectral.BudgetError, quantize.ResolutionError) as exc:
+                print(f"[sweep] h = {h} skipped: {exc}")
                 continue
             records.append(rec)
             fh.write(rec.csv_row() + "\n")
             fh.flush()
-        if workers > 1:
-            pool.shutdown()
     return records
-
-
-def _try_measure(cfg, model, esc, h) -> Optional[SweepRecord]:
-    try:
-        return _measure_one(cfg, model, esc, h)
-    except (NumericalFailure, spectral.SolverError, spectral.BudgetError,
-            quantize.ResolutionError, fbi.GridExtentError) as exc:
-        print(f"[sweep] h = {h} skipped: {exc}")
-        return None
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:

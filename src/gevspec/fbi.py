@@ -21,7 +21,7 @@ make_fbi raises GridExtentError below that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -35,10 +35,6 @@ LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))  # ~709.78
 
 
 class GridExtentError(ValueError):
-    pass
-
-
-class EllipticityError(ValueError):
     pass
 
 
@@ -279,63 +275,3 @@ def toeplitz_residual(model: ModelInstance, fbi_op: FBIOperator,
     rhs = fbi_op.inner_phi(sym_field * U, V, weight.phi_values)
     denom = fbi_op.norm_phi(U, weight.phi_values) * fbi_op.norm_phi(V, weight.phi_values)
     return abs(lhs - rhs) / denom
-
-
-@dataclass(frozen=True)
-class EllipticSample:
-    h: float
-    exterior_mass: float  # lhs of the elliptic estimate
-    au_norm_sq: float     # ||(A - z0) U||^2 in the Phi_t norm
-    u_norm_sq: float      # ||U||^2 in the Phi_t norm
-
-
-def elliptic_residual(model: ModelInstance, fbi_op: FBIOperator,
-                      esc: Optional[EscapeField], t: float, u: np.ndarray,
-                      U_box: Tuple[Tuple[float, float], Tuple[float, float]],
-                      ellipticity_floor: float = 0.25) -> EllipticSample:
-    """Exterior weighted mass of Tu against the operator-side majorant.
-
-    U_box is an (a, b) rectangle on the complex grid; the symbol must stay
-    bounded away from z0 outside it (checked by sampling before measuring).
-    """
-    weight = weight_phi_t(esc, t, fbi_op)
-    x = fbi_op.cgrid.nodes()
-    a = np.real(x)
-    b = np.imag(x)
-    (alo, ahi), (blo, bhi) = U_box
-    outside = ~((a >= alo) & (a <= ahi) & (b >= blo) & (b <= bhi))
-    sym_field = _symbol_on_section(model, weight)
-    bad = outside & (np.abs(sym_field - model.z0) < ellipticity_floor)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise EllipticityError(
-            f"symbol not elliptic outside U at node x = {x[k]:.4f} "
-            f"(|a - z0| = {abs(sym_field[k] - model.z0):.3e} < {ellipticity_floor})")
-    P = assemble_weyl(model.symbol, fbi_op.real_grid, fbi_op.h)
-    _check_unitarity(fbi_op)
-    U = fbi_op.apply(u)
-    w = fbi_op.weights_phi(weight.phi_values)
-    lhs = float(np.sum(np.abs(U[outside]) ** 2 * w[outside]))
-    AU = apply_conjugated(P, fbi_op, U) - model.z0 * U
-    return EllipticSample(fbi_op.h, lhs,
-                          float(np.sum(np.abs(AU) ** 2 * w)),
-                          float(np.sum(np.abs(U) ** 2 * w)))
-
-
-def fit_elliptic_constants(samples: List[EllipticSample]) -> dict:
-    """Least-squares fit lhs ~ c1 ||A U||^2 + c2 h ||U||^2, then scale the
-    constants minimally so the bound covers every sample."""
-    M = np.array([[s.au_norm_sq, s.h * s.u_norm_sq] for s in samples])
-    y = np.array([s.exterior_mass for s in samples])
-    from scipy.optimize import nnls
-    coef, _ = nnls(M, y)
-    rhs = M @ coef
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(rhs > 0, y / rhs, np.inf)
-    scale = float(max(1.0, np.nanmax(ratio[np.isfinite(ratio)], initial=1.0)))
-    coef = coef * scale
-    rhs = M @ coef
-    ok = bool(np.all(y <= rhs * (1.0 + 1e-9)))
-    return {"c_operator": float(coef[0]), "c_h": float(coef[1]),
-            "pass": ok, "lhs": y.tolist(), "rhs": rhs.tolist()}
-

@@ -16,6 +16,7 @@ set, which is checked numerically rather than assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -66,16 +67,21 @@ class EscapeField:
     model_tag: str
     T: float
 
-    def _interp(self, values: np.ndarray):
-        return RegularGridInterpolator((self.x_axis, self.xi_axis), values,
-                                       method="cubic", bounds_error=True)
+    @cached_property
+    def _splines(self) -> Tuple[RegularGridInterpolator, ...]:
+        """Cubic splines of G, d_x G and d_xi G (centered lattice
+        differences), built once per field."""
+        gx, gxi = _lattice_gradient(self.G_values, self.x_axis, self.xi_axis)
+        return tuple(RegularGridInterpolator((self.x_axis, self.xi_axis), f,
+                                             method="cubic", bounds_error=True)
+                     for f in (self.G_values, gx, gxi))
 
     def _outside_support(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         r = np.hypot(x - self.cutoff_center[0], xi - self.cutoff_center[1])
         return r >= self.cutoff_radius
 
-    def _eval_fields(self, fields, x, xi):
-        """Interpolate lattice fields; G and its gradient vanish outside the
+    def _eval_fields(self, splines, x, xi):
+        """Evaluate lattice splines; G and its gradient vanish outside the
         cutoff ball, so points there evaluate to zero without lattice
         coverage; anything else out of range is a coverage error."""
         x = np.asarray(x, dtype=float)
@@ -91,21 +97,16 @@ class EscapeField:
                 f"({x.ravel()[k]:.4f}, {xi.ravel()[k]:.4f}) inside the cutoff ball")
         pts = np.stack([np.where(inside, x, self.x_axis[0]),
                         np.where(inside, xi, self.xi_axis[0])], axis=-1)
-        out = []
-        for f in fields:
-            vals = self._interp(f)(pts)
-            out.append(np.where(inside, vals, 0.0))
-        return out
+        return [np.where(inside, spline(pts), 0.0) for spline in splines]
 
     def g_at(self, x, xi) -> np.ndarray:
         """Interpolated G; zero outside the cutoff ball by compact support."""
-        return self._eval_fields([self.G_values], x, xi)[0]
+        return self._eval_fields(self._splines[:1], x, xi)[0]
 
     def grad_g_at(self, x, xi) -> Tuple[np.ndarray, np.ndarray]:
         """Lattice-gradient of G (centered differences) interpolated to points."""
-        gx, gxi = _lattice_gradient(self.G_values, self.x_axis, self.xi_axis)
-        out = self._eval_fields([gx, gxi], x, xi)
-        return out[0], out[1]
+        gx, gxi = self._eval_fields(self._splines[1:], x, xi)
+        return gx, gxi
 
     @property
     def sup_G(self) -> float:

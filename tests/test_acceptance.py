@@ -33,8 +33,7 @@ def announce(capsys, num, ok, detail):
 @pytest.fixture(scope="session")
 def gevrey2_sweep(tmp_path_factory):
     cfg = SweepConfig("gevrey-transport:s=2", SWEEP_H_LIST,
-                      half_width_L=SWEEP_L, with_toeplitz=False,
-                      with_deform=False,
+                      half_width_L=SWEEP_L,
                       output_dir=str(tmp_path_factory.mktemp("sweep_g2")))
     return run_sweep(cfg)
 
@@ -42,8 +41,7 @@ def gevrey2_sweep(tmp_path_factory):
 @pytest.fixture(scope="session")
 def analytic_sweep(tmp_path_factory):
     cfg = SweepConfig("analytic-transport", SWEEP_H_LIST,
-                      half_width_L=SWEEP_L, with_toeplitz=False,
-                      with_deform=False,
+                      half_width_L=SWEEP_L,
                       output_dir=str(tmp_path_factory.mktemp("sweep_an")))
     return run_sweep(cfg)
 
@@ -242,8 +240,6 @@ def test_criterion_10_determinism(capsys, tmp_path):
         "h_list = 0.1, 0.05\n"
         "L = 8\n"
         "n_points = 512\n"
-        "toeplitz = false\n"
-        "deform = false\n"
         f"output_dir = {tmp_path}\n", encoding="utf-8")
     blobs = []
     for _ in range(2):

@@ -15,8 +15,8 @@ from gevspec.symbols import (make_analytic_transport, make_gevrey_transport,
                              model_from_tag)
 
 
-def record(h, r=1.0, sig=1.0, res=1.0, toep=np.nan):
-    return SweepRecord(h, r, sig, res, np.nan, np.nan, toep)
+def record(h, r=1.0, sig=1.0, res=1.0):
+    return SweepRecord(h, r, sig, res)
 
 
 class TestConfigParsing:
@@ -28,24 +28,16 @@ class TestConfigParsing:
             "h_list = 0.2, 0.1, 0.05\n"
             "L = 6.0\n"
             "n_points = 256\n"
-            "z0 = 0.0, 0.0\n"
             "epsilon = 0.05\n"
-            "probe_direction = -1.0, 0.0\n"
             "escape_T = 3.0\n"
-            "toeplitz = false\n"
-            "deform = no\n"
             "output_dir = out\n", encoding="utf-8")
         cfg = parse_config(path)
         assert cfg.model_tag == "gevrey-transport:s=2"
         assert cfg.h_list == (0.2, 0.1, 0.05)
         assert cfg.half_width_L == 6.0
         assert cfg.n_points == 256
-        assert cfg.z0 == 0j
         assert cfg.epsilon_deform == 0.05
-        assert cfg.probe_direction == -1.0 + 0j
         assert cfg.escape_T == 3.0
-        assert not cfg.with_toeplitz
-        assert not cfg.with_deform
         assert cfg.output_dir == "out"
 
     def test_missing_required_keys(self, tmp_path):
@@ -54,7 +46,8 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="h_list"):
             parse_config(path)
 
-    @pytest.mark.parametrize("key", ["widget", "seed"])
+    @pytest.mark.parametrize("key", ["widget", "seed", "toeplitz", "deform",
+                                     "z0", "probe_direction"])
     def test_unknown_key(self, tmp_path, key):
         path = tmp_path / "bad.cfg"
         path.write_text(f"model = davies\nh_list = 0.1\n{key} = 3\n",
@@ -155,8 +148,7 @@ class TestFits:
 class TestSweep:
     def test_davies_radius_is_h(self, tmp_path):
         cfg = SweepConfig("davies", (0.1, 0.05), half_width_L=8.0,
-                          n_points=512, with_toeplitz=False,
-                          with_deform=False, output_dir=str(tmp_path))
+                          n_points=512, output_dir=str(tmp_path))
         records = run_sweep(cfg, tmp_path / "davies.csv")
         assert len(records) == 2
         for rec in records:
@@ -167,15 +159,14 @@ class TestSweep:
     def test_csv_persisted_incrementally(self, tmp_path, monkeypatch):
         real = experiments._measure_one
 
-        def failing(cfg, model, esc, h):
+        def failing(cfg, model, h):
             if h == 0.1:
                 raise NumericalFailure("synthetic failure")
-            return real(cfg, model, esc, h)
+            return real(cfg, model, h)
 
         monkeypatch.setattr(experiments, "_measure_one", failing)
         cfg = SweepConfig("davies", (0.2, 0.1, 0.05), half_width_L=8.0,
-                          n_points=512, with_toeplitz=False,
-                          with_deform=False, output_dir=str(tmp_path))
+                          n_points=512, output_dir=str(tmp_path))
         csv_path = tmp_path / "partial.csv"
         records = run_sweep(cfg, csv_path)
         assert len(records) == 2
@@ -185,19 +176,18 @@ class TestSweep:
         assert float(lines[1].split(",")[0]) == 0.2
         assert float(lines[2].split(",")[0]) == 0.05
 
-    def test_deform_off_skips_escape(self, tmp_path, monkeypatch):
+    def test_sweep_never_builds_escape(self, tmp_path, monkeypatch):
         def no_escape(*args, **kwargs):
-            raise AssertionError("escape function built with deform off")
+            raise AssertionError("escape function built by the sweep")
 
         monkeypatch.setattr(geometry, "build_escape", no_escape)
         cfg = SweepConfig("davies", (0.1,), half_width_L=8.0, n_points=256,
-                          with_toeplitz=False, with_deform=False,
                           output_dir=str(tmp_path))
         (rec,) = run_sweep(cfg, tmp_path / "sweep.csv")
-        assert math.isnan(rec.margin_c)
-        row = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()[1]
-        header = experiments.CSV_HEADER.split(",")
-        assert row.split(",")[header.index("margin_c")] == "nan"
+        lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "h,r,sigma_min_probe,resnorm,n_points"
+        assert lines[1] == rec.csv_row()
+        assert all(math.isfinite(float(v)) for v in lines[1].split(","))
 
     def test_one_sigma_min_per_probe(self, tmp_path, monkeypatch):
         calls = []
@@ -209,8 +199,7 @@ class TestSweep:
 
         monkeypatch.setattr(spectral, "sigma_min", counting)
         cfg = SweepConfig("davies", (0.2, 0.1), half_width_L=8.0,
-                          n_points=256, with_toeplitz=False,
-                          with_deform=False, output_dir=str(tmp_path))
+                          n_points=256, output_dir=str(tmp_path))
         records = run_sweep(cfg, tmp_path / "sweep.csv")
         assert len(records) == 2
         assert len(calls) == 2
@@ -219,7 +208,6 @@ class TestSweep:
 
     def test_reruns_are_bit_identical(self, tmp_path):
         cfg = SweepConfig("davies", (0.1,), half_width_L=8.0, n_points=256,
-                          with_toeplitz=False, with_deform=False,
                           output_dir=str(tmp_path))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run_sweep(cfg, p1)
@@ -254,9 +242,8 @@ class TestOneFactorization:
         return calls
 
     def test_sweep_point(self, schur_calls):
-        cfg = SweepConfig("davies", (0.1,), half_width_L=8.0, n_points=256,
-                          with_toeplitz=False, with_deform=False)
-        rec = experiments._measure_one(cfg, model_from_tag("davies"), None, 0.1)
+        cfg = SweepConfig("davies", (0.1,), half_width_L=8.0, n_points=256)
+        rec = experiments._measure_one(cfg, model_from_tag("davies"), 0.1)
         assert np.isfinite(rec.resolvent_norm)
         assert schur_calls == [(256, 256)]
 
@@ -272,21 +259,6 @@ class TestOneFactorization:
                          "--L", "8", "--N", "256", "--out", "field"])
         assert code == cli.EXIT_OK
         assert schur_calls == [(256, 256)]
-
-
-class TestWorkers:
-    def test_default_single_worker(self, monkeypatch):
-        monkeypatch.delenv("GPS_WORKERS", raising=False)
-        assert experiments._workers() == 1
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("GPS_WORKERS", "4")
-        assert experiments._workers() == 4
-
-    def test_bad_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("GPS_WORKERS", "many")
-        with pytest.raises(ConfigError):
-            experiments._workers()
 
 
 class TestCli:
@@ -326,21 +298,22 @@ class TestCli:
         svg = (tmp_path / "field.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg") or "<svg" in svg
 
-    def test_scaling_writes_summary(self, tmp_path):
+    def test_scaling_writes_summary(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(
             "model = davies\n"
             "h_list = 0.1, 0.05\n"
             "L = 8\n"
             "n_points = 512\n"
-            "toeplitz = false\n"
-            "deform = false\n"
             f"output_dir = {tmp_path}\n", encoding="utf-8")
         code = cli.main(["scaling", "--config", str(cfg)])
         assert code == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "radius: c_lower_bound = " in out
+        assert "resolvent: regime bounded" in out
         lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
         columns = lines[0].split(",")
-        assert columns[-2:] == ["epsilon_used", "n_points"]
+        assert columns == ["h", "r", "sigma_min_probe", "resnorm", "n_points"]
         assert lines[1].split(",")[-1] == "512"
         summary = json.loads((tmp_path / "summary.json").read_text(
             encoding="utf-8"))

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gevspec.fbi import (ComplexGrid, EllipticityError, GridExtentError,
-                         apply_conjugated, default_cgrid, elliptic_residual,
-                         fit_elliptic_constants, gaussian_state, make_fbi,
+from gevspec.fbi import (ComplexGrid, GridExtentError, apply_conjugated,
+                         default_cgrid, gaussian_state, make_fbi,
                          toeplitz_residual, weight_phi_t)
 from gevspec.quantize import (RealGrid, WeylMatrix, assemble_weyl,
                               required_n_points)
-from gevspec.symbols import ANALYTIC, GevreySymbol, ModelInstance, make_davies
+from gevspec.symbols import ModelInstance, make_davies
 from test_quantize import plain_symbol
 
 STATES = [(0.0, 0.0, 0), (0.5, 0.3, 0), (-0.4, -0.2, 1), (0.2, 0.1, 2),
@@ -226,57 +225,3 @@ class TestToeplitz:
             v = gaussian_state(op.real_grid, h, 0.05, 1.116)
             res[h] = toeplitz_residual(gevrey2, op, None, 0.0, u, v)
         assert res[0.05] < 0.5 * res[0.2]
-
-
-class TestElliptic:
-    U_BOX = ((-1.8, 1.8), (-1.45, 1.45))
-
-    def test_deep_interior_state_has_tiny_exterior_mass(self, gevrey2,
-                                                        op_h005):
-        u = gaussian_state(op_h005.real_grid, op_h005.h, 0.0, 0.0)
-        s = elliptic_residual(gevrey2, op_h005, None, 0.0, u, self.U_BOX)
-        assert s.exterior_mass < 1e-8
-
-    def test_straddling_states_fit_passes(self, gevrey2):
-        samples = []
-        for h in (0.2, 0.1, 0.05):
-            op = operator_for(h)
-            u = gaussian_state(op.real_grid, h, 1.7, 0.0)
-            samples.append(elliptic_residual(gevrey2, op, None, 0.0, u,
-                                             self.U_BOX))
-        fit = fit_elliptic_constants(samples)
-        assert fit["pass"]
-        assert fit["c_operator"] >= 0.0
-        for lhs, rhs in zip(fit["lhs"], fit["rhs"]):
-            assert lhs <= rhs * (1.0 + 1e-9)
-
-    def test_globally_elliptic_symbol_controls_full_mass(self, op_h01):
-        def val(x, xi):
-            return 1.0 + xi ** 2 + 0j * x
-
-        def grad(x, xi):
-            shape = np.broadcast(x, xi).shape
-            return (np.zeros(shape, dtype=complex),
-                    (2.0 * xi + 0j) * np.ones(shape))
-
-        def hess(x, xi):
-            H = np.zeros(np.broadcast(x, xi).shape + (2, 2), dtype=complex)
-            H[..., 1, 1] = 2.0
-            return H
-
-        sym = GevreySymbol(val, grad, hess, order_s=ANALYTIC,
-                           name="shifted-square", xi_extent=3.9)
-        model = ModelInstance(sym, 0j, "shifted-square")
-        u = gaussian_state(op_h01.real_grid, op_h01.h, 0.4, 0.7, hermite=1)
-        empty_box = ((10.0, 11.0), (10.0, 11.0))
-        s = elliptic_residual(model, op_h01, None, 0.0, u, empty_box)
-        # p >= 1 everywhere: the full weighted mass is controlled by the
-        # operator term alone
-        assert s.exterior_mass <= 1.0 * s.au_norm_sq
-
-    def test_ellipticity_precondition_raises(self, gevrey2, op_h01):
-        u = gaussian_state(op_h01.real_grid, op_h01.h)
-        tiny_box = ((-0.1, 0.1), (-0.1, 0.1))  # leaves zero set outside
-        with pytest.raises(EllipticityError):
-            elliptic_residual(gevrey2, op_h01, None, 0.0, u, tiny_box)
-

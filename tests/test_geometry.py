@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -96,6 +98,30 @@ class TestBuildEscape:
         assert np.all(far == 0.0)
         gx, gk = escape_gevrey2.grad_g_at(cx + r + 1.0, ck)
         assert gx == 0.0 and gk == 0.0
+
+    def test_splines_built_once(self, escape_gevrey2, monkeypatch):
+        built = []
+        real = geometry.RegularGridInterpolator
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "RegularGridInterpolator", counting)
+        esc = dataclasses.replace(escape_gevrey2)  # no splines cached yet
+        x = np.linspace(-1.5, 1.5, 7)
+        xi = np.linspace(-0.4, 0.4, 7)
+        g1 = esc.g_at(x, xi)
+        g2 = esc.g_at(x, xi)
+        gx, gxi = esc.grad_g_at(x, xi)
+        assert len(built) <= 3
+        # the values of a spline built afresh for each call
+        axes = (esc.x_axis, esc.xi_axis)
+        pts = np.stack([x, xi], axis=-1)
+        lat_x, lat_xi = geometry._lattice_gradient(esc.G_values, *axes)
+        for got, values in ((g1, esc.G_values), (g2, esc.G_values),
+                            (gx, lat_x), (gxi, lat_xi)):
+            assert np.array_equal(got, real(axes, values, method="cubic")(pts))
 
     def test_interior_interpolation_matches_lattice(self, escape_gevrey2):
         esc = escape_gevrey2
