@@ -1,7 +1,7 @@
 """Numerical toolkit for spectra and pseudospectra of quantized 1-D symbols.
 
 Modules: symbols (model catalog), quantize (matrix assembly and inversion),
-spectral (eigenvalues and sigma_min sweeps), geometry (flows, escape
+spectral (eigenvalues, spectrum-free radii and sigma_min sweeps), geometry (flows, escape
 functions, deformations), fbi (Gaussian-phase transform, deformed weights
 and the Toeplitz residual), experiments (spectral h-sweeps and fits), cli
 (the gevspec command line).
@@ -13,8 +13,8 @@ from .symbols import (ANALYTIC, GevreySymbol, ModelInstance, gevrey_flat,
                       taylor_extension)
 from .quantize import (RealGrid, WeylMatrix, assemble_weyl, compose_and_extract,
                        inverse_weyl, load_weyl, required_n_points, save_weyl)
-from .spectral import (PseudospectrumField, SpectrumResult, ZGrid, eigenvalues,
-                       pseudospectrum, resolvent_norm, sigma_min,
+from .spectral import (FreeRadius, PseudospectrumField, SpectrumResult, ZGrid,
+                       eigenvalues, pseudospectrum, resolvent_norm, sigma_min,
                        spectrum_free_radius)
 from .geometry import (DeformationCheck, EscapeField, Trajectory, build_escape,
                        check_deformed_ellipticity, flow, nontrapping_check)

@@ -86,34 +86,41 @@ def _cmd_pseudospectrum(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    """Run the sweep, write summary.json and print the scaling verdicts."""
+    """Run the sweep, write summary.json and print the scaling verdicts;
+    EXIT_NUMERICAL unless the radius bound (with its exponent band, where
+    one applies) and the resolvent check both pass."""
     cfg = experiments.parse_config(args.config)
     print(f"== {cfg.model_tag}: sweeping h = {cfg.h_list}")
     records = experiments.run_sweep(cfg)
     if not records:
         print("no records produced")
         experiments.emit_outputs(cfg, records, {})
-        return EXIT_OK
+        return EXIT_NUMERICAL
     model = model_from_tag(cfg.model_tag)
     radius = experiments.radius_scaling_summary(records, model)
     print(f"   radius: c_lower_bound = {radius['c_lower_bound']:.3f} "
           f"(target exponent {radius['exponent_target']:.3g}), "
           f"min r = {radius['radius_min']:.3f}")
     if "radius_fit_slope" in radius:
+        band = radius.get("exponent_within_band", "none for s = inf")
         print(f"   fitted exponent {radius['radius_fit_slope']:.3f}, "
-              f"within band: {radius['exponent_within_band']}")
+              f"within band: {band}")
+    ok = (radius["c_lower_bound"] > 0
+          and radius.get("exponent_within_band", True))
     try:
         resolvent = experiments.resolvent_growth_check(
             records, model.symbol.order_s)
         print(f"   resolvent: regime {resolvent['regime']}, "
               f"r2 = {resolvent['r_squared']}, pass = {resolvent['pass']}")
+        ok = ok and resolvent["pass"]
     except experiments.FitError as exc:
         resolvent = {"error": str(exc)}
         print(f"   resolvent: {exc}")
+        ok = False
     paths = experiments.emit_outputs(
         cfg, records, {"radius": radius, "resolvent": resolvent})
     print(f"   {len(records)} records; outputs: {', '.join(paths)}")
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_NUMERICAL
 
 
 def _cmd_toeplitz(args) -> int:

@@ -2,9 +2,10 @@
 
 A sweep walks a decreasing h list, quantizes the model at each h on the
 grid rule N(h), and from one Schur factorization per matrix measures the
-spectrum-free radius r around the model's z0 and the resolvent at the probe
-point z0 - r/2. Rows are written to CSV as they finish so an interrupted
-sweep leaves a valid prefix.
+spectrum-free radius r around the model's z0, the condition number kappa
+of the eigenvalue at that distance, and the resolvent at the probe point
+z0 - r/2. Rows are written to CSV as they finish so an interrupted sweep
+leaves a valid prefix.
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def parse_config(path: Union[str, Path]) -> SweepConfig:
 # the summary.json records all come from this list
 CSV_COLUMNS = (("h", "h"), ("r", "free_radius"),
                ("sigma_min_probe", "sigma_min_probe"),
-               ("resnorm", "resolvent_norm"), ("n_points", "n_points"))
+               ("resnorm", "resolvent_norm"), ("n_points", "n_points"),
+               ("kappa", "kappa"))
 CSV_HEADER = ",".join(col for col, _ in CSV_COLUMNS)
 
 
@@ -118,7 +120,8 @@ class SweepRecord:
     free_radius: float
     sigma_min_probe: float
     resolvent_norm: float
-    n_points: int = 0
+    n_points: int
+    kappa: float  # condition number of the eigenvalue at distance r
 
     def as_dict(self) -> dict:
         """Field values keyed by their sweep.csv column names."""
@@ -167,8 +170,8 @@ def toeplitz_probe(model: ModelInstance, esc, h: float, t: float,
 def _measure_one(cfg: SweepConfig, model: ModelInstance, h: float) -> SweepRecord:
     grid = grid_for(cfg, h)
     P = quantize.assemble_weyl(model.symbol, grid, h)
-    spec = spectral.eigenvalues(P)
-    r = spectral.spectrum_free_radius(spec, model.z0)
+    free = spectral.spectrum_free_radius(P, model.z0)
+    r = free.radius
     for frac in (0.5, 0.75):
         sig = spectral.sigma_min(P, model.z0 - frac * r)
         resnorm = spectral.resolvent_from_sigma(P, sig)
@@ -176,7 +179,7 @@ def _measure_one(cfg: SweepConfig, model: ModelInstance, h: float) -> SweepRecor
             break
     else:
         raise NumericalFailure(f"resolvent singular at both probes for h = {h}")
-    return SweepRecord(h, r, sig, resnorm, n_points=grid.n_points)
+    return SweepRecord(h, r, sig, resnorm, grid.n_points, free.kappa)
 
 
 def run_sweep(cfg: SweepConfig,
@@ -259,10 +262,12 @@ def radius_scaling_summary(records: Sequence[SweepRecord],
                            model: ModelInstance) -> dict:
     """Lower-bound constant and conditional exponent fit for the free radius.
 
-    The exponent band only applies when the spectrum actually approaches z0
+    The exponent is fitted only when the spectrum actually approaches z0
     over the sweep (the radius at the smallest h has dropped below half the
     radius at the largest h); otherwise the radius sits in the plateau
-    regime and the bound holds with the plateau constant.
+    regime and the bound holds with the plateau constant. The band
+    1 - 1/s +/- 0.15 is checked only for finite s: the paper's rate is a
+    Gevrey one, and an analytic model is judged on radius_min alone.
     """
     expo = exponent_for(model)
     recs = [r for r in records if np.isfinite(r.free_radius)]
@@ -281,7 +286,8 @@ def radius_scaling_summary(records: Sequence[SweepRecord],
                             [r.free_radius for r in recs])
         out["radius_fit_slope"] = fit.slope
         out["radius_fit_r2"] = fit.r_squared
-        out["exponent_within_band"] = bool(abs(fit.slope - expo) <= 0.15)
+        if math.isfinite(model.symbol.order_s):
+            out["exponent_within_band"] = bool(abs(fit.slope - expo) <= 0.15)
     return out
 
 

@@ -76,6 +76,11 @@ class WeylMatrix:
         triangular and Z unitary; computed on first use and kept."""
         return scipy.linalg.schur(self.entries, output="complex")
 
+    @cached_property
+    def frobenius_norm(self) -> float:
+        """||entries||_F; computed on first use and kept."""
+        return scipy.linalg.norm(self.entries, check_finite=False)
+
 
 def required_n_points(half_width_L: float, h: float, xi_extent: float) -> int:
     """Smallest power-of-two N whose dual Nyquist Theta = pi h N / (2L) covers xi_extent."""

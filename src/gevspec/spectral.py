@@ -5,6 +5,9 @@ query and kept on the WeylMatrix: the eigenvalues are diag(T), the
 eigenvectors Z X with X from back-substitution on T, and sigma_min(P - z) =
 sigma_min(T - z) comes from Lanczos with triangular solves on T (the EigTool
 design: Trefethen, Acta Numerica 1999; Wright & Trefethen, SISC 2001).
+eigenvalues() back-substitutes all N eigenvectors; spectrum_free_radius()
+walks diag(T) outward from z0 and back-substitutes only the eigenvectors
+it tests, plus the left eigenvector of the one it reports, for its kappa.
 
 All routines are deterministic; pseudospectrum grids evaluate pointwise with
 values independent of evaluation order.
@@ -19,6 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 from scipy.linalg.blas import ztrsv
 
 from .quantize import WeylMatrix, save_weyl
@@ -54,8 +58,15 @@ class SpectrumResult:
     h: float
     symbol_tag: str
 
-    def retained(self, threshold: float = BOUNDARY_MASS_THRESHOLD) -> np.ndarray:
-        return self.eigenvalues[self.boundary_mass <= threshold]
+
+@dataclass(frozen=True)
+class FreeRadius:
+    """The nearest boundary-clean eigenvalue of P to z0, its distance from
+    z0, and its condition number kappa = ||x|| ||y|| / |y* x| for right and
+    left eigenvectors x and y."""
+    radius: float
+    eigenvalue: complex
+    kappa: float
 
 
 @dataclass(frozen=True)
@@ -92,15 +103,21 @@ def _schur(P: WeylMatrix) -> Tuple[np.ndarray, np.ndarray]:
         raise SolverError(f"Schur factorization failed; matrix dumped to {path}") from exc
 
 
+def _edge_rows(Z: np.ndarray) -> np.ndarray:
+    """The rows of Z on the outer BOUNDARY_FRACTION of the grid nodes, half
+    at each end: for an eigenvector x of T, Z x restricted to those nodes."""
+    n = Z.shape[0]
+    edge = max(1, int(round(0.5 * BOUNDARY_FRACTION * n)))
+    return np.concatenate((Z[:edge], Z[n - edge:]))
+
+
 def eigenvalues(P: WeylMatrix) -> SpectrumResult:
     """All eigenvalues with per-eigenvector boundary-mass diagnostics."""
-    n = P.n
     T, Z = _schur(P)
     # T is triangular, so balancing isolates every eigenvalue and eig only
     # back-substitutes for T's eigenvectors X (values: diag(T)); P's are Z X
     vals, X = scipy.linalg.eig(T)
-    edge = max(1, int(round(0.5 * BOUNDARY_FRACTION * n)))
-    edge_rows = np.concatenate((Z[:edge], Z[n - edge:])) @ X
+    edge_rows = _edge_rows(Z) @ X
     # Z is unitary, so the columns of X carry the norms of Z X
     bmass = (np.abs(edge_rows) ** 2).sum(axis=0) / (np.abs(X) ** 2).sum(axis=0)
     order = np.argsort(np.abs(vals), kind="stable")
@@ -143,13 +160,11 @@ def sigma_min(P: WeylMatrix, z: complex) -> float:
         for _ in range(2):  # full reorthogonalization; twice is enough
             w -= basis.T @ (basis @ w.conj()).conj()
         beta[k] = np.linalg.norm(w)
-        # largest Ritz value theta and its eigenvector s in the Krylov basis
-        (theta,), s = scipy.linalg.eigh_tridiagonal(
-            alpha[:k + 1], beta[:k], select="i", select_range=(k, k))
+        theta, s = _largest_ritz_pair(alpha[:k + 1], beta[:k])
         sigma = 1.0 / np.sqrt(theta)
         # |theta - 1/sigma_min^2| <= beta_k |s_k|, and sigma moves by at most
         # half the relative change of theta
-        if (beta[k] * abs(s[-1, 0]) * sigma
+        if (beta[k] * abs(s[-1]) * sigma
                 <= 2.0 * theta * (LANCZOS_RTOL * sigma + floor) or k + 1 == n):
             return float(sigma)
         if k + 1 < steps:
@@ -158,18 +173,30 @@ def sigma_min(P: WeylMatrix, z: complex) -> float:
                       f"not converge in {steps} steps")
 
 
+def _largest_ritz_pair(alpha: np.ndarray,
+                       beta: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Largest eigenvalue theta of the symmetric tridiagonal matrix with
+    diagonal alpha and off-diagonal beta, and its unit eigenvector: the two
+    LAPACK calls eigh_tridiagonal(select="i") makes, without its argument
+    handling."""
+    k = alpha.size
+    if k == 1:  # dstebz rejects an empty off-diagonal
+        return float(alpha[0]), np.ones(1)
+    m, w, iblock, isplit, info = lapack.dstebz(alpha, beta, 2, 0.0, 1.0,
+                                               k, k, 0.0, "B")
+    if info == 0:
+        s, info = lapack.dstein(alpha, beta, w[:m], iblock, isplit)
+    if info != 0:
+        raise SolverError(f"tridiagonal Ritz problem of order {k}: LAPACK "
+                          f"info {info}")
+    return float(w[0]), s[:, 0]
+
+
 def roundoff_floor(P: WeylMatrix) -> float:
     """eps * sqrt(N) * ||P||_F: the Schur factors are exact for some P + E
     with ||E|| below this, so a sigma_min(P - z) at or under it carries no
     digit and z counts as spectrum."""
-    return np.finfo(float).eps * np.sqrt(P.n) * scipy.linalg.norm(
-        P.entries, check_finite=False)
-
-
-def sigma_min_direct(P: WeylMatrix, z: complex) -> float:
-    """Reference value from the full SVD of P - z."""
-    A = P.entries - z * np.eye(P.n)
-    return float(scipy.linalg.svdvals(A)[-1])
+    return np.finfo(float).eps * np.sqrt(P.n) * P.frobenius_norm
 
 
 def pseudospectrum(P: WeylMatrix, window: ZGrid) -> PseudospectrumField:
@@ -185,14 +212,60 @@ def pseudospectrum(P: WeylMatrix, window: ZGrid) -> PseudospectrumField:
     return PseudospectrumField(window, field)
 
 
-def spectrum_free_radius(spec: SpectrumResult, z0: complex,
-                         threshold: float = BOUNDARY_MASS_THRESHOLD) -> float:
-    """Distance from z0 to the nearest boundary-clean eigenvalue."""
-    lam = spec.retained(threshold)
-    if lam.size == 0:
-        raise SolverError("no eigenvalues survive the boundary-mass filter; "
-                          "grid too small")
-    return float(np.abs(lam - z0).min())
+def _solve_shifted(block: np.ndarray, lam: complex, rhs: np.ndarray,
+                   trans: int, n: int) -> np.ndarray:
+    """v with (block - lam) v = rhs (trans=0) or (block - lam)* v = rhs
+    (trans=2), for an upper-triangular block of T of order n. As in LAPACK's
+    ztrevc, which eig runs, a pivot of modulus |Re| + |Im| below
+    smin = max(ulp (|Re lam| + |Im lam|), smlnum) is replaced by smin, so a
+    repeated eigenvalue gives a large but finite vector."""
+    if rhs.size == 0:
+        return rhs
+    ulp = np.finfo(float).eps
+    smin = max(ulp * (abs(lam.real) + abs(lam.imag)),
+               np.finfo(float).tiny * (n / ulp))
+    A = np.array(block, order="F")  # the layout ztrsv reads without a copy
+    piv = A.diagonal() - lam
+    piv[np.abs(piv.real) + np.abs(piv.imag) < smin] = smin
+    np.fill_diagonal(A, piv)
+    v = ztrsv(A, rhs, trans=trans, overwrite_x=1)
+    if not np.all(np.isfinite(v)):
+        raise SolverError(f"eigenvector back-substitution at lambda = {lam}, "
+                          f"N = {n} overflowed")
+    return v
+
+
+def spectrum_free_radius(P: WeylMatrix, z0: complex,
+                         threshold: float = BOUNDARY_MASS_THRESHOLD
+                         ) -> FreeRadius:
+    """Distance from z0 to the nearest eigenvalue whose eigenvector keeps at
+    most `threshold` of its mass on the boundary rows, with that eigenvalue
+    and its kappa.
+
+    Walks diag(T) in order of distance from z0 and back-substitutes each
+    candidate's right eigenvector x of T (x_k = 1, zero below k) until one
+    passes the filter eigenvalues() applies; the left eigenvector y (y_k = 1,
+    zero above k, so y* x = 1) of that one gives kappa = ||x|| ||y||.
+    """
+    T, Z = _schur(P)
+    n = P.n
+    lams = T.diagonal()
+    dist = np.abs(lams - z0)
+    edge_rows = _edge_rows(Z)
+    norm = scipy.linalg.norm  # BLAS nrm2: no overflow in the squares
+    for k in np.argsort(dist, kind="stable"):
+        lam = lams[k]
+        x = np.ones(k + 1, dtype=complex)
+        x[:k] = _solve_shifted(T[:k, :k], lam, -T[:k, k], 0, n)
+        # Z is unitary, so x carries the norm of Z x
+        if (norm(edge_rows[:, :k + 1] @ x) / norm(x)) ** 2 <= threshold:
+            y = np.ones(n - k, dtype=complex)
+            y[1:] = _solve_shifted(T[k + 1:, k + 1:], lam,
+                                   -T[k, k + 1:].conj(), 2, n)
+            return FreeRadius(float(dist[k]), complex(lam),
+                              float(norm(x) * norm(y)))
+    raise SolverError("no eigenvalues survive the boundary-mass filter; "
+                      "grid too small")
 
 
 def resolvent_norm(P: WeylMatrix, z: complex) -> float:

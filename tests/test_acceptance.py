@@ -7,6 +7,7 @@ scaling and resolvent criteria run once per session.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +220,23 @@ def test_criterion_08_spectrum_free_scaling(capsys, gevrey2_sweep,
              f"(still decreasing at h=0.0125: "
              f"{an['spectrum_approaches_z0']})")
     assert ok
+
+
+@pytest.mark.parametrize("name, tag", [
+    ("gevrey2", "gevrey-transport:s=2"), ("analytic", "analytic-transport")])
+def test_shipped_scaling_configs_exit_ok(request, tmp_path, monkeypatch,
+                                         name, tag):
+    # each shipped config sweeps the ladder of a session fixture, whose
+    # records stand in for a second run of the same sweep
+    path = (Path(__file__).resolve().parent.parent / "configs"
+            / f"{name}_scaling.cfg")
+    cfg = experiments.parse_config(path)
+    assert (cfg.model_tag, cfg.h_list, cfg.half_width_L, cfg.n_points) \
+        == (tag, SWEEP_H_LIST, SWEEP_L, None)
+    records = request.getfixturevalue(f"{name}_sweep")
+    monkeypatch.setattr(experiments, "run_sweep", lambda cfg: records)
+    monkeypatch.chdir(tmp_path)  # the configs write under results/
+    assert cli.main(["scaling", "--config", str(path)]) == cli.EXIT_OK
 
 
 def test_criterion_09_resolvent_growth(capsys, gevrey2_sweep,

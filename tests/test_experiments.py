@@ -16,7 +16,7 @@ from gevspec.symbols import (make_analytic_transport, make_gevrey_transport,
 
 
 def record(h, r=1.0, sig=1.0, res=1.0):
-    return SweepRecord(h, r, sig, res)
+    return SweepRecord(h, r, sig, res, n_points=256, kappa=1.0)
 
 
 class TestConfigParsing:
@@ -144,6 +144,17 @@ class TestFits:
         assert out["exponent_within_band"]
         assert out["c_lower_bound"] == pytest.approx(1.4, rel=1e-9)
 
+    def test_analytic_radius_has_no_band(self):
+        # a Gevrey target of 1 - 1/s means nothing for s = inf: the slope is
+        # reported, and no band verdict is
+        model = make_analytic_transport()
+        recs = [record(h, r=2.0 * h ** 0.3)
+                for h in (0.2, 0.1, 0.05, 0.025, 0.0125)]
+        out = radius_scaling_summary(recs, model)
+        assert out["spectrum_approaches_z0"]
+        assert out["radius_fit_slope"] == pytest.approx(0.3, abs=1e-9)
+        assert "exponent_within_band" not in out
+
 
 class TestSweep:
     def test_davies_radius_is_h(self, tmp_path):
@@ -185,7 +196,7 @@ class TestSweep:
                           output_dir=str(tmp_path))
         (rec,) = run_sweep(cfg, tmp_path / "sweep.csv")
         lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "h,r,sigma_min_probe,resnorm,n_points"
+        assert lines[0] == "h,r,sigma_min_probe,resnorm,n_points,kappa"
         assert lines[1] == rec.csv_row()
         assert all(math.isfinite(float(v)) for v in lines[1].split(","))
 
@@ -241,7 +252,12 @@ class TestOneFactorization:
         monkeypatch.setattr(scipy.linalg, "svdvals", forbidden)
         return calls
 
-    def test_sweep_point(self, schur_calls):
+    def test_sweep_point(self, schur_calls, monkeypatch):
+        # r(h) and its kappa back-substitute single eigenvectors of T
+        def no_eig(*args, **kwargs):
+            raise AssertionError("eig called for the free radius")
+
+        monkeypatch.setattr(scipy.linalg, "eig", no_eig)
         cfg = SweepConfig("davies", (0.1,), half_width_L=8.0, n_points=256)
         rec = experiments._measure_one(cfg, model_from_tag("davies"), 0.1)
         assert np.isfinite(rec.resolvent_norm)
@@ -313,8 +329,9 @@ class TestCli:
         assert "resolvent: regime bounded" in out
         lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
         columns = lines[0].split(",")
-        assert columns == ["h", "r", "sigma_min_probe", "resnorm", "n_points"]
-        assert lines[1].split(",")[-1] == "512"
+        assert columns == ["h", "r", "sigma_min_probe", "resnorm", "n_points",
+                           "kappa"]
+        assert lines[1].split(",")[4] == "512"
         summary = json.loads((tmp_path / "summary.json").read_text(
             encoding="utf-8"))
         assert len(summary["records"]) == summary["n_records"] == 2
@@ -323,6 +340,30 @@ class TestCli:
         assert first["h"] == 0.1
         assert first["n_points"] == 512
         assert first["r"] == pytest.approx(0.1, rel=1e-3)
+        assert first["kappa"] >= 1.0
+
+    @pytest.mark.parametrize("radius_exponent, resnorms", [
+        (1.0, None),  # fitted exponent 1, outside 0.5 +/- 0.15
+        (0.5, [2.0 ** 30 * k for k in (1, 0.5, 1, 0.5, 1)]),  # check fails
+        (0.5, [1.0] + [math.inf] * 4),  # FitError: one finite resolvent
+        (0.5, []),  # every h-point skipped
+    ])
+    def test_scaling_failed_verdict_is_numerical_failure(
+            self, tmp_path, monkeypatch, radius_exponent, resnorms):
+        hs = (0.2, 0.1, 0.05, 0.025, 0.0125)
+        if resnorms is None:
+            resnorms = [math.exp(2.0 * h ** -0.5) for h in hs]
+        recs = [record(h, r=1.4 * h ** radius_exponent, res=res)
+                for h, res in zip(hs, resnorms)]
+        monkeypatch.setattr(experiments, "run_sweep", lambda cfg: recs)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(
+            "model = gevrey-transport:s=2\n"
+            "h_list = 0.2, 0.1, 0.05, 0.025, 0.0125\n"
+            f"output_dir = {tmp_path}\n", encoding="utf-8")
+        assert cli.main(["scaling", "--config", str(cfg)]) \
+            == cli.EXIT_NUMERICAL
+        assert (tmp_path / "summary.json").exists()
 
     def test_toeplitz_nan_residual_is_numerical_failure(self, tmp_path,
                                                         monkeypatch):

@@ -5,14 +5,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gevspec import spectral
-from gevspec.quantize import RealGrid, WeylMatrix, assemble_weyl
-from gevspec.spectral import (MAX_DENSE_N, BudgetError, PseudospectrumField,
-                              SolverError, SpectrumResult, ZGrid, eigenvalues,
+from gevspec.quantize import (RealGrid, WeylMatrix, assemble_weyl,
+                              required_n_points)
+from gevspec.spectral import (BOUNDARY_MASS_THRESHOLD, MAX_DENSE_N,
+                              BudgetError, PseudospectrumField, SolverError,
+                              SpectrumResult, ZGrid, eigenvalues,
                               pseudospectrum, pseudospectrum_csv_lines,
-                              resolvent_norm, sigma_min, sigma_min_direct,
-                              spectrum_csv_lines, spectrum_free_radius)
+                              resolvent_norm, sigma_min, spectrum_csv_lines,
+                              spectrum_free_radius)
 from gevspec.symbols import model_from_tag
 from test_quantize import BUMP, ONE, plain_symbol
+
+
+def sigma_min_direct(P, z):
+    """Reference value from the full SVD of P - z."""
+    A = P.entries - z * np.eye(P.n)
+    return float(scipy.linalg.svdvals(A)[-1])
+
+
+def clean_radius(P, z0, threshold=BOUNDARY_MASS_THRESHOLD):
+    """Reference free radius from all eigenvectors: eigenvalues() and its
+    boundary-mass mask."""
+    spec = eigenvalues(P)
+    kept = spec.eigenvalues[spec.boundary_mass <= threshold]
+    return float(np.abs(kept - z0).min())
 
 
 def wrap(entries, h=0.1, L=4.0):
@@ -60,6 +76,8 @@ class TestEigenvalues:
             eigenvalues(P)
         with pytest.raises(BudgetError):
             sigma_min(P, 0.5)
+        with pytest.raises(BudgetError):
+            spectrum_free_radius(P, 0.5)
 
     def test_values_are_the_schur_diagonal(self, rng):
         n = 64
@@ -72,7 +90,7 @@ class TestEigenvalues:
     def test_retained_filters_edge_modes(self):
         n = 64
         spec = eigenvalues(wrap(np.diag(np.arange(n, dtype=float))))
-        kept = spec.retained()
+        kept = spec.eigenvalues[spec.boundary_mass <= BOUNDARY_MASS_THRESHOLD]
         # 10 percent of 64 nodes: 3 modes cut at each edge
         assert kept.size == n - 6
 
@@ -109,6 +127,17 @@ class TestSigmaMin:
         z = -0.4 - 0.6j
         assert sigma_min(P, z) == pytest.approx(sigma_min_direct(P, z),
                                                 rel=1e-10)
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 300])
+    def test_ritz_pair_equals_eigh_tridiagonal(self, k):
+        rng = np.random.default_rng(k)
+        alpha = rng.uniform(0.5, 2.0, k + 1)
+        beta = rng.uniform(0.1, 1.0, k)
+        (theta,), s = scipy.linalg.eigh_tridiagonal(
+            alpha, beta, select="i", select_range=(k, k))
+        got_theta, got_s = spectral._largest_ritz_pair(alpha, beta)
+        assert got_theta == theta
+        assert np.array_equal(got_s, s[:, 0])
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 2)
@@ -147,20 +176,20 @@ class TestPseudospectrum:
 
 class TestFreeRadius:
     def test_distance_to_nearest_clean_eigenvalue(self):
-        spec = eigenvalues(wrap(np.diag(np.linspace(-1, 1, 64)).astype(complex)))
+        P = wrap(np.diag(np.linspace(-1, 1, 64)).astype(complex))
         # interior eigenvalues survive; nearest to 2j among them
-        lam = spec.retained()
-        r = spectrum_free_radius(spec, 2j)
-        assert r == pytest.approx(np.abs(lam - 2j).min())
+        free = spectrum_free_radius(P, 2j)
+        assert free.radius == pytest.approx(clean_radius(P, 2j))
+        assert abs(free.eigenvalue - 2j) == pytest.approx(free.radius)
+        assert free.kappa == 1.0  # a normal matrix
 
     def test_raises_when_filter_empties(self):
         # circulant shift: all eigenvectors are extended waves with ~10
         # percent boundary mass, far above the retention threshold
         n = 32
         S = np.roll(np.eye(n), 1, axis=0)
-        spec = eigenvalues(wrap(S))
-        with pytest.raises(SolverError):
-            spectrum_free_radius(spec, 0j)
+        with pytest.raises(SolverError, match="survive"):
+            spectrum_free_radius(wrap(S), 0j)
 
     def test_radius_invariant_under_unitary_conjugation(self, rng):
         n = 64
@@ -170,9 +199,63 @@ class TestFreeRadius:
         A = wrap(M)
         B = wrap(Q @ M @ Q.conj().T)
         # threshold above 1 disables the boundary filter
-        ra = spectrum_free_radius(eigenvalues(A), 0.3 + 0.1j, threshold=2.0)
-        rb = spectrum_free_radius(eigenvalues(B), 0.3 + 0.1j, threshold=2.0)
-        assert ra == pytest.approx(rb, rel=1e-8)
+        fa = spectrum_free_radius(A, 0.3 + 0.1j, threshold=2.0)
+        fb = spectrum_free_radius(B, 0.3 + 0.1j, threshold=2.0)
+        assert fa.radius == pytest.approx(fb.radius, rel=1e-8)
+        assert fa.kappa == pytest.approx(fb.kappa, rel=1e-6)
+
+    @pytest.mark.parametrize("tag", ["davies", "gevrey-transport:s=1.5",
+                                     "gevrey-transport:s=2",
+                                     "gevrey-transport:s=3",
+                                     "analytic-transport"])
+    @pytest.mark.parametrize("h", [0.2, 0.1])
+    def test_equals_full_eigenvector_path(self, tag, h):
+        model = model_from_tag(tag)
+        n = required_n_points(6.0, h, 4.0)  # the sweep's grid rule, L = 6
+        assert n == {0.2: 128, 0.1: 256}[h]
+        P = assemble_weyl(model.symbol, RealGrid(6.0, n), h)
+        free = spectrum_free_radius(P, model.z0)
+        assert free.radius == clean_radius(P, model.z0)
+        assert abs(free.eigenvalue - model.z0) == pytest.approx(free.radius,
+                                                                rel=1e-15)
+        assert free.kappa >= 1.0
+
+    def test_kappa_matches_eig(self, rng):
+        n = 64
+        P = wrap(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        free = spectrum_free_radius(P, 0.5 + 0.5j, threshold=2.0)
+        vals, vl, vr = scipy.linalg.eig(P.entries, left=True)
+        j = np.argmin(np.abs(vals - free.eigenvalue))
+        # eig returns unit vectors, so kappa = 1 / |y* x|
+        kappa = 1.0 / abs(np.vdot(vl[:, j], vr[:, j]))
+        assert kappa < 100  # a well-conditioned eigenvalue
+        assert free.kappa == pytest.approx(kappa, rel=1e-8)
+
+    def test_repeated_eigenvalue_gives_finite_mass(self):
+        # T[1, 1] == T[40, 40]: the eigenvector of index 40 divides by a
+        # zero pivot at row 1 unless that pivot is raised to smin
+        n = 64
+        T = np.diag(np.linspace(-1, 1, n)).astype(complex)
+        lam = 0.3 + 0.2j
+        T[1, 1] = T[40, 40] = lam
+        T[1, 40] = 1e-20
+        P = wrap(T)
+        assert np.array_equal(P.schur[0], T)
+        # index 1 sits on the boundary and fails the filter; index 40,
+        # equally near, passes with x[1] = -1e-20 / smin
+        free = spectrum_free_radius(P, lam)
+        assert free.radius == 0.0 == clean_radius(P, lam)
+        assert free.eigenvalue == lam
+        assert np.isfinite(free.kappa)
+
+    def test_overflowing_solve_raises(self):
+        n = 32
+        T = np.diag(np.linspace(-1, 1, n)).astype(complex)
+        T[15, 15] = T[16, 16] + 1e-9
+        T[15, 16] = 1e300  # x[15] = -1e300 / (T[15, 15] - T[16, 16])
+        P = wrap(T)
+        with pytest.raises(SolverError, match="overflow"):
+            spectrum_free_radius(P, T[16, 16])
 
 
 class TestQuantizedOperator:
