@@ -11,6 +11,11 @@ so one flow batch from the lattice yields both G and H_{Im p} G: the two
 time integrals share the trajectory samples, and the cutoff term is
 analytic. Under Re p >= 0 plus nontrapping H_{Im p} G <= -c on the zero
 set, which is checked numerically rather than assumed.
+
+For an additive symbol p = a(x) + b(xi) the field is
+    H_{Im p} = (d Im b / dxi, -d Im a / dx),
+read from the symbol's split without evaluating grad; this is the
+counterpart of the diagonal-plus-circulant Weyl matrix in quantize.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
+from scipy.interpolate import NdBSpline, make_interp_spline
 
 from .symbols import (Box, GevreySymbol, ModelInstance, smooth_step,
                       smooth_step_d1)
@@ -55,6 +60,19 @@ class Trajectory:
     truncated: bool
 
 
+def _cubic_spline(x_axis: np.ndarray, xi_axis: np.ndarray,
+                  values: np.ndarray) -> NdBSpline:
+    """Tensor-product cubic interpolant (not-a-knot) of lattice values.
+
+    The collocation matrix is the Kronecker product of the two axes', so
+    one banded solve along each axis gives the coefficients exactly, with
+    no iterative solver and no dependence on the BLAS thread count.
+    """
+    along_x = make_interp_spline(x_axis, values, k=3)  # c: (n_x, n_xi)
+    along_xi = make_interp_spline(xi_axis, along_x.c.T, k=3)  # c: (n_xi, n_x)
+    return NdBSpline((along_x.t, along_xi.t), along_xi.c.T, 3)
+
+
 @dataclass(frozen=True)
 class EscapeField:
     x_axis: np.ndarray
@@ -68,12 +86,11 @@ class EscapeField:
     T: float
 
     @cached_property
-    def _splines(self) -> Tuple[RegularGridInterpolator, ...]:
+    def _splines(self) -> Tuple[NdBSpline, ...]:
         """Cubic splines of G, d_x G and d_xi G (centered lattice
         differences), built once per field."""
         gx, gxi = _lattice_gradient(self.G_values, self.x_axis, self.xi_axis)
-        return tuple(RegularGridInterpolator((self.x_axis, self.xi_axis), f,
-                                             method="cubic", bounds_error=True)
+        return tuple(_cubic_spline(self.x_axis, self.xi_axis, f)
                      for f in (self.G_values, gx, gxi))
 
     def _outside_support(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -123,6 +140,12 @@ class DeformationCheck:
 
 
 def _hamiltonian_im(sym: GevreySymbol, x: np.ndarray, xi: np.ndarray):
+    """H_{Im p} = (d_xi Im p, -d_x Im p) at (x, xi): from the additive split
+    when the symbol has one, else from grad."""
+    if sym.split is not None:
+        shape = np.broadcast(x, xi).shape
+        return (np.broadcast_to(sym.split.im_b_d1(xi), shape),
+                np.broadcast_to(-sym.split.im_a_d1(x), shape))
     gx, gxi = sym.grad(x, xi)
     return np.imag(gxi), -np.imag(gx)
 

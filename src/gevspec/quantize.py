@@ -6,6 +6,14 @@ with theta_m = -Theta + m * dtheta, dtheta = 2 pi h / (N dx), Theta = pi h / dx.
 With this dual grid the quantization of p == 1 is the exact identity and real
 symbols give exactly Hermitian matrices. Vectors carry the dx-weighted inner
 product <u, v> = dx * sum u conj(v).
+
+Since (x_j - x_k) theta_m / h = -pi (j - k) + 2 pi (j - k) m / N, the sum
+over m of the phase vanishes unless j = k. So an additive symbol
+p = a(x) + b(xi) quantizes to
+    P = diag(a(x_j)) + C,   C_jk = (-1)^(j-k) B[(j - k) mod N],
+    B = ifft(b(theta_m)),
+one length-N FFT and a circulant. Symbols without a split take the general
+midpoint assembly, one FFT per anti-diagonal.
 """
 
 from __future__ import annotations
@@ -20,6 +28,9 @@ import scipy.linalg
 from .symbols import GevreySymbol
 
 _MAGIC = b"WEYL"
+_VERSION = 1
+# magic, version, N, h, L, byte length of the UTF-8 symbol tag; the tag follows
+_HEADER = struct.Struct("<4sIIddI")
 
 
 class GridError(ValueError):
@@ -92,7 +103,11 @@ def required_n_points(half_width_L: float, h: float, xi_extent: float) -> int:
 
 def assemble_weyl(sym: GevreySymbol, grid: RealGrid, h: float,
                   xi_extent: float | None = None) -> WeylMatrix:
-    """Assemble the dense Weyl matrix of a symbol at semiclassical parameter h."""
+    """Assemble the dense Weyl matrix of a symbol at semiclassical parameter h.
+
+    A symbol with an additive split is assembled as diagonal plus circulant;
+    the result equals the general midpoint assembly entry for entry.
+    """
     if not (0 < h <= 1):
         raise ValueError(f"h must lie in (0, 1], got {h}")
     if xi_extent is None:
@@ -103,10 +118,44 @@ def assemble_weyl(sym: GevreySymbol, grid: RealGrid, h: float,
         raise ResolutionError(
             f"Nyquist frequency {theta_max:.4g} below symbol xi-extent {xi_extent:.4g}; "
             f"need n_points >= {n_req}")
+    theta = grid.theta_nodes(h)
+    if sym.split is not None:
+        P = _circulant_weyl(sym, grid, theta)
+    else:
+        P = _midpoint_weyl(sym, grid, theta)
+    return WeylMatrix(P, h, grid, sym.name)
 
+
+def _circulant_weyl(sym: GevreySymbol, grid: RealGrid,
+                    theta: np.ndarray) -> np.ndarray:
+    """diag(a(x_j)) + C with C_jk = (-1)^(j-k) B[(j - k) mod N] and
+    B = ifft(b(theta_m)); N is even, so (j - k) mod N has the parity of
+    j - k. The split is first checked against value on the N pairs
+    (x_j, theta_j), so the matrix is the quantization of the same symbol
+    that every other reader of value sees."""
+    n = grid.n_points
+    x = grid.nodes
+    a = sym.split.a(x)
+    b = sym.split.b(theta)
+    mismatch = sym.value(x, theta) != a + b
+    if np.any(mismatch):
+        k = int(np.argmax(mismatch))
+        raise ValueError(
+            f"additive split of {sym.name!r} does not reproduce its value at "
+            f"(x, xi) = ({x[k]:.6g}, {theta[k]:.6g})")
+    B = np.fft.ifft(np.asarray(b, dtype=complex))
+    B[1::2] *= -1.0
+    P = scipy.linalg.circulant(B)
+    P.flat[::n + 1] += a
+    return P
+
+
+def _midpoint_weyl(sym: GevreySymbol, grid: RealGrid,
+                   theta: np.ndarray) -> np.ndarray:
+    """General assembly: p sampled at the midpoints (x_j + x_k)/2 and
+    transformed along theta, one row per anti-diagonal j + k."""
     n = grid.n_points
     dx = grid.spacing
-    theta = grid.theta_nodes(h)
     # midpoints (x_j + x_k)/2 indexed by a = j + k on the half-spacing grid
     mids = -grid.half_width_L + 0.5 * dx * np.arange(2 * n - 1)
     rows = np.asarray(sym.value(mids[:, None], theta[None, :]), dtype=complex)
@@ -126,7 +175,7 @@ def assemble_weyl(sym: GevreySymbol, grid: RealGrid, h: float,
         P[j, j + 1:] = upper[j, j + 1:]
     P[0::2, 1::2] *= -1.0
     P[1::2, 0::2] *= -1.0
-    return WeylMatrix(P, h, grid, sym.name)
+    return P
 
 
 def _lagrange_half_weights(stencil: np.ndarray) -> np.ndarray:
@@ -247,25 +296,31 @@ def compose_and_extract(a: GevreySymbol, b: GevreySymbol, grid: RealGrid,
 
 
 def save_weyl(path, P: WeylMatrix) -> None:
-    """Flat binary export: 16-byte header (magic, N, h) then row-major complex128."""
+    """Flat binary export: a versioned header (magic, version, N, h, L, tag
+    length, then the UTF-8 symbol tag) followed by row-major complex128."""
+    tag = P.symbol_tag.encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", P.n))
-        fh.write(struct.pack("<d", P.h))
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, P.n, P.h,
+                              P.grid.half_width_L, len(tag)))
+        fh.write(tag)
         fh.write(np.ascontiguousarray(P.entries, dtype="<c16").tobytes())
 
 
-def load_weyl(path, half_width_L: float | None = None) -> WeylMatrix:
+def load_weyl(path) -> WeylMatrix:
+    """Read a file written by save_weyl, grid width and symbol tag included."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise GridError(f"bad magic in {path}")
-        (n,) = struct.unpack("<I", fh.read(4))
-        (h,) = struct.unpack("<d", fh.read(8))
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size or head[:4] != _MAGIC:
+            raise GridError(f"{path}: not a WEYL file (bad magic or short header)")
+        _, version, n, h, half_width_L, tag_len = _HEADER.unpack(head)
+        if version != _VERSION:
+            raise GridError(f"{path}: unsupported WEYL header version {version}; "
+                            f"this reader knows version {_VERSION}")
+        tag = fh.read(tag_len)
         payload = fh.read()
     if len(payload) != 16 * n * n:
         raise GridError(f"{path}: header says N = {n}, which needs "
                         f"{16 * n * n} payload bytes, found {len(payload)}")
     data = np.frombuffer(payload, dtype="<c16").reshape(n, n)
-    grid = RealGrid(half_width_L if half_width_L is not None else 1.0, n)
-    return WeylMatrix(data.astype(complex), h, grid, "loaded")
+    return WeylMatrix(data.astype(complex), h, RealGrid(half_width_L, n),
+                      tag.decode("utf-8"))

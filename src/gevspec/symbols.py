@@ -3,6 +3,13 @@
 Every symbol evaluator is vectorized over numpy arrays of phase-space
 points and carries explicit gradient/Hessian callables, since downstream
 flows and complex extensions need derivatives to high accuracy.
+
+Every catalog symbol is additive, p(x, xi) = a(x) + b(xi), and says so
+through an AdditiveSplit. On the dual grid of quantize the Weyl matrix of
+such a symbol is diag(a(x_j)) plus the circulant of the sign-alternated
+ifft of b(theta_m), and its Hamiltonian field H_{Im p} is
+(d Im b / dxi, -d Im a / dx); quantize and geometry read the split for
+both, with the same numbers as the general paths through value and grad.
 """
 
 from __future__ import annotations
@@ -19,12 +26,24 @@ Box = Tuple[Tuple[float, float], Tuple[float, float]]  # ((x_lo, x_hi), (xi_lo, 
 
 
 @dataclass(frozen=True)
+class AdditiveSplit:
+    """p(x, xi) = a(x) + b(xi), with im_a_d1 = d/dx Im a and
+    im_b_d1 = d/dxi Im b. a(x) + b(xi) must equal the symbol's value bit
+    for bit, and the two derivatives the Im parts of its grad."""
+
+    a: Callable[[np.ndarray], np.ndarray]
+    b: Callable[[np.ndarray], np.ndarray]
+    im_a_d1: Callable[[np.ndarray], np.ndarray]
+    im_b_d1: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
 class GevreySymbol:
     """A symbol p(x, xi) with its first two derivatives.
 
     order_s is the Gevrey order (math.inf marks analytic symbols),
     zero_set_hint a phase-space box containing the zero set of p - z0 when
-    known.
+    known, split the additive form p = a(x) + b(xi) when the symbol has one.
     """
 
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -34,6 +53,7 @@ class GevreySymbol:
     zero_set_hint: Optional[Box] = None
     xi_extent: float = 4.0
     name: str = "custom"
+    split: Optional[AdditiveSplit] = None
 
     def __post_init__(self):
         if not (self.order_s > 1):
@@ -52,6 +72,31 @@ class ModelInstance:
     @property
     def tag(self) -> str:
         return self.family_tag
+
+
+def _vanishing(t):
+    """A derivative that is identically zero, shaped like its argument."""
+    return np.zeros(np.shape(t))
+
+
+def _i_square(x):
+    """a(x) = i x^2 of the Davies oscillator and the trapped toy."""
+    return 1j * x ** 2
+
+
+def _twice(x):
+    """d/dx Im(i x^2)."""
+    return 2.0 * x
+
+
+def _i_tanh(xi):
+    """The transport models' b(xi) = i tanh(xi)."""
+    return 1j * np.tanh(xi)
+
+
+def _sech2(xi):
+    """d/dxi tanh(xi); the transport models' grad, hess and split share it."""
+    return 1.0 / np.cosh(xi) ** 2
 
 
 def _positive(t):
@@ -116,8 +161,11 @@ def smooth_step_d1(u):
 def make_davies() -> ModelInstance:
     """The complex harmonic oscillator symbol xi^2 + i x^2."""
 
+    def b(xi):
+        return xi ** 2
+
     def value(x, xi):
-        return xi ** 2 + 1j * x ** 2
+        return b(xi) + _i_square(x)
 
     def grad(x, xi):
         return 2j * x + 0j * xi, 2.0 * xi + 0j * x
@@ -131,7 +179,8 @@ def make_davies() -> ModelInstance:
 
     sym = GevreySymbol(value, grad, hess, order_s=ANALYTIC,
                        zero_set_hint=((-0.5, 0.5), (-0.5, 0.5)),
-                       xi_extent=4.0, name="davies")
+                       xi_extent=4.0, name="davies",
+                       split=AdditiveSplit(_i_square, b, _twice, _vanishing))
     return ModelInstance(sym, z0=0j, family_tag="davies")
 
 
@@ -153,23 +202,23 @@ def make_gevrey_transport(s: float) -> ModelInstance:
         return _gevrey_flat_d2(s, x ** 2 - 1.0) * 4.0 * x ** 2 + 2.0 * _gevrey_flat_d1(s, x ** 2 - 1.0)
 
     def value(x, xi):
-        return f(x) + 1j * np.tanh(xi)
+        return f(x) + _i_tanh(xi)
 
     def grad(x, xi):
-        sech2 = 1.0 / np.cosh(xi) ** 2
-        return fp(x) + 0j * xi, 1j * sech2 + 0j * x
+        return fp(x) + 0j * xi, 1j * _sech2(xi) + 0j * x
 
     def hess(x, xi):
         shape = np.broadcast(x, xi).shape
         H = np.zeros(shape + (2, 2), dtype=complex)
-        sech2 = 1.0 / np.cosh(np.broadcast_to(xi, shape)) ** 2
+        sech2 = _sech2(np.broadcast_to(xi, shape))
         H[..., 0, 0] = np.broadcast_to(fpp(np.asarray(x, dtype=float)), shape)
         H[..., 1, 1] = -2j * sech2 * np.tanh(np.broadcast_to(xi, shape))
         return H
 
     sym = GevreySymbol(value, grad, hess, order_s=s,
                        zero_set_hint=((-1.3, 1.3), (-0.4, 0.4)),
-                       xi_extent=4.0, name=f"gevrey-transport:s={s:g}")
+                       xi_extent=4.0, name=f"gevrey-transport:s={s:g}",
+                       split=AdditiveSplit(f, _i_tanh, _vanishing, _sech2))
     return ModelInstance(sym, z0=0j, family_tag=f"gevrey-transport:s={s:g}")
 
 
@@ -186,31 +235,34 @@ def make_analytic_transport() -> ModelInstance:
         return (2.0 - 6.0 * x ** 2) / (1.0 + x ** 2) ** 3
 
     def value(x, xi):
-        return g(x) + 1j * np.tanh(xi)
+        return g(x) + _i_tanh(xi)
 
     def grad(x, xi):
-        sech2 = 1.0 / np.cosh(xi) ** 2
-        return gp(x) + 0j * xi, 1j * sech2 + 0j * x
+        return gp(x) + 0j * xi, 1j * _sech2(xi) + 0j * x
 
     def hess(x, xi):
         shape = np.broadcast(x, xi).shape
         H = np.zeros(shape + (2, 2), dtype=complex)
-        sech2 = 1.0 / np.cosh(np.broadcast_to(xi, shape)) ** 2
+        sech2 = _sech2(np.broadcast_to(xi, shape))
         H[..., 0, 0] = np.broadcast_to(gpp(np.asarray(x, dtype=float)), shape)
         H[..., 1, 1] = -2j * sech2 * np.tanh(np.broadcast_to(xi, shape))
         return H
 
     sym = GevreySymbol(value, grad, hess, order_s=ANALYTIC,
                        zero_set_hint=((-0.5, 0.5), (-0.4, 0.4)),
-                       xi_extent=4.0, name="analytic-transport")
+                       xi_extent=4.0, name="analytic-transport",
+                       split=AdditiveSplit(g, _i_tanh, _vanishing, _sech2))
     return ModelInstance(sym, z0=0j, family_tag="analytic-transport")
 
 
 def make_trapped_toy() -> ModelInstance:
     """Trapped counterexample p = i x^2: Re p vanishes identically."""
 
+    def b(xi):
+        return 0j * xi
+
     def value(x, xi):
-        return 1j * x ** 2 + 0j * xi
+        return _i_square(x) + b(xi)
 
     def grad(x, xi):
         return 2j * x + 0j * xi, np.zeros(np.broadcast(x, xi).shape, dtype=complex)
@@ -223,7 +275,8 @@ def make_trapped_toy() -> ModelInstance:
 
     sym = GevreySymbol(value, grad, hess, order_s=ANALYTIC,
                        zero_set_hint=((-0.5, 0.5), (-1.0, 1.0)),
-                       xi_extent=4.0, name="trapped-toy")
+                       xi_extent=4.0, name="trapped-toy",
+                       split=AdditiveSplit(_i_square, b, _twice, _vanishing))
     return ModelInstance(sym, z0=0j, family_tag="trapped-toy")
 
 

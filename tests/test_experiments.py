@@ -284,9 +284,11 @@ class TestCli:
                          "--out", str(out), "--L", "8", "--N", "256"])
         assert code == cli.EXIT_OK
         from gevspec.quantize import load_weyl
-        P = load_weyl(out, half_width_L=8.0)
+        P = load_weyl(out)
         assert P.n == 256
         assert P.h == 0.1
+        assert P.grid.half_width_L == 8.0
+        assert P.symbol_tag == "davies"
 
     def test_unknown_model_is_config_error(self, tmp_path):
         code = cli.main(["quantize", "--model", "nope", "--h", "0.1",

@@ -1,16 +1,38 @@
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import gevspec
 from gevspec import geometry
 from gevspec.geometry import (CoverageError, EscapeConstructionError,
                               GeometryConfigError, build_escape,
                               check_deformed_ellipticity, escape_csv_lines,
                               flow, nontrapping_check)
-from gevspec.symbols import (gevrey_flat, make_davies, make_gevrey_transport,
+from gevspec.symbols import (gevrey_flat, make_analytic_transport,
+                             make_davies, make_gevrey_transport,
                              make_trapped_toy)
+
+CATALOG = [make_davies(), make_analytic_transport(), make_gevrey_transport(1.5),
+           make_gevrey_transport(2.0), make_gevrey_transport(3.0),
+           make_trapped_toy()]
+
+
+def _without_split(model):
+    """The same model with its symbol's additive split removed, so every
+    code path takes the general value/grad route."""
+    return dataclasses.replace(
+        model, symbol=dataclasses.replace(model.symbol, split=None))
+
+
+def _raising(*args):
+    raise AssertionError("a split symbol must not evaluate this")
 
 
 def _pairing_error(esc, model):
@@ -49,6 +71,29 @@ class TestFlow:
         assert traj.truncated
         assert traj.times[-1] < 30.0
         assert abs(traj.points[-1, 1]) > 50.0 - 0.1
+
+    @pytest.mark.parametrize("model", CATALOG, ids=lambda m: m.tag)
+    def test_split_field_equals_grad_field(self, model):
+        # the lattice holds signed zeros, negative values and tanh's
+        # saturated tail
+        x = np.concatenate([np.linspace(-6.0, 6.0, 97), [-0.0, 0.0]])
+        X, K = np.meshgrid(x, x, indexing="ij")
+        assert model.symbol.split is not None
+        for got, ref in zip(
+                geometry._hamiltonian_im(model.symbol, X, K),
+                geometry._hamiltonian_im(_without_split(model).symbol, X, K)):
+            assert got.shape == X.shape
+            assert np.array_equal(got, ref)
+
+    def test_split_flow_never_calls_grad(self, gevrey2):
+        traced = dataclasses.replace(gevrey2.symbol, grad=_raising)
+        x0 = np.linspace(-1.5, 1.5, 13)
+        xi0 = np.linspace(-0.4, 0.4, 13)
+        got = list(geometry._flow_batch(traced, x0, xi0, 20, 0.01))
+        ref = list(geometry._flow_batch(_without_split(gevrey2).symbol,
+                                        x0, xi0, 20, 0.01))
+        for (x, xi), (rx, rxi) in zip(got, ref):
+            assert np.array_equal(x, rx) and np.array_equal(xi, rxi)
 
     def test_bad_dt_rejected(self, gevrey2):
         with pytest.raises(GeometryConfigError):
@@ -101,13 +146,13 @@ class TestBuildEscape:
 
     def test_splines_built_once(self, escape_gevrey2, monkeypatch):
         built = []
-        real = geometry.RegularGridInterpolator
+        real = geometry._cubic_spline
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             built.append(args)
-            return real(*args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(geometry, "RegularGridInterpolator", counting)
+        monkeypatch.setattr(geometry, "_cubic_spline", counting)
         esc = dataclasses.replace(escape_gevrey2)  # no splines cached yet
         x = np.linspace(-1.5, 1.5, 7)
         xi = np.linspace(-0.4, 0.4, 7)
@@ -121,13 +166,60 @@ class TestBuildEscape:
         lat_x, lat_xi = geometry._lattice_gradient(esc.G_values, *axes)
         for got, values in ((g1, esc.G_values), (g2, esc.G_values),
                             (gx, lat_x), (gxi, lat_xi)):
-            assert np.array_equal(got, real(axes, values, method="cubic")(pts))
+            assert np.array_equal(got, real(*axes, values)(pts))
+
+    def test_splines_interpolate_lattice_values(self, escape_gevrey2):
+        esc = dataclasses.replace(escape_gevrey2)
+        X, K = np.meshgrid(esc.x_axis, esc.xi_axis, indexing="ij")
+        lat_x, lat_xi = geometry._lattice_gradient(esc.G_values, esc.x_axis,
+                                                   esc.xi_axis)
+        for got, values in ((esc.g_at(X, K), esc.G_values),
+                            *zip(esc.grad_g_at(X, K), (lat_x, lat_xi))):
+            assert np.abs(got - values).max() <= 1e-12 * np.abs(values).max()
+
+    def test_splines_independent_of_blas_threads(self, escape_gevrey2,
+                                                 tmp_path):
+        # the thread count is set in each child's environment only
+        path = tmp_path / "escape.pkl"
+        path.write_bytes(pickle.dumps(dataclasses.replace(escape_gevrey2)))
+        child = (
+            "import hashlib, pickle, sys\n"
+            "import numpy as np\n"
+            "esc = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "X, K = np.meshgrid(np.linspace(-2.4, 2.4, 53),\n"
+            "                   np.linspace(-0.9, 0.9, 37), indexing='ij')\n"
+            "v = [esc.g_at(X, K), *esc.grad_g_at(X, K)]\n"
+            "print(hashlib.sha256(np.stack(v).tobytes()).hexdigest())\n")
+        src = str(Path(gevspec.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", child, str(path)],
+                                 env=env, capture_output=True, text=True,
+                                 check=True)
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
     def test_interior_interpolation_matches_lattice(self, escape_gevrey2):
         esc = escape_gevrey2
         i, j = len(esc.x_axis) // 2, len(esc.xi_axis) // 2
         v = esc.g_at(esc.x_axis[i], esc.xi_axis[j])
         assert v == pytest.approx(esc.G_values[i, j], abs=1e-12)
+
+    @pytest.mark.parametrize("model", [make_gevrey_transport(2.0),
+                                       make_analytic_transport()],
+                             ids=lambda m: m.tag)
+    def test_split_build_equals_grad_build(self, model):
+        kw = dict(lattice=((-2.0, 2.0), (-1.0, 1.0)), n_x=33, n_xi=17)
+        esc = build_escape(model, **kw)
+        ref = build_escape(_without_split(model), **kw)
+        assert np.array_equal(esc.G_values, ref.G_values)
+        assert np.array_equal(esc.HG_values, ref.HG_values)
+        assert esc.margin_c == ref.margin_c
 
     def test_all_orders_build(self):
         for s in (1.5, 3.0):

@@ -1,3 +1,6 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +126,44 @@ class TestAssembly:
         ref = F[a, d % n] * np.where(d % 2 == 0, 1.0, -1.0)
         assert np.array_equal(assemble_weyl(sym, grid, h).entries, ref)
 
+    @pytest.mark.parametrize("tag", ["davies", "gevrey-transport:s=2",
+                                     "analytic-transport", "trapped-toy"])
+    @pytest.mark.parametrize("L", [6.0, 8.0])
+    def test_split_assembly_equals_midpoint_assembly(self, tag, L):
+        # diag(a) + circulant against the general assembly, at the smallest
+        # h of the sweep ladder h = 0.2 * 2^(-k/2) that each N resolves
+        sym = model_from_tag(tag).symbol
+        general = dataclasses.replace(sym, split=None)
+        ladder = 0.2 * 2.0 ** (-np.arange(9) / 2.0)
+        for n in (128, 256, 512, 1024, 2048):
+            h = min(h for h in ladder
+                    if required_n_points(L, h, sym.xi_extent) == n)
+            grid = RealGrid(L, n)
+            assert np.array_equal(assemble_weyl(sym, grid, h).entries,
+                                  assemble_weyl(general, grid, h).entries)
+
+    def test_split_assembly_evaluates_value_on_n_points(self):
+        # the general assembly evaluates p on the (2N - 1) x N midpoint
+        # lattice; the split path only checks a + b against it on N points
+        sym = model_from_tag("gevrey-transport:s=2").symbol
+        sizes = []
+
+        def counting(x, xi):
+            sizes.append(np.broadcast(x, xi).size)
+            return sym.value(x, xi)
+
+        grid = RealGrid(6.0, 256)
+        P = assemble_weyl(dataclasses.replace(sym, value=counting), grid, 0.1)
+        assert sizes == [256]
+        assert np.array_equal(P.entries, assemble_weyl(sym, grid, 0.1).entries)
+
+    def test_split_disagreeing_with_value_rejected(self):
+        sym = model_from_tag("gevrey-transport:s=2").symbol
+        wrong = dataclasses.replace(sym,
+                                    split=model_from_tag("davies").symbol.split)
+        with pytest.raises(ValueError, match="does not reproduce its value"):
+            assemble_weyl(wrong, RealGrid(6.0, 256), 0.1)
+
     @given(alpha_re=st.floats(-2, 2), alpha_im=st.floats(-2, 2),
            beta_re=st.floats(-2, 2))
     @settings(max_examples=20, deadline=None)
@@ -204,9 +245,10 @@ class TestSerialization:
         P = assemble_weyl(BUMP, g, 0.2)
         path = tmp_path / "op.weyl"
         save_weyl(path, P)
-        Q = load_weyl(path, half_width_L=8.0)
+        Q = load_weyl(path)
         assert Q.h == P.h
-        assert Q.n == P.n
+        assert Q.grid == P.grid
+        assert Q.symbol_tag == "bump"
         assert np.array_equal(Q.entries, P.entries)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -222,6 +264,14 @@ class TestSerialization:
         with pytest.raises(GridError, match="payload"):
             load_weyl(path)
 
+    def test_unversioned_file_rejected(self, tmp_path):
+        # the 16-byte header of files that did not store L or the tag
+        path = tmp_path / "old.weyl"
+        path.write_bytes(b"WEYL" + struct.pack("<Id", 8, 0.25)
+                         + np.eye(8, dtype="<c16").tobytes())
+        with pytest.raises(GridError, match="version 8"):
+            load_weyl(path)
+
     def test_header_layout(self, tmp_path):
         g = RealGrid(4.0, 8)
         P = assemble_weyl(ONE, g, 0.25)
@@ -229,6 +279,10 @@ class TestSerialization:
         save_weyl(path, P)
         raw = path.read_bytes()
         assert raw[:4] == b"WEYL"
-        assert int.from_bytes(raw[4:8], "little") == 8
-        assert np.frombuffer(raw[8:16], dtype="<d")[0] == 0.25
-        assert len(raw) == 16 + 8 * 8 * 16
+        assert int.from_bytes(raw[4:8], "little") == 1  # format version
+        assert int.from_bytes(raw[8:12], "little") == 8
+        assert np.frombuffer(raw[12:20], dtype="<d")[0] == 0.25
+        assert np.frombuffer(raw[20:28], dtype="<d")[0] == 4.0
+        assert int.from_bytes(raw[28:32], "little") == 3
+        assert raw[32:35] == b"one"
+        assert len(raw) == 35 + 8 * 8 * 16

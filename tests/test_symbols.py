@@ -174,6 +174,15 @@ class TestDerivativeConsistency:
         assert np.abs(H[..., 0, 1] - H[..., 1, 0]).max() == 0.0
 
 
+class TestAdditiveSplit:
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.tag)
+    def test_parts_sum_to_value(self, model):
+        x = np.concatenate([np.linspace(-6.0, 6.0, 97), [-0.0, 0.0]])
+        X, K = np.meshgrid(x, x, indexing="ij")
+        sym = model.symbol
+        assert np.array_equal(sym.split.a(X) + sym.split.b(K), sym.value(X, K))
+
+
 class TestTaylorExtension:
     def test_real_restriction(self):
         for m in ALL_MODELS:
