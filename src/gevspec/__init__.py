@@ -1,10 +1,11 @@
 """Numerical toolkit for spectra and pseudospectra of quantized 1-D symbols.
 
-Modules: symbols (model catalog), quantize (matrix assembly and inversion),
-spectral (eigenvalues, spectrum-free radii and sigma_min sweeps), geometry (flows, escape
-functions, deformations), fbi (Gaussian-phase transform, deformed weights
-and the Toeplitz residual), experiments (spectral h-sweeps and fits), cli
-(the gevspec command line).
+Modules: symbols (model catalog, each symbol declared by its additive
+parts), quantize (matrix assembly and inversion), spectral (eigenvalues,
+spectrum-free radii and sigma_min sweeps), geometry (escape functions from
+the Im p flow, deformed ellipticity), fbi (Gaussian-phase transform,
+deformed weights and the Toeplitz residual), experiments (spectral
+h-sweeps and fits), cli (the gevspec command line).
 """
 
 from .symbols import (ANALYTIC, GevreySymbol, ModelInstance, gevrey_flat,
@@ -16,8 +17,8 @@ from .quantize import (RealGrid, WeylMatrix, assemble_weyl, compose_and_extract,
 from .spectral import (FreeRadius, PseudospectrumField, SpectrumResult, ZGrid,
                        eigenvalues, pseudospectrum, resolvent_norm, sigma_min,
                        spectrum_free_radius)
-from .geometry import (DeformationCheck, EscapeField, Trajectory, build_escape,
-                       check_deformed_ellipticity, flow, nontrapping_check)
+from .geometry import (DeformationCheck, EscapeField, build_escape,
+                       check_deformed_ellipticity)
 from .fbi import (BargmannWeight, ComplexGrid, FBIOperator, gaussian_state,
                   make_fbi, toeplitz_residual, weight_phi_t)
 from .experiments import (FitResult, SweepConfig, SweepRecord, fit_power_law,

@@ -32,16 +32,14 @@ def _grid_args(parser: argparse.ArgumentParser) -> None:
                              "satisfying the Nyquist rule)")
 
 
-def _make_grid(args) -> quantize.RealGrid:
-    n = args.N
-    if n == 0:
-        n = max(quantize.required_n_points(args.L, args.h, 4.0), 32)
+def _make_grid(args, sym) -> quantize.RealGrid:
+    n = args.N or quantize.rule_n_points(sym, args.L, args.h)
     return quantize.RealGrid(args.L, n)
 
 
 def _cmd_quantize(args) -> int:
     model = model_from_tag(args.model)
-    grid = _make_grid(args)
+    grid = _make_grid(args, model.symbol)
     P = quantize.assemble_weyl(model.symbol, grid, args.h)
     quantize.save_weyl(args.out, P)
     print(f"wrote {args.out}: N = {P.n}, h = {P.h}")
@@ -50,7 +48,7 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     model = model_from_tag(args.model)
-    grid = _make_grid(args)
+    grid = _make_grid(args, model.symbol)
     P = quantize.assemble_weyl(model.symbol, grid, args.h)
     spec = spectral.eigenvalues(P)
     lines = spectral.spectrum_csv_lines(spec)
@@ -64,7 +62,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_pseudospectrum(args) -> int:
     model = model_from_tag(args.model)
-    grid = _make_grid(args)
+    grid = _make_grid(args, model.symbol)
     P = quantize.assemble_weyl(model.symbol, grid, args.h)
     window = spectral.ZGrid(_parse_complex(args.center), args.span, args.span,
                             args.res, args.res)

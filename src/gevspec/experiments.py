@@ -22,6 +22,7 @@ from . import fbi, quantize, spectral
 from .symbols import ModelInstance, model_from_tag
 
 XI_PROBE = 1.146  # packet momentum where the model's next-order xi correction vanishes
+PROBE_L = 8.0  # real-grid half width of toeplitz_probe
 BOUNDED_RESOLVENT_CAP = 1e8
 
 
@@ -139,10 +140,12 @@ class FitResult:
     n_points: int
 
 
-def grid_for(cfg: SweepConfig, h: float, xi_extent: float = 4.0) -> quantize.RealGrid:
+def grid_for(cfg: SweepConfig, h: float) -> quantize.RealGrid:
+    """The config's n_points, else the grid rule for its model's symbol."""
     n = cfg.n_points
     if n is None:
-        n = max(quantize.required_n_points(cfg.half_width_L, h, xi_extent), 32)
+        n = quantize.rule_n_points(model_from_tag(cfg.model_tag).symbol,
+                                   cfg.half_width_L, h)
     if n > spectral.MAX_DENSE_N:
         raise NumericalFailure(
             f"grid rule demands N = {n} > {spectral.MAX_DENSE_N} at h = {h}")
@@ -155,11 +158,11 @@ def exponent_for(model: ModelInstance) -> float:
     return 1.0 if math.isinf(s) else 1.0 - 1.0 / s
 
 
-def toeplitz_probe(model: ModelInstance, esc, h: float, t: float,
-                   half_width_L: float = 8.0) -> float:
-    """Toeplitz residual on a standard wave-packet pair at momentum XI_PROBE."""
-    n = quantize.required_n_points(half_width_L, h, 4.0)
-    grid = quantize.RealGrid(half_width_L, max(n, 128))
+def toeplitz_probe(model: ModelInstance, esc, h: float, t: float) -> float:
+    """Toeplitz residual on a standard wave-packet pair at momentum XI_PROBE,
+    on a real grid of half width PROBE_L and at least 128 points."""
+    n = quantize.required_n_points(PROBE_L, h, model.symbol.xi_extent)
+    grid = quantize.RealGrid(PROBE_L, max(n, 128))
     cgrid = fbi.default_cgrid(h, re_span=1.5, im_span=2.2, cells_per_width=3.0)
     op = fbi.make_fbi(grid, cgrid, h)
     u = fbi.gaussian_state(grid, h, 0.0, XI_PROBE)

@@ -1,4 +1,4 @@
-"""Hamiltonian flows of Im p, escape functions, and deformed ellipticity.
+"""Escape functions from the Hamiltonian flow of Im p, and deformed ellipticity.
 
 The escape function follows the time-averaging recipe
     G(rho) = chi_cut(rho) * (-int_0^inf chi_T(t) Re p(Phi_t rho) dt
@@ -10,7 +10,9 @@ parts in t gives
 so one flow batch from the lattice yields both G and H_{Im p} G: the two
 time integrals share the trajectory samples, and the cutoff term is
 analytic. Under Re p >= 0 plus nontrapping H_{Im p} G <= -c on the zero
-set, which is checked numerically rather than assumed.
+set, which is checked numerically rather than assumed: the certified
+margin c of build_escape is what decides that the zero set escapes, and
+the flow is only ever stepped as one RK4 batch from the lattice.
 
 For an additive symbol p = a(x) + b(xi) the field is
     H_{Im p} = (d Im b / dxi, -d Im a / dx),
@@ -28,11 +30,10 @@ import numpy as np
 from scipy.interpolate import NdBSpline, make_interp_spline
 
 from .symbols import (Box, GevreySymbol, ModelInstance, smooth_step,
-                      smooth_step_d1)
+                      smooth_step_d1, taylor_extension)
 
 FLOW_BOX_HALF_WIDTH = 50.0
 DEFAULT_DT = 1e-2
-MAX_FLOW_STEPS = 1_000_000
 ZERO_TOL = 1e-3  # a lattice point with |p - z0| <= ZERO_TOL counts as a zero
 
 
@@ -50,14 +51,6 @@ class EscapeConstructionError(RuntimeError):
 
 class CoverageError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    points: np.ndarray  # shape (len(times), 2)
-    energy_drift: float
-    truncated: bool
 
 
 def _cubic_spline(x_axis: np.ndarray, xi_axis: np.ndarray,
@@ -82,7 +75,6 @@ class EscapeField:
     margin_c: float
     cutoff_radius: float
     cutoff_center: Tuple[float, float]
-    model_tag: str
     T: float
 
     @cached_property
@@ -132,10 +124,7 @@ class EscapeField:
 
 @dataclass(frozen=True)
 class DeformationCheck:
-    t: float
     gamma_measured: float
-    omega_box: Box
-    ext_order: int
     worst_point: Tuple[float, float]
 
 
@@ -144,8 +133,8 @@ def _hamiltonian_im(sym: GevreySymbol, x: np.ndarray, xi: np.ndarray):
     when the symbol has one, else from grad."""
     if sym.split is not None:
         shape = np.broadcast(x, xi).shape
-        return (np.broadcast_to(sym.split.im_b_d1(xi), shape),
-                np.broadcast_to(-sym.split.im_a_d1(x), shape))
+        return (np.broadcast_to(sym.split.b.im_d1(xi), shape),
+                np.broadcast_to(-sym.split.a.im_d1(x), shape))
     gx, gxi = sym.grad(x, xi)
     return np.imag(gxi), -np.imag(gx)
 
@@ -157,39 +146,6 @@ def _rk4_step(sym: GevreySymbol, x, xi, dt: float):
     k4x, k4k = _hamiltonian_im(sym, x + dt * k3x, xi + dt * k3k)
     return (x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0,
             xi + dt * (k1k + 2 * k2k + 2 * k3k + k4k) / 6.0)
-
-
-def flow(sym: GevreySymbol, rho0: Tuple[float, float], t_max: float,
-         dt: float = DEFAULT_DT) -> Trajectory:
-    """RK4 integration of the H_{Im p} flow from a single phase-space point.
-
-    Negative t_max integrates backward. Leaving the box [-50, 50]^2 stops
-    the integration and sets the truncated flag; escape to infinity is
-    information about the flow, not a failure.
-    """
-    if not dt > 0:
-        raise GeometryConfigError(f"dt must be positive, got {dt}")
-    n_steps = int(round(abs(t_max) / dt))
-    if n_steps > MAX_FLOW_STEPS:
-        raise GeometryConfigError(
-            f"step budget exceeded: {n_steps} > {MAX_FLOW_STEPS}")
-    step = dt * np.sign(t_max) if t_max != 0 else dt
-    x = np.asarray([rho0[0]], dtype=float)
-    xi = np.asarray([rho0[1]], dtype=float)
-    times = [0.0]
-    pts = [(float(x[0]), float(xi[0]))]
-    truncated = False
-    for k in range(n_steps):
-        x, xi = _rk4_step(sym, x, xi, step)
-        times.append((k + 1) * step)
-        pts.append((float(x[0]), float(xi[0])))
-        if abs(x[0]) > FLOW_BOX_HALF_WIDTH or abs(xi[0]) > FLOW_BOX_HALF_WIDTH:
-            truncated = True
-            break
-    points = np.asarray(pts)
-    im_p = np.imag(np.asarray(sym.value(points[:, 0], points[:, 1])))
-    drift = float(np.abs(im_p - im_p[0]).max())
-    return Trajectory(np.asarray(times), points, drift, truncated)
 
 
 def _flow_batch(sym: GevreySymbol, x0: np.ndarray, xi0: np.ndarray,
@@ -209,37 +165,6 @@ def _flow_batch(sym: GevreySymbol, x0: np.ndarray, xi0: np.ndarray,
         xi = np.where(active, kn, xi)
         active &= (np.abs(x) <= FLOW_BOX_HALF_WIDTH) & (np.abs(xi) <= FLOW_BOX_HALF_WIDTH)
         yield x, xi
-
-
-def nontrapping_check(model: ModelInstance, delta: float = 1e-3,
-                      epsilon: float = 0.05, T: float = 10.0,
-                      dt: float = DEFAULT_DT, resolution: int = 41) -> dict:
-    """Verify every numerical zero point escapes to Re p > epsilon by time T."""
-    sym = model.symbol
-    box = sym.zero_set_hint
-    if box is None:
-        raise GeometryConfigError("model has no zero-set hint box to sample")
-    (xlo, xhi), (klo, khi) = box
-    X, K = np.meshgrid(np.linspace(xlo, xhi, resolution),
-                       np.linspace(klo, khi, resolution), indexing="ij")
-    vals = np.asarray(sym.value(X, K))
-    mask = np.abs(vals - model.z0) <= delta
-    if not mask.any():
-        raise GeometryConfigError(
-            f"no lattice points with |p - z0| <= {delta}; refine the lattice")
-    x0 = X[mask].ravel()
-    k0 = K[mask].ravel()
-    n_steps = int(round(T / dt))
-    escape_time = np.full(x0.shape, np.inf)
-    for sign in (1.0, -1.0):
-        t = 0.0
-        for x, xi in _flow_batch(sym, x0, k0, n_steps, sign * dt):
-            t += dt
-            hit = np.real(np.asarray(sym.value(x, xi))) > epsilon
-            escape_time = np.where(hit & (t < escape_time), t, escape_time)
-    ok = bool(np.all(np.isfinite(escape_time)))
-    worst = float(escape_time.max()) if ok else float("inf")
-    return {"ok": ok, "worst_escape_time": worst, "n_zero_points": int(mask.sum())}
 
 
 def _chi_T(T: float, t: np.ndarray) -> np.ndarray:
@@ -369,8 +294,7 @@ def build_escape(model: ModelInstance, T: float = 4.0,
             f"no lattice points with |p - z0| <= {ZERO_TOL}")
     hg_zero = HG[zero_mask]
     margin_c = float(-hg_zero.max())
-    field = EscapeField(x_axis, xi_axis, G, HG, margin_c, r_outer, center,
-                        model.tag, T)
+    field = EscapeField(x_axis, xi_axis, G, HG, margin_c, r_outer, center, T)
     if margin_c <= 0:
         k_bad = int(np.argmax(hg_zero))
         bad = (float(X[zero_mask][k_bad]), float(K[zero_mask][k_bad]))
@@ -381,19 +305,18 @@ def build_escape(model: ModelInstance, T: float = 4.0,
 
 
 def check_deformed_ellipticity(model: ModelInstance, esc: EscapeField,
-                               t: float, ext_order: int = 2,
-                               omega_box: Optional[Box] = None) -> DeformationCheck:
-    """Measure gamma = min Re p~(rho + i t H_G(rho)) / |t| over the box Omega.
+                               t: float, ext_order: int = 2) -> DeformationCheck:
+    """Measure gamma = min Re p~(rho + i t H_G(rho)) / |t| over the box
+    Omega, the symbol's zero-set hint.
 
     H_G comes from centered differences of the escape lattice. The check
     requires t < 0; at t = 0 the quotient is undefined.
     """
     if not t < 0:
         raise GeometryConfigError(f"deformation size must be negative, got {t}")
+    omega_box = model.symbol.zero_set_hint
     if omega_box is None:
-        omega_box = model.symbol.zero_set_hint
-        if omega_box is None:
-            raise GeometryConfigError("no Omega box available")
+        raise GeometryConfigError("no Omega box available")
     gx, gxi = _lattice_gradient(esc.G_values, esc.x_axis, esc.xi_axis)
     X, K = np.meshgrid(esc.x_axis, esc.xi_axis, indexing="ij")
     # H_G = (d_xi G, -d_x G); keep one-cell margin where the differences
@@ -406,14 +329,12 @@ def check_deformed_ellipticity(model: ModelInstance, esc: EscapeField,
         raise GeometryConfigError("Omega box misses the escape lattice")
     hx = gxi[mask]
     hk = -gx[mask]
-    from .symbols import taylor_extension
     ext = taylor_extension(model.symbol, ext_order,
                            (X[mask], K[mask]), (t * hx, t * hk))
     quot = np.real(ext) / abs(t)
     k_min = int(np.argmin(quot))
     gamma = float(quot[k_min])
-    return DeformationCheck(t, gamma, omega_box, ext_order,
-                            (float(X[mask][k_min]), float(K[mask][k_min])))
+    return DeformationCheck(gamma, (float(X[mask][k_min]), float(K[mask][k_min])))
 
 
 def escape_csv_lines(field: EscapeField) -> List[str]:

@@ -31,6 +31,7 @@ _MAGIC = b"WEYL"
 _VERSION = 1
 # magic, version, N, h, L, byte length of the UTF-8 symbol tag; the tag follows
 _HEADER = struct.Struct("<4sIIddI")
+MIN_N_POINTS = 32  # floor of the grid rule
 
 
 class GridError(ValueError):
@@ -101,8 +102,13 @@ def required_n_points(half_width_L: float, h: float, xi_extent: float) -> int:
     return n
 
 
-def assemble_weyl(sym: GevreySymbol, grid: RealGrid, h: float,
-                  xi_extent: float | None = None) -> WeylMatrix:
+def rule_n_points(sym: GevreySymbol, half_width_L: float, h: float) -> int:
+    """The grid rule: the smallest power-of-two N >= MIN_N_POINTS whose
+    dual Nyquist frequency covers the symbol's xi_extent."""
+    return max(required_n_points(half_width_L, h, sym.xi_extent), MIN_N_POINTS)
+
+
+def assemble_weyl(sym: GevreySymbol, grid: RealGrid, h: float) -> WeylMatrix:
     """Assemble the dense Weyl matrix of a symbol at semiclassical parameter h.
 
     A symbol with an additive split is assembled as diagonal plus circulant;
@@ -110,14 +116,12 @@ def assemble_weyl(sym: GevreySymbol, grid: RealGrid, h: float,
     """
     if not (0 < h <= 1):
         raise ValueError(f"h must lie in (0, 1], got {h}")
-    if xi_extent is None:
-        xi_extent = sym.xi_extent
     theta_max = grid.theta_max(h)
-    if theta_max < xi_extent:
-        n_req = required_n_points(grid.half_width_L, h, xi_extent)
+    if theta_max < sym.xi_extent:
+        n_req = required_n_points(grid.half_width_L, h, sym.xi_extent)
         raise ResolutionError(
-            f"Nyquist frequency {theta_max:.4g} below symbol xi-extent {xi_extent:.4g}; "
-            f"need n_points >= {n_req}")
+            f"Nyquist frequency {theta_max:.4g} below symbol xi-extent "
+            f"{sym.xi_extent:.4g}; need n_points >= {n_req}")
     theta = grid.theta_nodes(h)
     if sym.split is not None:
         P = _circulant_weyl(sym, grid, theta)
@@ -272,13 +276,13 @@ def inverse_weyl(P: WeylMatrix, taper: bool = False) -> np.ndarray:
     return c
 
 
-def interior_window(grid: RealGrid, h: float, x_frac: float = 0.5,
-                    theta_frac: float = 0.5) -> np.ndarray:
-    """Boolean mask over the (x_j, theta_m) lattice keeping the interior box."""
+def interior_window(grid: RealGrid, h: float) -> np.ndarray:
+    """Boolean mask over the (x_j, theta_m) lattice keeping the interior
+    box, the inner half of each axis."""
     x = grid.nodes
     theta = grid.theta_nodes(h)
-    mx = np.abs(x) <= x_frac * grid.half_width_L
-    mt = np.abs(theta) <= theta_frac * grid.theta_max(h)
+    mx = np.abs(x) <= 0.5 * grid.half_width_L
+    mt = np.abs(theta) <= 0.5 * grid.theta_max(h)
     return mx[:, None] & mt[None, :]
 
 

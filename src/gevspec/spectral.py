@@ -55,8 +55,6 @@ class BudgetError(ValueError):
 class SpectrumResult:
     eigenvalues: np.ndarray
     boundary_mass: np.ndarray
-    h: float
-    symbol_tag: str
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ def eigenvalues(P: WeylMatrix) -> SpectrumResult:
     # Z is unitary, so the columns of X carry the norms of Z X
     bmass = (np.abs(edge_rows) ** 2).sum(axis=0) / (np.abs(X) ** 2).sum(axis=0)
     order = np.argsort(np.abs(vals), kind="stable")
-    return SpectrumResult(vals[order], bmass[order], P.h, P.symbol_tag)
+    return SpectrumResult(vals[order], bmass[order])
 
 
 def schur_eigenvalues(P: WeylMatrix) -> np.ndarray:

@@ -4,18 +4,20 @@ Every symbol evaluator is vectorized over numpy arrays of phase-space
 points and carries explicit gradient/Hessian callables, since downstream
 flows and complex extensions need derivatives to high accuracy.
 
-Every catalog symbol is additive, p(x, xi) = a(x) + b(xi), and says so
-through an AdditiveSplit. On the dual grid of quantize the Weyl matrix of
-such a symbol is diag(a(x_j)) plus the circulant of the sign-alternated
-ifft of b(theta_m), and its Hamiltonian field H_{Im p} is
-(d Im b / dxi, -d Im a / dx); quantize and geometry read the split for
-both, with the same numbers as the general paths through value and grad.
+Every catalog symbol is additive, p(x, xi) = a(x) + b(xi), and is declared
+once by its two parts: a Part is a real function f with f' and f'' in
+closed form, times a unit 1 or i. additive_symbol builds value, grad and
+hess from the two parts and keeps them as the symbol's split. On the dual
+grid of quantize the Weyl matrix of such a symbol is diag(a(x_j)) plus the
+circulant of the sign-alternated ifft of b(theta_m), and its Hamiltonian
+field H_{Im p} is (d Im b / dxi, -d Im a / dx); quantize and geometry read
+the split for both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -25,16 +27,43 @@ ANALYTIC = math.inf
 Box = Tuple[Tuple[float, float], Tuple[float, float]]  # ((x_lo, x_hi), (xi_lo, xi_hi))
 
 
+def _vanishing(t):
+    """Identically zero, shaped like its argument."""
+    return np.zeros(np.shape(t))
+
+
+@dataclass(frozen=True)
+class Part:
+    """One additive part unit * f(t) of a symbol, t being x or xi.
+
+    f is real, d1 = f' and d2 = f'' are its closed-form derivatives, and
+    unit is 1 or 1j.
+    """
+
+    f: Callable[[np.ndarray], np.ndarray]
+    d1: Callable[[np.ndarray], np.ndarray]
+    d2: Callable[[np.ndarray], np.ndarray]
+    unit: complex = 1
+
+    def __post_init__(self):
+        if self.unit not in (1, 1j):
+            raise ValueError(f"part unit must be 1 or 1j, got {self.unit}")
+
+    def __call__(self, t):
+        return self.unit * self.f(t)
+
+    def im_d1(self, t):
+        """d/dt of the imaginary part: f' when the unit is i, else zeros,
+        without evaluating f'."""
+        return self.d1(t) if self.unit == 1j else _vanishing(t)
+
+
 @dataclass(frozen=True)
 class AdditiveSplit:
-    """p(x, xi) = a(x) + b(xi), with im_a_d1 = d/dx Im a and
-    im_b_d1 = d/dxi Im b. a(x) + b(xi) must equal the symbol's value bit
-    for bit, and the two derivatives the Im parts of its grad."""
+    """p(x, xi) = a(x) + b(xi)."""
 
-    a: Callable[[np.ndarray], np.ndarray]
-    b: Callable[[np.ndarray], np.ndarray]
-    im_a_d1: Callable[[np.ndarray], np.ndarray]
-    im_b_d1: Callable[[np.ndarray], np.ndarray]
+    a: Part
+    b: Part
 
 
 @dataclass(frozen=True)
@@ -67,36 +96,46 @@ class GevreySymbol:
 class ModelInstance:
     symbol: GevreySymbol
     z0: complex
-    family_tag: str = "custom"
 
     @property
     def tag(self) -> str:
-        return self.family_tag
+        return self.symbol.name
 
 
-def _vanishing(t):
-    """A derivative that is identically zero, shaped like its argument."""
-    return np.zeros(np.shape(t))
+def additive_symbol(a: Part, b: Part, order_s: float,
+                    zero_set_hint: Optional[Box], name: str) -> GevreySymbol:
+    """The symbol a(x) + b(xi), with value, grad and hess built from the
+    two parts and the parts kept as its split."""
 
+    def value(x, xi):
+        return a(x) + b(xi)
 
-def _i_square(x):
-    """a(x) = i x^2 of the Davies oscillator and the trapped toy."""
-    return 1j * x ** 2
+    def grad(x, xi):
+        return a.unit * a.d1(x) + 0j * xi, b.unit * b.d1(xi) + 0j * x
 
+    def hess(x, xi):
+        H = np.zeros(np.broadcast(x, xi).shape + (2, 2), dtype=complex)
+        H[..., 0, 0] = a.unit * a.d2(x)
+        H[..., 1, 1] = b.unit * b.d2(xi)
+        return H
 
-def _twice(x):
-    """d/dx Im(i x^2)."""
-    return 2.0 * x
-
-
-def _i_tanh(xi):
-    """The transport models' b(xi) = i tanh(xi)."""
-    return 1j * np.tanh(xi)
+    return GevreySymbol(value, grad, hess, order_s=order_s,
+                        zero_set_hint=zero_set_hint, name=name,
+                        split=AdditiveSplit(a, b))
 
 
 def _sech2(xi):
-    """d/dxi tanh(xi); the transport models' grad, hess and split share it."""
+    """d/dxi tanh(xi)."""
     return 1.0 / np.cosh(xi) ** 2
+
+
+# the catalog's parts: t^2 (the Davies oscillator's xi^2), i t^2 (its i x^2
+# and the trapped toy's), i tanh(xi) (both transport models) and zero (the
+# trapped toy's xi part)
+SQUARE = Part(np.square, lambda t: 2.0 * t, lambda t: np.full(np.shape(t), 2.0))
+I_SQUARE = replace(SQUARE, unit=1j)
+I_TANH = Part(np.tanh, _sech2, lambda xi: -2.0 * _sech2(xi) * np.tanh(xi), 1j)
+ZERO = Part(_vanishing, _vanishing, _vanishing)
 
 
 def _positive(t):
@@ -160,28 +199,10 @@ def smooth_step_d1(u):
 
 def make_davies() -> ModelInstance:
     """The complex harmonic oscillator symbol xi^2 + i x^2."""
-
-    def b(xi):
-        return xi ** 2
-
-    def value(x, xi):
-        return b(xi) + _i_square(x)
-
-    def grad(x, xi):
-        return 2j * x + 0j * xi, 2.0 * xi + 0j * x
-
-    def hess(x, xi):
-        shape = np.broadcast(x, xi).shape
-        H = np.zeros(shape + (2, 2), dtype=complex)
-        H[..., 0, 0] = 2j
-        H[..., 1, 1] = 2.0
-        return H
-
-    sym = GevreySymbol(value, grad, hess, order_s=ANALYTIC,
-                       zero_set_hint=((-0.5, 0.5), (-0.5, 0.5)),
-                       xi_extent=4.0, name="davies",
-                       split=AdditiveSplit(_i_square, b, _twice, _vanishing))
-    return ModelInstance(sym, z0=0j, family_tag="davies")
+    sym = additive_symbol(I_SQUARE, SQUARE, order_s=ANALYTIC,
+                          zero_set_hint=((-0.5, 0.5), (-0.5, 0.5)),
+                          name="davies")
+    return ModelInstance(sym, z0=0j)
 
 
 def make_gevrey_transport(s: float) -> ModelInstance:
@@ -201,25 +222,10 @@ def make_gevrey_transport(s: float) -> ModelInstance:
     def fpp(x):
         return _gevrey_flat_d2(s, x ** 2 - 1.0) * 4.0 * x ** 2 + 2.0 * _gevrey_flat_d1(s, x ** 2 - 1.0)
 
-    def value(x, xi):
-        return f(x) + _i_tanh(xi)
-
-    def grad(x, xi):
-        return fp(x) + 0j * xi, 1j * _sech2(xi) + 0j * x
-
-    def hess(x, xi):
-        shape = np.broadcast(x, xi).shape
-        H = np.zeros(shape + (2, 2), dtype=complex)
-        sech2 = _sech2(np.broadcast_to(xi, shape))
-        H[..., 0, 0] = np.broadcast_to(fpp(np.asarray(x, dtype=float)), shape)
-        H[..., 1, 1] = -2j * sech2 * np.tanh(np.broadcast_to(xi, shape))
-        return H
-
-    sym = GevreySymbol(value, grad, hess, order_s=s,
-                       zero_set_hint=((-1.3, 1.3), (-0.4, 0.4)),
-                       xi_extent=4.0, name=f"gevrey-transport:s={s:g}",
-                       split=AdditiveSplit(f, _i_tanh, _vanishing, _sech2))
-    return ModelInstance(sym, z0=0j, family_tag=f"gevrey-transport:s={s:g}")
+    sym = additive_symbol(Part(f, fp, fpp), I_TANH, order_s=s,
+                          zero_set_hint=((-1.3, 1.3), (-0.4, 0.4)),
+                          name=f"gevrey-transport:s={s:g}")
+    return ModelInstance(sym, z0=0j)
 
 
 def make_analytic_transport() -> ModelInstance:
@@ -234,50 +240,18 @@ def make_analytic_transport() -> ModelInstance:
     def gpp(x):
         return (2.0 - 6.0 * x ** 2) / (1.0 + x ** 2) ** 3
 
-    def value(x, xi):
-        return g(x) + _i_tanh(xi)
-
-    def grad(x, xi):
-        return gp(x) + 0j * xi, 1j * _sech2(xi) + 0j * x
-
-    def hess(x, xi):
-        shape = np.broadcast(x, xi).shape
-        H = np.zeros(shape + (2, 2), dtype=complex)
-        sech2 = _sech2(np.broadcast_to(xi, shape))
-        H[..., 0, 0] = np.broadcast_to(gpp(np.asarray(x, dtype=float)), shape)
-        H[..., 1, 1] = -2j * sech2 * np.tanh(np.broadcast_to(xi, shape))
-        return H
-
-    sym = GevreySymbol(value, grad, hess, order_s=ANALYTIC,
-                       zero_set_hint=((-0.5, 0.5), (-0.4, 0.4)),
-                       xi_extent=4.0, name="analytic-transport",
-                       split=AdditiveSplit(g, _i_tanh, _vanishing, _sech2))
-    return ModelInstance(sym, z0=0j, family_tag="analytic-transport")
+    sym = additive_symbol(Part(g, gp, gpp), I_TANH, order_s=ANALYTIC,
+                          zero_set_hint=((-0.5, 0.5), (-0.4, 0.4)),
+                          name="analytic-transport")
+    return ModelInstance(sym, z0=0j)
 
 
 def make_trapped_toy() -> ModelInstance:
     """Trapped counterexample p = i x^2: Re p vanishes identically."""
-
-    def b(xi):
-        return 0j * xi
-
-    def value(x, xi):
-        return _i_square(x) + b(xi)
-
-    def grad(x, xi):
-        return 2j * x + 0j * xi, np.zeros(np.broadcast(x, xi).shape, dtype=complex)
-
-    def hess(x, xi):
-        shape = np.broadcast(x, xi).shape
-        H = np.zeros(shape + (2, 2), dtype=complex)
-        H[..., 0, 0] = 2j
-        return H
-
-    sym = GevreySymbol(value, grad, hess, order_s=ANALYTIC,
-                       zero_set_hint=((-0.5, 0.5), (-1.0, 1.0)),
-                       xi_extent=4.0, name="trapped-toy",
-                       split=AdditiveSplit(_i_square, b, _twice, _vanishing))
-    return ModelInstance(sym, z0=0j, family_tag="trapped-toy")
+    sym = additive_symbol(I_SQUARE, ZERO, order_s=ANALYTIC,
+                          zero_set_hint=((-0.5, 0.5), (-1.0, 1.0)),
+                          name="trapped-toy")
+    return ModelInstance(sym, z0=0j)
 
 
 def taylor_extension(sym: GevreySymbol, order: int, rho_re, rho_im):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gevspec.fbi import (ComplexGrid, GridExtentError, apply_conjugated,
-                         default_cgrid, gaussian_state, make_fbi,
-                         toeplitz_residual, weight_phi_t)
+from gevspec.fbi import (ComplexGrid, FBIOperator, GridExtentError,
+                         apply_conjugated, default_cgrid, gaussian_state,
+                         make_fbi, toeplitz_residual, weight_phi_t)
 from gevspec.quantize import (RealGrid, WeylMatrix, assemble_weyl,
                               required_n_points)
 from gevspec.symbols import ModelInstance, make_davies
@@ -50,9 +50,25 @@ class TestUnitarity:
             make_fbi(RealGrid(4.0, 128), default_cgrid(0.2), 0.2)
 
     def test_overflow_precondition_raises(self):
-        # e^{(Im x)^2 / 2h} at im_span = 3 overflows unless h > 9 / 1419.56
-        with pytest.raises(GridExtentError, match=r"need h > 0\.00633997"):
+        # |c|^2 = e^{(Im x)^2 / h} at im_span = 3 overflows unless h > 9 / 709.78
+        with pytest.raises(GridExtentError, match=r"need h > 0\.0126799"):
             make_fbi(RealGrid(8.0, 128), ComplexGrid(0.5, 3.0, 5, 5), 0.006)
+
+    def test_probe_grid_below_norm_overflow_raises(self):
+        # toeplitz_probe's grids at h = 0.006: |c| = e^{(Im x)^2 / 2h} is
+        # finite there, but the weighted norm forms |c|^2, which is not, so
+        # the calibration would come out NaN
+        h = 0.006
+        grid = RealGrid(8.0, max(required_n_points(8.0, h, 4.0), 128))
+        cgrid = default_cgrid(h, re_span=1.5, im_span=2.2, cells_per_width=3.0)
+        with pytest.raises(GridExtentError, match=r"need h > 0\.00681"):
+            make_fbi(grid, cgrid, h)
+
+    def test_non_finite_calibration_raises(self, monkeypatch):
+        monkeypatch.setattr(FBIOperator, "norm_phi",
+                            lambda self, U, phi_values=None: float("nan"))
+        with pytest.raises(GridExtentError, match="calibration norm nan"):
+            make_fbi(RealGrid(8.0, 256), default_cgrid(0.1), 0.1)
 
 
 def dense_kernel(op):
@@ -198,7 +214,7 @@ class TestToeplitz:
     def test_identity_symbol_residual(self, op_h01):
         one = plain_symbol(lambda x, xi: np.ones(np.broadcast(x, xi).shape,
                                                  dtype=complex), "one", 0.0)
-        model = ModelInstance(one, 0j, "one")
+        model = ModelInstance(one, 0j)
         u = gaussian_state(op_h01.real_grid, op_h01.h, 0.2, 0.1)
         v = gaussian_state(op_h01.real_grid, op_h01.h, -0.1, 0.3)
         assert toeplitz_residual(model, op_h01, None, 0.0, u, v) < 1e-6

@@ -7,17 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 import gevspec
 from gevspec import geometry
 from gevspec.geometry import (CoverageError, EscapeConstructionError,
                               GeometryConfigError, build_escape,
-                              check_deformed_ellipticity, escape_csv_lines,
-                              flow, nontrapping_check)
-from gevspec.symbols import (gevrey_flat, make_analytic_transport,
-                             make_davies, make_gevrey_transport,
-                             make_trapped_toy)
+                              check_deformed_ellipticity, escape_csv_lines)
+from gevspec.symbols import (make_analytic_transport, make_davies,
+                             make_gevrey_transport, make_trapped_toy)
 
 CATALOG = [make_davies(), make_analytic_transport(), make_gevrey_transport(1.5),
            make_gevrey_transport(2.0), make_gevrey_transport(3.0),
@@ -44,33 +41,48 @@ def _pairing_error(esc, model):
     return np.abs(fx * gx + fk * gxi - esc.HG_values)
 
 
+def _states(sym, x0, xi0, n_steps, dt):
+    """The (x, xi) states _flow_batch yields, stacked: shape (n_steps, 2, n)."""
+    return np.array(list(geometry._flow_batch(sym, np.asarray(x0, dtype=float),
+                                              np.asarray(xi0, dtype=float),
+                                              n_steps, dt)))
+
+
 class TestFlow:
     def test_unit_speed_translation_on_zero_line(self, gevrey2):
         # on xi = 0 the flow is d/dt (x, xi) = (sech^2(0), 0) = (1, 0)
-        traj = flow(gevrey2.symbol, (1.0, 0.0), 2.0)
-        assert not traj.truncated
-        x_exact = 1.0 + traj.times
-        assert np.abs(traj.points[:, 0] - x_exact).max() < 1e-10
-        assert np.abs(traj.points[:, 1]).max() == 0.0
+        x0 = np.array([1.0, -0.5, 0.0])
+        states = _states(gevrey2.symbol, x0, np.zeros(3), 200, 0.01)
+        t = 0.01 * np.arange(1, 201)[:, None]
+        assert np.abs(states[:, 0] - (x0 + t)).max() < 1e-10
+        assert np.all(states[:, 1] == 0.0)
 
     def test_imaginary_part_conserved(self, gevrey2):
-        traj = flow(gevrey2.symbol, (0.5, 0.3), 5.0)
-        assert traj.energy_drift < 1e-7
+        x0, xi0 = np.array([0.5, -1.2, 2.0]), np.array([0.3, 0.8, -0.6])
+        states = _states(gevrey2.symbol, x0, xi0, 500, 0.01)
+        im_p = np.imag(gevrey2.symbol.value(states[:, 0], states[:, 1]))
+        im_p0 = np.imag(gevrey2.symbol.value(x0, xi0))
+        assert np.abs(im_p - im_p0).max() < 1e-7
 
     def test_reversibility(self, gevrey2):
-        fwd = flow(gevrey2.symbol, (0.2, 0.25), 3.0)
-        end = tuple(fwd.points[-1])
-        back = flow(gevrey2.symbol, end, -3.0)
-        assert np.abs(np.asarray(back.points[-1]) - [0.2, 0.25]).max() < 1e-8
+        x0, xi0 = np.array([0.2, -0.7]), np.array([0.25, -0.1])
+        end = _states(gevrey2.symbol, x0, xi0, 300, 0.01)[-1]
+        back = _states(gevrey2.symbol, end[0], end[1], 300, -0.01)[-1]
+        assert np.abs(back - [x0, xi0]).max() < 1e-8
 
     def test_escape_truncates_at_box(self):
-        # Im p = x^2 drives xi down at rate -2x; from (1, 0) the orbit
-        # leaves |xi| <= 50 near t = 25, well before t_max
-        m = make_davies()
-        traj = flow(m.symbol, (1.0, 0.0), 30.0)
-        assert traj.truncated
-        assert traj.times[-1] < 30.0
-        assert abs(traj.points[-1, 1]) > 50.0 - 0.1
+        # Im p = x^2 drives xi down at rate -2x: from (1, 0) the orbit
+        # leaves |xi| <= 50 near t = 25 and stays frozen where it left,
+        # while the orbit from (0.5, 0) reaches xi = -30 at t = 30 inside
+        states = _states(make_davies().symbol, [1.0, 0.5], [0.0, 0.0],
+                         3000, 0.01)
+        xi = states[:, 1]
+        k = int(np.argmax(np.abs(xi[:, 0]) > 50.0))
+        assert 2490 <= k <= 2510
+        assert np.all(states[k:, :, 0] == states[k, :, 0])
+        assert abs(xi[k, 0]) < 50.0 + 0.03
+        assert np.all(states[:, 0, 1] == 0.5)
+        assert xi[-1, 1] == pytest.approx(-30.0, abs=1e-9)
 
     @pytest.mark.parametrize("model", CATALOG, ids=lambda m: m.tag)
     def test_split_field_equals_grad_field(self, model):
@@ -94,37 +106,6 @@ class TestFlow:
                                         x0, xi0, 20, 0.01))
         for (x, xi), (rx, rxi) in zip(got, ref):
             assert np.array_equal(x, rx) and np.array_equal(xi, rxi)
-
-    def test_bad_dt_rejected(self, gevrey2):
-        with pytest.raises(GeometryConfigError):
-            flow(gevrey2.symbol, (0.0, 0.0), 1.0, dt=0.0)
-
-    def test_step_budget(self, gevrey2):
-        with pytest.raises(GeometryConfigError):
-            flow(gevrey2.symbol, (0.0, 0.0), 1e6, dt=1e-3)
-
-
-class TestNontrapping:
-    def test_transport_model_escapes(self, gevrey2):
-        report = nontrapping_check(gevrey2)
-        assert report["ok"]
-        assert report["n_zero_points"] > 0
-        # slowest zero point sits at the origin and rides the unit-speed
-        # line to the epsilon level set of the flat factor
-        t_oracle = brentq(lambda t: gevrey_flat(2.0, t ** 2 - 1.0) - 0.05,
-                          1.0, 1.3)
-        assert report["worst_escape_time"] == pytest.approx(t_oracle, abs=0.02)
-
-    def test_trapped_model_fails(self, trapped_model):
-        report = nontrapping_check(trapped_model, T=3.0)
-        assert not report["ok"]
-        assert report["worst_escape_time"] == np.inf
-
-    def test_no_zero_points_is_config_error(self, gevrey2):
-        from dataclasses import replace
-        shifted = replace(gevrey2, z0=5.0 + 5.0j)
-        with pytest.raises(GeometryConfigError):
-            nontrapping_check(shifted)
 
 
 class TestBuildEscape:
@@ -225,6 +206,11 @@ class TestBuildEscape:
         for s in (1.5, 3.0):
             esc = build_escape(make_gevrey_transport(s))
             assert esc.margin_c > 0
+
+    def test_no_zero_points_is_config_error(self, gevrey2):
+        shifted = dataclasses.replace(gevrey2, z0=5.0 + 5.0j)
+        with pytest.raises(GeometryConfigError, match="no lattice points"):
+            build_escape(shifted, n_x=9, n_xi=9)
 
     def test_trapped_model_raises_with_point(self, trapped_model):
         with pytest.raises(EscapeConstructionError) as exc_info:

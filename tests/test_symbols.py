@@ -174,6 +174,10 @@ class TestDerivativeConsistency:
         assert np.abs(H[..., 0, 1] - H[..., 1, 0]).max() == 0.0
 
 
+def _raising(t):
+    raise AssertionError("a real part must not evaluate its derivative")
+
+
 class TestAdditiveSplit:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.tag)
     def test_parts_sum_to_value(self, model):
@@ -181,6 +185,23 @@ class TestAdditiveSplit:
         X, K = np.meshgrid(x, x, indexing="ij")
         sym = model.symbol
         assert np.array_equal(sym.split.a(X) + sym.split.b(K), sym.value(X, K))
+
+    def test_shared_parts_written_once(self):
+        davies, toy = make_davies().symbol, make_trapped_toy().symbol
+        assert davies.split.a is toy.split.a is symbols.I_SQUARE
+        transports = [make_analytic_transport()] + [
+            make_gevrey_transport(s) for s in (1.5, 2.0, 3.0)]
+        assert all(m.symbol.split.b is symbols.I_TANH for m in transports)
+
+    def test_im_d1_of_real_part_is_zero_without_evaluating_d1(self):
+        part = symbols.Part(np.cos, _raising, _raising)
+        t = np.linspace(-2.0, 2.0, 9)
+        assert np.array_equal(part.im_d1(t), np.zeros(9))
+        assert np.array_equal(symbols.I_TANH.im_d1(t), 1.0 / np.cosh(t) ** 2)
+
+    def test_unit_is_one_or_i(self):
+        with pytest.raises(ValueError, match="unit"):
+            symbols.Part(np.cos, np.sin, np.cos, -1j)
 
 
 class TestTaylorExtension:
