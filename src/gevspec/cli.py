@@ -1,6 +1,8 @@
 """Command-line entry points for quantization, spectra, and sweeps.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Each command builds its inputs, calls the library, writes its files and
+applies its verdict. main maps library errors to the exit codes: 0
+success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ def _parse_complex(text: str) -> complex:
     return complex(text)
 
 
-def _grid_args(parser: argparse.ArgumentParser) -> None:
+def _matrix_args(parser: argparse.ArgumentParser) -> None:
+    """The arguments _matrix reads."""
+    parser.add_argument("--model", required=True)
+    parser.add_argument("--h", type=float, required=True)
     parser.add_argument("--L", type=float, default=4.0,
                         help="half width of the real grid")
     parser.add_argument("--N", type=int, default=0,
@@ -32,25 +37,21 @@ def _grid_args(parser: argparse.ArgumentParser) -> None:
                              "satisfying the Nyquist rule)")
 
 
-def _make_grid(args, sym) -> quantize.RealGrid:
+def _matrix(args) -> quantize.WeylMatrix:
+    sym = model_from_tag(args.model).symbol
     n = args.N or quantize.rule_n_points(sym, args.L, args.h)
-    return quantize.RealGrid(args.L, n)
+    return quantize.assemble_weyl(sym, quantize.RealGrid(args.L, n), args.h)
 
 
 def _cmd_quantize(args) -> int:
-    model = model_from_tag(args.model)
-    grid = _make_grid(args, model.symbol)
-    P = quantize.assemble_weyl(model.symbol, grid, args.h)
+    P = _matrix(args)
     quantize.save_weyl(args.out, P)
     print(f"wrote {args.out}: N = {P.n}, h = {P.h}")
     return EXIT_OK
 
 
 def _cmd_spectrum(args) -> int:
-    model = model_from_tag(args.model)
-    grid = _make_grid(args, model.symbol)
-    P = quantize.assemble_weyl(model.symbol, grid, args.h)
-    spec = spectral.eigenvalues(P)
+    spec = spectral.eigenvalues(_matrix(args))
     lines = spectral.spectrum_csv_lines(spec)
     if args.out:
         Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -61,9 +62,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_pseudospectrum(args) -> int:
-    model = model_from_tag(args.model)
-    grid = _make_grid(args, model.symbol)
-    P = quantize.assemble_weyl(model.symbol, grid, args.h)
+    P = _matrix(args)
     window = spectral.ZGrid(_parse_complex(args.center), args.span, args.span,
                             args.res, args.res)
     field = spectral.pseudospectrum(P, window)
@@ -76,9 +75,9 @@ def _cmd_pseudospectrum(args) -> int:
     c = window.center
     extent = (c.real - window.re_span, c.real + window.re_span,
               c.imag - window.im_span, c.imag + window.im_span)
-    svgout.heatmap_svg(field.sigma_min.T, extent, svg_path, log10=True,
-                       points=spectral.schur_eigenvalues(P),
-                       title=f"log10 sigma_min, {args.model}, h={args.h}")
+    svgout.heatmap_svg(field.sigma_min.T, extent, svg_path,
+                       spectral.schur_eigenvalues(P),
+                       f"log10 sigma_min, {args.model}, h={args.h}")
     print(f"wrote {csv_path} and {svg_path}")
     return EXIT_OK
 
@@ -122,43 +121,30 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_toeplitz(args) -> int:
+    """Write toeplitz.csv; EXIT_NUMERICAL unless both residual slopes reach
+    SLOPE_MIN (criterion 05)."""
     cfg = experiments.parse_config(args.config)
     model = model_from_tag(cfg.model_tag)
-    esc = None
-    try:
-        esc = geometry.build_escape(model, T=cfg.escape_T)
-    except (geometry.EscapeConstructionError, geometry.GeometryConfigError):
-        pass
+    esc = geometry.build_escape(model)
+    rows = experiments.toeplitz_sweep(model, esc, cfg.h_list,
+                                      cfg.epsilon_deform)
+    lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
+    print("\n".join(lines))
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = ["h,res_t0,res_deformed"]
-    expo = experiments.exponent_for(model)
-    res_t0 = []
-    for h in cfg.h_list:
-        r0 = experiments.toeplitz_probe(model, esc, h, 0.0)
-        t = -cfg.epsilon_deform * h ** expo
-        rt = experiments.toeplitz_probe(model, esc, h, t) if esc else float("nan")
-        rows.append(f"{h:.17g},{r0:.17g},{rt:.17g}")
-        res_t0.append(r0)
-        print(rows[-1])
-    (out_dir / "toeplitz.csv").write_text("\n".join(rows) + "\n",
-                                          encoding="utf-8")
-    if len(res_t0) >= 4:
-        slope0 = experiments.fit_power_law(cfg.h_list, res_t0).slope
-        print(f"slope(t=0) = {slope0:.3f}")
-        if slope0 < 0.9:
-            print("warning: residual slope below 0.9")
-            return EXIT_NUMERICAL
-    return EXIT_OK
+    (out_dir / "toeplitz.csv").write_text(
+        "\n".join(["h,res_t0,res_deformed"] + lines) + "\n", encoding="utf-8")
+    hs, res_t0, res_t = zip(*rows)
+    slope0 = experiments.fit_power_law(hs, res_t0).slope
+    slope_t = experiments.fit_power_law(hs, res_t).slope
+    print(f"slope(t=0) = {slope0:.3f}, slope(t) = {slope_t:.3f}")
+    ok = min(slope0, slope_t) >= experiments.SLOPE_MIN
+    return EXIT_OK if ok else EXIT_NUMERICAL
 
 
 def _cmd_escape(args) -> int:
     model = model_from_tag(args.model)
-    try:
-        esc = geometry.build_escape(model, T=args.T)
-    except geometry.EscapeConstructionError as exc:
-        print(f"escape construction failed: {exc}")
-        return EXIT_NUMERICAL
+    esc = geometry.build_escape(model)
     print(f"margin_c = {esc.margin_c:.6g}, sup|G| = {esc.sup_G:.6g}, "
           f"cutoff radius = {esc.cutoff_radius:.4g}")
     if args.out:
@@ -170,11 +156,7 @@ def _cmd_escape(args) -> int:
 
 def _cmd_deform_check(args) -> int:
     model = model_from_tag(args.model)
-    try:
-        esc = geometry.build_escape(model)
-    except geometry.EscapeConstructionError as exc:
-        print(f"escape construction failed: {exc}")
-        return EXIT_NUMERICAL
+    esc = geometry.build_escape(model)
     expo = experiments.exponent_for(model)
     t = -args.epsilon * args.h ** expo
     check = geometry.check_deformed_ellipticity(model, esc, t)
@@ -193,27 +175,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("quantize", help="assemble and save a matrix")
-    p.add_argument("--model", required=True)
-    p.add_argument("--h", type=float, required=True)
+    _matrix_args(p)
     p.add_argument("--out", required=True)
-    _grid_args(p)
     p.set_defaults(func=_cmd_quantize)
 
     p = sub.add_parser("spectrum", help="eigenvalues with boundary-mass flags")
-    p.add_argument("--model", required=True)
-    p.add_argument("--h", type=float, required=True)
+    _matrix_args(p)
     p.add_argument("--out", default="")
-    _grid_args(p)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("pseudospectrum", help="sigma_min field over a z window")
-    p.add_argument("--model", required=True)
-    p.add_argument("--h", type=float, required=True)
+    _matrix_args(p)
     p.add_argument("--center", required=True, help="complex center, RE,IM")
     p.add_argument("--span", type=float, required=True)
     p.add_argument("--res", type=int, required=True)
     p.add_argument("--out", default="")
-    _grid_args(p)
     p.set_defaults(func=_cmd_pseudospectrum)
 
     p = sub.add_parser("scaling", help="free-radius and resolvent h-sweep")
@@ -226,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("escape", help="build and certify an escape function")
     p.add_argument("--model", required=True)
-    p.add_argument("--T", type=float, default=4.0)
     p.add_argument("--out", default="")
     p.set_defaults(func=_cmd_escape)
 

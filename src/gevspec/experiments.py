@@ -5,7 +5,9 @@ grid rule N(h), and from one Schur factorization per matrix measures the
 spectrum-free radius r around the model's z0, the condition number kappa
 of the eigenvalue at that distance, and the resolvent at the probe point
 z0 - r/2. Rows are written to CSV as they finish so an interrupted sweep
-leaves a valid prefix.
+leaves a valid prefix. The Toeplitz sweep measures, on one FBI operator
+per h, the Toeplitz-identity residual with the flat and the deformed
+weight; criterion 05 needs both log-log slopes to reach SLOPE_MIN.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from . import fbi, quantize, spectral
 from .symbols import ModelInstance, model_from_tag
 
 XI_PROBE = 1.146  # packet momentum where the model's next-order xi correction vanishes
-PROBE_L = 8.0  # real-grid half width of toeplitz_probe
+PROBE_L = 8.0  # real-grid half width of toeplitz_sweep
+SLOPE_MIN = 0.9  # criterion 05: the Toeplitz residual decays like O(h)
 BOUNDED_RESOLVENT_CAP = 1e8
 
 
@@ -45,7 +48,6 @@ class SweepConfig:
     half_width_L: float = 4.0
     n_points: Optional[int] = None
     epsilon_deform: float = 0.1  # read by `gevspec toeplitz`, not the sweep
-    escape_T: float = 4.0  # read by `gevspec toeplitz`, not the sweep
     output_dir: str = "."
 
     def __post_init__(self):
@@ -63,40 +65,39 @@ class SweepConfig:
         model_from_tag(self.model_tag)  # raises ValueError for unknown tags
 
 
+# config key -> (SweepConfig field, value parser)
+CONFIG_KEYS = {
+    "model": ("model_tag", str),
+    "h_list": ("h_list", lambda val: tuple(map(float, val.split(",")))),
+    "L": ("half_width_L", float),
+    "n_points": ("n_points", int),
+    "epsilon": ("epsilon_deform", float),
+    "output_dir": ("output_dir", str),
+}
+
+
 def parse_config(path: Union[str, Path]) -> SweepConfig:
-    """Flat key = value lines, UTF-8, # comments, no nesting."""
-    kv = {}
+    """Flat key = value lines, UTF-8, # comments, no nesting; each key of
+    CONFIG_KEYS at most once."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, val = (part.strip() for part in line.split("=", 1))
-        kv[key] = val
+    kwargs = {}
     try:
-        kwargs = {}
-        for key, val in kv.items():
-            if key == "model":
-                kwargs["model_tag"] = val
-            elif key == "h_list":
-                kwargs["h_list"] = tuple(float(tok) for tok in val.split(","))
-            elif key == "L":
-                kwargs["half_width_L"] = float(val)
-            elif key == "n_points":
-                kwargs["n_points"] = int(val)
-            elif key == "epsilon":
-                kwargs["epsilon_deform"] = float(val)
-            elif key == "escape_T":
-                kwargs["escape_T"] = float(val)
-            elif key == "output_dir":
-                kwargs["output_dir"] = val
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key = value")
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            field, parse = CONFIG_KEYS[key]
+            if field in kwargs:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} is set twice")
+            kwargs[field] = parse(val)
         if "model_tag" not in kwargs or "h_list" not in kwargs:
             raise ConfigError("config must set both 'model' and 'h_list'")
         return SweepConfig(**kwargs)
@@ -158,16 +159,24 @@ def exponent_for(model: ModelInstance) -> float:
     return 1.0 if math.isinf(s) else 1.0 - 1.0 / s
 
 
-def toeplitz_probe(model: ModelInstance, esc, h: float, t: float) -> float:
-    """Toeplitz residual on a standard wave-packet pair at momentum XI_PROBE,
-    on a real grid of half width PROBE_L and at least 128 points."""
-    n = quantize.required_n_points(PROBE_L, h, model.symbol.xi_extent)
-    grid = quantize.RealGrid(PROBE_L, max(n, 128))
-    cgrid = fbi.default_cgrid(h, re_span=1.5, im_span=2.2, cells_per_width=3.0)
-    op = fbi.make_fbi(grid, cgrid, h)
-    u = fbi.gaussian_state(grid, h, 0.0, XI_PROBE)
-    v = fbi.gaussian_state(grid, h, 0.05, XI_PROBE - 0.03)
-    return fbi.toeplitz_residual(model, op, esc, t, u, v)
+def toeplitz_sweep(model: ModelInstance, esc, h_list: Sequence[float],
+                   epsilon: float) -> List[Tuple[float, float, float]]:
+    """(h, residual at t = 0, residual at t = -epsilon h^(1-1/s)) per h,
+    both on one FBI operator (real grid of half width PROBE_L, at least 128
+    points) and one wave-packet pair at momentum XI_PROBE."""
+    expo = exponent_for(model)
+    rows = []
+    for h in h_list:
+        n = quantize.required_n_points(PROBE_L, h, model.symbol.xi_extent)
+        grid = quantize.RealGrid(PROBE_L, max(n, 128))
+        cgrid = fbi.default_cgrid(h, re_span=1.5, im_span=2.2,
+                                  cells_per_width=3.0)
+        op = fbi.make_fbi(grid, cgrid, h)
+        u = fbi.gaussian_state(grid, h, 0.0, XI_PROBE)
+        v = fbi.gaussian_state(grid, h, 0.05, XI_PROBE - 0.03)
+        rows.append((h, *(fbi.toeplitz_residual(model, op, esc, t, u, v)
+                          for t in (0.0, -epsilon * h ** expo))))
+    return rows
 
 
 def _measure_one(cfg: SweepConfig, model: ModelInstance, h: float) -> SweepRecord:

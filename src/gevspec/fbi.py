@@ -211,15 +211,17 @@ def weight_phi_t(esc: Optional[EscapeField], t: float,
 
     The section xi_t(x) = (2/i) d_x Phi_t is -Im x for the quadratic part
     plus t (G_xi - i G_x)(Re x, -Im x) from the correction, with G
-    derivatives taken from the escape lattice.
+    derivatives taken from the escape lattice. A nonzero t needs esc.
     """
     x = fbi_op.cgrid.nodes()
     a = np.real(x)
     b = np.imag(x)
     phi0 = 0.5 * b ** 2
     xi0 = -b.astype(complex)
-    if t == 0.0 or esc is None:
+    if t == 0.0:
         return BargmannWeight(phi0, xi0, fbi_op.cgrid)
+    if esc is None:
+        raise ValueError(f"the weight at t = {t} needs an escape function")
     g = esc.g_at(a, -b)
     gx, gxi = esc.grad_g_at(a, -b)
     return BargmannWeight(phi0 + t * g, xi0 + t * gxi - 1j * t * gx,
@@ -244,7 +246,7 @@ def _symbol_on_section(model: ModelInstance, weight: BargmannWeight) -> np.ndarr
 
     kappa_phi^{-1}(x, xi) = (x + i xi, xi); splitting into real and imaginary
     parts gives the real base point and the imaginary offset fed to the
-    finite-order extension of p.
+    second-order extension of p.
     """
     x = weight.cgrid.nodes()
     a = np.real(x)
@@ -252,7 +254,7 @@ def _symbol_on_section(model: ModelInstance, weight: BargmannWeight) -> np.ndarr
     xi = weight.xi_section
     rho_re = (a - np.imag(xi), np.real(xi))
     rho_im = (b + np.real(xi), np.imag(xi))
-    return taylor_extension(model.symbol, 2, rho_re, rho_im)
+    return taylor_extension(model.symbol, rho_re, rho_im)
 
 
 def toeplitz_residual(model: ModelInstance, fbi_op: FBIOperator,

@@ -305,7 +305,7 @@ def build_escape(model: ModelInstance, T: float = 4.0,
 
 
 def check_deformed_ellipticity(model: ModelInstance, esc: EscapeField,
-                               t: float, ext_order: int = 2) -> DeformationCheck:
+                               t: float) -> DeformationCheck:
     """Measure gamma = min Re p~(rho + i t H_G(rho)) / |t| over the box
     Omega, the symbol's zero-set hint.
 
@@ -329,8 +329,7 @@ def check_deformed_ellipticity(model: ModelInstance, esc: EscapeField,
         raise GeometryConfigError("Omega box misses the escape lattice")
     hx = gxi[mask]
     hk = -gx[mask]
-    ext = taylor_extension(model.symbol, ext_order,
-                           (X[mask], K[mask]), (t * hx, t * hk))
+    ext = taylor_extension(model.symbol, (X[mask], K[mask]), (t * hx, t * hk))
     quot = np.real(ext) / abs(t)
     k_min = int(np.argmin(quot))
     gamma = float(quot[k_min])

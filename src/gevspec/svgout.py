@@ -6,7 +6,7 @@ modest (fields are strided down above a cell budget).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ _STOPS = np.array([
 ], dtype=float)
 
 MAX_CELLS = 40_000
+WIDTH_PX = 640
 
 
 def _color(v: np.ndarray) -> np.ndarray:
@@ -34,19 +35,14 @@ def _color(v: np.ndarray) -> np.ndarray:
 def heatmap_svg(values: np.ndarray,
                 extent: Tuple[float, float, float, float],
                 path: str,
-                log10: bool = False,
-                points: Optional[Sequence[complex]] = None,
-                title: str = "",
-                width_px: int = 640) -> None:
-    """Write a colormapped field with an optional point overlay.
+                points: Sequence[complex],
+                title: str) -> None:
+    """Write log10 of a positive field, colormapped, with a point overlay.
 
     values has shape (nx, ny) over extent (x_lo, x_hi, y_lo, y_hi) with the
     first axis along x; y increases upward in data coordinates.
     """
-    field = np.asarray(values, dtype=float)
-    if log10:
-        with np.errstate(divide="ignore"):
-            field = np.log10(np.maximum(field, 1e-300))
+    field = np.log10(np.maximum(np.asarray(values, dtype=float), 1e-300))
     stride = 1
     while (field.shape[0] // stride) * (field.shape[1] // stride) > MAX_CELLS:
         stride += 1
@@ -57,21 +53,20 @@ def heatmap_svg(values: np.ndarray,
     rgb = _color(norm)
 
     x_lo, x_hi, y_lo, y_hi = extent
-    height_px = max(1, int(round(width_px * (y_hi - y_lo) / (x_hi - x_lo))))
-    cw = width_px / nx
+    height_px = max(1, int(round(WIDTH_PX * (y_hi - y_lo) / (x_hi - x_lo))))
+    cw = WIDTH_PX / nx
     ch = height_px / ny
 
     def to_px(zx: float, zy: float) -> Tuple[float, float]:
-        return ((zx - x_lo) / (x_hi - x_lo) * width_px,
+        return ((zx - x_lo) / (x_hi - x_lo) * WIDTH_PX,
                 (y_hi - zy) / (y_hi - y_lo) * height_px)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" '
-             f'width="{width_px}" height="{height_px + 24}" '
-             f'viewBox="0 0 {width_px} {height_px + 24}">']
-    if title:
-        parts.append(f'<text x="4" y="{height_px + 18}" font-size="13" '
-                     f'font-family="monospace">{title} '
-                     f'[{lo:.3g}, {hi:.3g}]</text>')
+             f'width="{WIDTH_PX}" height="{height_px + 24}" '
+             f'viewBox="0 0 {WIDTH_PX} {height_px + 24}">']
+    parts.append(f'<text x="4" y="{height_px + 18}" font-size="13" '
+                 f'font-family="monospace">{title} '
+                 f'[{lo:.3g}, {hi:.3g}]</text>')
     for i in range(nx):
         for j in range(ny):
             r, g, b = rgb[i, j]
@@ -80,12 +75,11 @@ def heatmap_svg(values: np.ndarray,
             parts.append(f'<rect x="{px:.2f}" y="{py:.2f}" '
                          f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
                          f'fill="rgb({r},{g},{b})"/>')
-    if points is not None:
-        for z in points:
-            if x_lo <= z.real <= x_hi and y_lo <= z.imag <= y_hi:
-                px, py = to_px(z.real, z.imag)
-                parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" '
-                             f'fill="none" stroke="white" stroke-width="1"/>')
+    for z in points:
+        if x_lo <= z.real <= x_hi and y_lo <= z.imag <= y_hi:
+            px, py = to_px(z.real, z.imag)
+            parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" '
+                         f'fill="none" stroke="white" stroke-width="1"/>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts))

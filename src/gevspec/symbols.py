@@ -254,14 +254,12 @@ def make_trapped_toy() -> ModelInstance:
     return ModelInstance(sym, z0=0j)
 
 
-def taylor_extension(sym: GevreySymbol, order: int, rho_re, rho_im):
-    """Finite-order extension of the symbol to complex phase-space points.
+def taylor_extension(sym: GevreySymbol, rho_re, rho_im):
+    """Second-order extension of the symbol to complex phase-space points.
 
-    Evaluates sum over |alpha| <= order of d^alpha p(rho_re) (i rho_im)^alpha / alpha!.
+    Evaluates sum over |alpha| <= 2 of d^alpha p(rho_re) (i rho_im)^alpha / alpha!.
     rho_re and rho_im are (x, xi) pairs; arrays broadcast componentwise.
     """
-    if order not in (1, 2):
-        raise ValueError(f"extension order must be 1 or 2, got {order}")
     xr = np.asarray(rho_re[0], dtype=float)
     kr = np.asarray(rho_re[1], dtype=float)
     dx = 1j * np.asarray(rho_im[0], dtype=float)
@@ -269,12 +267,10 @@ def taylor_extension(sym: GevreySymbol, order: int, rho_re, rho_im):
     out = np.asarray(sym.value(xr, kr), dtype=complex).copy()
     gx, gk = sym.grad(xr, kr)
     out = out + gx * dx + gk * dk
-    if order == 2:
-        H = sym.hess(xr, kr)
-        out = out + 0.5 * (H[..., 0, 0] * dx * dx
-                           + 2.0 * H[..., 0, 1] * dx * dk
-                           + H[..., 1, 1] * dk * dk)
-    return out
+    H = sym.hess(xr, kr)
+    return out + 0.5 * (H[..., 0, 0] * dx * dx
+                        + 2.0 * H[..., 0, 1] * dx * dk
+                        + H[..., 1, 1] * dk * dk)
 
 
 def model_from_tag(tag: str) -> ModelInstance:

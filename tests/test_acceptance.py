@@ -6,6 +6,7 @@ scaling and resolvent criteria run once per session.
 """
 
 import math
+import runpy
 import time
 from pathlib import Path
 
@@ -150,20 +151,34 @@ def test_criterion_04_fbi_unitarity(capsys):
 
 def test_criterion_05_toeplitz_slopes(capsys, gevrey2, escape_gevrey2):
     t0 = time.time()
-    hs = np.array([0.2, 0.1, 0.05, 0.025])
-    slopes = {}
-    for label, t_of_h in (("t=0", lambda h: 0.0),
-                          ("t=-0.1*sqrt(h)", lambda h: -0.1 * math.sqrt(h))):
-        res = [experiments.toeplitz_probe(gevrey2, escape_gevrey2, h,
-                                          t_of_h(h)) for h in hs]
-        slopes[label] = float(np.polyfit(np.log(hs), np.log(res), 1)[0])
+    rows = experiments.toeplitz_sweep(gevrey2, escape_gevrey2,
+                                      (0.2, 0.1, 0.05, 0.025), 0.1)
+    hs, res_t0, res_t = zip(*rows)
+    slopes = {label: experiments.fit_power_law(hs, res).slope
+              for label, res in (("t=0", res_t0), ("t=-0.1*sqrt(h)", res_t))}
     elapsed = time.time() - t0
-    ok = all(s >= 0.9 for s in slopes.values()) and elapsed < 900.0
+    ok = (all(s >= experiments.SLOPE_MIN for s in slopes.values())
+          and elapsed < 900.0)
     announce(capsys, 5, ok,
              "Toeplitz residual log-log slopes "
              + ", ".join(f"{k}: {v:.3f}" for k, v in slopes.items())
              + f" (>= 0.9 required); took {elapsed:.0f}s")
     assert ok
+
+
+def test_shipped_toeplitz_script_exits_ok(tmp_path, monkeypatch,
+                                          escape_gevrey2):
+    # scripts/run_toeplitz.py runs `gevspec toeplitz` on the shipped config
+    # for gevrey-transport:s=2, whose escape function the session has built
+    script = Path(__file__).resolve().parent.parent / "scripts" \
+        / "run_toeplitz.py"
+    monkeypatch.setattr(geometry, "build_escape", lambda model: escape_gevrey2)
+    monkeypatch.chdir(tmp_path)  # the config writes under results/
+    assert runpy.run_path(str(script))["main"]() == cli.EXIT_OK
+    lines = (tmp_path / "results" / "toeplitz" / "toeplitz.csv").read_text(
+        encoding="utf-8").splitlines()
+    assert lines[0] == "h,res_t0,res_deformed"
+    assert len(lines) == 5
 
 
 def test_criterion_06_escape_functions(capsys, transport_escapes):

@@ -1,11 +1,12 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from gevspec import cli, experiments, geometry, spectral
+from gevspec import cli, experiments, fbi, geometry, spectral
 from gevspec.experiments import (ConfigError, FitError, NumericalFailure,
                                  SweepConfig, SweepRecord, fit_power_law,
                                  grid_for, parse_config,
@@ -29,7 +30,6 @@ class TestConfigParsing:
             "L = 6.0\n"
             "n_points = 256\n"
             "epsilon = 0.05\n"
-            "escape_T = 3.0\n"
             "output_dir = out\n", encoding="utf-8")
         cfg = parse_config(path)
         assert cfg.model_tag == "gevrey-transport:s=2"
@@ -37,7 +37,6 @@ class TestConfigParsing:
         assert cfg.half_width_L == 6.0
         assert cfg.n_points == 256
         assert cfg.epsilon_deform == 0.05
-        assert cfg.escape_T == 3.0
         assert cfg.output_dir == "out"
 
     def test_missing_required_keys(self, tmp_path):
@@ -47,12 +46,19 @@ class TestConfigParsing:
             parse_config(path)
 
     @pytest.mark.parametrize("key", ["widget", "seed", "toeplitz", "deform",
-                                     "z0", "probe_direction"])
+                                     "z0", "probe_direction", "escape_T"])
     def test_unknown_key(self, tmp_path, key):
         path = tmp_path / "bad.cfg"
         path.write_text(f"model = davies\nh_list = 0.1\n{key} = 3\n",
                         encoding="utf-8")
         with pytest.raises(ConfigError, match=key):
+            parse_config(path)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("model = davies\nh_list = 0.2, 0.1\n"
+                        "# again\nh_list = 0.1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r":4: key 'h_list'"):
             parse_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -367,21 +373,74 @@ class TestCli:
             == cli.EXIT_NUMERICAL
         assert (tmp_path / "summary.json").exists()
 
-    def test_toeplitz_nan_residual_is_numerical_failure(self, tmp_path,
-                                                        monkeypatch):
-        def fake_probe(model, esc, h, t):
-            return float("nan") if h == 0.05 else h
+    @pytest.fixture
+    def toeplitz_run(self, tmp_path, monkeypatch):
+        """Runs `gevspec toeplitz` with stand-in FBI operators whose
+        residual is the caller's residual(h, t); returns the exit code, the
+        CSV text and the number of operators built."""
+        built = []
 
+        def fake_make_fbi(grid, cgrid, h):
+            built.append(h)
+            return SimpleNamespace(h=h)
+
+        monkeypatch.setattr(fbi, "make_fbi", fake_make_fbi)
+
+        def run(residual, h_list="0.2, 0.1, 0.05, 0.025",
+                model="gevrey-transport:s=2"):
+            monkeypatch.setattr(
+                fbi, "toeplitz_residual",
+                lambda model, op, esc, t, u, v: residual(op.h, t))
+            cfg = tmp_path / "toeplitz.cfg"
+            cfg.write_text(f"model = {model}\nh_list = {h_list}\n"
+                           f"output_dir = {tmp_path}\n", encoding="utf-8")
+            code = cli.main(["toeplitz", "--config", str(cfg)])
+            csv_path = tmp_path / "toeplitz.csv"
+            text = csv_path.read_text(encoding="utf-8") \
+                if csv_path.exists() else ""
+            return code, text, len(built)
+
+        return run
+
+    @pytest.fixture
+    def stand_in_escape(self, monkeypatch):
         monkeypatch.setattr(geometry, "build_escape",
-                            lambda *args, **kwargs: None)
-        monkeypatch.setattr(experiments, "toeplitz_probe", fake_probe)
-        cfg = tmp_path / "toeplitz.cfg"
-        cfg.write_text(
-            "model = gevrey-transport:s=2\n"
-            "h_list = 0.2, 0.1, 0.05, 0.025\n"
-            f"output_dir = {tmp_path}\n", encoding="utf-8")
-        code = cli.main(["toeplitz", "--config", str(cfg)])
+                            lambda *args, **kwargs: "escape")
+
+    @pytest.mark.usefixtures("stand_in_escape")
+    def test_toeplitz_builds_one_operator_per_h(self, toeplitz_run):
+        code, text, n_built = toeplitz_run(lambda h, t: h)
+        assert code == cli.EXIT_OK
+        assert n_built == 4
+        lines = text.splitlines()
+        assert lines[0] == "h,res_t0,res_deformed"
+        assert len(lines) == 5
+
+    @pytest.mark.usefixtures("stand_in_escape")
+    def test_toeplitz_nan_residual_is_numerical_failure(self, toeplitz_run):
+        code, _, _ = toeplitz_run(
+            lambda h, t: float("nan") if h == 0.05 else h)
         assert code == cli.EXIT_NUMERICAL
+
+    @pytest.mark.usefixtures("stand_in_escape")
+    def test_toeplitz_deformed_slope_is_gated(self, toeplitz_run):
+        # slope 1 with the flat weight, 0.5 with the deformed one
+        code, _, _ = toeplitz_run(lambda h, t: h if t == 0.0 else h ** 0.5)
+        assert code == cli.EXIT_NUMERICAL
+
+    @pytest.mark.usefixtures("stand_in_escape")
+    def test_toeplitz_three_points_is_numerical_failure(self, toeplitz_run):
+        code, text, _ = toeplitz_run(lambda h, t: h, h_list="0.2, 0.1, 0.05")
+        assert code == cli.EXIT_NUMERICAL
+        assert len(text.splitlines()) == 4  # the rows are written first
+
+    def test_toeplitz_escape_failure_is_numerical_failure(self, toeplitz_run):
+        # the real escape construction, which fails on the trapped toy
+        # before any transform is built
+        code, text, n_built = toeplitz_run(lambda h, t: h,
+                                           model="trapped-toy")
+        assert code == cli.EXIT_NUMERICAL
+        assert (text, n_built) == ("", 0)
 
     def test_missing_config_is_config_error(self, tmp_path):
         code = cli.main(["scaling", "--config", str(tmp_path / "absent.cfg")])

@@ -148,6 +148,15 @@ class TestWeights:
         assert np.array_equal(w.phi_values, 0.5 * b ** 2)
         assert np.array_equal(w.xi_section, -b.astype(complex))
 
+    def test_deformed_weight_needs_escape_function(self, gevrey2, op_h01):
+        # without an escape function a nonzero t has nothing to deform by;
+        # it must not fall back to the flat weight
+        with pytest.raises(ValueError, match="escape function"):
+            weight_phi_t(None, -0.01, op_h01)
+        u = gaussian_state(op_h01.real_grid, op_h01.h, 0.0, 1.146)
+        with pytest.raises(ValueError, match="escape function"):
+            toeplitz_residual(gevrey2, op_h01, None, -0.0316, u, u)
+
     def test_deformation_bounded_by_sup_g(self, escape_gevrey2, op_h01):
         t = -0.1 * np.sqrt(op_h01.h)
         w = weight_phi_t(escape_gevrey2, t, op_h01)

@@ -263,15 +263,6 @@ class TestDeformedEllipticity:
         assert abs(g2.gamma_measured - g1.gamma_measured) \
             < 0.5 * abs(g1.gamma_measured)
 
-    def test_first_order_extension_close_to_second(self, gevrey2,
-                                                   escape_gevrey2):
-        t = -0.02
-        g1 = check_deformed_ellipticity(gevrey2, escape_gevrey2, t,
-                                        ext_order=1)
-        g2 = check_deformed_ellipticity(gevrey2, escape_gevrey2, t,
-                                        ext_order=2)
-        assert g1.gamma_measured == pytest.approx(g2.gamma_measured, abs=0.1)
-
 
 class TestReporting:
     def test_csv_layout(self, escape_gevrey2):

@@ -207,29 +207,14 @@ class TestAdditiveSplit:
 class TestTaylorExtension:
     def test_real_restriction(self):
         for m in ALL_MODELS:
-            v = taylor_extension(m.symbol, 2, (0.3, -0.2), (0.0, 0.0))
+            v = taylor_extension(m.symbol, (0.3, -0.2), (0.0, 0.0))
             assert v == pytest.approx(complex(m.symbol(0.3, -0.2)), abs=1e-14)
 
     def test_quadratic_symbol_exact(self):
         m = make_davies()
         for tau in (0.1, 0.3, -0.2):
-            v = taylor_extension(m.symbol, 2, (0.0, 0.0), (0.0, tau))
+            v = taylor_extension(m.symbol, (0.0, 0.0), (0.0, tau))
             assert v == pytest.approx(-tau ** 2, abs=1e-14)
-
-    def test_first_order_closed_form(self):
-        m = make_gevrey_transport(2.0)
-        delta = 0.05
-        f2 = math.exp(-1.0 / 3.0)
-        fp2 = math.exp(-1.0 / 3.0) / 9.0 * 4.0
-        v = taylor_extension(m.symbol, 1, (2.0, 0.0), (delta, 0.0))
-        assert v == pytest.approx(f2 + 1j * delta * fp2, abs=1e-12)
-
-    def test_rejects_bad_order(self):
-        m = make_davies()
-        with pytest.raises(ValueError):
-            taylor_extension(m.symbol, 3, (0.0, 0.0), (0.1, 0.0))
-        with pytest.raises(ValueError):
-            taylor_extension(m.symbol, 0, (0.0, 0.0), (0.1, 0.0))
 
 
 class TestTagParsing:
