@@ -20,7 +20,8 @@ from .spectral import (FreeRadius, PseudospectrumField, SpectrumResult, ZGrid,
 from .geometry import (DeformationCheck, EscapeField, build_escape,
                        check_deformed_ellipticity)
 from .fbi import (BargmannWeight, ComplexGrid, FBIOperator, gaussian_state,
-                  make_fbi, toeplitz_residual, weight_phi_t)
+                  make_fbi, toeplitz_residual, toeplitz_residuals,
+                  weight_phi_t)
 from .experiments import (FitResult, SweepConfig, SweepRecord, fit_power_law,
                           parse_config, resolvent_growth_check, run_sweep)
 

@@ -174,8 +174,8 @@ def toeplitz_sweep(model: ModelInstance, esc, h_list: Sequence[float],
         op = fbi.make_fbi(grid, cgrid, h)
         u = fbi.gaussian_state(grid, h, 0.0, XI_PROBE)
         v = fbi.gaussian_state(grid, h, 0.05, XI_PROBE - 0.03)
-        rows.append((h, *(fbi.toeplitz_residual(model, op, esc, t, u, v)
-                          for t in (0.0, -epsilon * h ** expo))))
+        rows.append((h, *fbi.toeplitz_residuals(
+            model, op, esc, (0.0, -epsilon * h ** expo), u, v)))
     return rows
 
 

@@ -24,7 +24,7 @@ finite and positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -257,20 +257,34 @@ def _symbol_on_section(model: ModelInstance, weight: BargmannWeight) -> np.ndarr
     return taylor_extension(model.symbol, rho_re, rho_im)
 
 
+def toeplitz_residuals(model: ModelInstance, fbi_op: FBIOperator,
+                       esc: Optional[EscapeField], ts: Sequence[float],
+                       u: np.ndarray, v: np.ndarray) -> List[float]:
+    """Normalized defect of the weighted pairing against symbol
+    multiplication, one per deformation size t in ts.
+
+    Compares <(T P T*) U, V>_{Phi_t} with the integral of a~(x, xi_t) U
+    conj(V) against the Phi_t weight, for U = Tu, V = Tv. P, U, V and
+    (T P T*) U do not depend on t and are formed once for all of ts.
+    """
+    P = assemble_weyl(model.symbol, fbi_op.real_grid, fbi_op.h)
+    U = fbi_op.apply(u)
+    V = fbi_op.apply(v)
+    TPU = apply_conjugated(P, fbi_op, U)
+    out = []
+    for t in ts:
+        weight = weight_phi_t(esc, t, fbi_op)
+        lhs = fbi_op.inner_phi(TPU, V, weight.phi_values)
+        sym_field = _symbol_on_section(model, weight)
+        rhs = fbi_op.inner_phi(sym_field * U, V, weight.phi_values)
+        denom = (fbi_op.norm_phi(U, weight.phi_values)
+                 * fbi_op.norm_phi(V, weight.phi_values))
+        out.append(abs(lhs - rhs) / denom)
+    return out
+
+
 def toeplitz_residual(model: ModelInstance, fbi_op: FBIOperator,
                       esc: Optional[EscapeField], t: float,
                       u: np.ndarray, v: np.ndarray) -> float:
-    """Normalized defect of the weighted pairing against symbol multiplication.
-
-    Compares <(T P T*) U, V>_{Phi_t} with the integral of a~(x, xi_t) U
-    conj(V) against the Phi_t weight, for U = Tu, V = Tv.
-    """
-    P = assemble_weyl(model.symbol, fbi_op.real_grid, fbi_op.h)
-    weight = weight_phi_t(esc, t, fbi_op)
-    U = fbi_op.apply(u)
-    V = fbi_op.apply(v)
-    lhs = fbi_op.inner_phi(apply_conjugated(P, fbi_op, U), V, weight.phi_values)
-    sym_field = _symbol_on_section(model, weight)
-    rhs = fbi_op.inner_phi(sym_field * U, V, weight.phi_values)
-    denom = fbi_op.norm_phi(U, weight.phi_values) * fbi_op.norm_phi(V, weight.phi_values)
-    return abs(lhs - rhs) / denom
+    """toeplitz_residuals at the single deformation size t."""
+    return toeplitz_residuals(model, fbi_op, esc, (t,), u, v)[0]

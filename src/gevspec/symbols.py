@@ -52,6 +52,11 @@ class Part:
     def __call__(self, t):
         return self.unit * self.f(t)
 
+    def re(self, t):
+        """The real part: f when the unit is 1, else zeros, without
+        evaluating f."""
+        return self.f(t) if self.unit == 1 else _vanishing(t)
+
     def im_d1(self, t):
         """d/dt of the imaginary part: f' when the unit is i, else zeros,
         without evaluating f'."""

@@ -283,6 +283,24 @@ class TestOneFactorization:
         assert schur_calls == [(256, 256)]
 
 
+class TestToeplitzSweep:
+    def test_one_weyl_matrix_per_h(self, monkeypatch, gevrey2,
+                                   escape_gevrey2):
+        # the residuals at t = 0 and at the deformed t share one P per h
+        sizes = []
+        real = fbi.assemble_weyl
+
+        def counting(sym, grid, h):
+            sizes.append(grid.n_points)
+            return real(sym, grid, h)
+
+        monkeypatch.setattr(fbi, "assemble_weyl", counting)
+        rows = experiments.toeplitz_sweep(gevrey2, escape_gevrey2,
+                                          (0.2, 0.1, 0.05, 0.025), 0.1)
+        assert sizes == [128, 256, 512, 1024]
+        assert len(rows) == 4 and all(np.isfinite(rows).ravel())
+
+
 class TestCli:
     def test_quantize_writes_loadable_file(self, tmp_path):
         out = tmp_path / "davies.weyl"
@@ -389,8 +407,9 @@ class TestCli:
         def run(residual, h_list="0.2, 0.1, 0.05, 0.025",
                 model="gevrey-transport:s=2"):
             monkeypatch.setattr(
-                fbi, "toeplitz_residual",
-                lambda model, op, esc, t, u, v: residual(op.h, t))
+                fbi, "toeplitz_residuals",
+                lambda model, op, esc, ts, u, v: [residual(op.h, t)
+                                                  for t in ts])
             cfg = tmp_path / "toeplitz.cfg"
             cfg.write_text(f"model = {model}\nh_list = {h_list}\n"
                            f"output_dir = {tmp_path}\n", encoding="utf-8")

@@ -4,7 +4,8 @@ import scipy.linalg
 
 from gevspec.fbi import (ComplexGrid, FBIOperator, GridExtentError,
                          apply_conjugated, default_cgrid, gaussian_state,
-                         make_fbi, toeplitz_residual, weight_phi_t)
+                         make_fbi, toeplitz_residual, toeplitz_residuals,
+                         weight_phi_t)
 from gevspec.quantize import (RealGrid, WeylMatrix, assemble_weyl,
                               required_n_points)
 from gevspec.symbols import ModelInstance, make_davies
@@ -250,3 +251,14 @@ class TestToeplitz:
             v = gaussian_state(op.real_grid, h, 0.05, 1.116)
             res[h] = toeplitz_residual(gevrey2, op, None, 0.0, u, v)
         assert res[0.05] < 0.5 * res[0.2]
+
+    def test_residuals_equal_single_t_residuals(self, gevrey2, escape_gevrey2,
+                                                op_h01):
+        # P, U, V and (T P T*) U are formed once for all t; each residual
+        # is the one a call at that t alone gives, bit for bit
+        u = gaussian_state(op_h01.real_grid, op_h01.h, 0.0, 1.146)
+        v = gaussian_state(op_h01.real_grid, op_h01.h, 0.05, 1.116)
+        ts = (0.0, -0.0316, -0.0158)
+        got = toeplitz_residuals(gevrey2, op_h01, escape_gevrey2, ts, u, v)
+        assert got == [toeplitz_residual(gevrey2, op_h01, escape_gevrey2, t,
+                                         u, v) for t in ts]

@@ -107,6 +107,44 @@ class TestFlow:
         for (x, xi), (rx, rxi) in zip(got, ref):
             assert np.array_equal(x, rx) and np.array_equal(xi, rxi)
 
+    @pytest.mark.parametrize("model", [make_davies(), make_trapped_toy()],
+                             ids=lambda m: m.tag)
+    @pytest.mark.parametrize("dt", [0.01, -0.01])
+    def test_real_b_constant_step_equals_rk4(self, model, dt):
+        # b is real, so xi moves at the constant rate -2x: from x = +-2 the
+        # orbits leave |xi| <= 50 near t = 12.5 and freeze, the others stay
+        # inside. The constant increment must give the RK4 states (a zero
+        # may differ in sign). From xi = 0 at x = 0.37 and 1.7 the first xi
+        # is the increment itself, where dt v and dt (v + 2v + 2v + v) / 6
+        # differ in the last bit
+        x0 = np.array([2.0, -2.0, 0.37, 1.7, 0.5, -0.0, 0.0, -1.3])
+        xi0 = np.array([0.0, 0.0, 0.0, 0.0, 40.0, 0.0, -0.0, -49.0])
+        got = _states(model.symbol, x0, xi0, 1300, dt)
+        ref = _states(_without_split(model).symbol, x0, xi0, 1300, dt)
+        assert np.array_equal(got, ref)
+        assert np.all(np.abs(got[-1, 1, :2]) > 50.0)
+        assert np.all(got[:, 0] == x0)
+
+    def test_constant_field_evaluated_once_per_batch(self, gevrey2):
+        # one field evaluation serves every step; the full RK4 step makes
+        # four per step
+        calls = []
+        split = gevrey2.symbol.split
+
+        def counting(t):
+            calls.append(np.shape(t))
+            return split.b.d1(t)
+
+        b = dataclasses.replace(split.b, d1=counting)
+        sym = dataclasses.replace(gevrey2.symbol,
+                                  split=dataclasses.replace(split, b=b))
+        x0 = np.zeros(13)  # the first x is the increment itself
+        xi0 = np.linspace(-0.4, 0.4, 13)
+        got = _states(sym, x0, xi0, 20, 0.01)
+        assert calls == [(13,)]
+        assert np.array_equal(
+            got, _states(_without_split(gevrey2).symbol, x0, xi0, 20, 0.01))
+
 
 class TestBuildEscape:
     def test_positive_margin(self, escape_gevrey2):
@@ -191,7 +229,9 @@ class TestBuildEscape:
         v = esc.g_at(esc.x_axis[i], esc.xi_axis[j])
         assert v == pytest.approx(esc.G_values[i, j], abs=1e-12)
 
-    @pytest.mark.parametrize("model", [make_gevrey_transport(2.0),
+    @pytest.mark.parametrize("model", [make_gevrey_transport(1.5),
+                                       make_gevrey_transport(2.0),
+                                       make_gevrey_transport(3.0),
                                        make_analytic_transport()],
                              ids=lambda m: m.tag)
     def test_split_build_equals_grad_build(self, model):
