@@ -155,6 +155,8 @@ def _cmd_escape(args) -> int:
 
 
 def _cmd_deform_check(args) -> int:
+    if not 0 < args.h <= 1:
+        raise experiments.ConfigError(f"h must lie in (0, 1], got {args.h:g}")
     model = model_from_tag(args.model)
     esc = geometry.build_escape(model)
     expo = experiments.exponent_for(model)

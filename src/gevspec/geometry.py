@@ -14,13 +14,13 @@ set, which is checked numerically rather than assumed: the certified
 margin c of build_escape is what decides that the zero set escapes, and
 the flow is only ever stepped as one batch from the lattice.
 
-For an additive symbol p = a(x) + b(xi) the field is
+Every symbol is read by its additive split p = a(x) + b(xi), so the field is
     H_{Im p} = (d Im b / dxi, -d Im a / dx),
-read from the symbol's split without evaluating grad; this is the
-counterpart of the diagonal-plus-circulant Weyl matrix in quantize, and
-Re p along the flow is read from the split's real parts. When one part is
-real the field is constant along each trajectory, and the batch steps by
-its constant RK4 increment (see _flow_batch).
+the counterpart of the diagonal-plus-circulant Weyl matrix in quantize, and
+Re p along the flow is the sum of the split's real parts. Each component
+of the field depends on the other coordinate only, so the batch steps by a
+constant RK4 increment (see _flow_batch); build_escape rejects a symbol
+without a split.
 """
 
 from __future__ import annotations
@@ -132,67 +132,44 @@ class DeformationCheck:
 
 
 def _hamiltonian_im(sym: GevreySymbol, x: np.ndarray, xi: np.ndarray):
-    """H_{Im p} = (d_xi Im p, -d_x Im p) at (x, xi): from the additive split
-    when the symbol has one, else from grad."""
-    if sym.split is not None:
-        shape = np.broadcast(x, xi).shape
-        return (np.broadcast_to(sym.split.b.im_d1(xi), shape),
-                np.broadcast_to(-sym.split.a.im_d1(x), shape))
-    gx, gxi = sym.grad(x, xi)
-    return np.imag(gxi), -np.imag(gx)
+    """H_{Im p} = (d_xi Im p, -d_x Im p) at (x, xi), from the additive split."""
+    shape = np.broadcast(x, xi).shape
+    return (np.broadcast_to(sym.split.b.im_d1(xi), shape),
+            np.broadcast_to(-sym.split.a.im_d1(x), shape))
 
 
 def _re_p(sym: GevreySymbol, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Re p at (x, xi): the split's real parts when the symbol has one, so
-    an imaginary part is never evaluated; else the real part of value."""
-    if sym.split is not None:
-        return sym.split.a.re(x) + sym.split.b.re(xi)
-    return np.real(np.asarray(sym.value(x, xi)))
-
-
-def _rk4_step(sym: GevreySymbol, x, xi, dt: float):
-    k1x, k1k = _hamiltonian_im(sym, x, xi)
-    k2x, k2k = _hamiltonian_im(sym, x + 0.5 * dt * k1x, xi + 0.5 * dt * k1k)
-    k3x, k3k = _hamiltonian_im(sym, x + 0.5 * dt * k2x, xi + 0.5 * dt * k2k)
-    k4x, k4k = _hamiltonian_im(sym, x + dt * k3x, xi + dt * k3k)
-    return (x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0,
-            xi + dt * (k1k + 2 * k2k + 2 * k3k + k4k) / 6.0)
+    """Re p at (x, xi) from the split's real parts, so an imaginary part is
+    never evaluated."""
+    return sym.split.a.re(x) + sym.split.b.re(xi)
 
 
 def _flow_batch(sym: GevreySymbol, x0: np.ndarray, xi0: np.ndarray,
                 n_steps: int, dt: float):
-    """Vectorized RK4 over a batch; yields the state after every step.
+    """RK4 over a batch by its constant increment; yields the state after
+    every step.
 
-    When the symbol has a split with a real part, that part's component of
-    H_{Im p} vanishes, so the coordinate the other component depends on
-    stays fixed and all four RK4 stages return the field v at the start
-    point. Each step then adds the increment dt (v + 2v + 2v + v) / 6,
-    formed once with the expression _rk4_step uses, so the states equal
-    those of the full RK4 step up to the sign of a zero. Symbols without a
-    split, or with two imaginary parts, take the full RK4 step.
+    The x component of H_{Im p} depends on xi only and the xi component on
+    x only. When one part is real, its component vanishes, so the
+    coordinate the other component depends on stays fixed and all four RK4
+    stages return the field v at the start point: each step adds the RK4
+    increment dt (v + 2v + 2v + v) / 6, formed once. If neither part is
+    real, Re p vanishes identically, so G and H_{Im p} G vanish whatever
+    the flow and build_escape's margin check raises. Straight-line stepping
+    therefore serves every additive symbol.
 
     Points that leave the escape box are frozen in place so the batch can
     keep stepping; for the catalog models the field is bounded and frozen
     tails contribute a constant Re p to downstream quadratures.
     """
-    x = x0.copy()
-    xi = xi0.copy()
-    split = sym.split
-    if split is not None and 1 in (split.a.unit, split.b.unit):
-        vx, vk = _hamiltonian_im(sym, x, xi)
-        dx = dt * (vx + 2 * vx + 2 * vx + vx) / 6.0
-        dk = dt * (vk + 2 * vk + 2 * vk + vk) / 6.0
-
-        def step(x, xi):
-            return x + dx, xi + dk
-    else:
-        def step(x, xi):
-            return _rk4_step(sym, x, xi, dt)
+    vx, vk = _hamiltonian_im(sym, x0, xi0)
+    dx = dt * (vx + 2 * vx + 2 * vx + vx) / 6.0
+    dk = dt * (vk + 2 * vk + 2 * vk + vk) / 6.0
+    x, xi = x0, xi0
     active = np.ones(x.shape, dtype=bool)
     for _ in range(n_steps):
-        xn, kn = step(x, xi)
-        x = np.where(active, xn, x)
-        xi = np.where(active, kn, xi)
+        x = np.where(active, x + dx, x)
+        xi = np.where(active, xi + dk, xi)
         active &= (np.abs(x) <= FLOW_BOX_HALF_WIDTH) & (np.abs(xi) <= FLOW_BOX_HALF_WIDTH)
         yield x, xi
 
@@ -295,6 +272,8 @@ def build_escape(model: ModelInstance, T: float = 4.0,
     ellipticity gain without it.
     """
     sym = model.symbol
+    if sym.split is None:
+        raise GeometryConfigError(f"symbol {sym.name!r} has no additive split")
     hint = sym.zero_set_hint
     if hint is None:
         raise GeometryConfigError("model has no zero-set hint box")

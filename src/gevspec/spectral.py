@@ -203,6 +203,14 @@ def pseudospectrum(P: WeylMatrix, window: ZGrid) -> PseudospectrumField:
         raise BudgetError(
             f"z-grid resolution {window.re_n}x{window.im_n} exceeds "
             f"{MAX_PSEUDOSPECTRUM_RES}; coarsen the lattice")
+    if window.re_n < 2 or window.im_n < 2:
+        raise BudgetError(
+            f"z-grid resolution {window.re_n}x{window.im_n} is below 2x2; "
+            "each axis needs both window edges")
+    if not (window.re_span > 0 and window.im_span > 0):
+        raise BudgetError(
+            f"z-window half spans must be positive, got {window.re_span:g} "
+            f"and {window.im_span:g}")
     zs = window.nodes()
     field = np.empty(zs.shape, dtype=float)
     for idx in np.ndindex(zs.shape):

@@ -1,17 +1,15 @@
-"""Catalog of 1-D phase-space symbols with closed-form derivatives.
-
-Every symbol evaluator is vectorized over numpy arrays of phase-space
-points and carries explicit gradient/Hessian callables, since downstream
-flows and complex extensions need derivatives to high accuracy.
+"""Catalog of 1-D phase-space symbols, each declared by its additive parts.
 
 Every catalog symbol is additive, p(x, xi) = a(x) + b(xi), and is declared
 once by its two parts: a Part is a real function f with f' and f'' in
-closed form, times a unit 1 or i. additive_symbol builds value, grad and
-hess from the two parts and keeps them as the symbol's split. On the dual
-grid of quantize the Weyl matrix of such a symbol is diag(a(x_j)) plus the
+closed form, times a unit 1 or i, and every evaluator is vectorized over
+numpy arrays of phase-space points. additive_symbol builds value and grad
+from the two parts and keeps them as the symbol's split. On the dual grid
+of quantize the Weyl matrix of such a symbol is diag(a(x_j)) plus the
 circulant of the sign-alternated ifft of b(theta_m), and its Hamiltonian
-field H_{Im p} is (d Im b / dxi, -d Im a / dx); quantize and geometry read
-the split for both.
+field H_{Im p} is (d Im b / dxi, -d Im a / dx); quantize reads the split
+for the first, geometry for the second, and taylor_extension extends each
+part on its own.
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ class AdditiveSplit:
 
 @dataclass(frozen=True)
 class GevreySymbol:
-    """A symbol p(x, xi) with its first two derivatives.
+    """A symbol p(x, xi) with its gradient.
 
     order_s is the Gevrey order (math.inf marks analytic symbols),
     zero_set_hint a phase-space box containing the zero set of p - z0 when
@@ -82,7 +80,6 @@ class GevreySymbol:
 
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
-    hess: Callable[[np.ndarray, np.ndarray], np.ndarray]
     order_s: float
     zero_set_hint: Optional[Box] = None
     xi_extent: float = 4.0
@@ -109,8 +106,8 @@ class ModelInstance:
 
 def additive_symbol(a: Part, b: Part, order_s: float,
                     zero_set_hint: Optional[Box], name: str) -> GevreySymbol:
-    """The symbol a(x) + b(xi), with value, grad and hess built from the
-    two parts and the parts kept as its split."""
+    """The symbol a(x) + b(xi), with value and grad built from the two
+    parts and the parts kept as its split."""
 
     def value(x, xi):
         return a(x) + b(xi)
@@ -118,13 +115,7 @@ def additive_symbol(a: Part, b: Part, order_s: float,
     def grad(x, xi):
         return a.unit * a.d1(x) + 0j * xi, b.unit * b.d1(xi) + 0j * x
 
-    def hess(x, xi):
-        H = np.zeros(np.broadcast(x, xi).shape + (2, 2), dtype=complex)
-        H[..., 0, 0] = a.unit * a.d2(x)
-        H[..., 1, 1] = b.unit * b.d2(xi)
-        return H
-
-    return GevreySymbol(value, grad, hess, order_s=order_s,
+    return GevreySymbol(value, grad, order_s=order_s,
                         zero_set_hint=zero_set_hint, name=name,
                         split=AdditiveSplit(a, b))
 
@@ -260,22 +251,26 @@ def make_trapped_toy() -> ModelInstance:
 
 
 def taylor_extension(sym: GevreySymbol, rho_re, rho_im):
-    """Second-order extension of the symbol to complex phase-space points.
+    """Second-order extension of an additive symbol to complex phase-space
+    points.
 
-    Evaluates sum over |alpha| <= 2 of d^alpha p(rho_re) (i rho_im)^alpha / alpha!.
-    rho_re and rho_im are (x, xi) pairs; arrays broadcast componentwise.
+    Each part unit * f, at its real coordinate t and imaginary shift s,
+    extends to unit * (f + f' (i s) + f'' (i s)^2 / 2); the two extensions
+    are summed as the value, then the first-order terms, then the
+    second-order terms. rho_re and rho_im are (x, xi) pairs; arrays
+    broadcast componentwise. A symbol without a split raises ValueError.
     """
+    if sym.split is None:
+        raise ValueError(f"symbol {sym.name!r} has no additive split")
+    a, b = sym.split.a, sym.split.b
     xr = np.asarray(rho_re[0], dtype=float)
     kr = np.asarray(rho_re[1], dtype=float)
     dx = 1j * np.asarray(rho_im[0], dtype=float)
     dk = 1j * np.asarray(rho_im[1], dtype=float)
-    out = np.asarray(sym.value(xr, kr), dtype=complex).copy()
-    gx, gk = sym.grad(xr, kr)
-    out = out + gx * dx + gk * dk
-    H = sym.hess(xr, kr)
-    return out + 0.5 * (H[..., 0, 0] * dx * dx
-                        + 2.0 * H[..., 0, 1] * dx * dk
-                        + H[..., 1, 1] * dk * dk)
+    out = np.asarray(a(xr) + b(kr), dtype=complex)
+    out = out + a.unit * a.d1(xr) * dx + b.unit * b.d1(kr) * dk
+    return out + 0.5 * (a.unit * a.d2(xr) * dx * dx
+                        + b.unit * b.d2(kr) * dk * dk)
 
 
 def model_from_tag(tag: str) -> ModelInstance:

@@ -173,7 +173,8 @@ def test_criterion_05_toeplitz_slopes(capsys, gevrey2, escape_gevrey2):
     announce(capsys, 5, ok,
              "Toeplitz residual log-log slopes "
              + ", ".join(f"{k}: {v:.3f}" for k, v in slopes.items())
-             + f" (>= 0.9 required); took {elapsed:.0f}s")
+             + f" (>= {experiments.SLOPE_MIN:g} required); "
+             f"took {elapsed:.0f}s")
     assert ok
 
 

@@ -328,6 +328,28 @@ class TestCli:
                          "--h", "0.05"])
         assert code == cli.EXIT_OK
 
+    @pytest.mark.parametrize("h", ["-1", "2"])
+    def test_deform_check_rejects_h_outside_unit_interval(self, h,
+                                                          monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("h is checked before the escape build")
+
+        monkeypatch.setattr(geometry, "build_escape", unreachable)
+        code = cli.main(["deform-check", "--model", "gevrey-transport:s=2",
+                         "--h", h])
+        assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("span, res", [("0", "5"), ("-1", "5"),
+                                           ("0.2", "1")])
+    def test_pseudospectrum_degenerate_window_is_config_error(
+            self, span, res, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["pseudospectrum", "--model", "davies", "--h", "0.1",
+                         "--center", "0.1,0.1", "--span", span, "--res", res,
+                         "--L", "8", "--N", "256", "--out", "field"])
+        assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "field.csv").exists()
+
     def test_pseudospectrum_emits_csv_and_svg(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = cli.main(["pseudospectrum", "--model", "davies", "--h", "0.1",

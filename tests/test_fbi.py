@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +10,8 @@ from gevspec.fbi import (ComplexGrid, FBIOperator, GridExtentError,
                          weight_phi_t)
 from gevspec.quantize import (RealGrid, WeylMatrix, assemble_weyl,
                               required_n_points)
-from gevspec.symbols import ModelInstance, make_davies
+from gevspec.symbols import (ANALYTIC, ZERO, ModelInstance, additive_symbol,
+                             make_davies)
 from test_quantize import plain_symbol
 
 STATES = [(0.0, 0.0, 0), (0.5, 0.3, 0), (-0.4, -0.2, 1), (0.2, 0.1, 2),
@@ -222,9 +225,11 @@ class TestEgorov:
 
 class TestToeplitz:
     def test_identity_symbol_residual(self, op_h01):
-        one = plain_symbol(lambda x, xi: np.ones(np.broadcast(x, xi).shape,
-                                                 dtype=complex), "one", 0.0)
-        model = ModelInstance(one, 0j)
+        # the constant 1 as an additive symbol: its derivatives vanish
+        unit_part = replace(ZERO, f=lambda t: np.ones(np.shape(t)))
+        one = additive_symbol(unit_part, ZERO, order_s=ANALYTIC,
+                              zero_set_hint=None, name="one")
+        model = ModelInstance(replace(one, xi_extent=0.0), 0j)
         u = gaussian_state(op_h01.real_grid, op_h01.h, 0.2, 0.1)
         v = gaussian_state(op_h01.real_grid, op_h01.h, -0.1, 0.3)
         assert toeplitz_residual(model, op_h01, None, 0.0, u, v) < 1e-6

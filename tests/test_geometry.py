@@ -13,19 +13,41 @@ from gevspec import geometry
 from gevspec.geometry import (CoverageError, EscapeConstructionError,
                               GeometryConfigError, build_escape,
                               check_deformed_ellipticity, escape_csv_lines)
-from gevspec.symbols import (make_analytic_transport, make_davies,
-                             make_gevrey_transport, make_trapped_toy)
+from gevspec.symbols import (ANALYTIC, I_SQUARE, I_TANH, ModelInstance,
+                             additive_symbol, make_analytic_transport,
+                             make_davies, make_gevrey_transport,
+                             make_trapped_toy)
 
 CATALOG = [make_davies(), make_analytic_transport(), make_gevrey_transport(1.5),
            make_gevrey_transport(2.0), make_gevrey_transport(3.0),
            make_trapped_toy()]
 
 
-def _without_split(model):
-    """The same model with its symbol's additive split removed, so every
-    code path takes the general value/grad route."""
-    return dataclasses.replace(
-        model, symbol=dataclasses.replace(model.symbol, split=None))
+def _grad_field(sym, x, xi):
+    """H_{Im p} = (d_xi Im p, -d_x Im p) read from sym.grad."""
+    gx, gxi = sym.grad(x, xi)
+    return np.imag(gxi), -np.imag(gx)
+
+
+def _rk4_flow(sym, x0, xi0, n_steps, dt):
+    """Reference for geometry._flow_batch: the full RK4 step of the field
+    read from sym.grad, four evaluations per step, with the same freeze
+    mask at the escape box."""
+    x = x0.copy()
+    xi = xi0.copy()
+    active = np.ones(x.shape, dtype=bool)
+    for _ in range(n_steps):
+        k1x, k1k = _grad_field(sym, x, xi)
+        k2x, k2k = _grad_field(sym, x + 0.5 * dt * k1x, xi + 0.5 * dt * k1k)
+        k3x, k3k = _grad_field(sym, x + 0.5 * dt * k2x, xi + 0.5 * dt * k2k)
+        k4x, k4k = _grad_field(sym, x + dt * k3x, xi + dt * k3k)
+        xn = x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
+        kn = xi + dt * (k1k + 2 * k2k + 2 * k3k + k4k) / 6.0
+        x = np.where(active, xn, x)
+        xi = np.where(active, kn, xi)
+        active &= ((np.abs(x) <= geometry.FLOW_BOX_HALF_WIDTH)
+                   & (np.abs(xi) <= geometry.FLOW_BOX_HALF_WIDTH))
+        yield x, xi
 
 
 def _raising(*args):
@@ -41,11 +63,10 @@ def _pairing_error(esc, model):
     return np.abs(fx * gx + fk * gxi - esc.HG_values)
 
 
-def _states(sym, x0, xi0, n_steps, dt):
-    """The (x, xi) states _flow_batch yields, stacked: shape (n_steps, 2, n)."""
-    return np.array(list(geometry._flow_batch(sym, np.asarray(x0, dtype=float),
-                                              np.asarray(xi0, dtype=float),
-                                              n_steps, dt)))
+def _states(sym, x0, xi0, n_steps, dt, flow=geometry._flow_batch):
+    """The (x, xi) states a flow yields, stacked: shape (n_steps, 2, n)."""
+    return np.array(list(flow(sym, np.asarray(x0, dtype=float),
+                              np.asarray(xi0, dtype=float), n_steps, dt)))
 
 
 class TestFlow:
@@ -91,9 +112,8 @@ class TestFlow:
         x = np.concatenate([np.linspace(-6.0, 6.0, 97), [-0.0, 0.0]])
         X, K = np.meshgrid(x, x, indexing="ij")
         assert model.symbol.split is not None
-        for got, ref in zip(
-                geometry._hamiltonian_im(model.symbol, X, K),
-                geometry._hamiltonian_im(_without_split(model).symbol, X, K)):
+        for got, ref in zip(geometry._hamiltonian_im(model.symbol, X, K),
+                            _grad_field(model.symbol, X, K)):
             assert got.shape == X.shape
             assert np.array_equal(got, ref)
 
@@ -102,8 +122,7 @@ class TestFlow:
         x0 = np.linspace(-1.5, 1.5, 13)
         xi0 = np.linspace(-0.4, 0.4, 13)
         got = list(geometry._flow_batch(traced, x0, xi0, 20, 0.01))
-        ref = list(geometry._flow_batch(_without_split(gevrey2).symbol,
-                                        x0, xi0, 20, 0.01))
+        ref = list(_rk4_flow(gevrey2.symbol, x0, xi0, 20, 0.01))
         for (x, xi), (rx, rxi) in zip(got, ref):
             assert np.array_equal(x, rx) and np.array_equal(xi, rxi)
 
@@ -120,14 +139,14 @@ class TestFlow:
         x0 = np.array([2.0, -2.0, 0.37, 1.7, 0.5, -0.0, 0.0, -1.3])
         xi0 = np.array([0.0, 0.0, 0.0, 0.0, 40.0, 0.0, -0.0, -49.0])
         got = _states(model.symbol, x0, xi0, 1300, dt)
-        ref = _states(_without_split(model).symbol, x0, xi0, 1300, dt)
+        ref = _states(model.symbol, x0, xi0, 1300, dt, flow=_rk4_flow)
         assert np.array_equal(got, ref)
         assert np.all(np.abs(got[-1, 1, :2]) > 50.0)
         assert np.all(got[:, 0] == x0)
 
     def test_constant_field_evaluated_once_per_batch(self, gevrey2):
-        # one field evaluation serves every step; the full RK4 step makes
-        # four per step
+        # one field evaluation serves every step; the full RK4 step of the
+        # reference makes four per step
         calls = []
         split = gevrey2.symbol.split
 
@@ -143,7 +162,7 @@ class TestFlow:
         got = _states(sym, x0, xi0, 20, 0.01)
         assert calls == [(13,)]
         assert np.array_equal(
-            got, _states(_without_split(gevrey2).symbol, x0, xi0, 20, 0.01))
+            got, _states(gevrey2.symbol, x0, xi0, 20, 0.01, flow=_rk4_flow))
 
 
 class TestBuildEscape:
@@ -234,10 +253,11 @@ class TestBuildEscape:
                                        make_gevrey_transport(3.0),
                                        make_analytic_transport()],
                              ids=lambda m: m.tag)
-    def test_split_build_equals_grad_build(self, model):
+    def test_split_build_equals_grad_build(self, model, monkeypatch):
         kw = dict(lattice=((-2.0, 2.0), (-1.0, 1.0)), n_x=33, n_xi=17)
         esc = build_escape(model, **kw)
-        ref = build_escape(_without_split(model), **kw)
+        monkeypatch.setattr(geometry, "_flow_batch", _rk4_flow)
+        ref = build_escape(model, **kw)
         assert np.array_equal(esc.G_values, ref.G_values)
         assert np.array_equal(esc.HG_values, ref.HG_values)
         assert esc.margin_c == ref.margin_c
@@ -251,6 +271,21 @@ class TestBuildEscape:
         shifted = dataclasses.replace(gevrey2, z0=5.0 + 5.0j)
         with pytest.raises(GeometryConfigError, match="no lattice points"):
             build_escape(shifted, n_x=9, n_xi=9)
+
+    def test_symbol_without_split_is_config_error(self, gevrey2):
+        plain = dataclasses.replace(
+            gevrey2, symbol=dataclasses.replace(gevrey2.symbol, split=None))
+        with pytest.raises(GeometryConfigError, match="no additive split"):
+            build_escape(plain, n_x=9, n_xi=9)
+
+    def test_two_imaginary_parts_raise(self):
+        # Re p vanishes identically, so G and H_{Im p} G vanish on the zero
+        # set whatever the flow
+        sym = additive_symbol(I_SQUARE, I_TANH, order_s=ANALYTIC,
+                              zero_set_hint=((-0.5, 0.5), (-0.4, 0.4)),
+                              name="i x^2 + i tanh(xi)")
+        with pytest.raises(EscapeConstructionError):
+            build_escape(ModelInstance(sym, 0j), n_x=33, n_xi=33)
 
     def test_trapped_model_raises_with_point(self, trapped_model):
         with pytest.raises(EscapeConstructionError) as exc_info:

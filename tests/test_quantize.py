@@ -14,15 +14,13 @@ from gevspec.symbols import ANALYTIC, GevreySymbol, model_from_tag
 
 
 def plain_symbol(f, name, xi_extent=4.0):
-    """Wrap a value callable with zero derivative stubs for assembly tests."""
+    """Wrap a value callable with a zero gradient stub for assembly tests."""
     def zeros(x, xi):
         return np.zeros(np.broadcast(x, xi).shape, dtype=complex)
 
     return GevreySymbol(
         value=f,
         grad=lambda x, xi: (zeros(x, xi), zeros(x, xi)),
-        hess=lambda x, xi: np.zeros(np.broadcast(x, xi).shape + (2, 2),
-                                    dtype=complex),
         order_s=ANALYTIC, name=name, xi_extent=xi_extent)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,22 +157,14 @@ class TestDerivativeConsistency:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.tag)
     def test_hess_matches_finite_differences(self, model, rng):
+        # the Hessian of a(x) + b(xi) is diagonal, with each part's d2
         pts = rng.uniform(-5, 5, size=(100, 2))
-        x, xi = pts[:, 0], pts[:, 1]
         # small step: fourth derivatives spike near the flat-region edge
         d = 1e-5
-        sym = model.symbol
-        H = sym.hess(x, xi)
-        fdxx = (sym(x + d, xi) - 2 * sym(x, xi) + sym(x - d, xi)) / d ** 2
-        fdkk = (sym(x, xi + d) - 2 * sym(x, xi) + sym(x, xi - d)) / d ** 2
-        assert np.abs(H[..., 0, 0] - fdxx).max() < 1e-4
-        assert np.abs(H[..., 1, 1] - fdkk).max() < 1e-4
-
-    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.tag)
-    def test_hess_symmetric(self, model, rng):
-        pts = rng.uniform(-5, 5, size=(50, 2))
-        H = model.symbol.hess(pts[:, 0], pts[:, 1])
-        assert np.abs(H[..., 0, 1] - H[..., 1, 0]).max() == 0.0
+        split = model.symbol.split
+        for part, t in ((split.a, pts[:, 0]), (split.b, pts[:, 1])):
+            fd = (part.f(t + d) - 2 * part.f(t) + part.f(t - d)) / d ** 2
+            assert np.abs(part.d2(t) - fd).max() < 1e-4
 
 
 def _raising(t):
@@ -215,6 +208,26 @@ class TestTaylorExtension:
         for tau in (0.1, 0.3, -0.2):
             v = taylor_extension(m.symbol, (0.0, 0.0), (0.0, tau))
             assert v == pytest.approx(-tau ** 2, abs=1e-14)
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.tag)
+    def test_equals_second_order_taylor_sum(self, model):
+        # value + grad . (i s) + 1/2 sum d2 (i s)^2, term for term
+        x, xi, sx, sxi = np.random.default_rng(7).uniform(-3.0, 3.0, (4, 500))
+        sym = model.symbol
+        a, b = sym.split.a, sym.split.b
+        dx, dk = 1j * sx, 1j * sxi
+        gx, gxi = sym.grad(x, xi)
+        ref = sym.value(x, xi) + gx * dx + gxi * dk
+        ref = ref + 0.5 * (a.unit * a.d2(x) * dx * dx
+                           + b.unit * b.d2(xi) * dk * dk)
+        got = taylor_extension(sym, (x, xi), (sx, sxi))
+        assert got.shape == x.shape
+        assert np.all(got == ref)
+
+    def test_symbol_without_split_raises(self):
+        plain = replace(make_gevrey_transport(2.0).symbol, split=None)
+        with pytest.raises(ValueError, match="no additive split"):
+            taylor_extension(plain, (0.3, -0.2), (0.1, 0.1))
 
 
 class TestTagParsing:
