@@ -84,8 +84,8 @@ def _cmd_pseudospectrum(args) -> int:
 
 def _cmd_scaling(args) -> int:
     """Run the sweep, write summary.json and print the scaling verdicts;
-    EXIT_NUMERICAL unless the radius bound (with its exponent band, where
-    one applies) and the resolvent check both pass."""
+    EXIT_NUMERICAL unless the radius verdict (radius_scaling_summary's
+    "pass") and the resolvent check both pass."""
     cfg = experiments.parse_config(args.config)
     print(f"== {cfg.model_tag}: sweeping h = {cfg.h_list}")
     records = experiments.run_sweep(cfg)
@@ -97,13 +97,12 @@ def _cmd_scaling(args) -> int:
     radius = experiments.radius_scaling_summary(records, model)
     print(f"   radius: c_lower_bound = {radius['c_lower_bound']:.3f} "
           f"(target exponent {radius['exponent_target']:.3g}), "
-          f"min r = {radius['radius_min']:.3f}")
+          f"min r = {radius['radius_min']:.3f}, pass = {radius['pass']}")
     if "radius_fit_slope" in radius:
         band = radius.get("exponent_within_band", "none for s = inf")
         print(f"   fitted exponent {radius['radius_fit_slope']:.3f}, "
               f"within band: {band}")
-    ok = (radius["c_lower_bound"] > 0
-          and radius.get("exponent_within_band", True))
+    ok = radius["pass"]
     try:
         resolvent = experiments.resolvent_growth_check(
             records, model.symbol.order_s)
@@ -157,6 +156,9 @@ def _cmd_escape(args) -> int:
 def _cmd_deform_check(args) -> int:
     if not 0 < args.h <= 1:
         raise experiments.ConfigError(f"h must lie in (0, 1], got {args.h:g}")
+    if not 0 < args.epsilon < float("inf"):
+        raise experiments.ConfigError(
+            f"epsilon must be positive and finite, got {args.epsilon:g}")
     model = model_from_tag(args.model)
     esc = geometry.build_escape(model)
     expo = experiments.exponent_for(model)

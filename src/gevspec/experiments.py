@@ -58,8 +58,9 @@ class SweepConfig:
             raise ConfigError(f"every h must lie in (0, 1]: {hs}")
         if any(b >= a for a, b in zip(hs, hs[1:])):
             raise ConfigError(f"h_list must be strictly decreasing: {hs}")
-        if not self.half_width_L > 0:
-            raise ConfigError("L must be positive")
+        if not 0 < self.half_width_L < math.inf:
+            raise ConfigError(f"L must be positive and finite, "
+                              f"got {self.half_width_L:g}")
         if not self.epsilon_deform > 0:
             raise ConfigError("epsilon must be positive")
         model_from_tag(self.model_tag)  # raises ValueError for unknown tags
@@ -280,6 +281,10 @@ def radius_scaling_summary(records: Sequence[SweepRecord],
     regime and the bound holds with the plateau constant. The band
     1 - 1/s +/- 0.15 is checked only for finite s: the paper's rate is a
     Gevrey one, and an analytic model is judged on radius_min alone.
+
+    "pass" is the verdict: c_lower_bound > 0 and, for finite s with the
+    spectrum approaching z0, a fitted exponent inside the band, so a
+    Gevrey sweep too short to fit (fewer than 4 records) fails.
     """
     expo = exponent_for(model)
     recs = [r for r in records if np.isfinite(r.free_radius)]
@@ -300,6 +305,9 @@ def radius_scaling_summary(records: Sequence[SweepRecord],
         out["radius_fit_r2"] = fit.r_squared
         if math.isfinite(model.symbol.order_s):
             out["exponent_within_band"] = bool(abs(fit.slope - expo) <= 0.15)
+    band_needed = approaching and math.isfinite(model.symbol.order_s)
+    out["pass"] = bool(c_min > 0 and (not band_needed
+                                      or out.get("exponent_within_band", False)))
     return out
 
 

@@ -7,19 +7,24 @@ along the flow Phi_t of H_{Im p}. Writing G = chi_cut * raw, integration by
 parts in t gives
     H_{Im p} raw = 2 Re p + int_0^inf chi_T'(t) (Re p(Phi_t) + Re p(Phi_-t)) dt
     H_{Im p} G   = chi_cut * H_{Im p} raw + raw * H_{Im p} chi_cut,
-so one flow batch from the lattice yields both G and H_{Im p} G: the two
-time integrals share the trajectory samples, and the cutoff term is
-analytic. Under Re p >= 0 plus nontrapping H_{Im p} G <= -c on the zero
-set, which is checked numerically rather than assumed: the certified
-margin c of build_escape is what decides that the zero set escapes, and
-the flow is only ever stepped as one batch from the lattice.
+so one set of trajectories from the lattice yields both G and H_{Im p} G:
+the two time integrals share the trajectory samples, and the cutoff term
+is analytic. Under Re p >= 0 plus nontrapping H_{Im p} G <= -c on the
+zero set, which is checked numerically rather than assumed: the certified
+margin c of build_escape is what decides that the zero set escapes.
 
 Every symbol is read by its additive split p = a(x) + b(xi), so the field is
     H_{Im p} = (d Im b / dxi, -d Im a / dx),
 the counterpart of the diagonal-plus-circulant Weyl matrix in quantize, and
 Re p along the flow is the sum of the split's real parts. Each component
-of the field depends on the other coordinate only, so the batch steps by a
-constant RK4 increment (see _flow_batch); build_escape rejects a symbol
+of the field depends on the other coordinate only. When one part is real,
+its component vanishes, so the coordinate the other component depends on
+never moves and the flow is the straight line
+    Phi_t(x, xi) = (x + t d Im b / dxi (xi), xi - t d Im a / dx (x))
+at constant speed, evaluated in closed form (see _escape_integral). When
+neither part is real, Re p vanishes identically, so G and H_{Im p} G
+vanish whatever the flow and build_escape's margin check raises: the
+closed form serves every additive symbol. build_escape rejects a symbol
 without a split.
 """
 
@@ -35,7 +40,6 @@ from scipy.interpolate import NdBSpline, make_interp_spline
 from .symbols import (Box, GevreySymbol, ModelInstance, smooth_step,
                       smooth_step_d1, taylor_extension)
 
-FLOW_BOX_HALF_WIDTH = 50.0
 DEFAULT_DT = 1e-2
 ZERO_TOL = 1e-3  # a lattice point with |p - z0| <= ZERO_TOL counts as a zero
 
@@ -144,36 +148,6 @@ def _re_p(sym: GevreySymbol, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return sym.split.a.re(x) + sym.split.b.re(xi)
 
 
-def _flow_batch(sym: GevreySymbol, x0: np.ndarray, xi0: np.ndarray,
-                n_steps: int, dt: float):
-    """RK4 over a batch by its constant increment; yields the state after
-    every step.
-
-    The x component of H_{Im p} depends on xi only and the xi component on
-    x only. When one part is real, its component vanishes, so the
-    coordinate the other component depends on stays fixed and all four RK4
-    stages return the field v at the start point: each step adds the RK4
-    increment dt (v + 2v + 2v + v) / 6, formed once. If neither part is
-    real, Re p vanishes identically, so G and H_{Im p} G vanish whatever
-    the flow and build_escape's margin check raises. Straight-line stepping
-    therefore serves every additive symbol.
-
-    Points that leave the escape box are frozen in place so the batch can
-    keep stepping; for the catalog models the field is bounded and frozen
-    tails contribute a constant Re p to downstream quadratures.
-    """
-    vx, vk = _hamiltonian_im(sym, x0, xi0)
-    dx = dt * (vx + 2 * vx + 2 * vx + vx) / 6.0
-    dk = dt * (vk + 2 * vk + 2 * vk + vk) / 6.0
-    x, xi = x0, xi0
-    active = np.ones(x.shape, dtype=bool)
-    for _ in range(n_steps):
-        x = np.where(active, x + dx, x)
-        xi = np.where(active, xi + dk, xi)
-        active &= (np.abs(x) <= FLOW_BOX_HALF_WIDTH) & (np.abs(xi) <= FLOW_BOX_HALF_WIDTH)
-        yield x, xi
-
-
 def _chi_T(T: float, t: np.ndarray) -> np.ndarray:
     """Smooth time cutoff: 1 on [0, T], supported on [0, 2T]."""
     return 1.0 - smooth_step(np.asarray(t, dtype=float) / T - 1.0)
@@ -210,24 +184,31 @@ def _trapezoid_weights(f: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _escape_integral(sym: GevreySymbol, x0: np.ndarray, xi0: np.ndarray,
-                     T: float, dt: float):
+                     velocity: Tuple[np.ndarray, np.ndarray], T: float,
+                     dt: float):
     """raw = -int chi_T Re p(Phi_t) dt + int chi_T Re p(Phi_-t) dt and its
     flow derivative H_{Im p} raw = 2 Re p + int chi_T' (Re p(Phi_t) +
-    Re p(Phi_-t)) dt, both trapezoid in t over the same trajectories."""
+    Re p(Phi_-t)) dt, both trapezoid in t over the same trajectories.
+
+    velocity is H_{Im p} at (x0, xi0), constant along each trajectory, so
+    Phi_t is the exact point (x0 + t vx, xi0 + t vk) at every node t.
+    """
     n_steps = int(round(2.0 * T / dt))
     t_nodes = dt * np.arange(n_steps + 1)
     w = _trapezoid_weights(_chi_T(T, t_nodes), dt)
     w_d1 = _trapezoid_weights(_chi_T_d1(T, t_nodes), dt)
+    vx, vk = velocity
     re0 = _re_p(sym, x0, xi0)
     raw = np.zeros(x0.shape)
     h_raw = 2.0 * re0
     for sign in (1.0, -1.0):
         acc = w[0] * re0
         acc_d1 = w_d1[0] * re0
-        for k, (x, xi) in enumerate(_flow_batch(sym, x0, xi0, n_steps, sign * dt)):
-            re = _re_p(sym, x, xi)
-            acc += w[k + 1] * re
-            acc_d1 += w_d1[k + 1] * re
+        for k in range(1, n_steps + 1):
+            t = sign * t_nodes[k]
+            re = _re_p(sym, x0 + t * vx, xi0 + t * vk)
+            acc += w[k] * re
+            acc_d1 += w_d1[k] * re
         raw = raw - sign * acc
         h_raw += acc_d1
     return raw, h_raw
@@ -289,10 +270,10 @@ def build_escape(model: ModelInstance, T: float = 4.0,
     diag = float(np.hypot(hxhi - hxlo, hkhi - hklo))
     r_outer = 2.0 * diag
 
-    raw, h_raw = _escape_integral(sym, X, K, T, dt)
+    fx, fk = _hamiltonian_im(sym, X, K)
+    raw, h_raw = _escape_integral(sym, X, K, (fx, fk), T, dt)
     chi = _chi_cut(center, diag, r_outer, X, K)
     chi_x, chi_xi = _chi_cut_grad(center, diag, r_outer, X, K)
-    fx, fk = _hamiltonian_im(sym, X, K)
     G = chi * raw
     HG = chi * h_raw + raw * (fx * chi_x + fk * chi_xi)
 

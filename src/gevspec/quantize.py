@@ -95,7 +95,11 @@ class WeylMatrix:
 
 
 def required_n_points(half_width_L: float, h: float, xi_extent: float) -> int:
-    """Smallest power-of-two N whose dual Nyquist Theta = pi h N / (2L) covers xi_extent."""
+    """Smallest power-of-two N whose dual Nyquist Theta = pi h N / (2L) covers
+    xi_extent; no N does for h <= 0 or an infinite L."""
+    if not (h > 0 and 0 < half_width_L < np.inf):
+        raise ValueError(f"the grid rule needs h > 0 and a finite L > 0, "
+                         f"got h = {h:g}, L = {half_width_L:g}")
     n = 2
     while np.pi * h * n / (2.0 * half_width_L) < xi_extent:
         n *= 2

@@ -250,10 +250,8 @@ def test_criterion_08_spectrum_free_scaling(capsys, gevrey2_sweep,
                                             make_gevrey_transport(2.0))
     an = experiments.radius_scaling_summary(analytic_sweep,
                                             make_analytic_transport())
-    g2_ok = (len(gevrey2_sweep) >= 5 and g2["c_lower_bound"] > 0
-             and (not g2["spectrum_approaches_z0"]
-                  or g2.get("exponent_within_band", False)))
-    an_ok = len(analytic_sweep) >= 5 and an["radius_min"] > 0
+    g2_ok = len(gevrey2_sweep) >= 5 and g2["pass"]
+    an_ok = len(analytic_sweep) >= 5 and an["pass"]
     ok = g2_ok and an_ok
     g2_slope = g2.get("radius_fit_slope", float("nan"))
     announce(capsys, 8, ok,

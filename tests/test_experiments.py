@@ -1,5 +1,8 @@
+import argparse
 import json
 import math
+import shlex
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,6 +76,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             SweepConfig("davies", (1.5, 0.1))
 
+    @pytest.mark.parametrize("L", [math.inf, math.nan, 0.0])
+    def test_nonfinite_or_nonpositive_L_rejected(self, L):
+        with pytest.raises(ConfigError, match="L must be positive and finite"):
+            SweepConfig("davies", (0.1,), half_width_L=L)
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             SweepConfig("heat-kernel", (0.1,))
@@ -139,6 +147,7 @@ class TestFits:
         assert not out["spectrum_approaches_z0"]
         assert out["c_lower_bound"] > 0
         assert "radius_fit_slope" not in out
+        assert out["pass"]
 
     def test_radius_summary_scaling(self):
         model = make_gevrey_transport(2.0)
@@ -149,6 +158,17 @@ class TestFits:
         assert out["radius_fit_slope"] == pytest.approx(0.5, abs=1e-9)
         assert out["exponent_within_band"]
         assert out["c_lower_bound"] == pytest.approx(1.4, rel=1e-9)
+        assert out["pass"]
+
+    def test_short_gevrey_sweep_without_fit_fails(self):
+        # the radius falls below half, but 3 records are too few to fit the
+        # exponent the band needs
+        recs = [record(h, r=1.4 * h ** 1.5) for h in (0.2, 0.1, 0.05)]
+        out = radius_scaling_summary(recs, make_gevrey_transport(2.0))
+        assert out["spectrum_approaches_z0"]
+        assert out["c_lower_bound"] > 0
+        assert "radius_fit_slope" not in out
+        assert not out["pass"]
 
     def test_analytic_radius_has_no_band(self):
         # a Gevrey target of 1 - 1/s means nothing for s = inf: the slope is
@@ -160,6 +180,7 @@ class TestFits:
         assert out["spectrum_approaches_z0"]
         assert out["radius_fit_slope"] == pytest.approx(0.3, abs=1e-9)
         assert "exponent_within_band" not in out
+        assert out["pass"]
 
 
 class TestSweep:
@@ -339,6 +360,45 @@ class TestCli:
                          "--h", h])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("epsilon", ["-0.1", "0", "nan", "inf"])
+    def test_deform_check_rejects_bad_epsilon_before_build(self, epsilon,
+                                                           monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("epsilon is checked before the escape build")
+
+        monkeypatch.setattr(geometry, "build_escape", unreachable)
+        code = cli.main(["deform-check", "--model", "gevrey-transport:s=2",
+                         "--h", "0.05", "--epsilon", epsilon])
+        assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("flag, value", [("--h", "0"), ("--h", "-0.1"),
+                                             ("--L", "inf")])
+    def test_unreachable_grid_rule_is_config_error(self, flag, value):
+        argv = ["spectrum", "--model", "davies", "--h", "0.1", flag, value]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+
+    def test_scaling_infinite_L_is_config_error(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("model = davies\nh_list = 0.1, 0.05\nL = inf\n"
+                       f"output_dir = {tmp_path}\n", encoding="utf-8")
+        assert cli.main(["scaling", "--config", str(cfg)]) == cli.EXIT_CONFIG
+
+    def test_readme_examples_parse(self):
+        # each `gevspec ...` line of the README's CLI block, continuation
+        # lines joined, must parse; nothing is run
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+        block = block.split("```sh", 1)[1].split("```", 1)[0]
+        commands = [line for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("gevspec ")]
+        parser = cli.build_parser()
+        for line in commands:
+            parser.parse_args(shlex.split(line)[1:])
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert {shlex.split(line)[1] for line in commands} \
+            == set(subparsers.choices)
+
     @pytest.mark.parametrize("span, res", [("0", "5"), ("-1", "5"),
                                            ("0.2", "1")])
     def test_pseudospectrum_degenerate_window_is_config_error(
@@ -412,6 +472,20 @@ class TestCli:
         assert cli.main(["scaling", "--config", str(cfg)]) \
             == cli.EXIT_NUMERICAL
         assert (tmp_path / "summary.json").exists()
+
+    def test_scaling_short_gevrey_sweep_is_numerical_failure(
+            self, tmp_path, monkeypatch, capsys):
+        # the radius approaches z0 over 3 records: no exponent can be
+        # fitted, so the band criterion 08 applies is never checked
+        hs = (0.2, 0.1, 0.05)
+        recs = [record(h, r=1.4 * h ** 1.5) for h in hs]
+        monkeypatch.setattr(experiments, "run_sweep", lambda cfg: recs)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("model = gevrey-transport:s=2\nh_list = 0.2, 0.1, 0.05\n"
+                       f"output_dir = {tmp_path}\n", encoding="utf-8")
+        assert cli.main(["scaling", "--config", str(cfg)]) \
+            == cli.EXIT_NUMERICAL
+        assert "pass = False" in capsys.readouterr().out
 
     @pytest.fixture
     def toeplitz_run(self, tmp_path, monkeypatch):

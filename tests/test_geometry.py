@@ -30,23 +30,17 @@ def _grad_field(sym, x, xi):
 
 
 def _rk4_flow(sym, x0, xi0, n_steps, dt):
-    """Reference for geometry._flow_batch: the full RK4 step of the field
-    read from sym.grad, four evaluations per step, with the same freeze
-    mask at the escape box."""
+    """Reference flow: the full RK4 step of the field read from sym.grad,
+    four evaluations per step; yields the state after every step."""
     x = x0.copy()
     xi = xi0.copy()
-    active = np.ones(x.shape, dtype=bool)
     for _ in range(n_steps):
         k1x, k1k = _grad_field(sym, x, xi)
         k2x, k2k = _grad_field(sym, x + 0.5 * dt * k1x, xi + 0.5 * dt * k1k)
         k3x, k3k = _grad_field(sym, x + 0.5 * dt * k2x, xi + 0.5 * dt * k2k)
         k4x, k4k = _grad_field(sym, x + dt * k3x, xi + dt * k3k)
-        xn = x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
-        kn = xi + dt * (k1k + 2 * k2k + 2 * k3k + k4k) / 6.0
-        x = np.where(active, xn, x)
-        xi = np.where(active, kn, xi)
-        active &= ((np.abs(x) <= geometry.FLOW_BOX_HALF_WIDTH)
-                   & (np.abs(xi) <= geometry.FLOW_BOX_HALF_WIDTH))
+        x = x + dt * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
+        xi = xi + dt * (k1k + 2 * k2k + 2 * k3k + k4k) / 6.0
         yield x, xi
 
 
@@ -63,47 +57,54 @@ def _pairing_error(esc, model):
     return np.abs(fx * gx + fk * gxi - esc.HG_values)
 
 
-def _states(sym, x0, xi0, n_steps, dt, flow=geometry._flow_batch):
-    """The (x, xi) states a flow yields, stacked: shape (n_steps, 2, n)."""
-    return np.array(list(flow(sym, np.asarray(x0, dtype=float),
-                              np.asarray(xi0, dtype=float), n_steps, dt)))
+def _sampled_points(sym, x0, xi0, T, dt=geometry.DEFAULT_DT):
+    """The (x, xi) points at which _escape_integral evaluates Re p, stacked:
+    the forward nodes t = dt, ..., 2T, then the backward nodes t = -dt, ...,
+    -2T; shape (2, n_steps, 2, len(x0))."""
+    x0 = np.asarray(x0, dtype=float)
+    xi0 = np.asarray(xi0, dtype=float)
+    points = []
+    real_re_p = geometry._re_p
+
+    def recording(s, x, xi):
+        points.append(np.broadcast_arrays(x, xi))
+        return real_re_p(s, x, xi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_re_p", recording)
+        geometry._escape_integral(sym, x0, xi0,
+                                  geometry._hamiltonian_im(sym, x0, xi0),
+                                  T, dt)
+    assert np.array_equal(points[0], [x0, xi0])
+    return np.array(points[1:]).reshape(2, -1, 2, len(x0))
+
+
+def _small_build(model, symbol):
+    return build_escape(dataclasses.replace(model, symbol=symbol),
+                        lattice=((-2.0, 2.0), (-1.0, 1.0)), n_x=33, n_xi=17)
 
 
 class TestFlow:
     def test_unit_speed_translation_on_zero_line(self, gevrey2):
         # on xi = 0 the flow is d/dt (x, xi) = (sech^2(0), 0) = (1, 0)
         x0 = np.array([1.0, -0.5, 0.0])
-        states = _states(gevrey2.symbol, x0, np.zeros(3), 200, 0.01)
+        states = _sampled_points(gevrey2.symbol, x0, np.zeros(3), 1.0)[0]
         t = 0.01 * np.arange(1, 201)[:, None]
         assert np.abs(states[:, 0] - (x0 + t)).max() < 1e-10
         assert np.all(states[:, 1] == 0.0)
 
     def test_imaginary_part_conserved(self, gevrey2):
         x0, xi0 = np.array([0.5, -1.2, 2.0]), np.array([0.3, 0.8, -0.6])
-        states = _states(gevrey2.symbol, x0, xi0, 500, 0.01)
+        states = _sampled_points(gevrey2.symbol, x0, xi0, 2.5)[0]
         im_p = np.imag(gevrey2.symbol.value(states[:, 0], states[:, 1]))
         im_p0 = np.imag(gevrey2.symbol.value(x0, xi0))
         assert np.abs(im_p - im_p0).max() < 1e-7
 
     def test_reversibility(self, gevrey2):
         x0, xi0 = np.array([0.2, -0.7]), np.array([0.25, -0.1])
-        end = _states(gevrey2.symbol, x0, xi0, 300, 0.01)[-1]
-        back = _states(gevrey2.symbol, end[0], end[1], 300, -0.01)[-1]
+        end = _sampled_points(gevrey2.symbol, x0, xi0, 1.5)[0, -1]
+        back = _sampled_points(gevrey2.symbol, end[0], end[1], 1.5)[1, -1]
         assert np.abs(back - [x0, xi0]).max() < 1e-8
-
-    def test_escape_truncates_at_box(self):
-        # Im p = x^2 drives xi down at rate -2x: from (1, 0) the orbit
-        # leaves |xi| <= 50 near t = 25 and stays frozen where it left,
-        # while the orbit from (0.5, 0) reaches xi = -30 at t = 30 inside
-        states = _states(make_davies().symbol, [1.0, 0.5], [0.0, 0.0],
-                         3000, 0.01)
-        xi = states[:, 1]
-        k = int(np.argmax(np.abs(xi[:, 0]) > 50.0))
-        assert 2490 <= k <= 2510
-        assert np.all(states[k:, :, 0] == states[k, :, 0])
-        assert abs(xi[k, 0]) < 50.0 + 0.03
-        assert np.all(states[:, 0, 1] == 0.5)
-        assert xi[-1, 1] == pytest.approx(-30.0, abs=1e-9)
 
     @pytest.mark.parametrize("model", CATALOG, ids=lambda m: m.tag)
     def test_split_field_equals_grad_field(self, model):
@@ -117,52 +118,70 @@ class TestFlow:
             assert got.shape == X.shape
             assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("model", CATALOG, ids=lambda m: m.tag)
+    @pytest.mark.parametrize("t", [-8.0, -0.01, 0.37, 8.0])
+    def test_field_constant_along_line(self, model, t):
+        # what makes the closed-form line exact: the field at
+        # (x + t vx, xi + t vk) is the field at (x, xi), bit for bit up to
+        # the sign of a zero (x = -0.0 moved by t * 0.0 is +0.0)
+        x = np.concatenate([np.linspace(-6.0, 6.0, 97), [-0.0, 0.0]])
+        X, K = np.meshgrid(x, x, indexing="ij")
+        vx, vk = geometry._hamiltonian_im(model.symbol, X, K)
+        for got, ref in zip(geometry._hamiltonian_im(model.symbol, X + t * vx,
+                                                     K + t * vk), (vx, vk)):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("model", CATALOG, ids=lambda m: m.tag)
+    @pytest.mark.parametrize("dt", [0.01, -0.01])
+    def test_closed_form_line_matches_references(self, model, dt):
+        # every node of both time directions over the default T = 4, from
+        # seeded starts across the model's default lattice and signed zeros
+        (xlo, xhi), (klo, khi) = geometry._default_lattice(
+            model.symbol.zero_set_hint)
+        rng = np.random.default_rng(7)
+        x0 = np.concatenate([rng.uniform(xlo, xhi, 40), [-0.0, 0.0, 0.0]])
+        xi0 = np.concatenate([rng.uniform(klo, khi, 40), [0.0, -0.0, 0.0]])
+        got = _sampled_points(model.symbol, x0, xi0, 4.0)[int(dt < 0)]
+        n_steps = len(got)
+        assert n_steps == 800
+        v = np.array(geometry._hamiltonian_im(model.symbol, x0, xi0))
+        start = np.array([x0, xi0])
+        k = np.arange(1, n_steps + 1)[:, None, None]
+        t = k * np.longdouble(dt)
+        line = start.astype(np.longdouble) + t * v.astype(np.longdouble)
+        scale = np.abs(start) + np.abs(t * v).astype(float)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - line).astype(float) <= 2 * eps * scale)
+        # the reference adds one rounded increment per step
+        ref = np.array(list(_rk4_flow(model.symbol, x0, xi0, n_steps, dt)))
+        assert np.all(np.abs(ref - got) <= (k + 4) * eps * scale)
+
     def test_split_flow_never_calls_grad(self, gevrey2):
         traced = dataclasses.replace(gevrey2.symbol, grad=_raising)
-        x0 = np.linspace(-1.5, 1.5, 13)
-        xi0 = np.linspace(-0.4, 0.4, 13)
-        got = list(geometry._flow_batch(traced, x0, xi0, 20, 0.01))
-        ref = list(_rk4_flow(gevrey2.symbol, x0, xi0, 20, 0.01))
-        for (x, xi), (rx, rxi) in zip(got, ref):
-            assert np.array_equal(x, rx) and np.array_equal(xi, rxi)
-
-    @pytest.mark.parametrize("model", [make_davies(), make_trapped_toy()],
-                             ids=lambda m: m.tag)
-    @pytest.mark.parametrize("dt", [0.01, -0.01])
-    def test_real_b_constant_step_equals_rk4(self, model, dt):
-        # b is real, so xi moves at the constant rate -2x: from x = +-2 the
-        # orbits leave |xi| <= 50 near t = 12.5 and freeze, the others stay
-        # inside. The constant increment must give the RK4 states (a zero
-        # may differ in sign). From xi = 0 at x = 0.37 and 1.7 the first xi
-        # is the increment itself, where dt v and dt (v + 2v + 2v + v) / 6
-        # differ in the last bit
-        x0 = np.array([2.0, -2.0, 0.37, 1.7, 0.5, -0.0, 0.0, -1.3])
-        xi0 = np.array([0.0, 0.0, 0.0, 0.0, 40.0, 0.0, -0.0, -49.0])
-        got = _states(model.symbol, x0, xi0, 1300, dt)
-        ref = _states(model.symbol, x0, xi0, 1300, dt, flow=_rk4_flow)
-        assert np.array_equal(got, ref)
-        assert np.all(np.abs(got[-1, 1, :2]) > 50.0)
-        assert np.all(got[:, 0] == x0)
+        got = _small_build(gevrey2, traced)
+        ref = _small_build(gevrey2, gevrey2.symbol)
+        assert np.array_equal(got.G_values, ref.G_values)
+        assert np.array_equal(got.HG_values, ref.HG_values)
 
     def test_constant_field_evaluated_once_per_batch(self, gevrey2):
-        # one field evaluation serves every step; the full RK4 step of the
-        # reference makes four per step
+        # one field evaluation serves the flow and the cutoff term of a
+        # build; the full RK4 step of the reference makes four per step
         calls = []
         split = gevrey2.symbol.split
 
-        def counting(t):
-            calls.append(np.shape(t))
-            return split.b.d1(t)
+        def counting(part):
+            def d1(t):
+                calls.append(np.shape(t))
+                return part.d1(t)
+            return dataclasses.replace(part, d1=d1)
 
-        b = dataclasses.replace(split.b, d1=counting)
-        sym = dataclasses.replace(gevrey2.symbol,
-                                  split=dataclasses.replace(split, b=b))
-        x0 = np.zeros(13)  # the first x is the increment itself
-        xi0 = np.linspace(-0.4, 0.4, 13)
-        got = _states(sym, x0, xi0, 20, 0.01)
-        assert calls == [(13,)]
-        assert np.array_equal(
-            got, _states(gevrey2.symbol, x0, xi0, 20, 0.01, flow=_rk4_flow))
+        sym = dataclasses.replace(gevrey2.symbol, split=dataclasses.replace(
+            split, a=counting(split.a), b=counting(split.b)))
+        got = _small_build(gevrey2, sym)
+        assert calls == [(33, 17)]
+        ref = _small_build(gevrey2, gevrey2.symbol)
+        assert np.array_equal(got.G_values, ref.G_values)
+        assert np.array_equal(got.HG_values, ref.HG_values)
 
 
 class TestBuildEscape:
@@ -256,7 +275,9 @@ class TestBuildEscape:
     def test_split_build_equals_grad_build(self, model, monkeypatch):
         kw = dict(lattice=((-2.0, 2.0), (-1.0, 1.0)), n_x=33, n_xi=17)
         esc = build_escape(model, **kw)
-        monkeypatch.setattr(geometry, "_flow_batch", _rk4_flow)
+        monkeypatch.setattr(geometry, "_hamiltonian_im", _grad_field)
+        monkeypatch.setattr(geometry, "_re_p",
+                            lambda sym, x, xi: np.real(sym.value(x, xi)))
         ref = build_escape(model, **kw)
         assert np.array_equal(esc.G_values, ref.G_values)
         assert np.array_equal(esc.HG_values, ref.HG_values)

@@ -63,6 +63,14 @@ class TestRealGrid:
             assert RealGrid(L, n).theta_max(h) >= ext
             assert RealGrid(L, n // 2).theta_max(h) < ext
 
+    @pytest.mark.parametrize("L, h", [(4.0, 0.0), (4.0, -0.1),
+                                      (float("inf"), 0.1), (0.0, 0.1),
+                                      (-4.0, 0.1), (float("nan"), 0.1)])
+    def test_required_n_points_rejects_unreachable_rule(self, L, h):
+        # no power of two covers the extent: the doubling would never end
+        with pytest.raises(ValueError, match="grid rule"):
+            required_n_points(L, h, 4.0)
+
 
 class TestAssembly:
     def test_constant_symbol_is_exact_identity(self):
