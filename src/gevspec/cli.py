@@ -37,14 +37,18 @@ def _matrix_args(parser: argparse.ArgumentParser) -> None:
                              "satisfying the Nyquist rule)")
 
 
-def _matrix(args) -> quantize.WeylMatrix:
+def _matrix(args, factored: bool = True) -> quantize.WeylMatrix:
+    """The Weyl matrix the arguments name; when it is to be factored, its
+    order is checked against the dense budget before assembly."""
     sym = model_from_tag(args.model).symbol
     n = args.N or quantize.rule_n_points(sym, args.L, args.h)
+    if factored:
+        spectral.check_dense_n(n)
     return quantize.assemble_weyl(sym, quantize.RealGrid(args.L, n), args.h)
 
 
 def _cmd_quantize(args) -> int:
-    P = _matrix(args)
+    P = _matrix(args, factored=False)
     quantize.save_weyl(args.out, P)
     print(f"wrote {args.out}: N = {P.n}, h = {P.h}")
     return EXIT_OK
@@ -62,9 +66,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_pseudospectrum(args) -> int:
-    P = _matrix(args)
     window = spectral.ZGrid(_parse_complex(args.center), args.span, args.span,
                             args.res, args.res)
+    spectral.check_window(window)
+    P = _matrix(args)
     field = spectral.pseudospectrum(P, window)
     stem = args.out or f"pseudospectrum_{args.model.replace(':', '_')}"
     csv_path = f"{stem}.csv"

@@ -311,9 +311,22 @@ def radius_scaling_summary(records: Sequence[SweepRecord],
     return out
 
 
+def _finite_or_null(obj):
+    """obj with each non-finite float, at any depth, replaced by None, so
+    its JSON is strict (no bare NaN or Infinity)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(val) for val in obj]
+    return obj
+
+
 def emit_outputs(cfg: SweepConfig, records: Sequence[SweepRecord],
                  fits: dict) -> List[str]:
-    """Write the summary JSON; returns its path in a list."""
+    """Write the summary JSON, each non-finite number as null; returns its
+    path in a list."""
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {
@@ -325,6 +338,7 @@ def emit_outputs(cfg: SweepConfig, records: Sequence[SweepRecord],
     }
     spath = out_dir / "summary.json"
     with open(spath, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=str)
+        json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True,
+                  default=str, allow_nan=False)
         fh.write("\n")
     return [str(spath)]

@@ -35,7 +35,6 @@ from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import NdBSpline, make_interp_spline
 
 from .symbols import (Box, GevreySymbol, ModelInstance, smooth_step,
                       smooth_step_d1, taylor_extension)
@@ -60,17 +59,107 @@ class CoverageError(ValueError):
     pass
 
 
+_BAND = 3  # a cubic collocation row spans four adjacent basis functions
+
+
+def _cubic_basis(t: np.ndarray, x: np.ndarray):
+    """The first index j, per point, of the four cubic B-splines on the
+    knots t that can be nonzero at x, and the list of their values B_j ..
+    B_j+3, by de Boor's recurrence. One interval search per point; x must
+    lie in [t[3], t[-4]], and the right end uses the last interval."""
+    i = np.clip(np.searchsorted(t, x, side="right") - 1, 3, len(t) - 5)
+    left = [x - t[i - r] for r in range(3)]
+    right = [t[i + 1 + r] - x for r in range(3)]
+    b = [np.ones_like(x)]
+    for k in range(1, 4):
+        # B_i-k+1+r of degree k - 1 feeds B_i-k+r and B_i-k+1+r of degree k
+        carry = 0.0
+        for r in range(k):
+            scaled = b[r] / (right[r] + left[k - 1 - r])
+            b[r] = carry + right[r] * scaled
+            carry = left[k - 1 - r] * scaled
+        b.append(carry)
+    return i - 3, b
+
+
+def _collocation_lu(axis: np.ndarray):
+    """The not-a-knot knots of one axis (each end node four times, then the
+    interior nodes but the first and last) and the LU factors of its
+    collocation matrix B_j(axis[r]), packed in one array with the unit
+    lower triangle implied. The matrix is banded and totally positive, so
+    elimination without pivoting is stable (de Boor & Pinkus, Numer. Math.
+    27, 1977) and no entry leaves the band."""
+    t = np.concatenate([np.full(4, axis[0]), axis[2:-2], np.full(4, axis[-1])])
+    j, b = _cubic_basis(t, axis)
+    n = axis.size
+    lu = np.zeros((n, n))
+    for c in range(4):
+        lu[np.arange(n), j + c] = b[c]
+    for k in range(n - 1):
+        below = slice(k + 1, k + 1 + _BAND)
+        lu[below, k] /= lu[k, k]
+        lu[below, below] -= np.outer(lu[below, k], lu[k, below])
+    return t, lu
+
+
+def _band_solve(lu: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
+    """Solve with _collocation_lu's factors along one axis of values, for
+    every line along it. The sweeps are elementwise numpy, with no BLAS
+    call, so a line's result depends neither on the other lines nor on the
+    thread count."""
+    moved = np.moveaxis(values, axis, 0)
+    y = moved.reshape(len(moved), -1).copy()
+    n = len(lu)
+    for k in range(n - 1):
+        y[k + 1:k + 1 + _BAND] -= lu[k + 1:k + 1 + _BAND, k, None] * y[k]
+    for k in range(n - 1, -1, -1):
+        y[k] /= lu[k, k]
+        above = slice(max(k - _BAND, 0), k)
+        y[above] -= lu[above, k, None] * y[k]
+    return np.moveaxis(y.reshape(moved.shape), 0, axis)
+
+
+@dataclass(frozen=True)
+class _Spline:
+    """Tensor-product cubic splines on one lattice: the knots of each axis
+    and coefficients of shape (number of fields, n_x, n_xi)."""
+    knots: Tuple[np.ndarray, np.ndarray]
+    coef: np.ndarray
+
+    def __call__(self, x: np.ndarray, xi: np.ndarray,
+                 fields: slice) -> List[np.ndarray]:
+        """The selected fields at the points (x, xi), 1-D arrays of one
+        length. The fields share one basis per axis, and each value sums
+        16 terms."""
+        jx, bx = _cubic_basis(self.knots[0], x)
+        jk, bk = _cubic_basis(self.knots[1], xi)
+        n_xi = self.coef.shape[2]
+        corner = jx * n_xi + jk  # flat index of coefficient (jx, jk)
+        values = []
+        for c in self.coef.reshape(len(self.coef), -1)[fields]:
+            total = 0.0
+            for a in range(4):
+                row = 0.0
+                for b in range(4):
+                    row = row + bk[b] * c[corner + (a * n_xi + b)]
+                total = total + bx[a] * row
+            values.append(total)
+        return values
+
+
 def _cubic_spline(x_axis: np.ndarray, xi_axis: np.ndarray,
-                  values: np.ndarray) -> NdBSpline:
-    """Tensor-product cubic interpolant (not-a-knot) of lattice values.
+                  values: np.ndarray) -> _Spline:
+    """Tensor-product cubic interpolant (not-a-knot; de Boor, A Practical
+    Guide to Splines, 2001) of lattice values of shape (fields, n_x, n_xi).
 
     The collocation matrix is the Kronecker product of the two axes', so
     one banded solve along each axis gives the coefficients exactly, with
-    no iterative solver and no dependence on the BLAS thread count.
+    one factorization per axis for all fields, no iterative solver and no
+    dependence on the BLAS thread count.
     """
-    along_x = make_interp_spline(x_axis, values, k=3)  # c: (n_x, n_xi)
-    along_xi = make_interp_spline(xi_axis, along_x.c.T, k=3)  # c: (n_xi, n_x)
-    return NdBSpline((along_x.t, along_xi.t), along_xi.c.T, 3)
+    (tx, lux), (tk, luk) = _collocation_lu(x_axis), _collocation_lu(xi_axis)
+    coef = _band_solve(luk, _band_solve(lux, values, 1), 2)
+    return _Spline((tx, tk), np.ascontiguousarray(coef))
 
 
 @dataclass(frozen=True)
@@ -85,18 +174,18 @@ class EscapeField:
     T: float
 
     @cached_property
-    def _splines(self) -> Tuple[NdBSpline, ...]:
+    def _spline(self) -> _Spline:
         """Cubic splines of G, d_x G and d_xi G (centered lattice
         differences), built once per field."""
         gx, gxi = _lattice_gradient(self.G_values, self.x_axis, self.xi_axis)
-        return tuple(_cubic_spline(self.x_axis, self.xi_axis, f)
-                     for f in (self.G_values, gx, gxi))
+        return _cubic_spline(self.x_axis, self.xi_axis,
+                             np.stack([self.G_values, gx, gxi]))
 
     def _outside_support(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         r = np.hypot(x - self.cutoff_center[0], xi - self.cutoff_center[1])
         return r >= self.cutoff_radius
 
-    def _eval_fields(self, splines, x, xi):
+    def _eval_fields(self, fields: slice, x, xi) -> List[np.ndarray]:
         """Evaluate lattice splines; G and its gradient vanish outside the
         cutoff ball, so points there evaluate to zero without lattice
         coverage; anything else out of range is a coverage error."""
@@ -111,17 +200,18 @@ class EscapeField:
             raise CoverageError(
                 "escape lattice does not cover requested point "
                 f"({x.ravel()[k]:.4f}, {xi.ravel()[k]:.4f}) inside the cutoff ball")
-        pts = np.stack([np.where(inside, x, self.x_axis[0]),
-                        np.where(inside, xi, self.xi_axis[0])], axis=-1)
-        return [np.where(inside, spline(pts), 0.0) for spline in splines]
+        vals = self._spline(np.where(inside, x, self.x_axis[0]).ravel(),
+                            np.where(inside, xi, self.xi_axis[0]).ravel(),
+                            fields)
+        return [np.where(inside, v.reshape(x.shape), 0.0) for v in vals]
 
     def g_at(self, x, xi) -> np.ndarray:
         """Interpolated G; zero outside the cutoff ball by compact support."""
-        return self._eval_fields(self._splines[:1], x, xi)[0]
+        return self._eval_fields(slice(0, 1), x, xi)[0]
 
     def grad_g_at(self, x, xi) -> Tuple[np.ndarray, np.ndarray]:
         """Lattice-gradient of G (centered differences) interpolated to points."""
-        gx, gxi = self._eval_fields(self._splines[1:], x, xi)
+        gx, gxi = self._eval_fields(slice(1, 3), x, xi)
         return gx, gxi
 
     @property

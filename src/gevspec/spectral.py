@@ -87,11 +87,37 @@ class PseudospectrumField:
     sigma_min: np.ndarray  # shape (im_n, re_n)
 
 
+def check_dense_n(n: int) -> None:
+    """Raise BudgetError when a matrix of order n exceeds MAX_DENSE_N, the
+    largest one the Schur factorization runs at; callers check before they
+    assemble."""
+    if n > MAX_DENSE_N:
+        raise BudgetError(
+            f"dense factorization limited to N <= {MAX_DENSE_N}, got {n}")
+
+
+def check_window(window: ZGrid) -> None:
+    """Raise BudgetError unless the z window has a finite center, finite
+    positive half spans and 2 to MAX_PSEUDOSPECTRUM_RES nodes per axis."""
+    if window.re_n > MAX_PSEUDOSPECTRUM_RES or window.im_n > MAX_PSEUDOSPECTRUM_RES:
+        raise BudgetError(
+            f"z-grid resolution {window.re_n}x{window.im_n} exceeds "
+            f"{MAX_PSEUDOSPECTRUM_RES}; coarsen the lattice")
+    if window.re_n < 2 or window.im_n < 2:
+        raise BudgetError(
+            f"z-grid resolution {window.re_n}x{window.im_n} is below 2x2; "
+            "each axis needs both window edges")
+    if not (0 < window.re_span < np.inf and 0 < window.im_span < np.inf):
+        raise BudgetError(
+            f"z-window half spans must be positive and finite, got "
+            f"{window.re_span:g} and {window.im_span:g}")
+    if not np.isfinite(window.center):
+        raise BudgetError(f"z-window center must be finite, got {window.center}")
+
+
 def _schur(P: WeylMatrix) -> Tuple[np.ndarray, np.ndarray]:
     """P's cached Schur factors (T, Z); the size budget is checked first."""
-    if P.n > MAX_DENSE_N:
-        raise BudgetError(
-            f"dense factorization limited to N <= {MAX_DENSE_N}, got {P.n}")
+    check_dense_n(P.n)
     try:
         return P.schur
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
@@ -134,8 +160,11 @@ def sigma_min(P: WeylMatrix, z: complex) -> float:
     P - z = Z (T - z) Z* has the singular values of the triangular R = T - z,
     so this runs Lanczos on R^-1 R^-* (largest eigenvalue 1 / sigma_min^2)
     with full reorthogonalization: each step is two triangular solves. Raises
-    SolverError when LANCZOS_MAX_STEPS steps do not meet the stop rule.
+    SolverError when LANCZOS_MAX_STEPS steps do not meet the stop rule,
+    and ValueError for a non-finite z, which no answer fits.
     """
+    if not np.isfinite(z):
+        raise ValueError(f"sigma_min needs a finite z, got {z}")
     T, _ = _schur(P)
     n = P.n
     R = np.array(T, order="F")  # the layout ztrsv reads without a copy
@@ -199,18 +228,7 @@ def roundoff_floor(P: WeylMatrix) -> float:
 
 def pseudospectrum(P: WeylMatrix, window: ZGrid) -> PseudospectrumField:
     """sigma_min(P - z) over a rectangular z lattice."""
-    if window.re_n > MAX_PSEUDOSPECTRUM_RES or window.im_n > MAX_PSEUDOSPECTRUM_RES:
-        raise BudgetError(
-            f"z-grid resolution {window.re_n}x{window.im_n} exceeds "
-            f"{MAX_PSEUDOSPECTRUM_RES}; coarsen the lattice")
-    if window.re_n < 2 or window.im_n < 2:
-        raise BudgetError(
-            f"z-grid resolution {window.re_n}x{window.im_n} is below 2x2; "
-            "each axis needs both window edges")
-    if not (window.re_span > 0 and window.im_span > 0):
-        raise BudgetError(
-            f"z-window half spans must be positive, got {window.re_span:g} "
-            f"and {window.im_span:g}")
+    check_window(window)
     zs = window.nodes()
     field = np.empty(zs.shape, dtype=float)
     for idx in np.ndindex(zs.shape):

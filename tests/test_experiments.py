@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gevspec import cli, experiments, fbi, geometry, spectral
+from gevspec import cli, experiments, fbi, geometry, quantize, spectral
 from gevspec.experiments import (ConfigError, FitError, NumericalFailure,
                                  SweepConfig, SweepRecord, fit_power_law,
                                  grid_for, parse_config,
@@ -410,6 +410,55 @@ class TestCli:
         assert code == cli.EXIT_CONFIG
         assert not (tmp_path / "field.csv").exists()
 
+    @pytest.mark.parametrize("center, span", [("nan,0", "0.2"),
+                                              ("0.1,inf", "0.2"),
+                                              ("0.1,0.1", "inf"),
+                                              ("0.1,0.1", "nan")])
+    def test_pseudospectrum_nonfinite_window_is_config_error(
+            self, center, span, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the window is checked before assembly")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(quantize, "assemble_weyl", unreachable)
+        code = cli.main(["pseudospectrum", "--model", "davies", "--h", "0.1",
+                         f"--center={center}", "--span", span, "--res", "5",
+                         "--L", "8", "--N", "256", "--out", "field"])
+        assert code == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, extra", [
+        ("spectrum", []),
+        ("pseudospectrum", ["--center", "0.1,0.1", "--span", "0.2",
+                            "--res", "5"])])
+    def test_dense_budget_checked_before_assembly(self, command, extra,
+                                                  tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("N is checked before assembly")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(quantize, "assemble_weyl", unreachable)
+        code = cli.main([command, "--model", "davies", "--h", "0.003",
+                         "--L", "6", *extra])
+        assert code == cli.EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
+    def test_quantize_keeps_large_n(self, tmp_path, monkeypatch):
+        # the dense budget binds a factorization, not a saved matrix
+        seen = []
+
+        def recording(sym, grid, h):
+            seen.append(grid.n_points)
+            return SimpleNamespace(n=grid.n_points, h=h)
+
+        monkeypatch.setattr(quantize, "assemble_weyl", recording)
+        monkeypatch.setattr(quantize, "save_weyl", lambda path, P: None)
+        code = cli.main(["quantize", "--model", "davies", "--h", "0.1",
+                         "--N", str(2 * spectral.MAX_DENSE_N),
+                         "--out", str(tmp_path / "big.weyl")])
+        assert code == cli.EXIT_OK
+        assert seen == [2 * spectral.MAX_DENSE_N]
+
     def test_pseudospectrum_emits_csv_and_svg(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = cli.main(["pseudospectrum", "--model", "davies", "--h", "0.1",
@@ -449,6 +498,25 @@ class TestCli:
         assert first["n_points"] == 512
         assert first["r"] == pytest.approx(0.1, rel=1e-3)
         assert first["kappa"] >= 1.0
+
+    def test_analytic_summary_is_strict_json(self, tmp_path, monkeypatch):
+        # s = inf has no resolvent fit: its r_squared is NaN, written null
+        hs = (0.2, 0.1, 0.05, 0.025)
+        recs = [record(h, r=0.5, res=2.0) for h in hs]
+        monkeypatch.setattr(experiments, "run_sweep", lambda cfg: recs)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("model = analytic-transport\n"
+                       "h_list = 0.2, 0.1, 0.05, 0.025\n"
+                       f"output_dir = {tmp_path}\n", encoding="utf-8")
+        assert cli.main(["scaling", "--config", str(cfg)]) == cli.EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        summary = json.loads((tmp_path / "summary.json").read_text(
+            encoding="utf-8"), parse_constant=reject)
+        assert summary["fits"]["resolvent"]["r_squared"] is None
+        assert summary["fits"]["resolvent"]["max_resolvent"] == 2.0
 
     @pytest.mark.parametrize("radius_exponent, resnorms", [
         (1.0, None),  # fitted exponent 1, outside 0.5 +/- 0.15

@@ -216,14 +216,55 @@ class TestBuildEscape:
         g1 = esc.g_at(x, xi)
         g2 = esc.g_at(x, xi)
         gx, gxi = esc.grad_g_at(x, xi)
-        assert len(built) <= 3
-        # the values of a spline built afresh for each call
+        assert len(built) == 1
+        # the values of each field's spline built afresh on its own
         axes = (esc.x_axis, esc.xi_axis)
-        pts = np.stack([x, xi], axis=-1)
         lat_x, lat_xi = geometry._lattice_gradient(esc.G_values, *axes)
         for got, values in ((g1, esc.G_values), (g2, esc.G_values),
                             (gx, lat_x), (gxi, lat_xi)):
-            assert np.array_equal(got, real(*axes, values)(pts))
+            fresh = real(*axes, values[None])(x, xi, slice(0, 1))[0]
+            assert np.array_equal(got, fresh)
+
+    def test_splines_match_scipy_reference(self, escape_gevrey2):
+        # the same not-a-knot interpolant, built by scipy.interpolate
+        interp = pytest.importorskip("scipy.interpolate")
+        esc = escape_gevrey2
+        axes = (esc.x_axis, esc.xi_axis)
+
+        def reference(values):
+            along_x = interp.make_interp_spline(axes[0], values, k=3)
+            along_xi = interp.make_interp_spline(axes[1], along_x.c.T, k=3)
+            return interp.NdBSpline((along_x.t, along_xi.t), along_xi.c.T, 3)
+
+        rng = np.random.default_rng(7)
+        X, K = np.meshgrid(*axes, indexing="ij")
+        last_x = np.full(300, axes[0][-1]), rng.uniform(*axes[1][[0, -1]], 300)
+        last_xi = rng.uniform(*axes[0][[0, -1]], 300), np.full(300, axes[1][-1])
+        point_sets = [(X.ravel(), K.ravel()), last_x, last_xi,
+                      (rng.uniform(*axes[0][[0, -1]], 5000),
+                       rng.uniform(*axes[1][[0, -1]], 5000))]
+        lat_x, lat_xi = geometry._lattice_gradient(esc.G_values, *axes)
+        for values in (esc.G_values, lat_x, lat_xi):
+            ref = reference(values)
+            ours = geometry._cubic_spline(*axes, values[None])
+            for x, xi in point_sets:
+                got = ours(x, xi, slice(0, 1))[0]
+                want = ref(np.stack([x, xi], axis=-1))
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(values).max()
+
+    def test_import_skips_scipy_interpolate(self):
+        # scipy.interpolate pulls in scipy.optimize, a large share of the
+        # start-up of every process
+        child = ("import sys\n"
+                 "import gevspec, gevspec.cli\n"
+                 "print(sorted(m for m in ('scipy.interpolate', "
+                 "'scipy.optimize') if m in sys.modules))\n")
+        src = str(Path(gevspec.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", child], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_splines_interpolate_lattice_values(self, escape_gevrey2):
         esc = dataclasses.replace(escape_gevrey2)

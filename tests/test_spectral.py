@@ -152,8 +152,23 @@ class TestSigmaMin:
         w = z + dre + 1j * dim
         assert abs(sigma_min(P, z) - sigma_min(P, w)) <= abs(z - w) + 1e-12
 
+    @pytest.mark.parametrize("z", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                   np.inf])
+    def test_nonfinite_z_is_rejected(self, z):
+        # sigma_min 0 would mean "z is spectrum"
+        with pytest.raises(ValueError):
+            sigma_min(wrap(np.eye(4, dtype=complex)), z)
+
 
 class TestPseudospectrum:
+    @pytest.mark.parametrize("window", [
+        ZGrid(complex(np.nan, 0.0), 1.0, 1.0, 3, 3),
+        ZGrid(0j, np.inf, 1.0, 3, 3),
+        ZGrid(0j, 1.0, np.nan, 3, 3)])
+    def test_nonfinite_window_is_budget_error(self, window):
+        with pytest.raises(BudgetError):
+            pseudospectrum(wrap(np.eye(4)), window)
+
     def test_budget_error(self):
         with pytest.raises(BudgetError):
             pseudospectrum(wrap(np.eye(4)),
