@@ -148,9 +148,7 @@ def grid_for(cfg: SweepConfig, h: float) -> quantize.RealGrid:
     if n is None:
         n = quantize.rule_n_points(model_from_tag(cfg.model_tag).symbol,
                                    cfg.half_width_L, h)
-    if n > spectral.MAX_DENSE_N:
-        raise NumericalFailure(
-            f"grid rule demands N = {n} > {spectral.MAX_DENSE_N} at h = {h}")
+    spectral.check_dense_n(n)
     return quantize.RealGrid(cfg.half_width_L, n)
 
 

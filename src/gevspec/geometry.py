@@ -9,9 +9,12 @@ parts in t gives
     H_{Im p} G   = chi_cut * H_{Im p} raw + raw * H_{Im p} chi_cut,
 so one set of trajectories from the lattice yields both G and H_{Im p} G:
 the two time integrals share the trajectory samples, and the cutoff term
-is analytic. Under Re p >= 0 plus nontrapping H_{Im p} G <= -c on the
-zero set, which is checked numerically rather than assumed: the certified
-margin c of build_escape is what decides that the zero set escapes.
+is analytic. Both fields vanish wherever chi_cut and its gradient do, so
+the trajectories start from the lattice points of the cutoff's support
+only, and the fields are +0.0 at every other point. Under Re p >= 0 plus
+nontrapping H_{Im p} G <= -c on the zero set, which is checked
+numerically rather than assumed: the certified margin c of build_escape
+is what decides that the zero set escapes.
 
 Every symbol is read by its additive split p = a(x) + b(xi), so the field is
     H_{Im p} = (d Im b / dxi, -d Im a / dx),
@@ -21,11 +24,13 @@ of the field depends on the other coordinate only. When one part is real,
 its component vanishes, so the coordinate the other component depends on
 never moves and the flow is the straight line
     Phi_t(x, xi) = (x + t d Im b / dxi (xi), xi - t d Im a / dx (x))
-at constant speed, evaluated in closed form (see _escape_integral). When
-neither part is real, Re p vanishes identically, so G and H_{Im p} G
-vanish whatever the flow and build_escape's margin check raises: the
-closed form serves every additive symbol. build_escape rejects a symbol
-without a split.
+at constant speed, evaluated in closed form (see _escape_integral). Along
+it a real part keeps its value if its coordinate stays fixed, so each time
+node evaluates only the real part whose coordinate moves, and an
+imaginary part is never evaluated. When neither part is real, Re p
+vanishes identically, so G and H_{Im p} G vanish whatever the flow and
+build_escape's margin check raises: the closed form serves every additive
+symbol. build_escape rejects a symbol without a split.
 """
 
 from __future__ import annotations
@@ -174,12 +179,16 @@ class EscapeField:
     T: float
 
     @cached_property
+    def _lattice_grad(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(d_x G, d_xi G) on the lattice by centered differences, computed
+        once per field."""
+        return _lattice_gradient(self.G_values, self.x_axis, self.xi_axis)
+
+    @cached_property
     def _spline(self) -> _Spline:
-        """Cubic splines of G, d_x G and d_xi G (centered lattice
-        differences), built once per field."""
-        gx, gxi = _lattice_gradient(self.G_values, self.x_axis, self.xi_axis)
+        """Cubic splines of G, d_x G and d_xi G, built once per field."""
         return _cubic_spline(self.x_axis, self.xi_axis,
-                             np.stack([self.G_values, gx, gxi]))
+                             np.stack([self.G_values, *self._lattice_grad]))
 
     def _outside_support(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
         r = np.hypot(x - self.cutoff_center[0], xi - self.cutoff_center[1])
@@ -232,12 +241,6 @@ def _hamiltonian_im(sym: GevreySymbol, x: np.ndarray, xi: np.ndarray):
             np.broadcast_to(-sym.split.a.im_d1(x), shape))
 
 
-def _re_p(sym: GevreySymbol, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Re p at (x, xi) from the split's real parts, so an imaginary part is
-    never evaluated."""
-    return sym.split.a.re(x) + sym.split.b.re(xi)
-
-
 def _chi_T(T: float, t: np.ndarray) -> np.ndarray:
     """Smooth time cutoff: 1 on [0, T], supported on [0, 2T]."""
     return 1.0 - smooth_step(np.asarray(t, dtype=float) / T - 1.0)
@@ -281,24 +284,42 @@ def _escape_integral(sym: GevreySymbol, x0: np.ndarray, xi0: np.ndarray,
     Re p(Phi_-t)) dt, both trapezoid in t over the same trajectories.
 
     velocity is H_{Im p} at (x0, xi0), constant along each trajectory, so
-    Phi_t is the exact point (x0 + t vx, xi0 + t vk) at every node t.
+    Phi_t is the exact point (x0 + t vx, xi0 + t vk) at every node t. Re p
+    is the sum of the split's real parts, and a real part's coordinate
+    moves only when the other part is imaginary. So with one real part,
+    each node evaluates that part at its moved coordinate alone; with two,
+    nothing moves and Re p keeps its starting value; with none, Re p and
+    both integrals vanish.
     """
+    a, b = sym.split.a, sym.split.b
+    if a.unit != b.unit:
+        part, start, v = ((a, x0, velocity[0]) if a.unit == 1
+                          else (b, xi0, velocity[1]))
+        re0 = part.re(start)
+
+        def re_at(t):
+            return part.re(start + t * v)
+    elif a.unit == 1:
+        re0 = a.re(x0) + b.re(xi0)
+
+        def re_at(t):
+            return re0
+    else:
+        return np.zeros(x0.shape), np.zeros(x0.shape)
     n_steps = int(round(2.0 * T / dt))
     t_nodes = dt * np.arange(n_steps + 1)
     w = _trapezoid_weights(_chi_T(T, t_nodes), dt)
     w_d1 = _trapezoid_weights(_chi_T_d1(T, t_nodes), dt)
-    vx, vk = velocity
-    re0 = _re_p(sym, x0, xi0)
     raw = np.zeros(x0.shape)
     h_raw = 2.0 * re0
     for sign in (1.0, -1.0):
         acc = w[0] * re0
         acc_d1 = w_d1[0] * re0
         for k in range(1, n_steps + 1):
-            t = sign * t_nodes[k]
-            re = _re_p(sym, x0 + t * vx, xi0 + t * vk)
+            re = re_at(sign * t_nodes[k])
             acc += w[k] * re
-            acc_d1 += w_d1[k] * re
+            if w_d1[k]:  # chi_T' vanishes on [0, T]
+                acc_d1 += w_d1[k] * re
         raw = raw - sign * acc
         h_raw += acc_d1
     return raw, h_raw
@@ -337,6 +358,8 @@ def build_escape(model: ModelInstance, T: float = 4.0,
                  dt: float = DEFAULT_DT) -> EscapeField:
     """Construct the escape function on a phase-space lattice and certify it.
 
+    The time integrals run from the lattice points where chi_cut or its
+    gradient is nonzero; G and H_{Im p} G are +0.0 at the others.
     margin_c is -max of H_{Im p} G over the numerical zero set
     {|p - z0| <= ZERO_TOL}; a nonpositive margin raises, reporting the
     offending zero point, since the downstream deformation has no
@@ -360,10 +383,16 @@ def build_escape(model: ModelInstance, T: float = 4.0,
     diag = float(np.hypot(hxhi - hxlo, hkhi - hklo))
     r_outer = 2.0 * diag
 
-    fx, fk = _hamiltonian_im(sym, X, K)
-    raw, h_raw = _escape_integral(sym, X, K, (fx, fk), T, dt)
     chi = _chi_cut(center, diag, r_outer, X, K)
     chi_x, chi_xi = _chi_cut_grad(center, diag, r_outer, X, K)
+    fx, fk = _hamiltonian_im(sym, X, K)
+    # G and H_{Im p} G vanish wherever chi_cut and its gradient do, so
+    # trajectories start from the cutoff's support only
+    support = (chi != 0.0) | (chi_x != 0.0) | (chi_xi != 0.0)
+    raw = np.zeros(X.shape)
+    h_raw = np.zeros(X.shape)
+    raw[support], h_raw[support] = _escape_integral(
+        sym, X[support], K[support], (fx[support], fk[support]), T, dt)
     G = chi * raw
     HG = chi * h_raw + raw * (fx * chi_x + fk * chi_xi)
 
@@ -397,23 +426,26 @@ def check_deformed_ellipticity(model: ModelInstance, esc: EscapeField,
     omega_box = model.symbol.zero_set_hint
     if omega_box is None:
         raise GeometryConfigError("no Omega box available")
-    gx, gxi = _lattice_gradient(esc.G_values, esc.x_axis, esc.xi_axis)
-    X, K = np.meshgrid(esc.x_axis, esc.xi_axis, indexing="ij")
+    gx, gxi = esc._lattice_grad
     # H_G = (d_xi G, -d_x G); keep one-cell margin where the differences
     # are one-sided
     (oxlo, oxhi), (oklo, okhi) = omega_box
-    mask = np.zeros(X.shape, dtype=bool)
-    mask[1:-1, 1:-1] = True
-    mask &= (X >= oxlo) & (X <= oxhi) & (K >= oklo) & (K <= okhi)
+    in_x = (esc.x_axis >= oxlo) & (esc.x_axis <= oxhi)
+    in_xi = (esc.xi_axis >= oklo) & (esc.xi_axis <= okhi)
+    in_x[[0, -1]] = False
+    in_xi[[0, -1]] = False
+    mask = in_x[:, None] & in_xi[None, :]
     if not mask.any():
         raise GeometryConfigError("Omega box misses the escape lattice")
+    i, j = np.nonzero(mask)
+    x, xi = esc.x_axis[i], esc.xi_axis[j]
     hx = gxi[mask]
     hk = -gx[mask]
-    ext = taylor_extension(model.symbol, (X[mask], K[mask]), (t * hx, t * hk))
+    ext = taylor_extension(model.symbol, (x, xi), (t * hx, t * hk))
     quot = np.real(ext) / abs(t)
     k_min = int(np.argmin(quot))
     gamma = float(quot[k_min])
-    return DeformationCheck(gamma, (float(X[mask][k_min]), float(K[mask][k_min])))
+    return DeformationCheck(gamma, (float(x[k_min]), float(xi[k_min])))
 
 
 def escape_csv_lines(field: EscapeField) -> List[str]:

@@ -95,7 +95,7 @@ class TestGridRule:
 
     def test_budget_failure_at_tiny_h(self):
         cfg = SweepConfig("davies", (0.001,), half_width_L=4.0)
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(spectral.BudgetError):
             grid_for(cfg, 0.001)
 
     def test_explicit_n_points_honored(self):

@@ -13,10 +13,10 @@ from gevspec import geometry
 from gevspec.geometry import (CoverageError, EscapeConstructionError,
                               GeometryConfigError, build_escape,
                               check_deformed_ellipticity, escape_csv_lines)
-from gevspec.symbols import (ANALYTIC, I_SQUARE, I_TANH, ModelInstance,
-                             additive_symbol, make_analytic_transport,
-                             make_davies, make_gevrey_transport,
-                             make_trapped_toy)
+from gevspec.symbols import (ANALYTIC, I_SQUARE, I_TANH, SQUARE,
+                             ModelInstance, Part, additive_symbol,
+                             make_analytic_transport, make_davies,
+                             make_gevrey_transport, make_trapped_toy)
 
 CATALOG = [make_davies(), make_analytic_transport(), make_gevrey_transport(1.5),
            make_gevrey_transport(2.0), make_gevrey_transport(3.0),
@@ -57,26 +57,67 @@ def _pairing_error(esc, model):
     return np.abs(fx * gx + fk * gxi - esc.HG_values)
 
 
+def _record_re(mp):
+    """Patch Part.re through mp to record (part, argument) for every call;
+    returns the record."""
+    calls = []
+    real_re = Part.re
+
+    def recording(self, t):
+        calls.append((self, np.array(t, dtype=float)))
+        return real_re(self, t)
+
+    mp.setattr(Part, "re", recording)
+    return calls
+
+
 def _sampled_points(sym, x0, xi0, T, dt=geometry.DEFAULT_DT):
     """The (x, xi) points at which _escape_integral evaluates Re p, stacked:
     the forward nodes t = dt, ..., 2T, then the backward nodes t = -dt, ...,
-    -2T; shape (2, n_steps, 2, len(x0))."""
+    -2T; shape (2, n_steps, 2, len(x0)). Only the real part whose
+    coordinate moves is evaluated, so that coordinate is read from the
+    calls of its re, and the other one, which the flow keeps fixed, is its
+    start."""
     x0 = np.asarray(x0, dtype=float)
     xi0 = np.asarray(xi0, dtype=float)
-    points = []
-    real_re_p = geometry._re_p
-
-    def recording(s, x, xi):
-        points.append(np.broadcast_arrays(x, xi))
-        return real_re_p(s, x, xi)
-
+    moving = 1 if sym.split.a.unit == 1j else 0  # a moves x, b moves xi
+    part = (sym.split.a, sym.split.b)[moving]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_re_p", recording)
+        calls = _record_re(mp)
         geometry._escape_integral(sym, x0, xi0,
                                   geometry._hamiltonian_im(sym, x0, xi0),
                                   T, dt)
-    assert np.array_equal(points[0], [x0, xi0])
-    return np.array(points[1:]).reshape(2, -1, 2, len(x0))
+    assert all(seen is part for seen, _ in calls)
+    start = (x0, xi0)
+    assert np.array_equal(calls[0][1], start[moving])
+    points = np.empty((len(calls) - 1, 2, len(x0)))
+    points[:, moving] = [t for _, t in calls[1:]]
+    points[:, 1 - moving] = start[1 - moving]
+    return points.reshape(2, -1, 2, len(x0))
+
+
+def _value_integral(sym, x0, xi0, velocity, T, dt):
+    """_escape_integral read from sym.value: Re p at both coordinates of
+    every node, accumulated in the same order."""
+    n_steps = int(round(2.0 * T / dt))
+    t_nodes = dt * np.arange(n_steps + 1)
+    w = geometry._trapezoid_weights(geometry._chi_T(T, t_nodes), dt)
+    w_d1 = geometry._trapezoid_weights(geometry._chi_T_d1(T, t_nodes), dt)
+    vx, vk = velocity
+    re0 = np.real(sym.value(x0, xi0))
+    raw = np.zeros(x0.shape)
+    h_raw = 2.0 * re0
+    for sign in (1.0, -1.0):
+        acc = w[0] * re0
+        acc_d1 = w_d1[0] * re0
+        for k in range(1, n_steps + 1):
+            t = sign * t_nodes[k]
+            re = np.real(sym.value(x0 + t * vx, xi0 + t * vk))
+            acc += w[k] * re
+            acc_d1 += w_d1[k] * re
+        raw = raw - sign * acc
+        h_raw += acc_d1
+    return raw, h_raw
 
 
 def _small_build(model, symbol):
@@ -155,6 +196,21 @@ class TestFlow:
         # the reference adds one rounded increment per step
         ref = np.array(list(_rk4_flow(model.symbol, x0, xi0, n_steps, dt)))
         assert np.all(np.abs(ref - got) <= (k + 4) * eps * scale)
+
+    @pytest.mark.parametrize("parts", [(SQUARE, I_TANH), (I_SQUARE, SQUARE),
+                                       (SQUARE, SQUARE), (I_SQUARE, I_TANH)],
+                             ids=["real+i", "i+real", "real+real", "i+i"])
+    def test_integral_matches_value_reference(self, parts):
+        # one branch of _escape_integral per pair of units
+        sym = additive_symbol(*parts, order_s=ANALYTIC, zero_set_hint=None,
+                              name="parts")
+        rng = np.random.default_rng(3)
+        x0, xi0 = rng.uniform(-2.0, 2.0, (2, 40))
+        velocity = geometry._hamiltonian_im(sym, x0, xi0)
+        got = geometry._escape_integral(sym, x0, xi0, velocity, 1.0, 0.01)
+        ref = _value_integral(sym, x0, xi0, velocity, 1.0, 0.01)
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r)
 
     def test_split_flow_never_calls_grad(self, gevrey2):
         traced = dataclasses.replace(gevrey2.symbol, grad=_raising)
@@ -277,7 +333,8 @@ class TestBuildEscape:
 
     def test_splines_independent_of_blas_threads(self, escape_gevrey2,
                                                  tmp_path):
-        # the thread count is set in each child's environment only
+        # the splines and the integrals of a build; the thread count is set
+        # in each child's environment only
         path = tmp_path / "escape.pkl"
         path.write_bytes(pickle.dumps(dataclasses.replace(escape_gevrey2)))
         child = (
@@ -287,7 +344,12 @@ class TestBuildEscape:
             "X, K = np.meshgrid(np.linspace(-2.4, 2.4, 53),\n"
             "                   np.linspace(-0.9, 0.9, 37), indexing='ij')\n"
             "v = [esc.g_at(X, K), *esc.grad_g_at(X, K)]\n"
-            "print(hashlib.sha256(np.stack(v).tobytes()).hexdigest())\n")
+            "from gevspec.geometry import build_escape\n"
+            "from gevspec.symbols import make_gevrey_transport\n"
+            "b = build_escape(make_gevrey_transport(2.0), n_x=33, n_xi=33)\n"
+            "v += [b.G_values, b.HG_values]\n"
+            "print(hashlib.sha256(b''.join(a.tobytes() for a in v))"
+            ".hexdigest())\n")
         src = str(Path(gevspec.__file__).resolve().parents[1])
         digests = []
         for threads in ("1", "2"):
@@ -317,12 +379,50 @@ class TestBuildEscape:
         kw = dict(lattice=((-2.0, 2.0), (-1.0, 1.0)), n_x=33, n_xi=17)
         esc = build_escape(model, **kw)
         monkeypatch.setattr(geometry, "_hamiltonian_im", _grad_field)
-        monkeypatch.setattr(geometry, "_re_p",
-                            lambda sym, x, xi: np.real(sym.value(x, xi)))
+        monkeypatch.setattr(geometry, "_escape_integral", _value_integral)
         ref = build_escape(model, **kw)
         assert np.array_equal(esc.G_values, ref.G_values)
         assert np.array_equal(esc.HG_values, ref.HG_values)
         assert esc.margin_c == ref.margin_c
+
+    @pytest.mark.parametrize("box", [
+        dict(n_x=33, n_xi=33),
+        dict(lattice=((-1.0, 6.0), (-0.5, 0.5)), n_x=57, n_xi=9)],
+        ids=["default-box", "off-centre"])
+    @pytest.mark.parametrize("model", [make_gevrey_transport(1.5),
+                                       make_gevrey_transport(2.0),
+                                       make_gevrey_transport(3.0),
+                                       make_analytic_transport()],
+                             ids=lambda m: m.tag)
+    def test_integrals_run_on_cutoff_support_only(self, model, box):
+        sym = model.symbol
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _record_re(mp)
+            esc = build_escape(model, **box)
+        # the full-lattice reference
+        X, K = np.meshgrid(esc.x_axis, esc.xi_axis, indexing="ij")
+        cut = (esc.cutoff_center, esc.cutoff_radius / 2.0, esc.cutoff_radius,
+               X, K)
+        chi = geometry._chi_cut(*cut)
+        chi_x, chi_xi = geometry._chi_cut_grad(*cut)
+        fx, fk = geometry._hamiltonian_im(sym, X, K)
+        raw, h_raw = geometry._escape_integral(sym, X, K, (fx, fk), esc.T,
+                                               geometry.DEFAULT_DT)
+        assert np.array_equal(esc.G_values, chi * raw)
+        assert np.array_equal(esc.HG_values,
+                              chi * h_raw + raw * (fx * chi_x + fk * chi_xi))
+        support = (chi != 0.0) | (chi_x != 0.0) | (chi_xi != 0.0)
+        assert support.any() and not support.all()
+        for field in (esc.G_values, esc.HG_values):
+            assert np.all(field[~support] == 0.0)
+            assert not np.signbit(field[~support]).any()
+        # x moves under i tanh(xi), which is never evaluated: only a(x) is,
+        # once at the starts, which are the support, and once per node
+        n_steps = int(round(2.0 * esc.T / geometry.DEFAULT_DT))
+        assert len(calls) == 1 + 2 * n_steps
+        assert all(part is sym.split.a for part, _ in calls)
+        assert np.array_equal(calls[0][1], X[support])
+        assert all(t.shape == (support.sum(),) for _, t in calls)
 
     def test_all_orders_build(self):
         for s in (1.5, 3.0):
