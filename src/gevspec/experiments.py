@@ -324,12 +324,15 @@ def _finite_or_null(obj):
 def emit_outputs(cfg: SweepConfig, records: Sequence[SweepRecord],
                  fits: dict) -> List[str]:
     """Write the summary JSON, each non-finite number as null; returns its
-    path in a list."""
+    path in a list. "skipped_h" lists the h values of cfg.h_list that have
+    no record."""
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    measured = {rec.h for rec in records}
     summary = {
         "model": cfg.model_tag,
         "h_list": list(cfg.h_list),
+        "skipped_h": [h for h in cfg.h_list if h not in measured],
         "n_records": len(records),
         "fits": fits,
         "records": [rec.as_dict() for rec in records],

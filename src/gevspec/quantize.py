@@ -1,4 +1,5 @@
-"""Dense discretization of the semiclassical Weyl quantization on a real grid.
+"""Discretization of the semiclassical Weyl quantization on a real grid,
+as a dense matrix or, for an additive symbol, a matrix-free operator.
 
 The matrix entries are
     P_jk = (1/N) sum_m exp(i (x_j - x_k) theta_m / h) p((x_j + x_k)/2, theta_m)
@@ -14,6 +15,9 @@ p = a(x) + b(xi) quantizes to
     B = ifft(b(theta_m)),
 one length-N FFT and a circulant. Symbols without a split take the general
 midpoint assembly, one FFT per anti-diagonal.
+
+The DFT diagonalizes C (Davis, Circulant Matrices, 1979), so WeylOperator
+applies P to vectors by one FFT pair without forming it.
 """
 
 from __future__ import annotations
@@ -82,6 +86,9 @@ class WeylMatrix:
     def n(self) -> int:
         return self.grid.n_points
 
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        return self.entries @ X
+
     @cached_property
     def schur(self):
         """Complex Schur form (T, Z) with entries = Z T Z*, T upper
@@ -112,11 +119,13 @@ def rule_n_points(sym: GevreySymbol, half_width_L: float, h: float) -> int:
     return max(required_n_points(half_width_L, h, sym.xi_extent), MIN_N_POINTS)
 
 
-def assemble_weyl(sym: GevreySymbol, grid: RealGrid, h: float) -> WeylMatrix:
-    """Assemble the dense Weyl matrix of a symbol at semiclassical parameter h.
+def _weyl_samples(sym: GevreySymbol, grid: RealGrid, h: float):
+    """Check h and the Nyquist limit; return the dual nodes theta_m and, for
+    a split symbol, its samples (a(x_j), b(theta_m)), else None.
 
-    A symbol with an additive split is assembled as diagonal plus circulant;
-    the result equals the general midpoint assembly entry for entry.
+    The split is checked against value on the N pairs (x_j, theta_j), so
+    what is quantized is the same symbol that every other reader of value
+    sees.
     """
     if not (0 < h <= 1):
         raise ValueError(f"h must lie in (0, 1], got {h}")
@@ -127,21 +136,8 @@ def assemble_weyl(sym: GevreySymbol, grid: RealGrid, h: float) -> WeylMatrix:
             f"Nyquist frequency {theta_max:.4g} below symbol xi-extent "
             f"{sym.xi_extent:.4g}; need n_points >= {n_req}")
     theta = grid.theta_nodes(h)
-    if sym.split is not None:
-        P = _circulant_weyl(sym, grid, theta)
-    else:
-        P = _midpoint_weyl(sym, grid, theta)
-    return WeylMatrix(P, h, grid, sym.name)
-
-
-def _circulant_weyl(sym: GevreySymbol, grid: RealGrid,
-                    theta: np.ndarray) -> np.ndarray:
-    """diag(a(x_j)) + C with C_jk = (-1)^(j-k) B[(j - k) mod N] and
-    B = ifft(b(theta_m)); N is even, so (j - k) mod N has the parity of
-    j - k. The split is first checked against value on the N pairs
-    (x_j, theta_j), so the matrix is the quantization of the same symbol
-    that every other reader of value sees."""
-    n = grid.n_points
+    if sym.split is None:
+        return theta, None
     x = grid.nodes
     a = sym.split.a(x)
     b = sym.split.b(theta)
@@ -151,6 +147,28 @@ def _circulant_weyl(sym: GevreySymbol, grid: RealGrid,
         raise ValueError(
             f"additive split of {sym.name!r} does not reproduce its value at "
             f"(x, xi) = ({x[k]:.6g}, {theta[k]:.6g})")
+    return theta, (a, b)
+
+
+def assemble_weyl(sym: GevreySymbol, grid: RealGrid, h: float) -> WeylMatrix:
+    """Assemble the dense Weyl matrix of a symbol at semiclassical parameter h.
+
+    A symbol with an additive split is assembled as diagonal plus circulant;
+    the result equals the general midpoint assembly entry for entry.
+    """
+    theta, samples = _weyl_samples(sym, grid, h)
+    if samples is not None:
+        P = _circulant_weyl(*samples)
+    else:
+        P = _midpoint_weyl(sym, grid, theta)
+    return WeylMatrix(P, h, grid, sym.name)
+
+
+def _circulant_weyl(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """diag(a(x_j)) + C with C_jk = (-1)^(j-k) B[(j - k) mod N] and
+    B = ifft(b(theta_m)); N is even, so (j - k) mod N has the parity of
+    j - k."""
+    n = len(b)
     B = np.fft.ifft(np.asarray(b, dtype=complex))
     B[1::2] *= -1.0
     P = scipy.linalg.circulant(B)
@@ -184,6 +202,36 @@ def _midpoint_weyl(sym: GevreySymbol, grid: RealGrid,
     P[0::2, 1::2] *= -1.0
     P[1::2, 0::2] *= -1.0
     return P
+
+
+@dataclass(frozen=True)
+class WeylOperator:
+    """diag(a(x_j)) + C applied along axis 0 without forming it: since
+    (-1)^d = e^(i pi d) shifts the frequency index by N/2, C is the
+    circulant with first column ifft(roll(b, N/2)), so
+    P U = a o U + ifft(roll(b, N/2) o fft(U))."""
+
+    a: np.ndarray  # a(x_j)
+    b: np.ndarray  # roll(b(theta_m), N/2)
+
+    def __matmul__(self, U: np.ndarray) -> np.ndarray:
+        """P U for a vector or an (N, k) block."""
+        shape = (-1,) + (1,) * (np.ndim(U) - 1)
+        CU = np.fft.ifft(self.b.reshape(shape) * np.fft.fft(U, axis=0),
+                         axis=0)
+        return self.a.reshape(shape) * U + CU
+
+
+def weyl_operator(sym: GevreySymbol, grid: RealGrid, h: float) -> WeylOperator:
+    """The matrix-free Weyl quantization of a symbol with an additive split;
+    the same checks as assemble_weyl, and a symbol without a split raises
+    ValueError."""
+    if sym.split is None:
+        raise ValueError(f"symbol {sym.name!r} has no additive split")
+    _, (a, b) = _weyl_samples(sym, grid, h)
+    n = grid.n_points
+    return WeylOperator(np.broadcast_to(a, n),
+                        np.roll(np.broadcast_to(b, n), n // 2))
 
 
 def _lagrange_half_weights(stencil: np.ndarray) -> np.ndarray:

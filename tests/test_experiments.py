@@ -1,7 +1,10 @@
 import argparse
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import gevspec
 from gevspec import cli, experiments, fbi, geometry, quantize, spectral
 from gevspec.experiments import (ConfigError, FitError, NumericalFailure,
                                  SweepConfig, SweepRecord, fit_power_law,
@@ -214,6 +218,28 @@ class TestSweep:
         assert float(lines[1].split(",")[0]) == 0.2
         assert float(lines[2].split(",")[0]) == 0.05
 
+    def test_summary_lists_skipped_h(self, tmp_path, monkeypatch, capsys):
+        def stand_in(cfg, model, h):
+            if h == 0.1:
+                raise NumericalFailure("synthetic failure")
+            return record(h)
+
+        monkeypatch.setattr(experiments, "_measure_one", stand_in)
+        cfg = SweepConfig("davies", (0.2, 0.1, 0.05), half_width_L=8.0,
+                          n_points=512, output_dir=str(tmp_path))
+        records = run_sweep(cfg, tmp_path / "sweep.csv")
+        assert "[sweep] h = 0.1 skipped: synthetic failure" \
+            in capsys.readouterr().out
+        experiments.emit_outputs(cfg, records, {})
+        summary = json.loads((tmp_path / "summary.json").read_text(
+            encoding="utf-8"))
+        assert summary["skipped_h"] == [0.1]
+        assert [r["h"] for r in summary["records"]] == [0.2, 0.05]
+        experiments.emit_outputs(cfg, [], {})
+        summary = json.loads((tmp_path / "summary.json").read_text(
+            encoding="utf-8"))
+        assert summary["skipped_h"] == [0.2, 0.1, 0.05]
+
     def test_sweep_never_builds_escape(self, tmp_path, monkeypatch):
         def no_escape(*args, **kwargs):
             raise AssertionError("escape function built by the sweep")
@@ -307,19 +333,51 @@ class TestOneFactorization:
 class TestToeplitzSweep:
     def test_one_weyl_matrix_per_h(self, monkeypatch, gevrey2,
                                    escape_gevrey2):
-        # the residuals at t = 0 and at the deformed t share one P per h
+        # the residuals at t = 0 and at the deformed t share one P per h,
+        # the matrix-free operator
         sizes = []
-        real = fbi.assemble_weyl
+        real = fbi.weyl_operator
 
         def counting(sym, grid, h):
             sizes.append(grid.n_points)
             return real(sym, grid, h)
 
-        monkeypatch.setattr(fbi, "assemble_weyl", counting)
+        monkeypatch.setattr(fbi, "weyl_operator", counting)
         rows = experiments.toeplitz_sweep(gevrey2, escape_gevrey2,
                                           (0.2, 0.1, 0.05, 0.025), 0.1)
         assert sizes == [128, 256, 512, 1024]
         assert len(rows) == 4 and all(np.isfinite(rows).ravel())
+
+    def test_residuals_independent_of_blas_threads(self):
+        # the shipped Toeplitz config's ladder, in one child per thread
+        # count; the count is set in the child's environment only
+        cfg = Path(__file__).resolve().parent.parent / "configs" \
+            / "gevrey2_toeplitz.cfg"
+        child = (
+            "import json, sys\n"
+            "from gevspec import experiments, geometry\n"
+            "cfg = experiments.parse_config(sys.argv[1])\n"
+            "model = experiments.model_from_tag(cfg.model_tag)\n"
+            "rows = experiments.toeplitz_sweep(\n"
+            "    model, geometry.build_escape(model), cfg.h_list,\n"
+            "    cfg.epsilon_deform)\n"
+            "print(json.dumps(rows))\n")
+        src = str(Path(gevspec.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", child, str(cfg)],
+                                 env=env, capture_output=True, text=True,
+                                 check=True)
+            runs.append(np.array(json.loads(out.stdout)))
+        one, two = runs
+        assert one.shape == (4, 3)
+        assert np.array_equal(one[:, 0], two[:, 0])
+        assert np.all(np.abs(two[:, 1:] - one[:, 1:])
+                      <= 1e-10 * np.abs(one[:, 1:]))
 
 
 class TestCli:

@@ -1,9 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from gevspec import experiments, fbi, quantize
 from gevspec.fbi import (ComplexGrid, FBIOperator, GridExtentError,
                          apply_conjugated, default_cgrid, gaussian_state,
                          make_fbi, toeplitz_residual, toeplitz_residuals,
@@ -161,6 +163,19 @@ class TestWeights:
         with pytest.raises(ValueError, match="escape function"):
             toeplitz_residual(gevrey2, op_h01, None, -0.0316, u, u)
 
+    def test_deformed_weight_equals_two_pass_weight(self, escape_gevrey2,
+                                                    op_h01):
+        # G and its gradient from one spline pass, as from g_at and grad_g_at
+        t = -0.0316
+        w = weight_phi_t(escape_gevrey2, t, op_h01)
+        x = op_h01.cgrid.nodes()
+        a, b = np.real(x), np.imag(x)
+        g = escape_gevrey2.g_at(a, -b)
+        gx, gxi = escape_gevrey2.grad_g_at(a, -b)
+        assert np.array_equal(w.phi_values, 0.5 * b ** 2 + t * g)
+        assert np.array_equal(w.xi_section,
+                              -b.astype(complex) + t * gxi - 1j * t * gx)
+
     def test_deformation_bounded_by_sup_g(self, escape_gevrey2, op_h01):
         t = -0.1 * np.sqrt(op_h01.h)
         w = weight_phi_t(escape_gevrey2, t, op_h01)
@@ -267,3 +282,37 @@ class TestToeplitz:
         got = toeplitz_residuals(gevrey2, op_h01, escape_gevrey2, ts, u, v)
         assert got == [toeplitz_residual(gevrey2, op_h01, escape_gevrey2, t,
                                          u, v) for t in ts]
+
+    def test_residuals_never_assemble_dense_p(self, gevrey2, escape_gevrey2,
+                                              op_h01, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("dense Weyl matrix assembled")
+
+        monkeypatch.setattr(quantize, "assemble_weyl", unreachable)
+        monkeypatch.setattr(fbi, "assemble_weyl", unreachable)
+        u = gaussian_state(op_h01.real_grid, op_h01.h, 0.0, 1.146)
+        v = gaussian_state(op_h01.real_grid, op_h01.h, 0.05, 1.116)
+        res = toeplitz_residuals(gevrey2, op_h01, escape_gevrey2,
+                                 (0.0, -0.0316), u, v)
+        assert all(np.isfinite(res))
+
+    def test_warm_call_memory_below_dense_p(self, gevrey2, escape_gevrey2):
+        # toeplitz_sweep's operator at h = 0.0125 has N = 2048, where a
+        # dense P alone takes N^2 * 16 bytes = 64 MB
+        h = 0.0125
+        grid = RealGrid(experiments.PROBE_L, 2048)
+        assert required_n_points(grid.half_width_L, h, 4.0) == 2048
+        op = make_fbi(grid, default_cgrid(h, re_span=1.5, im_span=2.2,
+                                          cells_per_width=3.0), h)
+        u = gaussian_state(grid, h, 0.0, 1.146)
+        v = gaussian_state(grid, h, 0.05, 1.116)
+        ts = (0.0, -0.1 * h ** 0.5)
+        first = toeplitz_residuals(gevrey2, op, escape_gevrey2, ts, u, v)
+        tracemalloc.start()
+        try:
+            again = toeplitz_residuals(gevrey2, op, escape_gevrey2, ts, u, v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again == first
+        assert peak < 16 * 2 ** 20

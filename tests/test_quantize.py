@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gevspec.quantize import (GridError, RealGrid, ResolutionError, WeylMatrix,
                               assemble_weyl, compose_and_extract,
                               interior_window, inverse_weyl, load_weyl,
-                              required_n_points, save_weyl)
+                              required_n_points, save_weyl, weyl_operator)
 from gevspec.symbols import ANALYTIC, GevreySymbol, model_from_tag
 
 
@@ -184,6 +184,59 @@ class TestAssembly:
         B = assemble_weyl(XI_SYM, g, h).entries
         C = assemble_weyl(combo, g, h).entries
         assert np.abs(C - (alpha * A + beta_re * B)).max() < 1e-12
+
+
+CATALOG = ("davies", "gevrey-transport:s=1.5", "gevrey-transport:s=2",
+           "gevrey-transport:s=3", "analytic-transport", "trapped-toy")
+
+
+class TestWeylOperator:
+    @pytest.mark.parametrize("tag", CATALOG)
+    @pytest.mark.parametrize("n", [128, 2048])
+    def test_matches_dense_product(self, tag, n, rng):
+        # at the smallest h of the ladder h = 0.2 * 2^(-k/2) that N resolves
+        sym = model_from_tag(tag).symbol
+        grid = RealGrid(8.0, n)
+        ladder = 0.2 * 2.0 ** (-np.arange(12) / 2.0)
+        h = min(h for h in ladder
+                if required_n_points(8.0, h, sym.xi_extent) <= n)
+        P = assemble_weyl(sym, grid, h).entries
+        op = weyl_operator(sym, grid, h)
+        for shape in ((n,), (n, 3)):
+            U = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got = op @ U
+            assert got.shape == shape
+            bound = 1e-13 * np.abs(P).max() * np.abs(U).max()
+            assert np.abs(got - P @ U).max() <= bound
+
+    def test_holds_two_length_n_arrays(self):
+        sym = model_from_tag("gevrey-transport:s=2").symbol
+        grid = RealGrid(8.0, 256)
+        op = weyl_operator(sym, grid, 0.1)
+        assert op.a.shape == op.b.shape == (256,)
+        theta = grid.theta_nodes(0.1)
+        assert np.array_equal(op.b, np.roll(sym.split.b(theta), 128))
+
+    def test_dense_matrix_applies_by_matmul(self, rng):
+        P = assemble_weyl(BUMP, RealGrid(8.0, 128), 0.2)
+        U = rng.standard_normal((128, 2)) + 0j
+        assert np.array_equal(P @ U, P.entries @ U)
+
+    def test_rejects_symbol_without_split(self):
+        with pytest.raises(ValueError, match="has no additive split"):
+            weyl_operator(BUMP, RealGrid(8.0, 256), 0.2)
+
+    def test_same_checks_as_assembly(self):
+        sym = model_from_tag("gevrey-transport:s=2").symbol
+        for h in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError, match="h must lie"):
+                weyl_operator(sym, RealGrid(8.0, 256), h)
+        with pytest.raises(ResolutionError, match="need n_points >= 512"):
+            weyl_operator(sym, RealGrid(8.0, 128), 0.05)
+        wrong = dataclasses.replace(sym,
+                                    split=model_from_tag("davies").symbol.split)
+        with pytest.raises(ValueError, match="does not reproduce its value"):
+            weyl_operator(wrong, RealGrid(6.0, 256), 0.1)
 
 
 class TestInverseWeyl:
