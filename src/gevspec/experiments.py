@@ -1,11 +1,12 @@
 """Sweep orchestration: h-sweeps, power-law fits, persistence, and summaries.
 
 A sweep walks a decreasing h list, quantizes the model at each h on the
-grid rule N(h), and from one Schur factorization per matrix measures the
-spectrum-free radius r around the model's z0, the condition number kappa
-of the eigenvalue at that distance, and the resolvent at the probe point
-z0 - r/2. Rows are written to CSV as they finish so an interrupted sweep
-leaves a valid prefix. The Toeplitz sweep measures, on one FBI operator
+grid rule N(h), and from one Schur factorization per matrix, its
+triangular factor alone, measures the spectrum-free radius r around the
+model's z0 (with one LU of P - lambda per eigenvalue it tests), the
+condition number kappa of the eigenvalue at that distance, and the
+resolvent at the probe point z0 - r/2. Rows are written to CSV as they
+finish so an interrupted sweep leaves a valid prefix. The Toeplitz sweep measures, on one FBI operator
 per h, the Toeplitz-identity residual with the flat and the deformed
 weight; criterion 05 needs both log-log slopes to reach SLOPE_MIN.
 """

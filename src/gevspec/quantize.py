@@ -28,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .symbols import GevreySymbol
 
@@ -77,6 +78,10 @@ class RealGrid:
 
 @dataclass(frozen=True)
 class WeylMatrix:
+    """A dense Weyl matrix on its grid. Its triangular Schur factor is
+    computed on the first spectral query and kept, so one factorization
+    serves every query that reads it: all of spectral but eigenvalues(),
+    which alone needs the Schur vectors and computes them for itself."""
     entries: np.ndarray
     h: float
     grid: RealGrid
@@ -90,10 +95,29 @@ class WeylMatrix:
         return self.entries @ X
 
     @cached_property
-    def schur(self):
-        """Complex Schur form (T, Z) with entries = Z T Z*, T upper
-        triangular and Z unitary; computed on first use and kept."""
-        return scipy.linalg.schur(self.entries, output="complex")
+    def schur_factor(self) -> np.ndarray:
+        """The upper-triangular T of the complex Schur form entries = Z T Z*,
+        computed on first use and kept; the Schur vectors Z are not formed.
+
+        zgees runs with jobvs = 'N' on the workspace its query reports as
+        optimal, as scipy.linalg.schur queries it, so T is bit for bit the
+        T of scipy.linalg.schur(entries, output="complex"). Raises
+        ValueError for a non-finite entry and LinAlgError when the QR
+        iteration fails (zgees info != 0).
+        """
+        a = np.asarray_chkfinite(self.entries).astype(complex, copy=False)
+
+        def no_sort(_):
+            return None
+
+        work = lapack.zgees(no_sort, a, compute_v=0, lwork=-1)[-2]
+        T, _, _, _, _, info = lapack.zgees(no_sort, a, compute_v=0,
+                                           lwork=int(work[0].real))
+        if info != 0:
+            raise scipy.linalg.LinAlgError(
+                f"complex Schur form of order {self.n} not found: zgees "
+                f"info {info}")
+        return T
 
     @cached_property
     def frobenius_norm(self) -> float:

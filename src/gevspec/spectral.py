@@ -1,13 +1,16 @@
 """Dense spectral computations: eigenvalues, sigma_min sweeps, resolvent norms.
 
-Every query reads one complex Schur form P = Z T Z*, computed on the first
-query and kept on the WeylMatrix: the eigenvalues are diag(T), the
-eigenvectors Z X with X from back-substitution on T, and sigma_min(P - z) =
-sigma_min(T - z) comes from Lanczos with triangular solves on T (the EigTool
-design: Trefethen, Acta Numerica 1999; Wright & Trefethen, SISC 2001).
-eigenvalues() back-substitutes all N eigenvectors; spectrum_free_radius()
-walks diag(T) outward from z0 and back-substitutes only the eigenvectors
-it tests, plus the left eigenvector of the one it reports, for its kappa.
+One complex Schur factorization per matrix serves every query but one: the
+triangular factor T of P = Z T Z*, computed on the first query and kept on
+the WeylMatrix without the Schur vectors Z. The eigenvalues are diag(T);
+sigma_min(P - z) = sigma_min(T - z) comes from Lanczos with triangular solves
+on T (the EigTool design: Trefethen, Acta Numerica 1999; Wright & Trefethen,
+SISC 2001). spectrum_free_radius() walks diag(T) outward from z0; each
+candidate's boundary mass comes from inverse iteration on P - lambda, one LU
+per candidate (LAPACK's xHSEIN route to selected eigenvectors), and the one
+it reports gets its kappa from back-substitution on T. eigenvalues() alone
+needs all N eigenvectors, Z X with X from back-substitution on T, so it
+computes (T, Z) for itself and keeps neither.
 
 All routines are deterministic; pseudospectrum grids evaluate pointwise with
 values independent of evaluation order.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -115,29 +119,40 @@ def check_window(window: ZGrid) -> None:
         raise BudgetError(f"z-window center must be finite, got {window.center}")
 
 
-def _schur(P: WeylMatrix) -> Tuple[np.ndarray, np.ndarray]:
-    """P's cached Schur factors (T, Z); the size budget is checked first."""
+@contextmanager
+def _factoring(P: WeylMatrix):
+    """Check the size budget, then run the body, a Schur factorization of P;
+    a LinAlgError from it dumps P to a temporary file and raises
+    SolverError."""
     check_dense_n(P.n)
     try:
-        return P.schur
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        yield
+    except scipy.linalg.LinAlgError as exc:
         fd, path = tempfile.mkstemp(prefix="weyl_fail_", suffix=".bin")
         os.close(fd)
         save_weyl(path, P)
         raise SolverError(f"Schur factorization failed; matrix dumped to {path}") from exc
 
 
-def _edge_rows(Z: np.ndarray) -> np.ndarray:
-    """The rows of Z on the outer BOUNDARY_FRACTION of the grid nodes, half
-    at each end: for an eigenvector x of T, Z x restricted to those nodes."""
-    n = Z.shape[0]
+def _schur_factor(P: WeylMatrix) -> np.ndarray:
+    """P's cached triangular Schur factor T, after the size budget check."""
+    with _factoring(P):
+        return P.schur_factor
+
+
+def _edge_rows(V: np.ndarray) -> np.ndarray:
+    """The rows of V on the outer BOUNDARY_FRACTION of the grid nodes, half
+    at each end."""
+    n = V.shape[0]
     edge = max(1, int(round(0.5 * BOUNDARY_FRACTION * n)))
-    return np.concatenate((Z[:edge], Z[n - edge:]))
+    return np.concatenate((V[:edge], V[n - edge:]))
 
 
 def eigenvalues(P: WeylMatrix) -> SpectrumResult:
     """All eigenvalues with per-eigenvector boundary-mass diagnostics."""
-    T, Z = _schur(P)
+    with _factoring(P):
+        # the one query that reads the Schur vectors: computed here, not kept
+        T, Z = scipy.linalg.schur(P.entries, output="complex")
     # T is triangular, so balancing isolates every eigenvalue and eig only
     # back-substitutes for T's eigenvectors X (values: diag(T)); P's are Z X
     vals, X = scipy.linalg.eig(T)
@@ -150,7 +165,7 @@ def eigenvalues(P: WeylMatrix) -> SpectrumResult:
 
 def schur_eigenvalues(P: WeylMatrix) -> np.ndarray:
     """The eigenvalues alone, diag(T), in the order eigenvalues() returns."""
-    vals = np.diag(_schur(P)[0])
+    vals = np.diag(_schur_factor(P))
     return vals[np.argsort(np.abs(vals), kind="stable")]
 
 
@@ -165,7 +180,7 @@ def sigma_min(P: WeylMatrix, z: complex) -> float:
     """
     if not np.isfinite(z):
         raise ValueError(f"sigma_min needs a finite z, got {z}")
-    T, _ = _schur(P)
+    T = _schur_factor(P)
     n = P.n
     R = np.array(T, order="F")  # the layout ztrsv reads without a copy
     np.fill_diagonal(R, T.diagonal() - z)
@@ -236,18 +251,24 @@ def pseudospectrum(P: WeylMatrix, window: ZGrid) -> PseudospectrumField:
     return PseudospectrumField(window, field)
 
 
+def _pivot_floor(lam: complex, n: int) -> float:
+    """smin = max(ulp (|Re lam| + |Im lam|), smlnum): LAPACK ztrevc's floor
+    for a pivot of modulus |Re| + |Im| in a solve shifted by lam at order
+    n."""
+    ulp = np.finfo(float).eps
+    return max(ulp * (abs(lam.real) + abs(lam.imag)),
+               np.finfo(float).tiny * (n / ulp))
+
+
 def _solve_shifted(block: np.ndarray, lam: complex, rhs: np.ndarray,
                    trans: int, n: int) -> np.ndarray:
     """v with (block - lam) v = rhs (trans=0) or (block - lam)* v = rhs
     (trans=2), for an upper-triangular block of T of order n. As in LAPACK's
-    ztrevc, which eig runs, a pivot of modulus |Re| + |Im| below
-    smin = max(ulp (|Re lam| + |Im lam|), smlnum) is replaced by smin, so a
-    repeated eigenvalue gives a large but finite vector."""
+    ztrevc, which eig runs, a pivot below _pivot_floor is replaced by it, so
+    a repeated eigenvalue gives a large but finite vector."""
     if rhs.size == 0:
         return rhs
-    ulp = np.finfo(float).eps
-    smin = max(ulp * (abs(lam.real) + abs(lam.imag)),
-               np.finfo(float).tiny * (n / ulp))
+    smin = _pivot_floor(lam, n)
     A = np.array(block, order="F")  # the layout ztrsv reads without a copy
     piv = A.diagonal() - lam
     piv[np.abs(piv.real) + np.abs(piv.imag) < smin] = smin
@@ -259,6 +280,36 @@ def _solve_shifted(block: np.ndarray, lam: complex, rhs: np.ndarray,
     return v
 
 
+def _least_boundary_mass(P: WeylMatrix, lam: complex, m: int) -> float:
+    """The least boundary mass of a unit vector in the span of P's
+    eigenvectors for lam, an eigenvalue m times on diag(T).
+
+    Two steps of inverse iteration on P - lam from a fixed m-column start
+    block, orthonormalized after each, give that span; the least mass over
+    it is the smallest eigenvalue of the m x m Gram matrix of its edge rows.
+    P - lam is factored by one LU on a single copy of P, and a pivot of U
+    below _pivot_floor is raised to it, as _solve_shifted raises T's.
+    """
+    n = P.n
+    A = np.array(P.entries, order="F")  # the layout zgetrf factors in place
+    np.fill_diagonal(A, A.diagonal() - lam)
+    lu, piv, _ = lapack.zgetrf(A, overwrite_a=1)  # info > 0: a zero pivot
+    smin = _pivot_floor(lam, n)
+    d = lu.diagonal()
+    small = np.flatnonzero(np.abs(d.real) + np.abs(d.imag) < smin)
+    lu[small, small] = smin
+    rng = np.random.default_rng(0)  # a fixed start block
+    V = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    for _ in range(2):
+        V, _ = lapack.zgetrs(lu, piv, V)
+        if not np.all(np.isfinite(V)):
+            raise SolverError(f"inverse iteration at lambda = {lam}, N = {n} "
+                              "overflowed")
+        V = np.linalg.qr(V)[0]
+    E = _edge_rows(V)
+    return float(np.linalg.eigvalsh(E.conj().T @ E)[0])
+
+
 def spectrum_free_radius(P: WeylMatrix, z0: complex,
                          threshold: float = BOUNDARY_MASS_THRESHOLD
                          ) -> FreeRadius:
@@ -266,23 +317,31 @@ def spectrum_free_radius(P: WeylMatrix, z0: complex,
     most `threshold` of its mass on the boundary rows, with that eigenvalue
     and its kappa.
 
-    Walks diag(T) in order of distance from z0 and back-substitutes each
-    candidate's right eigenvector x of T (x_k = 1, zero below k) until one
-    passes the filter eigenvalues() applies; the left eigenvector y (y_k = 1,
-    zero above k, so y* x = 1) of that one gives kappa = ||x|| ||y||.
+    Walks diag(T) in order of distance from z0. A candidate lam, with every
+    copy of it on diag(T) (those within _pivot_floor), is tested once by
+    _least_boundary_mass; the first that passes is reported by its last
+    copy k on diag(T), whose right eigenvector x of T (x_k = 1, zero below
+    k) and left eigenvector y (y_k = 1, zero above k, so y* x = 1) give
+    kappa = ||x|| ||y||.
     """
-    T, Z = _schur(P)
+    T = _schur_factor(P)
     n = P.n
     lams = T.diagonal()
     dist = np.abs(lams - z0)
-    edge_rows = _edge_rows(Z)
+    tested = np.zeros(n, dtype=bool)
     norm = scipy.linalg.norm  # BLAS nrm2: no overflow in the squares
     for k in np.argsort(dist, kind="stable"):
-        lam = lams[k]
-        x = np.ones(k + 1, dtype=complex)
-        x[:k] = _solve_shifted(T[:k, :k], lam, -T[:k, k], 0, n)
-        # Z is unitary, so x carries the norm of Z x
-        if (norm(edge_rows[:, :k + 1] @ x) / norm(x)) ** 2 <= threshold:
+        if tested[k]:
+            continue
+        gap = lams - lams[k]
+        copies = np.flatnonzero(np.abs(gap.real) + np.abs(gap.imag)
+                                < _pivot_floor(lams[k], n))
+        tested[copies] = True
+        if _least_boundary_mass(P, lams[k], copies.size) <= threshold:
+            k = copies[-1]
+            lam = lams[k]
+            x = np.ones(k + 1, dtype=complex)
+            x[:k] = _solve_shifted(T[:k, :k], lam, -T[:k, k], 0, n)
             y = np.ones(n - k, dtype=complex)
             y[1:] = _solve_shifted(T[k + 1:, k + 1:], lam,
                                    -T[k, k + 1:].conj(), 2, n)

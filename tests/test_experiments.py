@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 
 import gevspec
 from gevspec import cli, experiments, fbi, geometry, quantize, spectral
@@ -280,54 +281,52 @@ class TestSweep:
 
 
 class TestOneFactorization:
-    """Each matrix is factored once, by scipy.linalg.schur; no dense eig of
-    P, LU or SVD runs on the sweep or pseudospectrum paths."""
+    """Each matrix is factored once, by zgees without Schur vectors
+    (compute_v=0); the free radius adds one LU per tested candidate, and no
+    full Schur form, dense eig of P or SVD runs on the sweep or
+    pseudospectrum paths."""
 
     @pytest.fixture
-    def schur_calls(self, monkeypatch):
-        calls = []
-        real_schur, real_eig = scipy.linalg.schur, scipy.linalg.eig
+    def factorizations(self, monkeypatch):
+        calls = {"gees": [], "getrf": []}
+        real_gees, real_getrf = lapack.zgees, lapack.zgetrf
 
-        def counting_schur(a, *args, **kwargs):
-            calls.append(a.shape)
-            return real_schur(a, *args, **kwargs)
+        def counting_gees(select, a, *args, **kwargs):
+            if kwargs.get("lwork") != -1:  # the workspace query factors nothing
+                calls["gees"].append((a.shape, kwargs.get("compute_v", 1)))
+            return real_gees(select, a, *args, **kwargs)
 
-        def triangular_eig(a, *args, **kwargs):
-            assert np.array_equal(np.triu(a), a), "eig called on a dense matrix"
-            return real_eig(a, *args, **kwargs)
+        def counting_getrf(a, *args, **kwargs):
+            calls["getrf"].append(a.shape)
+            return real_getrf(a, *args, **kwargs)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("second factorization of the matrix")
 
-        monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
-        monkeypatch.setattr(scipy.linalg, "eig", triangular_eig)
-        monkeypatch.setattr(scipy.linalg, "lu_factor", forbidden)
-        monkeypatch.setattr(scipy.linalg, "svdvals", forbidden)
+        monkeypatch.setattr(lapack, "zgees", counting_gees)
+        monkeypatch.setattr(lapack, "zgetrf", counting_getrf)
+        for name in ("schur", "eig", "lu_factor", "svdvals"):
+            monkeypatch.setattr(scipy.linalg, name, forbidden)
         return calls
 
-    def test_sweep_point(self, schur_calls, monkeypatch):
-        # r(h) and its kappa back-substitute single eigenvectors of T
-        def no_eig(*args, **kwargs):
-            raise AssertionError("eig called for the free radius")
-
-        monkeypatch.setattr(scipy.linalg, "eig", no_eig)
+    def test_sweep_point(self, factorizations):
+        # davies at N = 256 tests one candidate: one LU of P - lambda; kappa
+        # back-substitutes on T
         cfg = SweepConfig("davies", (0.1,), half_width_L=8.0, n_points=256)
         rec = experiments._measure_one(cfg, model_from_tag("davies"), 0.1)
         assert np.isfinite(rec.resolvent_norm)
-        assert schur_calls == [(256, 256)]
+        assert factorizations == {"gees": [((256, 256), 0)],
+                                  "getrf": [(256, 256)]}
 
-    def test_pseudospectrum_command(self, schur_calls, tmp_path, monkeypatch):
-        # the eigenvalue overlay reads diag(T): no eigenvectors at all
-        def no_eig(*args, **kwargs):
-            raise AssertionError("eig called for the eigenvalue overlay")
-
-        monkeypatch.setattr(scipy.linalg, "eig", no_eig)
+    def test_pseudospectrum_command(self, factorizations, tmp_path,
+                                    monkeypatch):
+        # sigma_min and the eigenvalue overlay read T alone
         monkeypatch.chdir(tmp_path)
         code = cli.main(["pseudospectrum", "--model", "davies", "--h", "0.1",
                          "--center", "0.1,0.1", "--span", "0.2", "--res", "3",
                          "--L", "8", "--N", "256", "--out", "field"])
         assert code == cli.EXIT_OK
-        assert schur_calls == [(256, 256)]
+        assert factorizations == {"gees": [((256, 256), 0)], "getrf": []}
 
 
 class TestToeplitzSweep:

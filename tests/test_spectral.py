@@ -1,18 +1,22 @@
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from gevspec import spectral
 from gevspec.quantize import (RealGrid, WeylMatrix, assemble_weyl,
-                              required_n_points)
+                              load_weyl, required_n_points)
 from gevspec.spectral import (BOUNDARY_MASS_THRESHOLD, MAX_DENSE_N,
                               BudgetError, PseudospectrumField, SolverError,
                               SpectrumResult, ZGrid, eigenvalues,
                               pseudospectrum, pseudospectrum_csv_lines,
-                              resolvent_norm, sigma_min, spectrum_csv_lines,
-                              spectrum_free_radius)
+                              resolvent_norm, schur_eigenvalues, sigma_min,
+                              spectrum_csv_lines, spectrum_free_radius)
 from gevspec.symbols import model_from_tag
 from test_quantize import BUMP, ONE, plain_symbol
 
@@ -69,6 +73,7 @@ class TestEigenvalues:
             raise AssertionError("factored a matrix above the budget")
 
         monkeypatch.setattr(scipy.linalg, "schur", no_schur)
+        monkeypatch.setattr(lapack, "zgees", no_schur)
         # P.n reads the grid, so the entries need not be allocated at full size
         P = WeylMatrix(np.eye(4, dtype=complex), 0.1,
                        RealGrid(4.0, 2 * MAX_DENSE_N), "oversized")
@@ -82,7 +87,9 @@ class TestEigenvalues:
     def test_values_are_the_schur_diagonal(self, rng):
         n = 64
         P = wrap(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        T, Z = P.schur
+        T = P.schur_factor
+        T_full, Z = scipy.linalg.schur(P.entries, output="complex")
+        assert np.array_equal(T, T_full)
         assert np.allclose(Z @ T @ Z.conj().T, P.entries)
         assert np.array_equal(np.sort_complex(eigenvalues(P).eigenvalues),
                               np.sort_complex(np.diag(T)))
@@ -255,7 +262,7 @@ class TestFreeRadius:
         T[1, 1] = T[40, 40] = lam
         T[1, 40] = 1e-20
         P = wrap(T)
-        assert np.array_equal(P.schur[0], T)
+        assert np.array_equal(P.schur_factor, T)
         # index 1 sits on the boundary and fails the filter; index 40,
         # equally near, passes with x[1] = -1e-20 / smin
         free = spectrum_free_radius(P, lam)
@@ -271,6 +278,142 @@ class TestFreeRadius:
         P = wrap(T)
         with pytest.raises(SolverError, match="overflow"):
             spectrum_free_radius(P, T[16, 16])
+
+
+CATALOG = ("davies", "analytic-transport", "trapped-toy",
+           "gevrey-transport:s=1.5", "gevrey-transport:s=2",
+           "gevrey-transport:s=3")
+
+
+def catalog_matrix(tag, h, L=6.0):
+    """The sweep's matrix: the model's symbol on the grid rule N(h)."""
+    sym = model_from_tag(tag).symbol
+    return assemble_weyl(sym, RealGrid(L, required_n_points(L, h, 4.0)), h)
+
+
+# the queries that read the cached factor T
+T_READERS = (lambda P: sigma_min(P, 0.5),
+             lambda P: spectrum_free_radius(P, 0.5), schur_eigenvalues)
+
+
+class TestSchurFactor:
+    """The cached factor is T alone, from zgees without Schur vectors, and
+    fails as loudly as scipy.linalg.schur."""
+
+    @pytest.mark.parametrize("tag", CATALOG)
+    def test_equals_full_schur_form(self, tag):
+        P = catalog_matrix(tag, 0.1)
+        assert P.n == 256
+        T, _ = scipy.linalg.schur(P.entries, output="complex")
+        assert np.array_equal(P.schur_factor, T)
+
+    @pytest.mark.parametrize("query", T_READERS)
+    def test_failed_iteration_dumps_matrix(self, query, monkeypatch,
+                                           tmp_path):
+        real = lapack.zgees
+
+        def failing_gees(*args, **kwargs):
+            *out, info = real(*args, **kwargs)
+            return (*out, 0 if kwargs.get("lwork") == -1 else 1)
+
+        monkeypatch.setattr(lapack, "zgees", failing_gees)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        P = hermitian_example()
+        with pytest.raises(SolverError, match="matrix dumped to"):
+            query(P)
+        [dump] = tmp_path.glob("weyl_fail_*.bin")
+        assert np.array_equal(load_weyl(dump).entries, P.entries)
+
+    @pytest.mark.parametrize("query", T_READERS)
+    def test_nonfinite_entry_raises(self, query):
+        M = np.eye(8, dtype=complex)
+        M[3, 5] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            query(wrap(M))
+
+    def test_warm_free_radius_holds_one_copy_of_p(self, monkeypatch):
+        # one LU copy of P beside the cached T; no N x N Schur vectors
+        vs_shapes = []
+        real = lapack.zgees
+
+        def recording_gees(*args, **kwargs):
+            out = real(*args, **kwargs)
+            vs_shapes.append(out[3].shape)
+            return out
+
+        monkeypatch.setattr(lapack, "zgees", recording_gees)
+        P = catalog_matrix("gevrey-transport:s=2", 0.025)
+        n = P.n
+        assert n == 1024
+        cold = spectrum_free_radius(P, 0j)
+        assert vs_shapes == [(1, n), (1, n)]  # workspace query, factorization
+        assert P.schur_factor.shape == (n, n)
+        tracemalloc.start()
+        try:
+            warm = spectrum_free_radius(P, 0j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert warm == cold
+        assert peak < 1.5 * 16 * n * n
+
+
+def full_schur_walk(P, z0, threshold=BOUNDARY_MASS_THRESHOLD):
+    """The free-radius walk on the full Schur form (T, Z): each candidate's
+    eigenvector x of T is back-substituted and its boundary mass read from
+    the edge rows of Z x. Returns the FreeRadius and, per tested candidate,
+    (eigenvalue, passed)."""
+    T, Z = scipy.linalg.schur(P.entries, output="complex")
+    n = P.n
+    lams = T.diagonal()
+    dist = np.abs(lams - z0)
+    edge = max(1, int(round(0.5 * spectral.BOUNDARY_FRACTION * n)))
+    edge_rows = np.concatenate((Z[:edge], Z[n - edge:]))
+    norm = scipy.linalg.norm
+    tested = []
+    for k in np.argsort(dist, kind="stable"):
+        lam = lams[k]
+        x = np.ones(k + 1, dtype=complex)
+        x[:k] = spectral._solve_shifted(T[:k, :k], lam, -T[:k, k], 0, n)
+        passed = (norm(edge_rows[:, :k + 1] @ x) / norm(x)) ** 2 <= threshold
+        tested.append((lam, passed))
+        if passed:
+            y = np.ones(n - k, dtype=complex)
+            y[1:] = spectral._solve_shifted(T[k + 1:, k + 1:], lam,
+                                            -T[k, k + 1:].conj(), 2, n)
+            free = spectral.FreeRadius(float(dist[k]), complex(lam),
+                                       float(norm(x) * norm(y)))
+            return free, tested
+    raise AssertionError("no candidate passed")
+
+
+class TestFreeRadiusReference:
+    """Inverse iteration on P - lambda decides every candidate as the full
+    Schur form did, so the radius, eigenvalue and kappa are bit-equal."""
+
+    @pytest.mark.parametrize("tag, h, n, candidates", [
+        ("gevrey-transport:s=2", 0.2, 128, 19),
+        ("gevrey-transport:s=2", 0.05, 512, 1),
+        ("analytic-transport", 0.1, 256, 22)])
+    def test_same_walk_as_full_schur_form(self, tag, h, n, candidates,
+                                          monkeypatch):
+        decided = []
+        real = spectral._least_boundary_mass
+
+        def recording(P, lam, m):
+            mass = real(P, lam, m)
+            decided.append((lam, m, mass <= BOUNDARY_MASS_THRESHOLD))
+            return mass
+
+        monkeypatch.setattr(spectral, "_least_boundary_mass", recording)
+        P = catalog_matrix(tag, h)
+        assert P.n == n
+        z0 = model_from_tag(tag).z0
+        free = spectrum_free_radius(P, z0)
+        ref, tested = full_schur_walk(P, z0)
+        assert len(tested) == candidates
+        assert [(lam, 1, passed) for lam, passed in tested] == decided
+        assert free == ref
 
 
 class TestQuantizedOperator:
