@@ -184,28 +184,26 @@ def _measure_one(cfg: SweepConfig, model: ModelInstance, h: float) -> SweepRecor
     P = quantize.assemble_weyl(model.symbol, grid, h)
     free = spectral.spectrum_free_radius(P, model.z0)
     r = free.radius
-    for frac in (0.5, 0.75):
-        sig = spectral.sigma_min(P, model.z0 - frac * r)
-        resnorm = spectral.resolvent_from_sigma(P, sig)
-        if not math.isinf(resnorm):
-            break
-    else:
-        raise NumericalFailure(f"resolvent singular at both probes for h = {h}")
+    # Re p >= 0 for every catalog symbol, so sigma_min(P - z) >= r/2 here up
+    # to rounding; a singular probe means r is at the roundoff floor
+    sig = spectral.sigma_min(P, model.z0 - 0.5 * r)
+    resnorm = spectral.resolvent_from_sigma(P, sig)
+    if math.isinf(resnorm):
+        raise NumericalFailure(f"resolvent singular at the probe z0 - r/2 "
+                               f"for h = {h}")
     return SweepRecord(h, r, sig, resnorm, grid.n_points, free.kappa)
 
 
-def run_sweep(cfg: SweepConfig,
-              csv_path: Optional[Union[str, Path]] = None) -> List[SweepRecord]:
+def run_sweep(cfg: SweepConfig) -> List[SweepRecord]:
     """Execute the sweep; failures at single h-points are recorded and
-    skipped, and finished rows are flushed to CSV immediately in h order."""
+    skipped, and finished rows are flushed to output_dir/sweep.csv
+    immediately in h order."""
     model = model_from_tag(cfg.model_tag)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if csv_path is None:
-        csv_path = out_dir / "sweep.csv"
 
     records: List[SweepRecord] = []
-    with open(csv_path, "w", encoding="utf-8") as fh:
+    with open(out_dir / "sweep.csv", "w", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         fh.flush()
         for h in cfg.h_list:

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .symbols import GevreySymbol
+from .symbols import GevreySymbol, smooth_step
 
 _MAGIC = b"WEYL"
 _VERSION = 1
@@ -221,8 +221,7 @@ def _midpoint_weyl(sym: GevreySymbol, grid: RealGrid,
     lower = strided(F, (n, n), strides, writeable=False)
     upper = strided(F.reshape(-1)[n:], (n - 1, n), strides, writeable=False)
     P = lower.copy()
-    for j in range(n - 1):
-        P[j, j + 1:] = upper[j, j + 1:]
+    np.copyto(P[:-1], upper, where=np.arange(n) > np.arange(n - 1)[:, None])
     P[0::2, 1::2] *= -1.0
     P[1::2, 0::2] *= -1.0
     return P
@@ -275,19 +274,37 @@ def _half_shift_to_nodes(v: np.ndarray) -> np.ndarray:
     would spread them). Exact for polynomials of degree < 8 in x.
     """
     n = v.shape[0]
-    out = np.zeros_like(v)
+    out = np.empty_like(v)
     base = np.arange(-4, 4)  # sample p + base sits at offset base + 1/2
-    for p in range(n):
-        idx = p + base
-        shift = 0
-        if idx[0] < 0:
-            shift = -idx[0]
-        elif idx[-1] > n - 2:  # row n-1 is padding, not data
-            shift = (n - 2) - idx[-1]
-        idx = idx + shift
-        w = _lagrange_half_weights(base + shift + 0.5)
-        out[p] = w @ v[idx]
+    # windows[i] holds rows i .. i+7 along its last axis
+    windows = np.lib.stride_tricks.sliding_window_view(v, 8, axis=0)
+    p = np.arange(n)
+    # stencils near an edge shift inward; row n-1 is padding, not data
+    shift = np.where(p < 4, 4 - p, np.minimum(n - 5 - p, 0))
+    for s in np.unique(shift):
+        rows = p[shift == s]  # consecutive
+        start = rows[0] - 4 + s
+        w = _lagrange_half_weights(base + s + 0.5)
+        out[rows] = windows[start:start + len(rows)] @ w
     return out
+
+
+def _residue_entries(M: np.ndarray, a: np.ndarray, weight) -> np.ndarray:
+    """One entry per residue r < N/2 for each anti-diagonal a = j + k of one
+    parity, shape (len(a), N/2). Of the offsets d = j - k = 2r + (a mod 2)
+    and d - N it reads the one nearer the diagonal, where a smooth symbol's
+    kernel concentrates (the positive one on the tie |d| = N/2; the farther
+    fits in the matrix only where the nearer does): the entry
+    (-1)^d weight(d) M[(a + d)/2, (a - d)/2], or 0 where d does not fit."""
+    n = M.shape[0]
+    a = a[:, None]
+    span = np.minimum(a, 2 * (n - 1) - a)  # (a +- d)/2 in [0, N) iff |d| <= span
+    d = 2 * np.arange(n // 2) + a % 2
+    d = np.where(2 * d <= n, d, d - n)
+    fits = np.abs(d) <= span
+    d = np.where(fits, d, 0)  # any offset inside the matrix; masked below
+    entries = (-1.0) ** d * weight(d) * M[(a + d) // 2, (a - d) // 2]
+    return np.where(fits, entries, 0.0)
 
 
 def inverse_weyl(P: WeylMatrix, taper: bool = False) -> np.ndarray:
@@ -307,11 +324,8 @@ def inverse_weyl(P: WeylMatrix, taper: bool = False) -> np.ndarray:
     """
     n = P.grid.n_points
     half = n // 2
-    M = P.entries
-    S = np.zeros((n, n), dtype=complex)  # c(theta) + c(theta + Theta), at nodes
-    D_half = np.zeros((n, half), dtype=complex)  # differences, at half-shifted midpoints
-
-    from .symbols import smooth_step
+    if n < 16:
+        raise GridError(f"inverse_weyl needs n_points >= 16, got {n}")
 
     def weight(d):
         if not taper:
@@ -319,36 +333,19 @@ def inverse_weyl(P: WeylMatrix, taper: bool = False) -> np.ndarray:
         u = np.abs(d) / (n / 2.0)
         return 1.0 - smooth_step((u - 0.5) / 0.5)
 
-    mu = np.arange(half)
-    for p in range(n):
-        # even anti-diagonal a = 2p: midpoint x_p, differences d = 2r
-        a = 2 * p
-        j0, j1 = max(0, a - n + 1), min(n - 1, a)
-        jj = np.arange(j0, j1 + 1)
-        G = np.zeros(half, dtype=complex)
-        res = (jj - p) % half
-        # duplicate residues: keep the entry nearest the diagonal, where the
-        # kernel of a smooth symbol is concentrated
-        order = np.argsort(-np.abs(jj - p), kind="stable")
-        G[res[order]] = (M[jj, a - jj] * weight(2 * (jj - p)))[order]
-        S_row = 2.0 * np.fft.fft(G)
-        S[p] = np.concatenate([S_row, S_row])
-        # odd anti-diagonal a = 2p + 1: midpoint x_{p+1/2}, differences d = 2r - 1
-        a = 2 * p + 1
-        if a <= 2 * n - 2:
-            j0, j1 = max(0, a - n + 1), min(n - 1, a)
-            jj = np.arange(j0, j1 + 1)
-            d = 2 * jj - a
-            H = np.zeros(half, dtype=complex)
-            res = ((d % n) - 1) // 2
-            order = np.argsort(-np.abs(d), kind="stable")
-            H[res[order]] = (-M[jj, a - jj] * weight(d))[order]
-            D_half[p] = 2.0 * np.exp(-2j * np.pi * mu / n) * np.fft.fft(H)
-
+    p = np.arange(n)
+    # even anti-diagonals a = 2p: c(theta) + c(theta + Theta) at x_p
+    S = 2.0 * np.fft.fft(_residue_entries(P.entries, 2 * p, weight), axis=1)
+    # odd anti-diagonals a = 2p + 1: the differences at x_{p+1/2}; the
+    # last row has no anti-diagonal and stays 0
+    D_half = np.zeros((n, half), dtype=complex)
+    H = _residue_entries(P.entries, 2 * p[:-1] + 1, weight)
+    D_half[:-1] = (2.0 * np.exp(-2j * np.pi * np.arange(half) / n)
+                   * np.fft.fft(H, axis=1))
     D = _half_shift_to_nodes(D_half)
     c = np.empty((n, n), dtype=complex)
-    c[:, :half] = 0.5 * (S[:, :half] + D)
-    c[:, half:] = 0.5 * (S[:, half:] - D)
+    c[:, :half] = 0.5 * (S + D)
+    c[:, half:] = 0.5 * (S - D)
     return c
 
 

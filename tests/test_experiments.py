@@ -192,7 +192,7 @@ class TestSweep:
     def test_davies_radius_is_h(self, tmp_path):
         cfg = SweepConfig("davies", (0.1, 0.05), half_width_L=8.0,
                           n_points=512, output_dir=str(tmp_path))
-        records = run_sweep(cfg, tmp_path / "davies.csv")
+        records = run_sweep(cfg)
         assert len(records) == 2
         for rec in records:
             # ground eigenvalue modulus |e^{i pi/4} h| = h
@@ -210,8 +210,8 @@ class TestSweep:
         monkeypatch.setattr(experiments, "_measure_one", failing)
         cfg = SweepConfig("davies", (0.2, 0.1, 0.05), half_width_L=8.0,
                           n_points=512, output_dir=str(tmp_path))
-        csv_path = tmp_path / "partial.csv"
-        records = run_sweep(cfg, csv_path)
+        csv_path = tmp_path / "sweep.csv"
+        records = run_sweep(cfg)
         assert len(records) == 2
         lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == experiments.CSV_HEADER
@@ -228,7 +228,7 @@ class TestSweep:
         monkeypatch.setattr(experiments, "_measure_one", stand_in)
         cfg = SweepConfig("davies", (0.2, 0.1, 0.05), half_width_L=8.0,
                           n_points=512, output_dir=str(tmp_path))
-        records = run_sweep(cfg, tmp_path / "sweep.csv")
+        records = run_sweep(cfg)
         assert "[sweep] h = 0.1 skipped: synthetic failure" \
             in capsys.readouterr().out
         experiments.emit_outputs(cfg, records, {})
@@ -248,7 +248,7 @@ class TestSweep:
         monkeypatch.setattr(geometry, "build_escape", no_escape)
         cfg = SweepConfig("davies", (0.1,), half_width_L=8.0, n_points=256,
                           output_dir=str(tmp_path))
-        (rec,) = run_sweep(cfg, tmp_path / "sweep.csv")
+        (rec,) = run_sweep(cfg)
         lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "h,r,sigma_min_probe,resnorm,n_points,kappa"
         assert lines[1] == rec.csv_row()
@@ -265,19 +265,35 @@ class TestSweep:
         monkeypatch.setattr(spectral, "sigma_min", counting)
         cfg = SweepConfig("davies", (0.2, 0.1), half_width_L=8.0,
                           n_points=256, output_dir=str(tmp_path))
-        records = run_sweep(cfg, tmp_path / "sweep.csv")
+        records = run_sweep(cfg)
         assert len(records) == 2
         assert len(calls) == 2
         for rec in records:
             assert rec.resolvent_norm == 1.0 / rec.sigma_min_probe
 
-    def test_reruns_are_bit_identical(self, tmp_path):
+    def test_singular_probe_skips_the_h_point(self, tmp_path, monkeypatch,
+                                              capsys):
+        calls = []
+
+        def singular(P, z):
+            calls.append(z)
+            return 0.0
+
+        monkeypatch.setattr(spectral, "sigma_min", singular)
         cfg = SweepConfig("davies", (0.1,), half_width_L=8.0, n_points=256,
                           output_dir=str(tmp_path))
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_sweep(cfg, p1)
-        run_sweep(cfg, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert run_sweep(cfg) == []
+        assert len(calls) == 1
+        assert "resolvent singular at the probe z0 - r/2 for h = 0.1" \
+            in capsys.readouterr().out
+
+    def test_reruns_are_bit_identical(self, tmp_path):
+        for run in ("a", "b"):
+            run_sweep(SweepConfig("davies", (0.1,), half_width_L=8.0,
+                                  n_points=256,
+                                  output_dir=str(tmp_path / run)))
+        assert (tmp_path / "a" / "sweep.csv").read_bytes() \
+            == (tmp_path / "b" / "sweep.csv").read_bytes()
 
 
 class TestOneFactorization:

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gevspec import quantize
 from gevspec.quantize import (GridError, RealGrid, ResolutionError, WeylMatrix,
                               assemble_weyl, compose_and_extract,
                               interior_window, inverse_weyl, load_weyl,
                               required_n_points, save_weyl, weyl_operator)
-from gevspec.symbols import ANALYTIC, GevreySymbol, model_from_tag
+from gevspec.symbols import ANALYTIC, GevreySymbol, model_from_tag, smooth_step
 
 
 def plain_symbol(f, name, xi_extent=4.0):
@@ -257,6 +258,68 @@ class TestInverseWeyl:
         c = inverse_weyl(P)
         exact = BUMP.value(g.nodes[:, None], g.theta_nodes(h)[None, :])
         assert np.abs(c - exact).max() < 1e-8
+
+
+def brute_force_inverse_weyl(P: WeylMatrix, taper: bool) -> np.ndarray:
+    """inverse_weyl from a scan of every entry: per anti-diagonal a = j + k
+    and residue r = (d mod N) // 2 of d = j - k, keep the entry with the
+    smallest |d|, the positive d on a tie."""
+    n = P.n
+    half = n // 2
+    ds = np.arange(-n, n + 1)
+    weight = np.ones(ds.shape)
+    if taper:
+        weight = 1.0 - smooth_step((np.abs(ds) / (n / 2.0) - 0.5) / 0.5)
+    G = np.zeros((2 * n - 1, half), dtype=complex)
+    kept = np.full(G.shape, n)  # |d| of the entry kept so far; n for none
+    for j in range(n):
+        for k in range(n):
+            d = j - k
+            a, r = j + k, d % n // 2
+            if abs(d) < kept[a, r] or (abs(d) == kept[a, r] and d > 0):
+                kept[a, r] = abs(d)
+                G[a, r] = (-1.0) ** d * weight[d + n] * P.entries[j, k]
+    S = 2.0 * np.fft.fft(G[0::2], axis=1)
+    D_half = np.zeros((n, half), dtype=complex)
+    D_half[:-1] = (2.0 * np.exp(-2j * np.pi * np.arange(half) / n)
+                   * np.fft.fft(G[1::2], axis=1))
+    D = quantize._half_shift_to_nodes(D_half)
+    return np.hstack([0.5 * (S + D), 0.5 * (S - D)])
+
+
+class TestInverseWeylResidues:
+    """Entries of one anti-diagonal whose offsets agree modulo N alias to
+    one residue; the inverse reads the one nearest the diagonal."""
+
+    def test_nearest_entry_and_positive_tie(self):
+        n, p = 16, 8  # anti-diagonal a = 2p = 16: offsets d = -14 .. 14
+        M = np.zeros((n, n), dtype=complex)
+        entries = {2: 1.0, -14: 5.0,  # residue 1: d = 2 is nearer
+                   8: 2.0, -8: 7.0,  # residue N/4 = 4: the tie, + wins
+                   12: 9.0, -4: 3.0}  # residue 6: d = -4 is nearer
+        for d, val in entries.items():
+            M[p + d // 2, p - d // 2] = val
+        c = inverse_weyl(WeylMatrix(M, 0.1, RealGrid(4.0, n), "residues"))
+        # no odd anti-diagonal is set, so c[p, :N/2] is the FFT of the kept row
+        kept = np.fft.ifft(c[p, :n // 2])
+        expected = np.zeros(n // 2)
+        expected[[1, 4, 6]] = [1.0, 2.0, 3.0]
+        assert np.abs(kept - expected).max() < 1e-14
+        assert np.abs(np.delete(c, p, axis=0)).max() == 0.0
+
+    @pytest.mark.parametrize("taper", [False, True])
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_matches_brute_force_scan(self, n, taper):
+        rng = np.random.default_rng(n)
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        P = WeylMatrix(M, 0.1, RealGrid(4.0, n), "random")
+        assert np.array_equal(inverse_weyl(P, taper=taper),
+                              brute_force_inverse_weyl(P, taper))
+
+    def test_rejects_grids_below_the_stencil(self):
+        P = WeylMatrix(np.eye(8, dtype=complex), 0.1, RealGrid(4.0, 8), "eye")
+        with pytest.raises(GridError, match="n_points >= 16"):
+            inverse_weyl(P)
 
 
 class TestComposition:
