@@ -1,5 +1,6 @@
 """Discretization of the semiclassical Weyl quantization on a real grid,
-as a dense matrix or, for an additive symbol, a matrix-free operator.
+as a dense matrix built on each read or, for an additive symbol, a
+matrix-free operator.
 
 The matrix entries are
     P_jk = (1/N) sum_m exp(i (x_j - x_k) theta_m / h) p((x_j + x_k)/2, theta_m)
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -78,26 +80,46 @@ class RealGrid:
 
 @dataclass(frozen=True)
 class WeylMatrix:
-    """A dense Weyl matrix on its grid. Its triangular Schur factor is
-    computed on the first spectral query and kept, so one factorization
-    serves every query that reads it: all of spectral but eigenvalues(),
-    which alone needs the Schur vectors and computes them for itself."""
-    entries: np.ndarray
+    """A Weyl matrix on its grid, kept as the function that builds its
+    entries: an assembled split symbol holds a(x_j) and the twisted ifft of
+    b(theta_m), two length-N arrays; an explicit matrix (from_entries)
+    holds its array. Each read of entries builds a fresh Fortran-ordered
+    complex N x N array that the reader owns and may factor in place.
+
+    The triangular Schur factor T, computed on the first spectral query and
+    kept, is the one N x N array that outlives a query. It serves every
+    query but eigenvalues(), which alone needs the Schur vectors and
+    computes them for itself."""
+    build: Callable[[], np.ndarray]
     h: float
     grid: RealGrid
     symbol_tag: str
+
+    @classmethod
+    def from_entries(cls, M: np.ndarray, h: float, grid: RealGrid,
+                     symbol_tag: str) -> "WeylMatrix":
+        """The matrix of an explicit array M, which it keeps and of which
+        each read of entries is a copy."""
+        M = np.asarray(M, dtype=complex)
+        return cls(partial(np.array, M, order="F"), h, grid, symbol_tag)
 
     @property
     def n(self) -> int:
         return self.grid.n_points
 
+    @property
+    def entries(self) -> np.ndarray:
+        """A fresh Fortran-ordered complex N x N array of the entries."""
+        return self.build()
+
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         return self.entries @ X
 
     @cached_property
-    def schur_factor(self) -> np.ndarray:
-        """The upper-triangular T of the complex Schur form entries = Z T Z*,
-        computed on first use and kept; the Schur vectors Z are not formed.
+    def _schur(self) -> Tuple[np.ndarray, float]:
+        """(T, ||entries||_F): the upper-triangular T of the complex Schur
+        form entries = Z T Z*, without the Schur vectors Z, and the norm
+        read from the same buffer before zgees overwrites it with T.
 
         zgees runs with jobvs = 'N' on the workspace its query reports as
         optimal, as scipy.linalg.schur queries it, so T is bit for bit the
@@ -105,24 +127,33 @@ class WeylMatrix:
         ValueError for a non-finite entry and LinAlgError when the QR
         iteration fails (zgees info != 0).
         """
-        a = np.asarray_chkfinite(self.entries).astype(complex, copy=False)
+        a = np.asarray_chkfinite(self.entries)
+        norm = scipy.linalg.norm(a, check_finite=False)
 
         def no_sort(_):
             return None
 
-        work = lapack.zgees(no_sort, a, compute_v=0, lwork=-1)[-2]
+        # the query leaves a as it is, so it needs no copy of its own either
+        work = lapack.zgees(no_sort, a, compute_v=0, lwork=-1,
+                            overwrite_a=1)[-2]
         T, _, _, _, _, info = lapack.zgees(no_sort, a, compute_v=0,
-                                           lwork=int(work[0].real))
+                                           lwork=int(work[0].real),
+                                           overwrite_a=1)
         if info != 0:
             raise scipy.linalg.LinAlgError(
                 f"complex Schur form of order {self.n} not found: zgees "
                 f"info {info}")
-        return T
+        return T, norm
 
-    @cached_property
+    @property
+    def schur_factor(self) -> np.ndarray:
+        """T, computed on first use and kept."""
+        return self._schur[0]
+
+    @property
     def frobenius_norm(self) -> float:
-        """||entries||_F; computed on first use and kept."""
-        return scipy.linalg.norm(self.entries, check_finite=False)
+        """||entries||_F, taken when schur_factor is computed."""
+        return self._schur[1]
 
 
 def required_n_points(half_width_L: float, h: float, xi_extent: float) -> int:
@@ -181,23 +212,25 @@ def assemble_weyl(sym: GevreySymbol, grid: RealGrid, h: float) -> WeylMatrix:
     the result equals the general midpoint assembly entry for entry.
     """
     theta, samples = _weyl_samples(sym, grid, h)
-    if samples is not None:
-        P = _circulant_weyl(*samples)
-    else:
-        P = _midpoint_weyl(sym, grid, theta)
-    return WeylMatrix(P, h, grid, sym.name)
-
-
-def _circulant_weyl(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """diag(a(x_j)) + C with C_jk = (-1)^(j-k) B[(j - k) mod N] and
-    B = ifft(b(theta_m)); N is even, so (j - k) mod N has the parity of
-    j - k."""
-    n = len(b)
+    if samples is None:
+        return WeylMatrix.from_entries(_midpoint_weyl(sym, grid, theta), h,
+                                       grid, sym.name)
+    a, b = samples
+    # C_jk = (-1)^(j-k) B[(j - k) mod N]; N is even, so (j - k) mod N has
+    # the parity of j - k
     B = np.fft.ifft(np.asarray(b, dtype=complex))
     B[1::2] *= -1.0
-    P = scipy.linalg.circulant(B)
-    P.flat[::n + 1] += a
-    return P
+    return WeylMatrix(partial(_circulant_weyl, a, B), h, grid, sym.name)
+
+
+def _circulant_weyl(a: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """diag(a) + C with C_jk = B[(j - k) mod N] in Fortran order: P^T is
+    the C-ordered circulant of B[-m mod N], and its transpose is P without
+    a copy."""
+    n = len(B)
+    Pt = scipy.linalg.circulant(np.concatenate((B[:1], B[:0:-1])))
+    Pt.flat[::n + 1] += a
+    return Pt.T
 
 
 def _midpoint_weyl(sym: GevreySymbol, grid: RealGrid,
@@ -333,13 +366,14 @@ def inverse_weyl(P: WeylMatrix, taper: bool = False) -> np.ndarray:
         u = np.abs(d) / (n / 2.0)
         return 1.0 - smooth_step((u - 0.5) / 0.5)
 
+    M = P.entries
     p = np.arange(n)
     # even anti-diagonals a = 2p: c(theta) + c(theta + Theta) at x_p
-    S = 2.0 * np.fft.fft(_residue_entries(P.entries, 2 * p, weight), axis=1)
+    S = 2.0 * np.fft.fft(_residue_entries(M, 2 * p, weight), axis=1)
     # odd anti-diagonals a = 2p + 1: the differences at x_{p+1/2}; the
     # last row has no anti-diagonal and stays 0
     D_half = np.zeros((n, half), dtype=complex)
-    H = _residue_entries(P.entries, 2 * p[:-1] + 1, weight)
+    H = _residue_entries(M, 2 * p[:-1] + 1, weight)
     D_half[:-1] = (2.0 * np.exp(-2j * np.pi * np.arange(half) / n)
                    * np.fft.fft(H, axis=1))
     D = _half_shift_to_nodes(D_half)
@@ -364,7 +398,8 @@ def compose_and_extract(a: GevreySymbol, b: GevreySymbol, grid: RealGrid,
     """Remainder field r = (symbol(A B) - a b) / h on the (x, theta) lattice."""
     A = assemble_weyl(a, grid, h)
     B = assemble_weyl(b, grid, h)
-    prod = WeylMatrix(A.entries @ B.entries, h, grid, f"{a.name}#{b.name}")
+    prod = WeylMatrix.from_entries(A.entries @ B.entries, h, grid,
+                                   f"{a.name}#{b.name}")
     c = inverse_weyl(prod, taper=True)
     x = grid.nodes[:, None]
     theta = grid.theta_nodes(h)[None, :]
@@ -380,7 +415,7 @@ def save_weyl(path, P: WeylMatrix) -> None:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, P.n, P.h,
                               P.grid.half_width_L, len(tag)))
         fh.write(tag)
-        fh.write(np.ascontiguousarray(P.entries, dtype="<c16").tobytes())
+        fh.write(P.entries.astype("<c16", copy=False).tobytes(order="C"))
 
 
 def load_weyl(path) -> WeylMatrix:
@@ -399,5 +434,5 @@ def load_weyl(path) -> WeylMatrix:
         raise GridError(f"{path}: header says N = {n}, which needs "
                         f"{16 * n * n} payload bytes, found {len(payload)}")
     data = np.frombuffer(payload, dtype="<c16").reshape(n, n)
-    return WeylMatrix(data.astype(complex), h, RealGrid(half_width_L, n),
-                      tag.decode("utf-8"))
+    return WeylMatrix.from_entries(data, h, RealGrid(half_width_L, n),
+                                   tag.decode("utf-8"))

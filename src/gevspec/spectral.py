@@ -12,8 +12,14 @@ it reports gets its kappa from back-substitution on T. eigenvalues() alone
 needs all N eigenvectors, Z X with X from back-substitution on T, so it
 computes (T, Z) for itself and keeps neither.
 
+An assembled WeylMatrix holds no N x N array: each LAPACK call factors a
+fresh build of P in place. T, kept, is the one N x N array that outlives a
+query; beside it the radius walk holds one LU buffer per candidate, and
+sigma_min shifts T's diagonal in place and restores it on every exit.
+
 All routines are deterministic; pseudospectrum grids evaluate pointwise with
-values independent of evaluation order.
+values independent of evaluation order, since each sigma_min leaves T as it
+found it.
 """
 
 from __future__ import annotations
@@ -122,7 +128,8 @@ def check_window(window: ZGrid) -> None:
 @contextmanager
 def _factoring(P: WeylMatrix):
     """Check the size budget, then run the body, a Schur factorization of P;
-    a LinAlgError from it dumps P to a temporary file and raises
+    a LinAlgError from it dumps P, built again rather than read from the
+    buffer the factorization overwrote, to a temporary file and raises
     SolverError."""
     check_dense_n(P.n)
     try:
@@ -151,8 +158,10 @@ def _edge_rows(V: np.ndarray) -> np.ndarray:
 def eigenvalues(P: WeylMatrix) -> SpectrumResult:
     """All eigenvalues with per-eigenvector boundary-mass diagnostics."""
     with _factoring(P):
-        # the one query that reads the Schur vectors: computed here, not kept
-        T, Z = scipy.linalg.schur(P.entries, output="complex")
+        # the one query that reads the Schur vectors: computed here, not
+        # kept, on a fresh build of P that the factorization overwrites
+        T, Z = scipy.linalg.schur(P.entries, output="complex",
+                                  overwrite_a=True)
     # T is triangular, so balancing isolates every eigenvalue and eig only
     # back-substitutes for T's eigenvectors X (values: diag(T)); P's are Z X
     vals, X = scipy.linalg.eig(T)
@@ -174,19 +183,30 @@ def sigma_min(P: WeylMatrix, z: complex) -> float:
 
     P - z = Z (T - z) Z* has the singular values of the triangular R = T - z,
     so this runs Lanczos on R^-1 R^-* (largest eigenvalue 1 / sigma_min^2)
-    with full reorthogonalization: each step is two triangular solves. Raises
-    SolverError when LANCZOS_MAX_STEPS steps do not meet the stop rule,
-    and ValueError for a non-finite z, which no answer fits.
+    with full reorthogonalization: each step is two triangular solves. R is
+    the cached T with its diagonal shifted in place and restored, from a
+    saved copy, on every exit; so no N x N copy is made, and calls on one
+    matrix must not run concurrently. Raises SolverError when
+    LANCZOS_MAX_STEPS steps do not meet the stop rule, and ValueError for a
+    non-finite z, which no answer fits.
     """
     if not np.isfinite(z):
         raise ValueError(f"sigma_min needs a finite z, got {z}")
     T = _schur_factor(P)
-    n = P.n
-    R = np.array(T, order="F")  # the layout ztrsv reads without a copy
-    np.fill_diagonal(R, T.diagonal() - z)
+    diag = T.diagonal().copy()
+    np.fill_diagonal(T, diag - z)
+    try:
+        return _lanczos_sigma_min(T, z, roundoff_floor(P))
+    finally:
+        np.fill_diagonal(T, diag)
+
+
+def _lanczos_sigma_min(R: np.ndarray, z: complex, floor: float) -> float:
+    """sigma_min of the Fortran-ordered upper-triangular R = T - z (the
+    layout ztrsv reads without a copy), as sigma_min describes."""
+    n = R.shape[0]
     if not np.all(np.diagonal(R)):
         return 0.0  # z is an eigenvalue to the last bit
-    floor = roundoff_floor(P)
     steps = min(LANCZOS_MAX_STEPS, n)
     V = np.empty((steps, n), dtype=complex)
     rng = np.random.default_rng(0)  # a fixed start vector
@@ -237,7 +257,9 @@ def _largest_ritz_pair(alpha: np.ndarray,
 def roundoff_floor(P: WeylMatrix) -> float:
     """eps * sqrt(N) * ||P||_F: the Schur factors are exact for some P + E
     with ||E|| below this, so a sigma_min(P - z) at or under it carries no
-    digit and z counts as spectrum."""
+    digit and z counts as spectrum. ||P||_F is read from the buffer that the
+    Schur factorization then overwrites with T, and kept beside T; reading
+    it factors P if no query has."""
     return np.finfo(float).eps * np.sqrt(P.n) * P.frobenius_norm
 
 
@@ -287,11 +309,12 @@ def _least_boundary_mass(P: WeylMatrix, lam: complex, m: int) -> float:
     Two steps of inverse iteration on P - lam from a fixed m-column start
     block, orthonormalized after each, give that span; the least mass over
     it is the smallest eigenvalue of the m x m Gram matrix of its edge rows.
-    P - lam is factored by one LU on a single copy of P, and a pivot of U
-    below _pivot_floor is raised to it, as _solve_shifted raises T's.
+    P - lam is factored by one LU in place on a fresh build of P, the one
+    N x N array beside T, and a pivot of U below _pivot_floor is raised to
+    it, as _solve_shifted raises T's.
     """
     n = P.n
-    A = np.array(P.entries, order="F")  # the layout zgetrf factors in place
+    A = P.entries  # Fortran-ordered, the layout zgetrf factors in place
     np.fill_diagonal(A, A.diagonal() - lam)
     lu, piv, _ = lapack.zgetrf(A, overwrite_a=1)  # info > 0: a zero pivot
     smin = _pivot_floor(lam, n)

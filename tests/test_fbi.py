@@ -204,8 +204,8 @@ class TestWeights:
 class TestEgorov:
     def test_projector_reproduces_range(self, op_h01):
         n = op_h01.real_grid.n_points
-        identity = WeylMatrix(np.eye(n, dtype=complex), op_h01.h,
-                              op_h01.real_grid, "one")
+        identity = WeylMatrix.from_entries(np.eye(n, dtype=complex),
+                                           op_h01.h, op_h01.real_grid, "one")
         u = gaussian_state(op_h01.real_grid, op_h01.h, 0.3, 0.2)
         U = op_h01.apply(u)
         PU = apply_conjugated(identity, op_h01, U)

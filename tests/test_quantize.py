@@ -270,6 +270,7 @@ def brute_force_inverse_weyl(P: WeylMatrix, taper: bool) -> np.ndarray:
     weight = np.ones(ds.shape)
     if taper:
         weight = 1.0 - smooth_step((np.abs(ds) / (n / 2.0) - 0.5) / 0.5)
+    M = P.entries  # each read builds the matrix again
     G = np.zeros((2 * n - 1, half), dtype=complex)
     kept = np.full(G.shape, n)  # |d| of the entry kept so far; n for none
     for j in range(n):
@@ -278,7 +279,7 @@ def brute_force_inverse_weyl(P: WeylMatrix, taper: bool) -> np.ndarray:
             a, r = j + k, d % n // 2
             if abs(d) < kept[a, r] or (abs(d) == kept[a, r] and d > 0):
                 kept[a, r] = abs(d)
-                G[a, r] = (-1.0) ** d * weight[d + n] * P.entries[j, k]
+                G[a, r] = (-1.0) ** d * weight[d + n] * M[j, k]
     S = 2.0 * np.fft.fft(G[0::2], axis=1)
     D_half = np.zeros((n, half), dtype=complex)
     D_half[:-1] = (2.0 * np.exp(-2j * np.pi * np.arange(half) / n)
@@ -299,7 +300,8 @@ class TestInverseWeylResidues:
                    12: 9.0, -4: 3.0}  # residue 6: d = -4 is nearer
         for d, val in entries.items():
             M[p + d // 2, p - d // 2] = val
-        c = inverse_weyl(WeylMatrix(M, 0.1, RealGrid(4.0, n), "residues"))
+        c = inverse_weyl(WeylMatrix.from_entries(M, 0.1, RealGrid(4.0, n),
+                                                 "residues"))
         # no odd anti-diagonal is set, so c[p, :N/2] is the FFT of the kept row
         kept = np.fft.ifft(c[p, :n // 2])
         expected = np.zeros(n // 2)
@@ -312,12 +314,13 @@ class TestInverseWeylResidues:
     def test_matches_brute_force_scan(self, n, taper):
         rng = np.random.default_rng(n)
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        P = WeylMatrix(M, 0.1, RealGrid(4.0, n), "random")
+        P = WeylMatrix.from_entries(M, 0.1, RealGrid(4.0, n), "random")
         assert np.array_equal(inverse_weyl(P, taper=taper),
                               brute_force_inverse_weyl(P, taper))
 
     def test_rejects_grids_below_the_stencil(self):
-        P = WeylMatrix(np.eye(8, dtype=complex), 0.1, RealGrid(4.0, 8), "eye")
+        P = WeylMatrix.from_entries(np.eye(8, dtype=complex), 0.1,
+                                    RealGrid(4.0, 8), "eye")
         with pytest.raises(GridError, match="n_points >= 16"):
             inverse_weyl(P)
 

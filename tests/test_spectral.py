@@ -37,8 +37,7 @@ def clean_radius(P, z0, threshold=BOUNDARY_MASS_THRESHOLD):
 
 def wrap(entries, h=0.1, L=4.0):
     n = entries.shape[0]
-    return WeylMatrix(np.asarray(entries, dtype=complex), h, RealGrid(L, n),
-                      "wrapped")
+    return WeylMatrix.from_entries(entries, h, RealGrid(L, n), "wrapped")
 
 
 def hermitian_example(n=64, seed=7):
@@ -75,8 +74,8 @@ class TestEigenvalues:
         monkeypatch.setattr(scipy.linalg, "schur", no_schur)
         monkeypatch.setattr(lapack, "zgees", no_schur)
         # P.n reads the grid, so the entries need not be allocated at full size
-        P = WeylMatrix(np.eye(4, dtype=complex), 0.1,
-                       RealGrid(4.0, 2 * MAX_DENSE_N), "oversized")
+        P = WeylMatrix.from_entries(np.eye(4, dtype=complex), 0.1,
+                                    RealGrid(4.0, 2 * MAX_DENSE_N), "oversized")
         with pytest.raises(BudgetError):
             eigenvalues(P)
         with pytest.raises(BudgetError):
@@ -93,6 +92,22 @@ class TestEigenvalues:
         assert np.allclose(Z @ T @ Z.conj().T, P.entries)
         assert np.array_equal(np.sort_complex(eigenvalues(P).eigenvalues),
                               np.sort_complex(np.diag(T)))
+
+    def test_spectrum_factors_a_fresh_build_in_place(self, monkeypatch):
+        P = catalog_matrix("gevrey-transport:s=2", 0.1)
+        spec = eigenvalues(P)
+        real = scipy.linalg.schur
+        overwrites = []
+
+        def on_a_separate_build(a, **kwargs):
+            overwrites.append(kwargs.get("overwrite_a"))
+            return real(P.entries, output="complex")
+
+        monkeypatch.setattr(scipy.linalg, "schur", on_a_separate_build)
+        ref = eigenvalues(P)
+        assert overwrites == [True]
+        assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(spec.boundary_mass, ref.boundary_mass)
 
     def test_retained_filters_edge_modes(self):
         n = 64
@@ -151,6 +166,22 @@ class TestSigmaMin:
         with pytest.raises(SolverError, match="did not converge"):
             sigma_min(hermitian_example(), 100.0)
 
+    def test_shifted_factor_is_restored(self):
+        P = hermitian_example()
+        T = P.schur_factor
+        pristine = T.copy()
+        sigma_min(P, 0.5 + 0.25j)
+        assert P.schur_factor is T
+        assert np.array_equal(T, pristine)
+
+    def test_shifted_factor_is_restored_after_step_cap(self, monkeypatch):
+        P = hermitian_example()
+        pristine = P.schur_factor.copy()
+        monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 2)
+        with pytest.raises(SolverError, match="did not converge"):
+            sigma_min(P, 100.0)
+        assert np.array_equal(P.schur_factor, pristine)
+
     @given(dre=st.floats(-0.5, 0.5), dim=st.floats(-0.5, 0.5))
     @settings(max_examples=25, deadline=None)
     def test_lipschitz_in_z(self, dre, dim):
@@ -188,6 +219,18 @@ class TestPseudospectrum:
         assert np.allclose(field.sigma_min, np.abs(win.nodes() - 1.0))
         # minimum sits at the eigenvalue in the window center
         assert field.sigma_min[2, 2] == pytest.approx(0.0, abs=1e-14)
+
+    def test_field_independent_of_evaluation_order(self):
+        # each sigma_min shifts the one cached T in place; the restore is
+        # what keeps a z from seeing the shift of the z before it
+        P = catalog_matrix("gevrey-transport:s=2", 0.1)
+        win = ZGrid(0.5 + 0j, 0.5, 0.5, 5, 5)
+        field = pseudospectrum(P, win)
+        zs = win.nodes()
+        reverse = np.empty(zs.shape)
+        for idx in reversed(list(np.ndindex(zs.shape))):
+            reverse[idx] = sigma_min(P, zs[idx])
+        assert np.array_equal(field.sigma_min, reverse)
 
     def test_rows_sweep_imaginary_axis(self):
         win = ZGrid(0j, 1.0, 2.0, 3, 5)
@@ -356,6 +399,25 @@ class TestSchurFactor:
             tracemalloc.stop()
         assert warm == cold
         assert peak < 1.5 * 16 * n * n
+
+    def test_cold_path_holds_t_and_one_scratch_matrix(self):
+        # the assembled P holds two length-N arrays; the radius walk holds T
+        # and one LU buffer, and sigma_min shifts T in place beside its
+        # Krylov basis (steps x N)
+        model = model_from_tag("gevrey-transport:s=2")
+        tracemalloc.start()
+        try:
+            P = catalog_matrix("gevrey-transport:s=2", 0.025)
+            held = tracemalloc.get_traced_memory()[0]
+            free = spectrum_free_radius(P, model.z0)
+            sigma_min(P, model.z0 - 0.5 * free.radius)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = P.n
+        assert n == 1024
+        assert held < 1 << 20
+        assert peak < 2.25 * 16 * n * n
 
 
 def full_schur_walk(P, z0, threshold=BOUNDARY_MASS_THRESHOLD):
