@@ -6,9 +6,11 @@ triangular factor alone, measures the spectrum-free radius r around the
 model's z0 (with one LU of P - lambda per eigenvalue it tests), the
 condition number kappa of the eigenvalue at that distance, and the
 resolvent at the probe point z0 - r/2. Rows are written to CSV as they
-finish so an interrupted sweep leaves a valid prefix. The Toeplitz sweep measures, on one FBI operator
-per h, the Toeplitz-identity residual with the flat and the deformed
-weight; criterion 05 needs both log-log slopes to reach SLOPE_MIN.
+finish so an interrupted sweep leaves a valid prefix.
+
+The Toeplitz sweep measures, on one FBI operator per h, the
+Toeplitz-identity residual with the flat and the deformed weight;
+criterion 05 needs both log-log slopes to reach SLOPE_MIN.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ class SweepConfig:
         if not 0 < self.half_width_L < math.inf:
             raise ConfigError(f"L must be positive and finite, "
                               f"got {self.half_width_L:g}")
+        if self.n_points is not None:
+            try:
+                quantize.RealGrid(self.half_width_L, self.n_points)
+            except quantize.GridError as exc:
+                raise ConfigError(str(exc)) from exc
         if not self.epsilon_deform > 0:
             raise ConfigError("epsilon must be positive")
         model_from_tag(self.model_tag)  # raises ValueError for unknown tags

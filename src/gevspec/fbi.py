@@ -20,22 +20,19 @@ while im_span^2 / h < log(float max) ~ 709.78, i.e. h > im_span^2 / 709.78
 GridExtentError below that, and wherever the calibration norm is not
 finite and positive.
 
-The Toeplitz probe applies the Weyl quantization P matrix-free
-(quantize.WeylOperator), so it forms no N x N array.
+The Toeplitz probe applies the Weyl quantization P by P @ U, one FFT
+pair for a split symbol (quantize.WeylMatrix), so it forms no N x N array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import EscapeField
-from .quantize import RealGrid, WeylMatrix, WeylOperator, weyl_operator
-# unused; kept because the benchmark's wrapper test asserts that tracing
-# rebinds fbi.assemble_weyl
-from .quantize import assemble_weyl  # noqa: F401
+from .quantize import RealGrid, WeylMatrix, assemble_weyl
 from .symbols import ModelInstance, taylor_extension
 
 UNITARITY_TOL = 1e-6  # isometry defect allowed on interior states; bench/workloads.py gates on it
@@ -234,14 +231,13 @@ def weight_phi_t(esc: Optional[EscapeField], t: float,
                           fbi_op.cgrid)
 
 
-def apply_conjugated(P: Union[WeylOperator, WeylMatrix],
-                     fbi_op: FBIOperator, U: np.ndarray) -> np.ndarray:
+def apply_conjugated(P: WeylMatrix, fbi_op: FBIOperator,
+                     U: np.ndarray) -> np.ndarray:
     """(T P T*) U without forming the conjugated matrix.
 
     T* is the adjoint for the dx and Phi_0-weighted pairings, K* (w U) / dx
     with K the factored kernel; U is a vector or an (M, k) block. P is
-    applied through P @ T*U, so a matrix-free WeylOperator (one FFT pair)
-    and a dense WeylMatrix serve alike.
+    applied through P @ T*U, one FFT pair for an assembled split symbol.
     """
     w = fbi_op.weights_phi(fbi_op.phi0())
     wU = (U.T * w).T
@@ -273,10 +269,11 @@ def toeplitz_residuals(model: ModelInstance, fbi_op: FBIOperator,
 
     Compares <(T P T*) U, V>_{Phi_t} with the integral of a~(x, xi_t) U
     conj(V) against the Phi_t weight, for U = Tu, V = Tv. P, U, V and
-    (T P T*) U do not depend on t and are formed once for all of ts; P is
-    applied matrix-free, so a symbol without a split raises ValueError.
+    (T P T*) U do not depend on t and are formed once for all of ts. The
+    symbol on the section is the split's extension, so a symbol without a
+    split raises ValueError.
     """
-    P = weyl_operator(model.symbol, fbi_op.real_grid, fbi_op.h)
+    P = assemble_weyl(model.symbol, fbi_op.real_grid, fbi_op.h)
     U = fbi_op.apply(u)
     V = fbi_op.apply(v)
     TPU = apply_conjugated(P, fbi_op, U)

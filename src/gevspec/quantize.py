@@ -1,6 +1,6 @@
 """Discretization of the semiclassical Weyl quantization on a real grid,
-as a dense matrix built on each read or, for an additive symbol, a
-matrix-free operator.
+as a matrix that builds its dense entries on each read and, for an
+additive symbol, applies itself to vectors without forming them.
 
 The matrix entries are
     P_jk = (1/N) sum_m exp(i (x_j - x_k) theta_m / h) p((x_j + x_k)/2, theta_m)
@@ -14,11 +14,14 @@ over m of the phase vanishes unless j = k. So an additive symbol
 p = a(x) + b(xi) quantizes to
     P = diag(a(x_j)) + C,   C_jk = (-1)^(j-k) B[(j - k) mod N],
     B = ifft(b(theta_m)),
-one length-N FFT and a circulant. Symbols without a split take the general
-midpoint assembly, one FFT per anti-diagonal.
-
-The DFT diagonalizes C (Davis, Circulant Matrices, 1979), so WeylOperator
-applies P to vectors by one FFT pair without forming it.
+and since (-1)^d = e^(i pi d) shifts the frequency index by N/2, C is the
+circulant with first column ifft(roll(b(theta_m), N/2)). The DFT
+diagonalizes C (Davis, Circulant Matrices, 1979), so the same two length-N
+arrays a(x_j) and roll(b(theta_m), N/2) serve the dense build, one
+length-N FFT and a circulant, and the product
+    P U = a o U + ifft(roll(b, N/2) o fft(U)),
+one FFT pair. Symbols without a split take the general midpoint assembly,
+one FFT per anti-diagonal.
 """
 
 from __future__ import annotations
@@ -80,17 +83,19 @@ class RealGrid:
 
 @dataclass(frozen=True)
 class WeylMatrix:
-    """A Weyl matrix on its grid, kept as the function that builds its
-    entries: an assembled split symbol holds a(x_j) and the twisted ifft of
-    b(theta_m), two length-N arrays; an explicit matrix (from_entries)
-    holds its array. Each read of entries builds a fresh Fortran-ordered
-    complex N x N array that the reader owns and may factor in place.
+    """A Weyl matrix on its grid, kept as the two functions that build its
+    entries and apply it: an assembled split symbol holds a(x_j) and
+    roll(b(theta_m), N/2), two length-N arrays that serve both; an explicit
+    matrix (from_entries) holds its array. Each read of entries builds a
+    fresh Fortran-ordered complex N x N array that the reader owns and may
+    factor in place; P @ U applies P to a vector or an (N, k) block.
 
     The triangular Schur factor T, computed on the first spectral query and
     kept, is the one N x N array that outlives a query. It serves every
     query but eigenvalues(), which alone needs the Schur vectors and
     computes them for itself."""
     build: Callable[[], np.ndarray]
+    apply: Callable[[np.ndarray], np.ndarray]
     h: float
     grid: RealGrid
     symbol_tag: str
@@ -98,10 +103,10 @@ class WeylMatrix:
     @classmethod
     def from_entries(cls, M: np.ndarray, h: float, grid: RealGrid,
                      symbol_tag: str) -> "WeylMatrix":
-        """The matrix of an explicit array M, which it keeps and of which
-        each read of entries is a copy."""
-        M = np.asarray(M, dtype=complex)
-        return cls(partial(np.array, M, order="F"), h, grid, symbol_tag)
+        """The matrix of an explicit array M, which it keeps; each read of
+        entries is a copy, and P @ X multiplies X by one."""
+        build = partial(np.array, np.asarray(M, dtype=complex), order="F")
+        return cls(build, lambda X: build() @ X, h, grid, symbol_tag)
 
     @property
     def n(self) -> int:
@@ -113,37 +118,17 @@ class WeylMatrix:
         return self.build()
 
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
-        return self.entries @ X
+        return self.apply(X)
 
     @cached_property
     def _schur(self) -> Tuple[np.ndarray, float]:
         """(T, ||entries||_F): the upper-triangular T of the complex Schur
         form entries = Z T Z*, without the Schur vectors Z, and the norm
-        read from the same buffer before zgees overwrites it with T.
-
-        zgees runs with jobvs = 'N' on the workspace its query reports as
-        optimal, as scipy.linalg.schur queries it, so T is bit for bit the
-        T of scipy.linalg.schur(entries, output="complex"). Raises
-        ValueError for a non-finite entry and LinAlgError when the QR
-        iteration fails (zgees info != 0).
-        """
-        a = np.asarray_chkfinite(self.entries)
+        read from the same buffer before schur_in_place overwrites it with
+        T."""
+        a = self.entries
         norm = scipy.linalg.norm(a, check_finite=False)
-
-        def no_sort(_):
-            return None
-
-        # the query leaves a as it is, so it needs no copy of its own either
-        work = lapack.zgees(no_sort, a, compute_v=0, lwork=-1,
-                            overwrite_a=1)[-2]
-        T, _, _, _, _, info = lapack.zgees(no_sort, a, compute_v=0,
-                                           lwork=int(work[0].real),
-                                           overwrite_a=1)
-        if info != 0:
-            raise scipy.linalg.LinAlgError(
-                f"complex Schur form of order {self.n} not found: zgees "
-                f"info {info}")
-        return T, norm
+        return schur_in_place(a, compute_v=0)[0], norm
 
     @property
     def schur_factor(self) -> np.ndarray:
@@ -154,6 +139,35 @@ class WeylMatrix:
     def frobenius_norm(self) -> float:
         """||entries||_F, taken when schur_factor is computed."""
         return self._schur[1]
+
+
+def schur_in_place(a: np.ndarray, compute_v: int
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """(T, Z) of the complex Schur form a = Z T Z*, computed by zgees in
+    the buffer of a, a Fortran-ordered complex square array that becomes T;
+    without the Schur vectors (compute_v=0), Z is a 1 x N placeholder.
+
+    zgees runs on the workspace its query reports as optimal, as
+    scipy.linalg.schur queries it, so (T, Z) is bit for bit the pair
+    scipy.linalg.schur(a, output="complex") returns (T alone, for
+    compute_v=0). Raises ValueError for a non-finite entry and LinAlgError
+    when the QR iteration fails (zgees info != 0).
+    """
+    a = np.asarray_chkfinite(a)
+
+    def no_sort(_):
+        return None
+
+    # the query leaves a as it is, so it needs no copy of its own either
+    work = lapack.zgees(no_sort, a, compute_v=compute_v, lwork=-1,
+                        overwrite_a=1)[-2]
+    T, _, _, Z, _, info = lapack.zgees(no_sort, a, compute_v=compute_v,
+                                       lwork=int(work[0].real), overwrite_a=1)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(
+            f"complex Schur form of order {a.shape[0]} not found: zgees "
+            f"info {info}")
+    return T, Z
 
 
 def required_n_points(half_width_L: float, h: float, xi_extent: float) -> int:
@@ -174,13 +188,15 @@ def rule_n_points(sym: GevreySymbol, half_width_L: float, h: float) -> int:
     return max(required_n_points(half_width_L, h, sym.xi_extent), MIN_N_POINTS)
 
 
-def _weyl_samples(sym: GevreySymbol, grid: RealGrid, h: float):
-    """Check h and the Nyquist limit; return the dual nodes theta_m and, for
-    a split symbol, its samples (a(x_j), b(theta_m)), else None.
+def assemble_weyl(sym: GevreySymbol, grid: RealGrid, h: float) -> WeylMatrix:
+    """The Weyl matrix of a symbol at semiclassical parameter h.
 
-    The split is checked against value on the N pairs (x_j, theta_j), so
-    what is quantized is the same symbol that every other reader of value
-    sees.
+    A symbol with an additive split keeps its samples a(x_j) and
+    roll(b(theta_m), N/2): its entries, diag(a) plus the circulant, equal
+    the general midpoint assembly entry for entry, and P @ U takes one FFT
+    pair. The split is checked against value on the N pairs
+    (x_j, theta_j), so what is quantized is the same symbol that every
+    other reader of value sees. Any other symbol is assembled densely.
     """
     if not (0 < h <= 1):
         raise ValueError(f"h must lie in (0, 1], got {h}")
@@ -192,7 +208,8 @@ def _weyl_samples(sym: GevreySymbol, grid: RealGrid, h: float):
             f"{sym.xi_extent:.4g}; need n_points >= {n_req}")
     theta = grid.theta_nodes(h)
     if sym.split is None:
-        return theta, None
+        return WeylMatrix.from_entries(_midpoint_weyl(sym, grid, theta), h,
+                                       grid, sym.name)
     x = grid.nodes
     a = sym.split.a(x)
     b = sym.split.b(theta)
@@ -202,35 +219,31 @@ def _weyl_samples(sym: GevreySymbol, grid: RealGrid, h: float):
         raise ValueError(
             f"additive split of {sym.name!r} does not reproduce its value at "
             f"(x, xi) = ({x[k]:.6g}, {theta[k]:.6g})")
-    return theta, (a, b)
+    n = grid.n_points
+    a = np.broadcast_to(a, n)
+    b = np.roll(np.broadcast_to(b, n), n // 2)
+    return WeylMatrix(partial(_circulant_weyl, a, b),
+                      partial(_circulant_apply, a, b), h, grid, sym.name)
 
 
-def assemble_weyl(sym: GevreySymbol, grid: RealGrid, h: float) -> WeylMatrix:
-    """Assemble the dense Weyl matrix of a symbol at semiclassical parameter h.
-
-    A symbol with an additive split is assembled as diagonal plus circulant;
-    the result equals the general midpoint assembly entry for entry.
-    """
-    theta, samples = _weyl_samples(sym, grid, h)
-    if samples is None:
-        return WeylMatrix.from_entries(_midpoint_weyl(sym, grid, theta), h,
-                                       grid, sym.name)
-    a, b = samples
-    # C_jk = (-1)^(j-k) B[(j - k) mod N]; N is even, so (j - k) mod N has
-    # the parity of j - k
-    B = np.fft.ifft(np.asarray(b, dtype=complex))
-    B[1::2] *= -1.0
-    return WeylMatrix(partial(_circulant_weyl, a, B), h, grid, sym.name)
-
-
-def _circulant_weyl(a: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """diag(a) + C with C_jk = B[(j - k) mod N] in Fortran order: P^T is
-    the C-ordered circulant of B[-m mod N], and its transpose is P without
-    a copy."""
+def _circulant_weyl(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """diag(a) + C, C the circulant with first column B = ifft(b), in
+    Fortran order: P^T is the C-ordered circulant of B[-m mod N], and its
+    transpose is P without a copy."""
+    B = np.fft.ifft(b)
     n = len(B)
     Pt = scipy.linalg.circulant(np.concatenate((B[:1], B[:0:-1])))
     Pt.flat[::n + 1] += a
     return Pt.T
+
+
+def _circulant_apply(a: np.ndarray, b: np.ndarray,
+                     U: np.ndarray) -> np.ndarray:
+    """(diag(a) + C) U = a o U + ifft(b o fft(U)) along axis 0, for a vector
+    or an (N, k) block."""
+    shape = (-1,) + (1,) * (np.ndim(U) - 1)
+    CU = np.fft.ifft(b.reshape(shape) * np.fft.fft(U, axis=0), axis=0)
+    return a.reshape(shape) * U + CU
 
 
 def _midpoint_weyl(sym: GevreySymbol, grid: RealGrid,
@@ -258,36 +271,6 @@ def _midpoint_weyl(sym: GevreySymbol, grid: RealGrid,
     P[0::2, 1::2] *= -1.0
     P[1::2, 0::2] *= -1.0
     return P
-
-
-@dataclass(frozen=True)
-class WeylOperator:
-    """diag(a(x_j)) + C applied along axis 0 without forming it: since
-    (-1)^d = e^(i pi d) shifts the frequency index by N/2, C is the
-    circulant with first column ifft(roll(b, N/2)), so
-    P U = a o U + ifft(roll(b, N/2) o fft(U))."""
-
-    a: np.ndarray  # a(x_j)
-    b: np.ndarray  # roll(b(theta_m), N/2)
-
-    def __matmul__(self, U: np.ndarray) -> np.ndarray:
-        """P U for a vector or an (N, k) block."""
-        shape = (-1,) + (1,) * (np.ndim(U) - 1)
-        CU = np.fft.ifft(self.b.reshape(shape) * np.fft.fft(U, axis=0),
-                         axis=0)
-        return self.a.reshape(shape) * U + CU
-
-
-def weyl_operator(sym: GevreySymbol, grid: RealGrid, h: float) -> WeylOperator:
-    """The matrix-free Weyl quantization of a symbol with an additive split;
-    the same checks as assemble_weyl, and a symbol without a split raises
-    ValueError."""
-    if sym.split is None:
-        raise ValueError(f"symbol {sym.name!r} has no additive split")
-    _, (a, b) = _weyl_samples(sym, grid, h)
-    n = grid.n_points
-    return WeylOperator(np.broadcast_to(a, n),
-                        np.roll(np.broadcast_to(b, n), n // 2))
 
 
 def _lagrange_half_weights(stencil: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 from scipy.linalg.blas import ztrsv
 
-from .quantize import WeylMatrix, save_weyl
+from .quantize import WeylMatrix, save_weyl, schur_in_place
 
 BOUNDARY_MASS_THRESHOLD = 1e-6
 BOUNDARY_FRACTION = 0.10  # outer fraction of grid nodes counted as boundary
@@ -160,11 +160,11 @@ def eigenvalues(P: WeylMatrix) -> SpectrumResult:
     with _factoring(P):
         # the one query that reads the Schur vectors: computed here, not
         # kept, on a fresh build of P that the factorization overwrites
-        T, Z = scipy.linalg.schur(P.entries, output="complex",
-                                  overwrite_a=True)
+        T, Z = schur_in_place(P.entries, compute_v=1)
     # T is triangular, so balancing isolates every eigenvalue and eig only
-    # back-substitutes for T's eigenvectors X (values: diag(T)); P's are Z X
-    vals, X = scipy.linalg.eig(T)
+    # back-substitutes for T's eigenvectors X (values: diag(T)); P's are Z X.
+    # T is not read again, so eig factors it in place
+    vals, X = scipy.linalg.eig(T, overwrite_a=True)
     edge_rows = _edge_rows(Z) @ X
     # Z is unitary, so the columns of X carry the norms of Z X
     bmass = (np.abs(edge_rows) ** 2).sum(axis=0) / (np.abs(X) ** 2).sum(axis=0)

@@ -90,6 +90,11 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             SweepConfig("heat-kernel", (0.1,))
 
+    @pytest.mark.parametrize("n", [100, -4, 0, 1])
+    def test_n_points_not_a_power_of_two_rejected(self, n):
+        with pytest.raises(ConfigError, match="power of two"):
+            SweepConfig("davies", (0.1,), n_points=n)
+
 
 class TestGridRule:
     def test_nyquist_satisfied(self):
@@ -348,16 +353,15 @@ class TestOneFactorization:
 class TestToeplitzSweep:
     def test_one_weyl_matrix_per_h(self, monkeypatch, gevrey2,
                                    escape_gevrey2):
-        # the residuals at t = 0 and at the deformed t share one P per h,
-        # the matrix-free operator
+        # the residuals at t = 0 and at the deformed t share one P per h
         sizes = []
-        real = fbi.weyl_operator
+        real = fbi.assemble_weyl
 
         def counting(sym, grid, h):
             sizes.append(grid.n_points)
             return real(sym, grid, h)
 
-        monkeypatch.setattr(fbi, "weyl_operator", counting)
+        monkeypatch.setattr(fbi, "assemble_weyl", counting)
         rows = experiments.toeplitz_sweep(gevrey2, escape_gevrey2,
                                           (0.2, 0.1, 0.05, 0.025), 0.1)
         assert sizes == [128, 256, 512, 1024]
@@ -455,6 +459,15 @@ class TestCli:
         cfg.write_text("model = davies\nh_list = 0.1, 0.05\nL = inf\n"
                        f"output_dir = {tmp_path}\n", encoding="utf-8")
         assert cli.main(["scaling", "--config", str(cfg)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("n", ["100", "-4"])
+    def test_scaling_bad_n_points_writes_nothing(self, tmp_path, n):
+        cfg = tmp_path / "sweep.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(f"model = davies\nh_list = 0.1, 0.05\nn_points = {n}\n"
+                       f"output_dir = {out}\n", encoding="utf-8")
+        assert cli.main(["scaling", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert not out.exists()
 
     def test_readme_examples_parse(self):
         # each `gevspec ...` line of the README's CLI block, continuation

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gevspec import experiments, fbi, quantize
+from gevspec import experiments, fbi
 from gevspec.fbi import (ComplexGrid, FBIOperator, GridExtentError,
                          apply_conjugated, default_cgrid, gaussian_state,
                          make_fbi, toeplitz_residual, toeplitz_residuals,
@@ -285,16 +285,32 @@ class TestToeplitz:
 
     def test_residuals_never_assemble_dense_p(self, gevrey2, escape_gevrey2,
                                               op_h01, monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("dense Weyl matrix assembled")
+        # P is assembled once and applied by P @ U; its dense entries are
+        # never built
+        def unreachable():
+            raise AssertionError("dense Weyl matrix built")
 
-        monkeypatch.setattr(quantize, "assemble_weyl", unreachable)
-        monkeypatch.setattr(fbi, "assemble_weyl", unreachable)
+        real = fbi.assemble_weyl
+        built = []
+
+        def without_build(sym, grid, h):
+            built.append(grid.n_points)
+            return replace(real(sym, grid, h), build=unreachable)
+
+        monkeypatch.setattr(fbi, "assemble_weyl", without_build)
         u = gaussian_state(op_h01.real_grid, op_h01.h, 0.0, 1.146)
         v = gaussian_state(op_h01.real_grid, op_h01.h, 0.05, 1.116)
         res = toeplitz_residuals(gevrey2, op_h01, escape_gevrey2,
                                  (0.0, -0.0316), u, v)
+        assert built == [op_h01.real_grid.n_points]
         assert all(np.isfinite(res))
+
+    def test_symbol_without_split_raises(self, gevrey2, op_h01):
+        # the symbol on the section is the split's Taylor extension
+        model = ModelInstance(replace(gevrey2.symbol, split=None), gevrey2.z0)
+        u = gaussian_state(op_h01.real_grid, op_h01.h, 0.0, 1.146)
+        with pytest.raises(ValueError, match="has no additive split"):
+            toeplitz_residuals(model, op_h01, None, (0.0,), u, u)
 
     def test_warm_call_memory_below_dense_p(self, gevrey2, escape_gevrey2):
         # toeplitz_sweep's operator at h = 0.0125 has N = 2048, where a

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from gevspec import quantize
 from gevspec.quantize import (GridError, RealGrid, ResolutionError, WeylMatrix,
                               assemble_weyl, compose_and_extract,
                               interior_window, inverse_weyl, load_weyl,
-                              required_n_points, save_weyl, weyl_operator)
+                              required_n_points, rule_n_points, save_weyl)
 from gevspec.symbols import ANALYTIC, GevreySymbol, model_from_tag, smooth_step
 
 
@@ -31,6 +32,8 @@ X_SYM = plain_symbol(lambda x, xi: x + 0j + 0.0 * xi, "x", 0.0)
 XI_SYM = plain_symbol(lambda x, xi: xi + 0j + 0.0 * x, "xi", 3.9)
 BUMP = plain_symbol(lambda x, xi: np.tanh(xi) * np.exp(-(x / 1.8) ** 4) + 0j,
                     "bump")
+CATALOG = ("davies", "gevrey-transport:s=1.5", "gevrey-transport:s=2",
+           "gevrey-transport:s=3", "analytic-transport", "trapped-toy")
 
 
 class TestRealGrid:
@@ -149,6 +152,22 @@ class TestAssembly:
             assert np.array_equal(assemble_weyl(sym, grid, h).entries,
                                   assemble_weyl(general, grid, h).entries)
 
+    @pytest.mark.parametrize("tag", CATALOG)
+    def test_split_assembly_equals_sign_alternated_circulant(self, tag):
+        # the entries built from roll(b, N/2) are bit for bit those of
+        # C_jk = (-1)^(j-k) B[(j - k) mod N], B = ifft(b(theta_m)), on the
+        # sweep's L = 6 grids
+        sym = model_from_tag(tag).symbol
+        for h in 0.2 * 2.0 ** (-np.arange(9) / 2.0):
+            grid = RealGrid(6.0, rule_n_points(sym, 6.0, h))
+            assert grid.n_points <= 2048
+            B = np.fft.ifft(np.asarray(sym.split.b(grid.theta_nodes(h)),
+                                       dtype=complex))
+            B[1::2] *= -1.0
+            ref = scipy.linalg.circulant(B)
+            ref.flat[::grid.n_points + 1] += sym.split.a(grid.nodes)
+            assert np.array_equal(assemble_weyl(sym, grid, h).entries, ref)
+
     def test_split_assembly_evaluates_value_on_n_points(self):
         # the general assembly evaluates p on the (2N - 1) x N midpoint
         # lattice; the split path only checks a + b against it on N points
@@ -187,11 +206,9 @@ class TestAssembly:
         assert np.abs(C - (alpha * A + beta_re * B)).max() < 1e-12
 
 
-CATALOG = ("davies", "gevrey-transport:s=1.5", "gevrey-transport:s=2",
-           "gevrey-transport:s=3", "analytic-transport", "trapped-toy")
-
-
 class TestWeylOperator:
+    """P @ U: the quantization applied as an operator."""
+
     @pytest.mark.parametrize("tag", CATALOG)
     @pytest.mark.parametrize("n", [128, 2048])
     def test_matches_dense_product(self, tag, n, rng):
@@ -201,43 +218,31 @@ class TestWeylOperator:
         ladder = 0.2 * 2.0 ** (-np.arange(12) / 2.0)
         h = min(h for h in ladder
                 if required_n_points(8.0, h, sym.xi_extent) <= n)
-        P = assemble_weyl(sym, grid, h).entries
-        op = weyl_operator(sym, grid, h)
+        P = assemble_weyl(sym, grid, h)
+        M = P.entries
         for shape in ((n,), (n, 3)):
             U = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            got = op @ U
+            got = P @ U
             assert got.shape == shape
-            bound = 1e-13 * np.abs(P).max() * np.abs(U).max()
-            assert np.abs(got - P @ U).max() <= bound
+            bound = 1e-13 * np.abs(M).max() * np.abs(U).max()
+            assert np.abs(got - M @ U).max() <= bound
 
     def test_holds_two_length_n_arrays(self):
+        # build and apply read the same a(x_j) and roll(b(theta_m), N/2)
         sym = model_from_tag("gevrey-transport:s=2").symbol
         grid = RealGrid(8.0, 256)
-        op = weyl_operator(sym, grid, 0.1)
-        assert op.a.shape == op.b.shape == (256,)
-        theta = grid.theta_nodes(0.1)
-        assert np.array_equal(op.b, np.roll(sym.split.b(theta), 128))
+        P = assemble_weyl(sym, grid, 0.1)
+        a, b = P.build.args
+        assert P.apply.args == (a, b)
+        assert a.shape == b.shape == (256,)
+        assert np.array_equal(a, sym.split.a(grid.nodes))
+        assert np.array_equal(b, np.roll(sym.split.b(grid.theta_nodes(0.1)),
+                                         128))
 
     def test_dense_matrix_applies_by_matmul(self, rng):
         P = assemble_weyl(BUMP, RealGrid(8.0, 128), 0.2)
         U = rng.standard_normal((128, 2)) + 0j
         assert np.array_equal(P @ U, P.entries @ U)
-
-    def test_rejects_symbol_without_split(self):
-        with pytest.raises(ValueError, match="has no additive split"):
-            weyl_operator(BUMP, RealGrid(8.0, 256), 0.2)
-
-    def test_same_checks_as_assembly(self):
-        sym = model_from_tag("gevrey-transport:s=2").symbol
-        for h in (0.0, -0.1, 1.5):
-            with pytest.raises(ValueError, match="h must lie"):
-                weyl_operator(sym, RealGrid(8.0, 256), h)
-        with pytest.raises(ResolutionError, match="need n_points >= 512"):
-            weyl_operator(sym, RealGrid(8.0, 128), 0.05)
-        wrong = dataclasses.replace(sym,
-                                    split=model_from_tag("davies").symbol.split)
-        with pytest.raises(ValueError, match="does not reproduce its value"):
-            weyl_operator(wrong, RealGrid(6.0, 256), 0.1)
 
 
 class TestInverseWeyl:

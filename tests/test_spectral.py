@@ -10,7 +10,7 @@ from scipy.linalg import lapack
 
 from gevspec import spectral
 from gevspec.quantize import (RealGrid, WeylMatrix, assemble_weyl,
-                              load_weyl, required_n_points)
+                              load_weyl, required_n_points, schur_in_place)
 from gevspec.spectral import (BOUNDARY_MASS_THRESHOLD, MAX_DENSE_N,
                               BudgetError, PseudospectrumField, SolverError,
                               SpectrumResult, ZGrid, eigenvalues,
@@ -94,20 +94,41 @@ class TestEigenvalues:
                               np.sort_complex(np.diag(T)))
 
     def test_spectrum_factors_a_fresh_build_in_place(self, monkeypatch):
+        # the Schur form with vectors overwrites a fresh Fortran-ordered
+        # build of P, and eig then overwrites T
         P = catalog_matrix("gevrey-transport:s=2", 0.1)
         spec = eigenvalues(P)
-        real = scipy.linalg.schur
-        overwrites = []
+        real_schur, real_eig = spectral.schur_in_place, scipy.linalg.eig
+        calls = []
 
-        def on_a_separate_build(a, **kwargs):
-            overwrites.append(kwargs.get("overwrite_a"))
-            return real(P.entries, output="complex")
+        def on_a_separate_build(a, compute_v):
+            calls.append(("schur", a.flags.f_contiguous, compute_v))
+            return real_schur(P.entries, compute_v)
 
-        monkeypatch.setattr(scipy.linalg, "schur", on_a_separate_build)
+        def recording_eig(a, **kwargs):
+            calls.append(("eig", kwargs.get("overwrite_a")))
+            return real_eig(a, **kwargs)
+
+        monkeypatch.setattr(spectral, "schur_in_place", on_a_separate_build)
+        monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
         ref = eigenvalues(P)
-        assert overwrites == [True]
+        assert calls == [("schur", True, 1), ("eig", True)]
         assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
         assert np.array_equal(spec.boundary_mass, ref.boundary_mass)
+
+    def test_spectrum_peak_below_four_matrices(self):
+        # P's build becomes T beside Z, and eig factors T in place beside
+        # its eigenvectors X: no fourth N x N array
+        P = catalog_matrix("gevrey-transport:s=2", 0.05)
+        n = P.n
+        assert n == 512
+        tracemalloc.start()
+        try:
+            eigenvalues(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.75 * 16 * n * n
 
     def test_retained_filters_edge_modes(self):
         n = 64
@@ -337,6 +358,8 @@ def catalog_matrix(tag, h, L=6.0):
 # the queries that read the cached factor T
 T_READERS = (lambda P: sigma_min(P, 0.5),
              lambda P: spectrum_free_radius(P, 0.5), schur_eigenvalues)
+# and every query that runs a Schur factorization
+SCHUR_QUERIES = T_READERS + (eigenvalues,)
 
 
 class TestSchurFactor:
@@ -347,10 +370,14 @@ class TestSchurFactor:
     def test_equals_full_schur_form(self, tag):
         P = catalog_matrix(tag, 0.1)
         assert P.n == 256
-        T, _ = scipy.linalg.schur(P.entries, output="complex")
+        T, Z = scipy.linalg.schur(P.entries, output="complex")
         assert np.array_equal(P.schur_factor, T)
+        # with the Schur vectors, as eigenvalues() computes them
+        T_v, Z_v = schur_in_place(P.entries, compute_v=1)
+        assert np.array_equal(T_v, T)
+        assert np.array_equal(Z_v, Z)
 
-    @pytest.mark.parametrize("query", T_READERS)
+    @pytest.mark.parametrize("query", SCHUR_QUERIES)
     def test_failed_iteration_dumps_matrix(self, query, monkeypatch,
                                            tmp_path):
         real = lapack.zgees
@@ -367,7 +394,7 @@ class TestSchurFactor:
         [dump] = tmp_path.glob("weyl_fail_*.bin")
         assert np.array_equal(load_weyl(dump).entries, P.entries)
 
-    @pytest.mark.parametrize("query", T_READERS)
+    @pytest.mark.parametrize("query", SCHUR_QUERIES)
     def test_nonfinite_entry_raises(self, query):
         M = np.eye(8, dtype=complex)
         M[3, 5] = np.nan
