@@ -33,8 +33,9 @@ def _matrix_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--L", type=float, default=4.0,
                         help="half width of the real grid")
     parser.add_argument("--N", type=int, default=0,
-                        help="grid points (0 = smallest power of two "
-                             "satisfying the Nyquist rule)")
+                        help="grid points (0 = smallest power of two, at "
+                             f"least {quantize.MIN_N_POINTS}, satisfying the "
+                             "Nyquist rule)")
 
 
 def _matrix(args, factored: bool = True) -> quantize.WeylMatrix:

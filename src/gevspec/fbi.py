@@ -6,19 +6,16 @@ map kappa_phi(y, eta) = (y - i eta, eta) restricts on the Phi_0 Lagrangian
 to kappa_phi^{-1}(x) = (Re x, -Im x). Deformed weights are realized to first
 order as Phi_t = Phi_0 + t G(Re x, -Im x).
 
-The kernel is never stored as an M x N matrix. At a node x = a_j + i b_k it
-factors exactly as
+The kernel is never stored as an M x N matrix, and it is kept in the
+weighted form of H_Phi: T returns e^{-Phi_0 / h} T u, so at a node
+x = a_j + i b_k
 
-    e^{-(x - y)^2 / 2h} = c[j, k] G[j, y] E[k, y],
-    c = e^{(b^2 - 2i a b) / 2h},  G = e^{-(a - y)^2 / 2h},  E = e^{i b y / h},
+    e^{-Phi_0(x) / h} e^{-(x - y)^2 / 2h} = c[j, k] G[j, y] E[k, y],
+    c = e^{-i a b / h},  G = e^{-(a - y)^2 / 2h},  E = e^{i b y / h},
 
-so T u = c o ((G o u) E^T) is one (re_n x N) by (N x im_n) product and T*
-is the transposed pair. Weighted norms form |c|^2 e^{-2 Phi_0 / h} =
-|c|^2 e^{-b^2 / h}, whose first factor |c|^2 = e^{b^2 / h} is finite only
-while im_span^2 / h < log(float max) ~ 709.78, i.e. h > im_span^2 / 709.78
-(0.0068 on the probe grid's im_span = 2.2); make_fbi raises
-GridExtentError below that, and wherever the calibration norm is not
-finite and positive.
+and T u = c o ((G o u) E^T) is one (re_n x N) by (N x im_n) product and T*
+is the transposed pair. |c| = 1, so every factor is bounded at any h, and a
+Phi-weighted pairing reads only the excess phi - Phi_0 of its weight.
 
 The Toeplitz probe applies the Weyl quantization P by P @ U, one FFT
 pair for a split symbol (quantize.WeylMatrix), so it forms no N x N array.
@@ -37,7 +34,6 @@ from .symbols import ModelInstance, taylor_extension
 
 UNITARITY_TOL = 1e-6  # isometry defect allowed on interior states; bench/workloads.py gates on it
 DECAY_LOG = 27.64  # -log(1e-12); Gaussian tail budget at the real-grid edge
-LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))  # ~709.78
 
 
 class GridExtentError(ValueError):
@@ -88,7 +84,7 @@ class FactoredKernel:
     (rows, m) blocks are applied through the factors only.
     """
 
-    c: np.ndarray  # (re_n, im_n), carries the h^{-3/4} dx and calibration
+    c: np.ndarray  # (re_n, im_n), e^{-iab/h} times h^{-3/4} dx and calibration
     G: np.ndarray  # (re_n, N), real
     E: np.ndarray  # (im_n, N)
 
@@ -116,6 +112,8 @@ class FactoredKernel:
 
 @dataclass(frozen=True)
 class FBIOperator:
+    """T in weighted form: apply(u) is e^{-Phi_0 / h} T u on the nodes."""
+
     matrix: FactoredKernel  # shape (re_n * im_n, N)
     h: float
     real_grid: RealGrid
@@ -124,24 +122,16 @@ class FBIOperator:
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.matrix @ u
 
-    def phi0(self) -> np.ndarray:
-        return 0.5 * np.imag(self.cgrid.nodes()) ** 2
+    def weights_phi(self, excess: np.ndarray = 0.0) -> np.ndarray:
+        """Quadrature weights of the Phi-weighted pairing, Phi = Phi_0 + excess."""
+        return self.cgrid.cell_area * np.exp(-2.0 * excess / self.h)
 
-    def weights_phi(self, phi_values: np.ndarray) -> np.ndarray:
-        return self.cgrid.cell_area * np.exp(-2.0 * phi_values / self.h)
-
-    def norm_phi(self, U: np.ndarray, phi_values: Optional[np.ndarray] = None) -> float:
-        if phi_values is None:
-            phi_values = self.phi0()
-        w = self.weights_phi(phi_values)
-        return float(np.sqrt(np.sum(np.abs(U) ** 2 * w).real))
+    def norm_phi(self, U: np.ndarray, excess: np.ndarray = 0.0) -> float:
+        return float(np.sqrt(np.sum(np.abs(U) ** 2 * self.weights_phi(excess))))
 
     def inner_phi(self, U: np.ndarray, V: np.ndarray,
-                  phi_values: Optional[np.ndarray] = None) -> complex:
-        if phi_values is None:
-            phi_values = self.phi0()
-        w = self.weights_phi(phi_values)
-        return complex(np.sum(U * np.conj(V) * w))
+                  excess: np.ndarray = 0.0) -> complex:
+        return complex(np.sum(U * np.conj(V) * self.weights_phi(excess)))
 
     def real_norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(self.real_grid.spacing * np.sum(np.abs(u) ** 2)))
@@ -153,7 +143,7 @@ class FBIOperator:
 
 @dataclass(frozen=True)
 class BargmannWeight:
-    phi_values: np.ndarray
+    phi_values: np.ndarray  # the excess Phi_t - Phi_0 = t G o kappa_phi^{-1}
     xi_section: np.ndarray
     cgrid: ComplexGrid
 
@@ -173,9 +163,9 @@ def gaussian_state(grid: RealGrid, h: float, x0: float = 0.0, xi0: float = 0.0,
 def make_fbi(real_grid: RealGrid, cgrid: ComplexGrid, h: float) -> FBIOperator:
     """Build the transform Tu(x) = C h^{-3/4} int e^{-(x-y)^2/(2h)} u dy.
 
-    The kernel is kept in its factors c, G, E (module docstring). The
-    constant is calibrated so the standard Gaussian has unit Phi_0 norm;
-    calibration absorbs the quadrature error of the row sums.
+    The kernel is kept in its weighted factors c, G, E (module docstring).
+    The constant is calibrated so the standard Gaussian has unit Phi_0
+    norm; calibration absorbs the quadrature error of the row sums.
     """
     margin = real_grid.half_width_L - cgrid.re_span
     if margin ** 2 / (2.0 * h) < DECAY_LOG:
@@ -183,11 +173,6 @@ def make_fbi(real_grid: RealGrid, cgrid: ComplexGrid, h: float) -> FBIOperator:
         raise GridExtentError(
             f"kernel tail {np.exp(-margin**2 / (2*h)):.2e} above 1e-12 at the "
             f"real-grid edge; need half_width_L >= {need:.3f}")
-    if cgrid.im_span ** 2 / h >= LOG_FLOAT_MAX:
-        h_min = cgrid.im_span ** 2 / LOG_FLOAT_MAX
-        raise GridExtentError(
-            f"weighted norms form |c|^2 = e^((Im x)^2 / h), which overflows "
-            f"at im_span = {cgrid.im_span:g}, h = {h:g}; need h > {h_min:.6g}")
     y = real_grid.nodes
     a = cgrid.re_axis
     b = cgrid.im_axis
@@ -196,7 +181,7 @@ def make_fbi(real_grid: RealGrid, cgrid: ComplexGrid, h: float) -> FBIOperator:
     G /= -2.0 * h
     np.exp(G, out=G)
     E = np.exp((1j / h) * (b[:, None] * y[None, :]))
-    c = np.exp((b[None, :] ** 2 - 2j * (a[:, None] * b[None, :])) / (2.0 * h))
+    c = np.exp((-1j / h) * (a[:, None] * b[None, :]))
     c *= h ** (-0.75) * real_grid.spacing
     op = FBIOperator(FactoredKernel(c, G, E), h, real_grid, cgrid)
     norm = op.norm_phi(op.apply(gaussian_state(real_grid, h)))
@@ -210,7 +195,8 @@ def make_fbi(real_grid: RealGrid, cgrid: ComplexGrid, h: float) -> FBIOperator:
 
 def weight_phi_t(esc: Optional[EscapeField], t: float,
                  fbi_op: FBIOperator) -> BargmannWeight:
-    """First-order deformed weight Phi_t = Phi_0 + t G(Re x, -Im x).
+    """First-order deformed weight Phi_t = Phi_0 + t G(Re x, -Im x), given
+    by its excess t G(Re x, -Im x) over Phi_0.
 
     The section xi_t(x) = (2/i) d_x Phi_t is -Im x for the quadratic part
     plus t (G_xi - i G_x)(Re x, -Im x) from the correction, with G
@@ -220,29 +206,26 @@ def weight_phi_t(esc: Optional[EscapeField], t: float,
     x = fbi_op.cgrid.nodes()
     a = np.real(x)
     b = np.imag(x)
-    phi0 = 0.5 * b ** 2
     xi0 = -b.astype(complex)
     if t == 0.0:
-        return BargmannWeight(phi0, xi0, fbi_op.cgrid)
+        return BargmannWeight(np.zeros(x.shape), xi0, fbi_op.cgrid)
     if esc is None:
         raise ValueError(f"the weight at t = {t} needs an escape function")
     g, gx, gxi = esc._eval_fields(slice(0, 3), a, -b)
-    return BargmannWeight(phi0 + t * g, xi0 + t * gxi - 1j * t * gx,
-                          fbi_op.cgrid)
+    return BargmannWeight(t * g, xi0 + t * gxi - 1j * t * gx, fbi_op.cgrid)
 
 
 def apply_conjugated(P: WeylMatrix, fbi_op: FBIOperator,
                      U: np.ndarray) -> np.ndarray:
     """(T P T*) U without forming the conjugated matrix.
 
-    T* is the adjoint for the dx and Phi_0-weighted pairings, K* (w U) / dx
-    with K the factored kernel; U is a vector or an (M, k) block. P is
-    applied through P @ T*U, one FFT pair for an assembled split symbol.
+    T* is the adjoint for the dx and Phi_0-weighted pairings; on the
+    weighted U it is K* U cell_area / dx, with K the factored kernel; U is
+    a vector or an (M, k) block. P is applied through P @ T*U, one FFT pair
+    for an assembled split symbol.
     """
-    w = fbi_op.weights_phi(fbi_op.phi0())
-    wU = (U.T * w).T
-    TsU = fbi_op.matrix.adjoint_matmul(wU) / fbi_op.real_grid.spacing
-    return fbi_op.apply(P @ TsU)
+    scale = fbi_op.cgrid.cell_area / fbi_op.real_grid.spacing
+    return fbi_op.apply(P @ (fbi_op.matrix.adjoint_matmul(U) * scale))
 
 
 def _symbol_on_section(model: ModelInstance, weight: BargmannWeight) -> np.ndarray:
@@ -271,8 +254,10 @@ def toeplitz_residuals(model: ModelInstance, fbi_op: FBIOperator,
     conj(V) against the Phi_t weight, for U = Tu, V = Tv. P, U, V and
     (T P T*) U do not depend on t and are formed once for all of ts. The
     symbol on the section is the split's extension, so a symbol without a
-    split raises ValueError.
+    split raises ValueError before P is assembled.
     """
+    if model.symbol.split is None:
+        raise ValueError(f"symbol {model.symbol.name!r} has no additive split")
     P = assemble_weyl(model.symbol, fbi_op.real_grid, fbi_op.h)
     U = fbi_op.apply(u)
     V = fbi_op.apply(v)

@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import gevspec
 from gevspec import experiments, fbi
-from gevspec.fbi import (ComplexGrid, FBIOperator, GridExtentError,
+from gevspec.fbi import (FBIOperator, GridExtentError,
                          apply_conjugated, default_cgrid, gaussian_state,
                          make_fbi, toeplitz_residual, toeplitz_residuals,
                          weight_phi_t)
@@ -55,43 +60,45 @@ class TestUnitarity:
         with pytest.raises(GridExtentError, match="half_width_L"):
             make_fbi(RealGrid(4.0, 128), default_cgrid(0.2), 0.2)
 
-    def test_overflow_precondition_raises(self):
-        # |c|^2 = e^{(Im x)^2 / h} at im_span = 3 overflows unless h > 9 / 709.78
-        with pytest.raises(GridExtentError, match=r"need h > 0\.0126799"):
-            make_fbi(RealGrid(8.0, 128), ComplexGrid(0.5, 3.0, 5, 5), 0.006)
-
-    def test_probe_grid_below_norm_overflow_raises(self):
-        # toeplitz_probe's grids at h = 0.006: |c| = e^{(Im x)^2 / 2h} is
-        # finite there, but the weighted norm forms |c|^2, which is not, so
-        # the calibration would come out NaN
-        h = 0.006
+    def test_probe_grid_builds_at_small_h(self):
+        # toeplitz_sweep's grids at h = 0.003, where e^{(Im x)^2 / 2h} =
+        # e^{807} is not a float: only the weighted factor, of modulus 1,
+        # is formed
+        h = 0.003
         grid = RealGrid(8.0, max(required_n_points(8.0, h, 4.0), 128))
-        cgrid = default_cgrid(h, re_span=1.5, im_span=2.2, cells_per_width=3.0)
-        with pytest.raises(GridExtentError, match=r"need h > 0\.00681"):
-            make_fbi(grid, cgrid, h)
+        op = make_fbi(grid, default_cgrid(h, re_span=1.5, im_span=2.2,
+                                          cells_per_width=3.0), h)
+        u = gaussian_state(grid, h)
+        assert op.norm_phi(op.apply(u)) == pytest.approx(op.real_norm(u),
+                                                         rel=1e-8)
+        packet = gaussian_state(grid, h, 0.0, experiments.XI_PROBE)
+        assert op.unitarity_defect(packet) <= 1e-6
 
     def test_non_finite_calibration_raises(self, monkeypatch):
         monkeypatch.setattr(FBIOperator, "norm_phi",
-                            lambda self, U, phi_values=None: float("nan"))
+                            lambda self, U, excess=0.0: float("nan"))
         with pytest.raises(GridExtentError, match="calibration norm nan"):
             make_fbi(RealGrid(8.0, 256), default_cgrid(0.1), 0.1)
 
 
 def dense_kernel(op):
-    """The M x N kernel from its closed form, calibrated as make_fbi is."""
+    """The M x N weighted kernel e^{-Phi_0 / h} K from its closed form,
+    calibrated as make_fbi is."""
     x = op.cgrid.nodes()
     y = op.real_grid.nodes
+    phi0 = 0.5 * np.imag(x) ** 2
     K = (op.h ** -0.75 * op.real_grid.spacing
-         * np.exp(-(x[:, None] - y[None, :]) ** 2 / (2.0 * op.h)))
+         * np.exp(-(phi0[:, None] + 0.5 * (x[:, None] - y[None, :]) ** 2)
+                  / op.h))
     u0 = gaussian_state(op.real_grid, op.h)
     return K / op.norm_phi(K @ u0)
 
 
-def phi_rel(op, got, ref):
-    """Relative error in the Phi_0-weighted norm, column by column."""
-    w = op.weights_phi(op.phi0())
-    err = np.sqrt((np.abs(got - ref) ** 2 * w[:, None]).sum(axis=0))
-    return (err / np.sqrt((np.abs(ref) ** 2 * w[:, None]).sum(axis=0))).max()
+def phi_rel(got, ref):
+    """Relative error in the Phi_0-weighted norm, column by column; on the
+    weighted transform that weight is the constant cell area."""
+    err = np.linalg.norm(got - ref, axis=0)
+    return (err / np.linalg.norm(ref, axis=0)).max()
 
 
 def rel(got, ref):
@@ -118,11 +125,11 @@ class TestFactoredKernel:
 
     def test_apply_matches_dense(self, op_h01, dense, states):
         got = np.stack([op_h01.apply(u) for u in states.T], axis=1)
-        assert phi_rel(op_h01, got, dense @ states) < 1e-12
+        assert phi_rel(got, dense @ states) < 1e-12
 
     def test_adjoint_matches_dense(self, op_h01, dense, states):
         # T* pairs with Phi_0-weighted data: V = w T u
-        w = op_h01.weights_phi(op_h01.phi0())
+        w = op_h01.weights_phi()
         for u in states.T:
             V = w * (dense @ u)
             assert rel(op_h01.matrix.adjoint_matmul(V),
@@ -130,7 +137,7 @@ class TestFactoredKernel:
 
     def test_adjoint_pairing(self, op_h01, states):
         K = op_h01.matrix
-        w = op_h01.weights_phi(op_h01.phi0())
+        w = op_h01.weights_phi()
         for u, v in zip(states.T, states.T[::-1]):
             V = w * (K @ v)
             lhs = np.vdot(V, K @ u)
@@ -140,18 +147,19 @@ class TestFactoredKernel:
     def test_block_equals_columns(self, op_h01, states):
         K = op_h01.matrix
         cols = np.stack([K @ u for u in states.T], axis=1)
-        assert phi_rel(op_h01, K @ states, cols) < 1e-13
-        w = op_h01.weights_phi(op_h01.phi0())
-        V = w[:, None] * cols
+        assert phi_rel(K @ states, cols) < 1e-13
+        w = op_h01.weights_phi()
+        V = w * cols
         adj_cols = np.stack([K.adjoint_matmul(v) for v in V.T], axis=1)
         assert rel(K.adjoint_matmul(V), adj_cols) < 1e-13
 
 
 class TestWeights:
-    def test_base_weight_is_quadratic_exactly(self, op_h01):
+    def test_base_weight_has_no_excess(self, op_h01):
+        # the base weight is Phi_0 exactly: its excess is zero
         w = weight_phi_t(None, 0.0, op_h01)
         b = np.imag(op_h01.cgrid.nodes())
-        assert np.array_equal(w.phi_values, 0.5 * b ** 2)
+        assert np.array_equal(w.phi_values, np.zeros(b.shape))
         assert np.array_equal(w.xi_section, -b.astype(complex))
 
     def test_deformed_weight_needs_escape_function(self, gevrey2, op_h01):
@@ -172,23 +180,21 @@ class TestWeights:
         a, b = np.real(x), np.imag(x)
         g = escape_gevrey2.g_at(a, -b)
         gx, gxi = escape_gevrey2.grad_g_at(a, -b)
-        assert np.array_equal(w.phi_values, 0.5 * b ** 2 + t * g)
+        assert np.array_equal(w.phi_values, t * g)
         assert np.array_equal(w.xi_section,
                               -b.astype(complex) + t * gxi - 1j * t * gx)
 
     def test_deformation_bounded_by_sup_g(self, escape_gevrey2, op_h01):
         t = -0.1 * np.sqrt(op_h01.h)
         w = weight_phi_t(escape_gevrey2, t, op_h01)
-        diff = np.abs(w.phi_values - 0.5 * np.imag(op_h01.cgrid.nodes()) ** 2)
-        assert diff.max() <= abs(t) * escape_gevrey2.sup_G + 1e-12
+        assert np.abs(w.phi_values).max() <= abs(t) * escape_gevrey2.sup_G + 1e-12
 
     def test_deformation_gradient_small(self, escape_gevrey2, op_h01):
         # the weight correction has lattice gradient bounded by |t| sup|grad G|
         t = -0.1 * np.sqrt(op_h01.h)
         w = weight_phi_t(escape_gevrey2, t, op_h01)
         cg = op_h01.cgrid
-        corr = (w.phi_values
-                - 0.5 * np.imag(cg.nodes()) ** 2).reshape(cg.re_n, cg.im_n)
+        corr = w.phi_values.reshape(cg.re_n, cg.im_n)
         da = cg.re_axis[1] - cg.re_axis[0]
         db = cg.im_axis[1] - cg.im_axis[0]
         ga, gb = np.gradient(corr, da, db)
@@ -221,8 +227,7 @@ class TestEgorov:
         op = make_fbi(grid, default_cgrid(h, re_span=2.0, im_span=2.0,
                                           cells_per_width=2.0), h)
         M = apply_conjugated(P, op, np.eye(op.matrix.shape[0]))
-        W = op.weights_phi(op.phi0())
-        WM = W[:, None] * M
+        WM = op.weights_phi() * M
         defect = np.abs(WM - WM.conj().T).max() / np.abs(WM).max()
         assert defect < 1e-8
 
@@ -305,12 +310,45 @@ class TestToeplitz:
         assert built == [op_h01.real_grid.n_points]
         assert all(np.isfinite(res))
 
-    def test_symbol_without_split_raises(self, gevrey2, op_h01):
-        # the symbol on the section is the split's Taylor extension
+    def test_symbol_without_split_raises(self, gevrey2, op_h01, monkeypatch):
+        # the symbol on the section is the split's Taylor extension; without
+        # a split, P would take the midpoint assembly's two (2N - 1) x N
+        # arrays, so the split is checked before P is assembled
+        def unreachable(sym, grid, h):
+            raise AssertionError("P assembled before the split check")
+
+        monkeypatch.setattr(fbi, "assemble_weyl", unreachable)
         model = ModelInstance(replace(gevrey2.symbol, split=None), gevrey2.z0)
         u = gaussian_state(op_h01.real_grid, op_h01.h, 0.0, 1.146)
         with pytest.raises(ValueError, match="has no additive split"):
             toeplitz_residuals(model, op_h01, None, (0.0,), u, u)
+
+    def test_residual_independent_of_blas_threads(self):
+        # toeplitz_sweep's operator at h = 0.025, in one child per thread
+        # count; the count is set in the child's environment only
+        child = (
+            "from gevspec import experiments, fbi, quantize\n"
+            "from gevspec.symbols import make_gevrey_transport\n"
+            "h = 0.025\n"
+            "grid = quantize.RealGrid(experiments.PROBE_L, 1024)\n"
+            "op = fbi.make_fbi(grid, fbi.default_cgrid(\n"
+            "    h, re_span=1.5, im_span=2.2, cells_per_width=3.0), h)\n"
+            "u = fbi.gaussian_state(grid, h, 0.0, experiments.XI_PROBE)\n"
+            "v = fbi.gaussian_state(grid, h, 0.05, experiments.XI_PROBE - 0.03)\n"
+            "model = make_gevrey_transport(2.0)\n"
+            "print(repr(fbi.toeplitz_residuals(model, op, None, (0.0,), u, v)[0]))\n")
+        src = str(Path(gevspec.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", child], env=env,
+                                 capture_output=True, text=True, check=True)
+            runs.append(float(out.stdout))
+        one, two = runs
+        assert np.isfinite(one) and one > 0
+        assert abs(two - one) <= 1e-10 * one
 
     def test_warm_call_memory_below_dense_p(self, gevrey2, escape_gevrey2):
         # toeplitz_sweep's operator at h = 0.0125 has N = 2048, where a
