@@ -38,18 +38,15 @@ def _matrix_args(parser: argparse.ArgumentParser) -> None:
                              "Nyquist rule)")
 
 
-def _matrix(args, factored: bool = True) -> quantize.WeylMatrix:
-    """The Weyl matrix the arguments name; when it is to be factored, its
-    order is checked against the dense budget before assembly."""
+def _matrix(args) -> quantize.WeylMatrix:
+    """The Weyl matrix the arguments name."""
     sym = model_from_tag(args.model).symbol
     n = args.N or quantize.rule_n_points(sym, args.L, args.h)
-    if factored:
-        spectral.check_dense_n(n)
     return quantize.assemble_weyl(sym, quantize.RealGrid(args.L, n), args.h)
 
 
 def _cmd_quantize(args) -> int:
-    P = _matrix(args, factored=False)
+    P = _matrix(args)
     quantize.save_weyl(args.out, P)
     print(f"wrote {args.out}: N = {P.n}, h = {P.h}")
     return EXIT_OK
@@ -69,7 +66,6 @@ def _cmd_spectrum(args) -> int:
 def _cmd_pseudospectrum(args) -> int:
     window = spectral.ZGrid(_parse_complex(args.center), args.span, args.span,
                             args.res, args.res)
-    spectral.check_window(window)
     P = _matrix(args)
     field = spectral.pseudospectrum(P, window)
     stem = args.out or f"pseudospectrum_{args.model.replace(':', '_')}"

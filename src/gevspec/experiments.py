@@ -69,8 +69,9 @@ class SweepConfig:
                 quantize.RealGrid(self.half_width_L, self.n_points)
             except quantize.GridError as exc:
                 raise ConfigError(str(exc)) from exc
-        if not self.epsilon_deform > 0:
-            raise ConfigError("epsilon must be positive")
+        if not 0 < self.epsilon_deform < math.inf:
+            raise ConfigError(f"epsilon must be positive and finite, "
+                              f"got {self.epsilon_deform:g}")
         model_from_tag(self.model_tag)  # raises ValueError for unknown tags
 
 
@@ -156,7 +157,6 @@ def grid_for(cfg: SweepConfig, h: float) -> quantize.RealGrid:
     if n is None:
         n = quantize.rule_n_points(model_from_tag(cfg.model_tag).symbol,
                                    cfg.half_width_L, h)
-    spectral.check_dense_n(n)
     return quantize.RealGrid(cfg.half_width_L, n)
 
 

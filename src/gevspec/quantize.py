@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Tuple
+from functools import partial
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
 
 from .symbols import GevreySymbol, smooth_step
 
@@ -88,12 +87,7 @@ class WeylMatrix:
     roll(b(theta_m), N/2), two length-N arrays that serve both; an explicit
     matrix (from_entries) holds its array. Each read of entries builds a
     fresh Fortran-ordered complex N x N array that the reader owns and may
-    factor in place; P @ U applies P to a vector or an (N, k) block.
-
-    The triangular Schur factor T, computed on the first spectral query and
-    kept, is the one N x N array that outlives a query. It serves every
-    query but eigenvalues(), which alone needs the Schur vectors and
-    computes them for itself."""
+    factor in place; P @ U applies P to a vector or an (N, k) block."""
     build: Callable[[], np.ndarray]
     apply: Callable[[np.ndarray], np.ndarray]
     h: float
@@ -119,55 +113,6 @@ class WeylMatrix:
 
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         return self.apply(X)
-
-    @cached_property
-    def _schur(self) -> Tuple[np.ndarray, float]:
-        """(T, ||entries||_F): the upper-triangular T of the complex Schur
-        form entries = Z T Z*, without the Schur vectors Z, and the norm
-        read from the same buffer before schur_in_place overwrites it with
-        T."""
-        a = self.entries
-        norm = scipy.linalg.norm(a, check_finite=False)
-        return schur_in_place(a, compute_v=0)[0], norm
-
-    @property
-    def schur_factor(self) -> np.ndarray:
-        """T, computed on first use and kept."""
-        return self._schur[0]
-
-    @property
-    def frobenius_norm(self) -> float:
-        """||entries||_F, taken when schur_factor is computed."""
-        return self._schur[1]
-
-
-def schur_in_place(a: np.ndarray, compute_v: int
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """(T, Z) of the complex Schur form a = Z T Z*, computed by zgees in
-    the buffer of a, a Fortran-ordered complex square array that becomes T;
-    without the Schur vectors (compute_v=0), Z is a 1 x N placeholder.
-
-    zgees runs on the workspace its query reports as optimal, as
-    scipy.linalg.schur queries it, so (T, Z) is bit for bit the pair
-    scipy.linalg.schur(a, output="complex") returns (T alone, for
-    compute_v=0). Raises ValueError for a non-finite entry and LinAlgError
-    when the QR iteration fails (zgees info != 0).
-    """
-    a = np.asarray_chkfinite(a)
-
-    def no_sort(_):
-        return None
-
-    # the query leaves a as it is, so it needs no copy of its own either
-    work = lapack.zgees(no_sort, a, compute_v=compute_v, lwork=-1,
-                        overwrite_a=1)[-2]
-    T, _, _, Z, _, info = lapack.zgees(no_sort, a, compute_v=compute_v,
-                                       lwork=int(work[0].real), overwrite_a=1)
-    if info != 0:
-        raise scipy.linalg.LinAlgError(
-            f"complex Schur form of order {a.shape[0]} not found: zgees "
-            f"info {info}")
-    return T, Z
 
 
 def required_n_points(half_width_L: float, h: float, xi_extent: float) -> int:

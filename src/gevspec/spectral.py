@@ -1,14 +1,16 @@
 """Dense spectral computations: eigenvalues, sigma_min sweeps, resolvent norms.
 
 One complex Schur factorization per matrix serves every query but one: the
-triangular factor T of P = Z T Z*, computed on the first query and kept on
-the WeylMatrix without the Schur vectors Z. The eigenvalues are diag(T);
-sigma_min(P - z) = sigma_min(T - z) comes from Lanczos with triangular solves
-on T (the EigTool design: Trefethen, Acta Numerica 1999; Wright & Trefethen,
-SISC 2001). spectrum_free_radius() walks diag(T) outward from z0; each
-candidate's boundary mass comes from inverse iteration on P - lambda, one LU
-per candidate (LAPACK's xHSEIN route to selected eigenvectors), and the one
-it reports gets its kappa from back-substitution on T. eigenvalues() alone
+triangular factor T of P = Z T Z*, without the Schur vectors Z, computed on
+the first query and kept with ||P||_F while P lives. _factor, which checks
+the size budget, is the one place a matrix is factored. The eigenvalues
+are diag(T); sigma_min(P - z) = sigma_min(T - z) comes from Lanczos with
+triangular solves on T (the EigTool design: Trefethen, Acta Numerica 1999;
+Wright & Trefethen, SISC 2001). spectrum_free_radius() walks diag(T)
+outward from z0; each candidate's boundary mass comes from inverse
+iteration on P - lambda, one LU per candidate (LAPACK's xHSEIN route to
+selected eigenvectors), and the one it reports gets its kappa from
+back-substitution on T. eigenvalues() alone
 needs all N eigenvectors, Z X with X from back-substitution on T, so it
 computes (T, Z) for itself and keeps neither.
 
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from contextlib import contextmanager
+import weakref
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -35,7 +37,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 from scipy.linalg.blas import ztrsv
 
-from .quantize import WeylMatrix, save_weyl, schur_in_place
+from .quantize import WeylMatrix, save_weyl
 
 BOUNDARY_MASS_THRESHOLD = 1e-6
 BOUNDARY_FRACTION = 0.10  # outer fraction of grid nodes counted as boundary
@@ -97,15 +99,6 @@ class PseudospectrumField:
     sigma_min: np.ndarray  # shape (im_n, re_n)
 
 
-def check_dense_n(n: int) -> None:
-    """Raise BudgetError when a matrix of order n exceeds MAX_DENSE_N, the
-    largest one the Schur factorization runs at; callers check before they
-    assemble."""
-    if n > MAX_DENSE_N:
-        raise BudgetError(
-            f"dense factorization limited to N <= {MAX_DENSE_N}, got {n}")
-
-
 def check_window(window: ZGrid) -> None:
     """Raise BudgetError unless the z window has a finite center, finite
     positive half spans and 2 to MAX_PSEUDOSPECTRUM_RES nodes per axis."""
@@ -125,26 +118,54 @@ def check_window(window: ZGrid) -> None:
         raise BudgetError(f"z-window center must be finite, got {window.center}")
 
 
-@contextmanager
-def _factoring(P: WeylMatrix):
-    """Check the size budget, then run the body, a Schur factorization of P;
-    a LinAlgError from it dumps P, built again rather than read from the
-    buffer the factorization overwrote, to a temporary file and raises
-    SolverError."""
-    check_dense_n(P.n)
-    try:
-        yield
-    except scipy.linalg.LinAlgError as exc:
+def _factor(P: WeylMatrix, compute_v: int
+            ) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(T, Z, ||P||_F) of the complex Schur form P = Z T Z*, computed by
+    zgees in a fresh build of P that becomes T; without the Schur vectors
+    (compute_v=0), Z is a 1 x N placeholder. The one place a matrix is
+    factored.
+
+    The size budget is checked before P is built. ||P||_F is BLAS nrm2 on
+    the build viewed flat (a view of the Fortran-ordered buffer, so no
+    copy and no overflow in the squares), read before zgees overwrites it.
+    zgees runs on the workspace its query reports as optimal, as
+    scipy.linalg.schur queries it, so (T, Z) is bit for bit the pair
+    scipy.linalg.schur(entries, output="complex") returns. Raises
+    BudgetError above MAX_DENSE_N, ValueError for a non-finite entry, and
+    SolverError when the QR iteration fails (zgees info != 0), after
+    dumping P, built again, to a temporary file.
+    """
+    if P.n > MAX_DENSE_N:
+        raise BudgetError(
+            f"dense factorization limited to N <= {MAX_DENSE_N}, got {P.n}")
+    a = np.asarray_chkfinite(P.entries)
+    norm = scipy.linalg.norm(a.ravel(order="K"), check_finite=False)
+
+    def gees(lwork: int):
+        # the query (lwork=-1) leaves a as it is, so it needs no copy either
+        return lapack.zgees(lambda _: None, a, compute_v=compute_v,
+                            lwork=lwork, overwrite_a=1)
+
+    T, _, _, Z, _, info = gees(int(gees(-1)[-2][0].real))
+    if info != 0:
         fd, path = tempfile.mkstemp(prefix="weyl_fail_", suffix=".bin")
         os.close(fd)
         save_weyl(path, P)
-        raise SolverError(f"Schur factorization failed; matrix dumped to {path}") from exc
+        raise SolverError(f"Schur factorization of order {P.n} failed "
+                          f"(zgees info {info}); matrix dumped to {path}")
+    return T, Z, norm
 
 
-def _schur_factor(P: WeylMatrix) -> np.ndarray:
-    """P's cached triangular Schur factor T, after the size budget check."""
-    with _factoring(P):
-        return P.schur_factor
+_FACTORS = weakref.WeakKeyDictionary()  # P -> (T, ||P||_F) while P lives
+
+
+def _schur_factor(P: WeylMatrix) -> Tuple[np.ndarray, float]:
+    """(T, ||P||_F): P's triangular Schur factor without the Schur vectors,
+    and its Frobenius norm, computed on the first query and kept."""
+    if P not in _FACTORS:
+        T, _, norm = _factor(P, compute_v=0)
+        _FACTORS[P] = T, norm
+    return _FACTORS[P]
 
 
 def _edge_rows(V: np.ndarray) -> np.ndarray:
@@ -157,10 +178,8 @@ def _edge_rows(V: np.ndarray) -> np.ndarray:
 
 def eigenvalues(P: WeylMatrix) -> SpectrumResult:
     """All eigenvalues with per-eigenvector boundary-mass diagnostics."""
-    with _factoring(P):
-        # the one query that reads the Schur vectors: computed here, not
-        # kept, on a fresh build of P that the factorization overwrites
-        T, Z = schur_in_place(P.entries, compute_v=1)
+    # the one query that reads the Schur vectors: computed here, not kept
+    T, Z, _ = _factor(P, compute_v=1)
     # T is triangular, so balancing isolates every eigenvalue and eig only
     # back-substitutes for T's eigenvectors X (values: diag(T)); P's are Z X.
     # T is not read again, so eig factors it in place
@@ -174,7 +193,7 @@ def eigenvalues(P: WeylMatrix) -> SpectrumResult:
 
 def schur_eigenvalues(P: WeylMatrix) -> np.ndarray:
     """The eigenvalues alone, diag(T), in the order eigenvalues() returns."""
-    vals = np.diag(_schur_factor(P))
+    vals = np.diag(_schur_factor(P)[0])
     return vals[np.argsort(np.abs(vals), kind="stable")]
 
 
@@ -192,7 +211,7 @@ def sigma_min(P: WeylMatrix, z: complex) -> float:
     """
     if not np.isfinite(z):
         raise ValueError(f"sigma_min needs a finite z, got {z}")
-    T = _schur_factor(P)
+    T, _ = _schur_factor(P)
     diag = T.diagonal().copy()
     np.fill_diagonal(T, diag - z)
     try:
@@ -257,10 +276,9 @@ def _largest_ritz_pair(alpha: np.ndarray,
 def roundoff_floor(P: WeylMatrix) -> float:
     """eps * sqrt(N) * ||P||_F: the Schur factors are exact for some P + E
     with ||E|| below this, so a sigma_min(P - z) at or under it carries no
-    digit and z counts as spectrum. ||P||_F is read from the buffer that the
-    Schur factorization then overwrites with T, and kept beside T; reading
-    it factors P if no query has."""
-    return np.finfo(float).eps * np.sqrt(P.n) * P.frobenius_norm
+    digit and z counts as spectrum. ||P||_F is kept beside T, so reading it
+    factors P if no query has."""
+    return np.finfo(float).eps * np.sqrt(P.n) * _schur_factor(P)[1]
 
 
 def pseudospectrum(P: WeylMatrix, window: ZGrid) -> PseudospectrumField:
@@ -347,7 +365,7 @@ def spectrum_free_radius(P: WeylMatrix, z0: complex,
     k) and left eigenvector y (y_k = 1, zero above k, so y* x = 1) give
     kappa = ||x|| ||y||.
     """
-    T = _schur_factor(P)
+    T, _ = _schur_factor(P)
     n = P.n
     lams = T.diagonal()
     dist = np.abs(lams - z0)

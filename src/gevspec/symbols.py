@@ -161,16 +161,22 @@ def _gevrey_flat_d1(s: float, t):
     t = np.asarray(t, dtype=float)
     a = 1.0 / (s - 1.0)
     pos, tp = _positive(t)
-    return np.where(pos, np.exp(-tp ** (-a)) * a * tp ** (-a - 1.0), 0.0)
+    # where exp(-t^(-a)) underflows to 0, t^(-a-1) may overflow and 0 * inf
+    # is nan; the derivative is 0 there
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.exp(-tp ** (-a))
+        return np.where(pos & (e > 0), e * a * tp ** (-a - 1.0), 0.0)
 
 
 def _gevrey_flat_d2(s: float, t):
     t = np.asarray(t, dtype=float)
     a = 1.0 / (s - 1.0)
     pos, tp = _positive(t)
-    e = np.exp(-tp ** (-a))
-    return np.where(pos, e * ((a * tp ** (-a - 1.0)) ** 2
-                              - a * (a + 1.0) * tp ** (-a - 2.0)), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _gevrey_flat_d1
+        e = np.exp(-tp ** (-a))
+        return np.where(pos & (e > 0),
+                        e * ((a * tp ** (-a - 1.0)) ** 2
+                             - a * (a + 1.0) * tp ** (-a - 2.0)), 0.0)
 
 
 def smooth_step(u):

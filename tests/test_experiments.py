@@ -81,6 +81,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             SweepConfig("davies", (1.5, 0.1))
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_nonfinite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ConfigError,
+                           match="epsilon must be positive and finite"):
+            SweepConfig("davies", (0.1,), epsilon_deform=epsilon)
+
     @pytest.mark.parametrize("L", [math.inf, math.nan, 0.0])
     def test_nonfinite_or_nonpositive_L_rejected(self, L):
         with pytest.raises(ConfigError, match="L must be positive and finite"):
@@ -103,10 +109,23 @@ class TestGridRule:
             g = grid_for(cfg, h)
             assert g.theta_max(h) >= 4.0
 
-    def test_budget_failure_at_tiny_h(self):
-        cfg = SweepConfig("davies", (0.001,), half_width_L=4.0)
-        with pytest.raises(spectral.BudgetError):
-            grid_for(cfg, 0.001)
+    def test_budget_failure_at_tiny_h(self, tmp_path, monkeypatch, capsys):
+        # the grid rule gives N = 16384; the O(N) split assembly runs, and
+        # the budget stops the point at its factorization
+        def no_schur(*args, **kwargs):
+            raise AssertionError("factored a matrix above the budget")
+
+        monkeypatch.setattr(lapack, "zgees", no_schur)
+        cfg = SweepConfig("davies", (0.001,), half_width_L=4.0,
+                          output_dir=str(tmp_path))
+        assert grid_for(cfg, 0.001).n_points == 16384
+        assert run_sweep(cfg) == []
+        assert "dense factorization limited to N <= 2048, got 16384" \
+            in capsys.readouterr().out
+        experiments.emit_outputs(cfg, [], {})
+        summary = json.loads((tmp_path / "summary.json").read_text(
+            encoding="utf-8"))
+        assert summary["skipped_h"] == [0.001]
 
     def test_explicit_n_points_honored(self):
         cfg = SweepConfig("davies", (0.1,), n_points=512)
@@ -503,10 +522,10 @@ class TestCli:
     def test_pseudospectrum_nonfinite_window_is_config_error(
             self, center, span, tmp_path, monkeypatch):
         def unreachable(*args, **kwargs):
-            raise AssertionError("the window is checked before assembly")
+            raise AssertionError("the window is checked before factoring")
 
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(quantize, "assemble_weyl", unreachable)
+        monkeypatch.setattr(lapack, "zgees", unreachable)
         code = cli.main(["pseudospectrum", "--model", "davies", "--h", "0.1",
                          f"--center={center}", "--span", span, "--res", "5",
                          "--L", "8", "--N", "256", "--out", "field"])
@@ -517,13 +536,14 @@ class TestCli:
         ("spectrum", []),
         ("pseudospectrum", ["--center", "0.1,0.1", "--span", "0.2",
                             "--res", "5"])])
-    def test_dense_budget_checked_before_assembly(self, command, extra,
-                                                  tmp_path, monkeypatch):
+    def test_dense_budget_checked_before_factoring(self, command, extra,
+                                                   tmp_path, monkeypatch):
+        # h = 0.003 gives N = 8192 by the grid rule
         def unreachable(*args, **kwargs):
-            raise AssertionError("N is checked before assembly")
+            raise AssertionError("N is checked before factoring")
 
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(quantize, "assemble_weyl", unreachable)
+        monkeypatch.setattr(lapack, "zgees", unreachable)
         code = cli.main([command, "--model", "davies", "--h", "0.003",
                          "--L", "6", *extra])
         assert code == cli.EXIT_CONFIG

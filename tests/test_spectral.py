@@ -1,5 +1,6 @@
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from scipy.linalg import lapack
 
 from gevspec import spectral
 from gevspec.quantize import (RealGrid, WeylMatrix, assemble_weyl,
-                              load_weyl, required_n_points, schur_in_place)
+                              load_weyl, required_n_points)
 from gevspec.spectral import (BOUNDARY_MASS_THRESHOLD, MAX_DENSE_N,
                               BudgetError, PseudospectrumField, SolverError,
                               SpectrumResult, ZGrid, eigenvalues,
                               pseudospectrum, pseudospectrum_csv_lines,
-                              resolvent_norm, schur_eigenvalues, sigma_min,
+                              resolvent_from_sigma, resolvent_norm,
+                              roundoff_floor, schur_eigenvalues, sigma_min,
                               spectrum_csv_lines, spectrum_free_radius)
 from gevspec.symbols import model_from_tag
 from test_quantize import BUMP, ONE, plain_symbol
@@ -38,6 +40,11 @@ def clean_radius(P, z0, threshold=BOUNDARY_MASS_THRESHOLD):
 def wrap(entries, h=0.1, L=4.0):
     n = entries.shape[0]
     return WeylMatrix.from_entries(entries, h, RealGrid(L, n), "wrapped")
+
+
+def cached_T(P):
+    """The triangular Schur factor spectral keeps for P."""
+    return spectral._schur_factor(P)[0]
 
 
 def hermitian_example(n=64, seed=7):
@@ -82,11 +89,16 @@ class TestEigenvalues:
             sigma_min(P, 0.5)
         with pytest.raises(BudgetError):
             spectrum_free_radius(P, 0.5)
+        # the floor reads ||P||_F beside T, so it meets the same budget
+        with pytest.raises(BudgetError):
+            roundoff_floor(P)
+        with pytest.raises(BudgetError):
+            resolvent_from_sigma(P, 1.0)
 
     def test_values_are_the_schur_diagonal(self, rng):
         n = 64
         P = wrap(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        T = P.schur_factor
+        T = cached_T(P)
         T_full, Z = scipy.linalg.schur(P.entries, output="complex")
         assert np.array_equal(T, T_full)
         assert np.allclose(Z @ T @ Z.conj().T, P.entries)
@@ -95,26 +107,30 @@ class TestEigenvalues:
 
     def test_spectrum_factors_a_fresh_build_in_place(self, monkeypatch):
         # the Schur form with vectors overwrites a fresh Fortran-ordered
-        # build of P, and eig then overwrites T
+        # build of P, and eig then overwrites T; nothing is kept
         P = catalog_matrix("gevrey-transport:s=2", 0.1)
-        spec = eigenvalues(P)
-        real_schur, real_eig = spectral.schur_in_place, scipy.linalg.eig
+        real_gees, real_eig = lapack.zgees, scipy.linalg.eig
         calls = []
 
-        def on_a_separate_build(a, compute_v):
-            calls.append(("schur", a.flags.f_contiguous, compute_v))
-            return real_schur(P.entries, compute_v)
+        def recording_gees(select, a, **kwargs):
+            out = real_gees(select, a, **kwargs)
+            if kwargs["lwork"] != -1:  # the workspace query factors nothing
+                calls.append(("gees", a.flags.f_contiguous,
+                              kwargs["compute_v"], out[0] is a))
+            return out
 
         def recording_eig(a, **kwargs):
             calls.append(("eig", kwargs.get("overwrite_a")))
             return real_eig(a, **kwargs)
 
-        monkeypatch.setattr(spectral, "schur_in_place", on_a_separate_build)
+        monkeypatch.setattr(lapack, "zgees", recording_gees)
         monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
-        ref = eigenvalues(P)
-        assert calls == [("schur", True, 1), ("eig", True)]
-        assert np.array_equal(spec.eigenvalues, ref.eigenvalues)
-        assert np.array_equal(spec.boundary_mass, ref.boundary_mass)
+        spec = eigenvalues(P)
+        assert calls == [("gees", True, 1, True), ("eig", True)]
+        assert P not in spectral._FACTORS
+        vals = np.diag(scipy.linalg.schur(P.entries, output="complex")[0])
+        assert np.array_equal(spec.eigenvalues,
+                              vals[np.argsort(np.abs(vals), kind="stable")])
 
     def test_spectrum_peak_below_four_matrices(self):
         # P's build becomes T beside Z, and eig factors T in place beside
@@ -189,19 +205,19 @@ class TestSigmaMin:
 
     def test_shifted_factor_is_restored(self):
         P = hermitian_example()
-        T = P.schur_factor
+        T = cached_T(P)
         pristine = T.copy()
         sigma_min(P, 0.5 + 0.25j)
-        assert P.schur_factor is T
+        assert cached_T(P) is T
         assert np.array_equal(T, pristine)
 
     def test_shifted_factor_is_restored_after_step_cap(self, monkeypatch):
         P = hermitian_example()
-        pristine = P.schur_factor.copy()
+        pristine = cached_T(P).copy()
         monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 2)
         with pytest.raises(SolverError, match="did not converge"):
             sigma_min(P, 100.0)
-        assert np.array_equal(P.schur_factor, pristine)
+        assert np.array_equal(cached_T(P), pristine)
 
     @given(dre=st.floats(-0.5, 0.5), dim=st.floats(-0.5, 0.5))
     @settings(max_examples=25, deadline=None)
@@ -326,7 +342,7 @@ class TestFreeRadius:
         T[1, 1] = T[40, 40] = lam
         T[1, 40] = 1e-20
         P = wrap(T)
-        assert np.array_equal(P.schur_factor, T)
+        assert np.array_equal(cached_T(P), T)
         # index 1 sits on the boundary and fails the filter; index 40,
         # equally near, passes with x[1] = -1e-20 / smin
         free = spectrum_free_radius(P, lam)
@@ -371,11 +387,28 @@ class TestSchurFactor:
         P = catalog_matrix(tag, 0.1)
         assert P.n == 256
         T, Z = scipy.linalg.schur(P.entries, output="complex")
-        assert np.array_equal(P.schur_factor, T)
+        assert np.array_equal(cached_T(P), T)
         # with the Schur vectors, as eigenvalues() computes them
-        T_v, Z_v = schur_in_place(P.entries, compute_v=1)
+        T_v, Z_v, norm = spectral._factor(P, compute_v=1)
         assert np.array_equal(T_v, T)
         assert np.array_equal(Z_v, Z)
+        assert norm == pytest.approx(np.linalg.norm(P.entries), rel=1e-13)
+
+    def test_norm_of_a_large_entry_does_not_overflow(self):
+        # the squares of ||P||_F overflow a plain sum at 1e160; nrm2 scales
+        n = 32
+        T = np.diag(np.linspace(-1, 1, n)).astype(complex)
+        T[0, 0] = 1e160
+        P = wrap(T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            floor = roundoff_floor(P)
+            s = sigma_min(P, 5.0)
+        assert floor == pytest.approx(np.finfo(float).eps * np.sqrt(n) * 1e160,
+                                      rel=1e-15)
+        assert 0 < s < floor  # below the floor, so 5 counts as spectrum
+        assert resolvent_from_sigma(P, s) == np.inf
+        assert resolvent_from_sigma(P, 2.0 * floor) == 0.5 / floor
 
     @pytest.mark.parametrize("query", SCHUR_QUERIES)
     def test_failed_iteration_dumps_matrix(self, query, monkeypatch,
@@ -391,6 +424,7 @@ class TestSchurFactor:
         P = hermitian_example()
         with pytest.raises(SolverError, match="matrix dumped to"):
             query(P)
+        assert P not in spectral._FACTORS  # nothing is kept from a failure
         [dump] = tmp_path.glob("weyl_fail_*.bin")
         assert np.array_equal(load_weyl(dump).entries, P.entries)
 
@@ -417,7 +451,7 @@ class TestSchurFactor:
         assert n == 1024
         cold = spectrum_free_radius(P, 0j)
         assert vs_shapes == [(1, n), (1, n)]  # workspace query, factorization
-        assert P.schur_factor.shape == (n, n)
+        assert cached_T(P).shape == (n, n)
         tracemalloc.start()
         try:
             warm = spectrum_free_radius(P, 0j)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -67,8 +68,23 @@ class TestGevreyFlat:
             assert np.array_equal(g[pos], r)
             assert np.all(g[~pos] == 0.0)
 
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+    def test_derivatives_vanish_where_the_exponential_underflows(self, s):
+        # exp(-t^(-a)) is 0 at t = 1e-100, where t^(-a-k) may be inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d1 = symbols._gevrey_flat_d1(s, 1e-100)
+            d2 = symbols._gevrey_flat_d2(s, 1e-100)
+        assert d1 == 0.0 and d2 == 0.0
+
 
 class TestSmoothStep:
+    @pytest.mark.parametrize("u", [1e-200, 1e-160])
+    def test_derivative_vanishes_at_tiny_u(self, u):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert symbols.smooth_step_d1(u) == 0.0
+
     def test_endpoints(self):
         assert smooth_step(-0.2) == 0.0
         assert smooth_step(0.0) == 0.0
