@@ -3,8 +3,9 @@
 weight and with the escape-function deformation, and report the log-log
 slopes, as `gevspec toeplitz --config configs/gevrey2_toeplitz.cfg`.
 
-The identity predicts O(h). The script exits 0 when both slopes reach 0.9
-(criterion 05), and 3 when either falls short or the sweep fails.
+The identity predicts O(h). The script exits 0 when both slopes reach
+experiments.SLOPE_MIN (criterion 05), and 3 when either falls short or the
+sweep fails.
 """
 
 import sys

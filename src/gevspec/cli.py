@@ -127,17 +127,14 @@ def _cmd_toeplitz(args) -> int:
     cfg = experiments.parse_config(args.config)
     model = model_from_tag(cfg.model_tag)
     esc = geometry.build_escape(model)
-    rows = experiments.toeplitz_sweep(model, esc, cfg.h_list,
-                                      cfg.epsilon_deform)
+    rows = experiments.toeplitz_sweep(model, esc, cfg.h_list)
     lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
     print("\n".join(lines))
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "toeplitz.csv").write_text(
         "\n".join(["h,res_t0,res_deformed"] + lines) + "\n", encoding="utf-8")
-    hs, res_t0, res_t = zip(*rows)
-    slope0 = experiments.fit_power_law(hs, res_t0).slope
-    slope_t = experiments.fit_power_law(hs, res_t).slope
+    slope0, slope_t = experiments.toeplitz_slopes(rows)
     print(f"slope(t=0) = {slope0:.3f}, slope(t) = {slope_t:.3f}")
     ok = min(slope0, slope_t) >= experiments.SLOPE_MIN
     return EXIT_OK if ok else EXIT_NUMERICAL
@@ -156,15 +153,9 @@ def _cmd_escape(args) -> int:
 
 
 def _cmd_deform_check(args) -> int:
-    if not 0 < args.h <= 1:
-        raise experiments.ConfigError(f"h must lie in (0, 1], got {args.h:g}")
-    if not 0 < args.epsilon < float("inf"):
-        raise experiments.ConfigError(
-            f"epsilon must be positive and finite, got {args.epsilon:g}")
     model = model_from_tag(args.model)
+    t = experiments.deformation_size(model, args.h)
     esc = geometry.build_escape(model)
-    expo = experiments.exponent_for(model)
-    t = -args.epsilon * args.h ** expo
     check = geometry.check_deformed_ellipticity(model, esc, t)
     print(f"t = {t:.6g}, gamma_measured = {check.gamma_measured:.6g} "
           f"at {check.worst_point}")
@@ -214,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deform-check", help="deformed-symbol ellipticity")
     p.add_argument("--model", required=True)
     p.add_argument("--h", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=0.1)
     p.set_defaults(func=_cmd_deform_check)
 
     return parser

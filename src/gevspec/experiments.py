@@ -9,8 +9,9 @@ resolvent at the probe point z0 - r/2. Rows are written to CSV as they
 finish so an interrupted sweep leaves a valid prefix.
 
 The Toeplitz sweep measures, on one FBI operator per h, the
-Toeplitz-identity residual with the flat and the deformed weight;
-criterion 05 needs both log-log slopes to reach SLOPE_MIN.
+Toeplitz-identity residual with the flat weight and with the weight
+deformed at t = deformation_size(model, h); criterion 05 needs both
+log-log slopes, from toeplitz_slopes, to reach SLOPE_MIN.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .symbols import ModelInstance, model_from_tag
 XI_PROBE = 1.146  # packet momentum where the model's next-order xi correction vanishes
 PROBE_L = 8.0  # real-grid half width of toeplitz_sweep
 SLOPE_MIN = 0.9  # criterion 05: the Toeplitz residual decays like O(h)
+DEFORM_EPSILON = 0.1  # the paper deforms by t = -eps h^(1-1/s) at one fixed eps
 BOUNDED_RESOLVENT_CAP = 1e8
 
 
@@ -50,7 +52,6 @@ class SweepConfig:
     h_list: Tuple[float, ...]
     half_width_L: float = 4.0
     n_points: Optional[int] = None
-    epsilon_deform: float = 0.1  # read by `gevspec toeplitz`, not the sweep
     output_dir: str = "."
 
     def __post_init__(self):
@@ -69,9 +70,6 @@ class SweepConfig:
                 quantize.RealGrid(self.half_width_L, self.n_points)
             except quantize.GridError as exc:
                 raise ConfigError(str(exc)) from exc
-        if not 0 < self.epsilon_deform < math.inf:
-            raise ConfigError(f"epsilon must be positive and finite, "
-                              f"got {self.epsilon_deform:g}")
         model_from_tag(self.model_tag)  # raises ValueError for unknown tags
 
 
@@ -81,7 +79,6 @@ CONFIG_KEYS = {
     "h_list": ("h_list", lambda val: tuple(map(float, val.split(",")))),
     "L": ("half_width_L", float),
     "n_points": ("n_points", int),
-    "epsilon": ("epsilon_deform", float),
     "output_dir": ("output_dir", str),
 }
 
@@ -166,12 +163,18 @@ def exponent_for(model: ModelInstance) -> float:
     return 1.0 if math.isinf(s) else 1.0 - 1.0 / s
 
 
-def toeplitz_sweep(model: ModelInstance, esc, h_list: Sequence[float],
-                   epsilon: float) -> List[Tuple[float, float, float]]:
-    """(h, residual at t = 0, residual at t = -epsilon h^(1-1/s)) per h,
-    both on one FBI operator (real grid of half width PROBE_L, at least 128
-    points) and one wave-packet pair at momentum XI_PROBE."""
-    expo = exponent_for(model)
+def deformation_size(model: ModelInstance, h: float) -> float:
+    """The deformation t = -DEFORM_EPSILON h^(1-1/s) of the FBI weight at h."""
+    if not 0 < h <= 1:
+        raise ConfigError(f"h must lie in (0, 1], got {h:g}")
+    return -DEFORM_EPSILON * h ** exponent_for(model)
+
+
+def toeplitz_sweep(model: ModelInstance, esc, h_list: Sequence[float]
+                   ) -> List[Tuple[float, float, float]]:
+    """(h, residual at t = 0, residual at t = deformation_size(model, h))
+    per h, both on one FBI operator (real grid of half width PROBE_L, at
+    least 128 points) and one wave-packet pair at momentum XI_PROBE."""
     rows = []
     for h in h_list:
         n = quantize.required_n_points(PROBE_L, h, model.symbol.xi_extent)
@@ -182,8 +185,16 @@ def toeplitz_sweep(model: ModelInstance, esc, h_list: Sequence[float],
         u = fbi.gaussian_state(grid, h, 0.0, XI_PROBE)
         v = fbi.gaussian_state(grid, h, 0.05, XI_PROBE - 0.03)
         rows.append((h, *fbi.toeplitz_residuals(
-            model, op, esc, (0.0, -epsilon * h ** expo), u, v)))
+            model, op, esc, (0.0, deformation_size(model, h)), u, v)))
     return rows
+
+
+def toeplitz_slopes(rows: Sequence[Tuple[float, float, float]]
+                    ) -> Tuple[float, float]:
+    """(slope at t = 0, slope at the deformed t): the log-log slopes of the
+    residuals of toeplitz_sweep rows in h."""
+    hs, res_t0, res_t = zip(*rows)
+    return fit_power_law(hs, res_t0).slope, fit_power_law(hs, res_t).slope
 
 
 def _measure_one(cfg: SweepConfig, model: ModelInstance, h: float) -> SweepRecord:

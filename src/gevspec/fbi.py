@@ -211,7 +211,7 @@ def weight_phi_t(esc: Optional[EscapeField], t: float,
         return BargmannWeight(np.zeros(x.shape), xi0, fbi_op.cgrid)
     if esc is None:
         raise ValueError(f"the weight at t = {t} needs an escape function")
-    g, gx, gxi = esc._eval_fields(slice(0, 3), a, -b)
+    g, gx, gxi = esc.fields_at(a, -b)
     return BargmannWeight(t * g, xi0 + t * gxi - 1j * t * gx, fbi_op.cgrid)
 
 

@@ -131,17 +131,15 @@ class _Spline:
     knots: Tuple[np.ndarray, np.ndarray]
     coef: np.ndarray
 
-    def __call__(self, x: np.ndarray, xi: np.ndarray,
-                 fields: slice) -> List[np.ndarray]:
-        """The selected fields at the points (x, xi), 1-D arrays of one
-        length. The fields share one basis per axis, and each value sums
-        16 terms."""
+    def __call__(self, x: np.ndarray, xi: np.ndarray) -> List[np.ndarray]:
+        """Every field at the points (x, xi), 1-D arrays of one length. The
+        fields share one basis per axis, and each value sums 16 terms."""
         jx, bx = _cubic_basis(self.knots[0], x)
         jk, bk = _cubic_basis(self.knots[1], xi)
         n_xi = self.coef.shape[2]
         corner = jx * n_xi + jk  # flat index of coefficient (jx, jk)
         values = []
-        for c in self.coef.reshape(len(self.coef), -1)[fields]:
+        for c in self.coef.reshape(len(self.coef), -1):
             total = 0.0
             for a in range(4):
                 row = 0.0
@@ -194,10 +192,12 @@ class EscapeField:
         r = np.hypot(x - self.cutoff_center[0], xi - self.cutoff_center[1])
         return r >= self.cutoff_radius
 
-    def _eval_fields(self, fields: slice, x, xi) -> List[np.ndarray]:
-        """Evaluate lattice splines; G and its gradient vanish outside the
-        cutoff ball, so points there evaluate to zero without lattice
-        coverage; anything else out of range is a coverage error."""
+    def fields_at(self, x, xi) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(G, d_x G, d_xi G) at the points (x, xi), from one pass of the
+        lattice splines; the gradient is the lattice's centered differences
+        interpolated. G and its gradient vanish outside the cutoff ball, so
+        points there evaluate to zero without lattice coverage; anything
+        else out of range is a coverage error."""
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
         x, xi = np.broadcast_arrays(x, xi)
@@ -210,18 +210,8 @@ class EscapeField:
                 "escape lattice does not cover requested point "
                 f"({x.ravel()[k]:.4f}, {xi.ravel()[k]:.4f}) inside the cutoff ball")
         vals = self._spline(np.where(inside, x, self.x_axis[0]).ravel(),
-                            np.where(inside, xi, self.xi_axis[0]).ravel(),
-                            fields)
-        return [np.where(inside, v.reshape(x.shape), 0.0) for v in vals]
-
-    def g_at(self, x, xi) -> np.ndarray:
-        """Interpolated G; zero outside the cutoff ball by compact support."""
-        return self._eval_fields(slice(0, 1), x, xi)[0]
-
-    def grad_g_at(self, x, xi) -> Tuple[np.ndarray, np.ndarray]:
-        """Lattice-gradient of G (centered differences) interpolated to points."""
-        gx, gxi = self._eval_fields(slice(1, 3), x, xi)
-        return gx, gxi
+                            np.where(inside, xi, self.xi_axis[0]).ravel())
+        return tuple(np.where(inside, v.reshape(x.shape), 0.0) for v in vals)
 
     @property
     def sup_G(self) -> float:

@@ -351,12 +351,10 @@ def _least_boundary_mass(P: WeylMatrix, lam: complex, m: int) -> float:
     return float(np.linalg.eigvalsh(E.conj().T @ E)[0])
 
 
-def spectrum_free_radius(P: WeylMatrix, z0: complex,
-                         threshold: float = BOUNDARY_MASS_THRESHOLD
-                         ) -> FreeRadius:
+def spectrum_free_radius(P: WeylMatrix, z0: complex) -> FreeRadius:
     """Distance from z0 to the nearest eigenvalue whose eigenvector keeps at
-    most `threshold` of its mass on the boundary rows, with that eigenvalue
-    and its kappa.
+    most BOUNDARY_MASS_THRESHOLD of its mass on the boundary rows, with that
+    eigenvalue and its kappa.
 
     Walks diag(T) in order of distance from z0. A candidate lam, with every
     copy of it on diag(T) (those within _pivot_floor), is tested once by
@@ -378,7 +376,8 @@ def spectrum_free_radius(P: WeylMatrix, z0: complex,
         copies = np.flatnonzero(np.abs(gap.real) + np.abs(gap.imag)
                                 < _pivot_floor(lams[k], n))
         tested[copies] = True
-        if _least_boundary_mass(P, lams[k], copies.size) <= threshold:
+        mass = _least_boundary_mass(P, lams[k], copies.size)
+        if mass <= BOUNDARY_MASS_THRESHOLD:
             k = copies[-1]
             lam = lams[k]
             x = np.ones(k + 1, dtype=complex)

@@ -144,8 +144,8 @@ def _positive(t):
 
 def gevrey_flat(s: float, t):
     """The canonical Gevrey-s flat function: exp(-t^(-1/(s-1))) for t > 0, else 0."""
-    if not s > 1:
-        raise ValueError(f"Gevrey order must exceed 1, got {s}")
+    if not 1 < s < math.inf:
+        raise ValueError(f"Gevrey order must be finite and exceed 1, got {s}")
     t = np.asarray(t, dtype=float)
     a = 1.0 / (s - 1.0)
     pos, tp = _positive(t)
@@ -212,8 +212,8 @@ def make_gevrey_transport(s: float) -> ModelInstance:
 
     Re p vanishes exactly on [-1, 1]; the zero set of p is [-1, 1] x {0}.
     """
-    if not s > 1:
-        raise ValueError(f"Gevrey order must exceed 1, got {s}")
+    if not 1 < s < math.inf:
+        raise ValueError(f"Gevrey order must be finite and exceed 1, got {s}")
 
     def f(x):
         return np.asarray(gevrey_flat(s, x ** 2 - 1.0))

@@ -163,12 +163,11 @@ def test_criterion_04_fbi_unitarity(capsys):
 def test_criterion_05_toeplitz_slopes(capsys, gevrey2, escape_gevrey2):
     t0 = time.time()
     rows = experiments.toeplitz_sweep(gevrey2, escape_gevrey2,
-                                      (0.2, 0.1, 0.05, 0.025), 0.1)
-    hs, res_t0, res_t = zip(*rows)
-    slopes = {label: experiments.fit_power_law(hs, res).slope
-              for label, res in (("t=0", res_t0), ("t=-0.1*sqrt(h)", res_t))}
+                                      (0.2, 0.1, 0.05, 0.025))
+    slopes = dict(zip(("t=0", "t=-0.1*sqrt(h)"),
+                      experiments.toeplitz_slopes(rows)))
     elapsed = time.time() - t0
-    ok = (all(s >= experiments.SLOPE_MIN for s in slopes.values())
+    ok = (min(slopes.values()) >= experiments.SLOPE_MIN
           and elapsed < 900.0)
     announce(capsys, 5, ok,
              "Toeplitz residual log-log slopes "
@@ -184,7 +183,7 @@ def test_reported_toeplitz_deep_ladder(capsys, gevrey2, escape_gevrey2,
     for name, model, esc in (("gevrey s=2", gevrey2, escape_gevrey2),
                              ("analytic", analytic_model, escape_analytic)):
         hs, res_t0, res_t = map(np.array, zip(*experiments.toeplitz_sweep(
-            model, esc, DEEP_TOEPLITZ_H_LIST, 0.1)))
+            model, esc, DEEP_TOEPLITZ_H_LIST)))
         for label, res in (("t=0", res_t0), ("t!=0", res_t)):
             local = np.diff(np.log(res)) / np.diff(np.log(hs))
             series.append(f"{name} {label}: "
@@ -232,9 +231,8 @@ def test_criterion_07_deformed_ellipticity(capsys, transport_escapes):
     gammas = {}
     for s, model in models.items():
         esc = transport_escapes[s]
-        expo = experiments.exponent_for(model)
         for h in (0.1, 0.05, 0.025):
-            t = -0.1 * h ** expo
+            t = experiments.deformation_size(model, h)
             check = geometry.check_deformed_ellipticity(model, esc, t)
             gammas[(s, h)] = check.gamma_measured
     worst = min(gammas.values())

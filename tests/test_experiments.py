@@ -37,14 +37,12 @@ class TestConfigParsing:
             "h_list = 0.2, 0.1, 0.05\n"
             "L = 6.0\n"
             "n_points = 256\n"
-            "epsilon = 0.05\n"
             "output_dir = out\n", encoding="utf-8")
         cfg = parse_config(path)
         assert cfg.model_tag == "gevrey-transport:s=2"
         assert cfg.h_list == (0.2, 0.1, 0.05)
         assert cfg.half_width_L == 6.0
         assert cfg.n_points == 256
-        assert cfg.epsilon_deform == 0.05
         assert cfg.output_dir == "out"
 
     def test_missing_required_keys(self, tmp_path):
@@ -54,7 +52,8 @@ class TestConfigParsing:
             parse_config(path)
 
     @pytest.mark.parametrize("key", ["widget", "seed", "toeplitz", "deform",
-                                     "z0", "probe_direction", "escape_T"])
+                                     "z0", "probe_direction", "escape_T",
+                                     "epsilon"])
     def test_unknown_key(self, tmp_path, key):
         path = tmp_path / "bad.cfg"
         path.write_text(f"model = davies\nh_list = 0.1\n{key} = 3\n",
@@ -80,12 +79,6 @@ class TestConfigParsing:
     def test_h_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             SweepConfig("davies", (1.5, 0.1))
-
-    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
-    def test_nonfinite_epsilon_rejected(self, epsilon):
-        with pytest.raises(ConfigError,
-                           match="epsilon must be positive and finite"):
-            SweepConfig("davies", (0.1,), epsilon_deform=epsilon)
 
     @pytest.mark.parametrize("L", [math.inf, math.nan, 0.0])
     def test_nonfinite_or_nonpositive_L_rejected(self, L):
@@ -369,6 +362,23 @@ class TestOneFactorization:
         assert factorizations == {"gees": [((256, 256), 0)], "getrf": []}
 
 
+class TestDeformationSize:
+    @pytest.mark.parametrize("tag, expo", [("gevrey-transport:s=2", 0.5),
+                                           ("gevrey-transport:s=3", 2 / 3),
+                                           ("analytic-transport", 1.0)])
+    def test_minus_epsilon_h_to_the_free_radius_exponent(self, tag, expo):
+        t = experiments.deformation_size(model_from_tag(tag), 0.05)
+        assert t == pytest.approx(-0.1 * 0.05 ** expo, rel=1e-15)
+
+
+class TestToeplitzSlopes:
+    def test_slopes_of_each_residual_column(self):
+        rows = [(h, 3.0 * h, 2.0 * h ** 0.5) for h in (0.2, 0.1, 0.05, 0.025)]
+        slope0, slope_t = experiments.toeplitz_slopes(rows)
+        assert slope0 == pytest.approx(1.0, abs=1e-12)
+        assert slope_t == pytest.approx(0.5, abs=1e-12)
+
+
 class TestToeplitzSweep:
     def test_one_weyl_matrix_per_h(self, monkeypatch, gevrey2,
                                    escape_gevrey2):
@@ -382,7 +392,7 @@ class TestToeplitzSweep:
 
         monkeypatch.setattr(fbi, "assemble_weyl", counting)
         rows = experiments.toeplitz_sweep(gevrey2, escape_gevrey2,
-                                          (0.2, 0.1, 0.05, 0.025), 0.1)
+                                          (0.2, 0.1, 0.05, 0.025))
         assert sizes == [128, 256, 512, 1024]
         assert len(rows) == 4 and all(np.isfinite(rows).ravel())
 
@@ -397,8 +407,7 @@ class TestToeplitzSweep:
             "cfg = experiments.parse_config(sys.argv[1])\n"
             "model = experiments.model_from_tag(cfg.model_tag)\n"
             "rows = experiments.toeplitz_sweep(\n"
-            "    model, geometry.build_escape(model), cfg.h_list,\n"
-            "    cfg.epsilon_deform)\n"
+            "    model, geometry.build_escape(model), cfg.h_list)\n"
             "print(json.dumps(rows))\n")
         src = str(Path(gevspec.__file__).resolve().parents[1])
         runs = []
@@ -440,12 +449,21 @@ class TestCli:
         assert cli.main(["escape", "--model", "trapped-toy"]) \
             == cli.EXIT_NUMERICAL
 
+    def test_infinite_gevrey_order_is_config_error(self, monkeypatch):
+        # s = inf would make the Gevrey-flat factor a step function
+        def unreachable(*args, **kwargs):
+            raise AssertionError("s is checked before the escape build")
+
+        monkeypatch.setattr(geometry, "build_escape", unreachable)
+        assert cli.main(["escape", "--model", "gevrey-transport:s=inf"]) \
+            == cli.EXIT_CONFIG
+
     def test_deform_check_passes_for_transport(self):
         code = cli.main(["deform-check", "--model", "gevrey-transport:s=2",
                          "--h", "0.05"])
         assert code == cli.EXIT_OK
 
-    @pytest.mark.parametrize("h", ["-1", "2"])
+    @pytest.mark.parametrize("h", ["-1", "0", "2", "nan"])
     def test_deform_check_rejects_h_outside_unit_interval(self, h,
                                                           monkeypatch):
         def unreachable(*args, **kwargs):
@@ -454,17 +472,6 @@ class TestCli:
         monkeypatch.setattr(geometry, "build_escape", unreachable)
         code = cli.main(["deform-check", "--model", "gevrey-transport:s=2",
                          "--h", h])
-        assert code == cli.EXIT_CONFIG
-
-    @pytest.mark.parametrize("epsilon", ["-0.1", "0", "nan", "inf"])
-    def test_deform_check_rejects_bad_epsilon_before_build(self, epsilon,
-                                                           monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("epsilon is checked before the escape build")
-
-        monkeypatch.setattr(geometry, "build_escape", unreachable)
-        code = cli.main(["deform-check", "--model", "gevrey-transport:s=2",
-                         "--h", "0.05", "--epsilon", epsilon])
         assert code == cli.EXIT_CONFIG
 
     @pytest.mark.parametrize("flag, value", [("--h", "0"), ("--h", "-0.1"),

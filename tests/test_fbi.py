@@ -171,15 +171,14 @@ class TestWeights:
         with pytest.raises(ValueError, match="escape function"):
             toeplitz_residual(gevrey2, op_h01, None, -0.0316, u, u)
 
-    def test_deformed_weight_equals_two_pass_weight(self, escape_gevrey2,
-                                                    op_h01):
-        # G and its gradient from one spline pass, as from g_at and grad_g_at
+    def test_deformed_weight_reads_fields_at(self, escape_gevrey2, op_h01):
+        # Phi_t - Phi_0 = t G and xi_t = -Im x + t (G_xi - i G_x) at
+        # (Re x, -Im x), with G and its gradient from the escape field
         t = -0.0316
         w = weight_phi_t(escape_gevrey2, t, op_h01)
         x = op_h01.cgrid.nodes()
         a, b = np.real(x), np.imag(x)
-        g = escape_gevrey2.g_at(a, -b)
-        gx, gxi = escape_gevrey2.grad_g_at(a, -b)
+        g, gx, gxi = escape_gevrey2.fields_at(a, -b)
         assert np.array_equal(w.phi_values, t * g)
         assert np.array_equal(w.xi_section,
                               -b.astype(complex) + t * gxi - 1j * t * gx)

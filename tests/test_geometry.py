@@ -252,10 +252,17 @@ class TestBuildEscape:
     def test_compact_support(self, escape_gevrey2):
         cx, ck = escape_gevrey2.cutoff_center
         r = escape_gevrey2.cutoff_radius
-        far = escape_gevrey2.g_at([cx + r + 0.5, cx - 2 * r], [ck, ck])
-        assert np.all(far == 0.0)
-        gx, gk = escape_gevrey2.grad_g_at(cx + r + 1.0, ck)
-        assert gx == 0.0 and gk == 0.0
+        far = escape_gevrey2.fields_at([cx + r + 0.5, cx - 2 * r], [ck, ck])
+        assert all(np.all(v == 0.0) for v in far)
+        g, gx, gk = escape_gevrey2.fields_at(cx + r + 1.0, ck)
+        assert g == 0.0 and gx == 0.0 and gk == 0.0
+
+    def test_fields_at_uncovered_point_raises(self, gevrey2):
+        # the lattice stops at |x| = 2, inside the cutoff ball of radius 5.4
+        esc = build_escape(gevrey2, lattice=((-2.0, 2.0), (-1.0, 1.0)),
+                           n_x=33, n_xi=17)
+        with pytest.raises(CoverageError, match="does not cover"):
+            esc.fields_at([0.0, 2.5], [0.0, 0.0])
 
     def test_splines_built_once(self, escape_gevrey2, monkeypatch):
         built = []
@@ -269,16 +276,15 @@ class TestBuildEscape:
         esc = dataclasses.replace(escape_gevrey2)  # no splines cached yet
         x = np.linspace(-1.5, 1.5, 7)
         xi = np.linspace(-0.4, 0.4, 7)
-        g1 = esc.g_at(x, xi)
-        g2 = esc.g_at(x, xi)
-        gx, gxi = esc.grad_g_at(x, xi)
+        g1, gx, gxi = esc.fields_at(x, xi)
+        g2 = esc.fields_at(x, xi)[0]
         assert len(built) == 1
         # the values of each field's spline built afresh on its own
         axes = (esc.x_axis, esc.xi_axis)
         lat_x, lat_xi = geometry._lattice_gradient(esc.G_values, *axes)
         for got, values in ((g1, esc.G_values), (g2, esc.G_values),
                             (gx, lat_x), (gxi, lat_xi)):
-            fresh = real(*axes, values[None])(x, xi, slice(0, 1))[0]
+            fresh = real(*axes, values[None])(x, xi)[0]
             assert np.array_equal(got, fresh)
 
     def test_splines_match_scipy_reference(self, escape_gevrey2):
@@ -304,7 +310,7 @@ class TestBuildEscape:
             ref = reference(values)
             ours = geometry._cubic_spline(*axes, values[None])
             for x, xi in point_sets:
-                got = ours(x, xi, slice(0, 1))[0]
+                got = ours(x, xi)[0]
                 want = ref(np.stack([x, xi], axis=-1))
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(values).max()
 
@@ -327,8 +333,8 @@ class TestBuildEscape:
         X, K = np.meshgrid(esc.x_axis, esc.xi_axis, indexing="ij")
         lat_x, lat_xi = geometry._lattice_gradient(esc.G_values, esc.x_axis,
                                                    esc.xi_axis)
-        for got, values in ((esc.g_at(X, K), esc.G_values),
-                            *zip(esc.grad_g_at(X, K), (lat_x, lat_xi))):
+        for got, values in zip(esc.fields_at(X, K),
+                               (esc.G_values, lat_x, lat_xi)):
             assert np.abs(got - values).max() <= 1e-12 * np.abs(values).max()
 
     def test_splines_independent_of_blas_threads(self, escape_gevrey2,
@@ -343,7 +349,7 @@ class TestBuildEscape:
             "esc = pickle.loads(open(sys.argv[1], 'rb').read())\n"
             "X, K = np.meshgrid(np.linspace(-2.4, 2.4, 53),\n"
             "                   np.linspace(-0.9, 0.9, 37), indexing='ij')\n"
-            "v = [esc.g_at(X, K), *esc.grad_g_at(X, K)]\n"
+            "v = [*esc.fields_at(X, K)]\n"
             "from gevspec.geometry import build_escape\n"
             "from gevspec.symbols import make_gevrey_transport\n"
             "b = build_escape(make_gevrey_transport(2.0), n_x=33, n_xi=33)\n"
@@ -367,7 +373,7 @@ class TestBuildEscape:
     def test_interior_interpolation_matches_lattice(self, escape_gevrey2):
         esc = escape_gevrey2
         i, j = len(esc.x_axis) // 2, len(esc.xi_axis) // 2
-        v = esc.g_at(esc.x_axis[i], esc.xi_axis[j])
+        v = esc.fields_at(esc.x_axis[i], esc.xi_axis[j])[0]
         assert v == pytest.approx(esc.G_values[i, j], abs=1e-12)
 
     @pytest.mark.parametrize("model", [make_gevrey_transport(1.5),

@@ -293,16 +293,18 @@ class TestFreeRadius:
         with pytest.raises(SolverError, match="survive"):
             spectrum_free_radius(wrap(S), 0j)
 
-    def test_radius_invariant_under_unitary_conjugation(self, rng):
+    def test_radius_invariant_under_unitary_conjugation(self, rng,
+                                                        monkeypatch):
         n = 64
         M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         Q, _ = np.linalg.qr(rng.normal(size=(n, n))
                             + 1j * rng.normal(size=(n, n)))
         A = wrap(M)
         B = wrap(Q @ M @ Q.conj().T)
-        # threshold above 1 disables the boundary filter
-        fa = spectrum_free_radius(A, 0.3 + 0.1j, threshold=2.0)
-        fb = spectrum_free_radius(B, 0.3 + 0.1j, threshold=2.0)
+        # a threshold above 1 disables the boundary filter
+        monkeypatch.setattr(spectral, "BOUNDARY_MASS_THRESHOLD", 2.0)
+        fa = spectrum_free_radius(A, 0.3 + 0.1j)
+        fb = spectrum_free_radius(B, 0.3 + 0.1j)
         assert fa.radius == pytest.approx(fb.radius, rel=1e-8)
         assert fa.kappa == pytest.approx(fb.kappa, rel=1e-6)
 
@@ -322,10 +324,11 @@ class TestFreeRadius:
                                                                 rel=1e-15)
         assert free.kappa >= 1.0
 
-    def test_kappa_matches_eig(self, rng):
+    def test_kappa_matches_eig(self, rng, monkeypatch):
         n = 64
         P = wrap(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        free = spectrum_free_radius(P, 0.5 + 0.5j, threshold=2.0)
+        monkeypatch.setattr(spectral, "BOUNDARY_MASS_THRESHOLD", 2.0)
+        free = spectrum_free_radius(P, 0.5 + 0.5j)
         vals, vl, vr = scipy.linalg.eig(P.entries, left=True)
         j = np.argmin(np.abs(vals - free.eigenvalue))
         # eig returns unit vectors, so kappa = 1 / |y* x|

@@ -34,6 +34,15 @@ class TestGevreyFlat:
         with pytest.raises(ValueError):
             gevrey_flat(0.5, 0.5)
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_rejects_order_that_is_not_finite(self, s):
+        # at s = inf the exponent 1/(s - 1) is 0, and exp(-t^0) = e^-1 for
+        # every t > 0 would be a step, not a flat function
+        with pytest.raises(ValueError, match="finite"):
+            gevrey_flat(s, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            make_gevrey_transport(s)
+
     @given(s=st.floats(1.1, 6.0), t1=st.floats(1e-6, 50.0),
            t2=st.floats(1e-6, 50.0))
     @settings(max_examples=200, deadline=None)
