@@ -68,6 +68,10 @@ def _cmd_pseudospectrum(args) -> int:
                             args.res, args.res)
     P = _matrix(args)
     field = spectral.pseudospectrum(P, window)
+    floor = spectral.roundoff_floor(P)
+    at_floor = int((field.sigma_min <= floor).sum())
+    print(f"{at_floor} of {field.sigma_min.size} lattice points at or below "
+          f"the roundoff floor {floor:.3g}, where sigma_min carries no digit")
     stem = args.out or f"pseudospectrum_{args.model.replace(':', '_')}"
     csv_path = f"{stem}.csv"
     Path(csv_path).write_text(

@@ -15,9 +15,16 @@ needs all N eigenvectors, Z X with X from back-substitution on T, so it
 computes (T, Z) for itself and keeps neither.
 
 An assembled WeylMatrix holds no N x N array: each LAPACK call factors a
-fresh build of P in place. T, kept, is the one N x N array that outlives a
-query; beside it the radius walk holds one LU buffer per candidate, and
-sigma_min shifts T's diagonal in place and restores it on every exit.
+fresh build of P in place. T is kept in LAPACK's upper-packed storage, its
+N(N + 1)/2 upper-triangle entries column by column (T[i, j] at
+i + j(j + 1)/2, so T[j, j] at j(j + 3)/2), and the full array zgees
+returned is freed once packed. Packing briefly holds both (1.5 N x N
+arrays); after it, the radius walk holds the packed T and one LU buffer per
+candidate (1.5 again), and nothing else of order N^2 outlives a query.
+sigma_min and the kappa solves shift the packed diagonal in place and
+restore it on every exit; their solves are BLAS ztpsv on the packed T, and
+the leading k x k block kappa's right vector needs is a prefix of it, so no
+block of T is copied.
 
 All routines are deterministic; pseudospectrum grids evaluate pointwise with
 values independent of evaluation order, since each sigma_min leaves T as it
@@ -35,7 +42,7 @@ from typing import List, Tuple
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
-from scipy.linalg.blas import ztrsv
+from scipy.linalg.blas import ztpsv
 
 from .quantize import WeylMatrix, save_weyl
 
@@ -156,16 +163,24 @@ def _factor(P: WeylMatrix, compute_v: int
     return T, Z, norm
 
 
-_FACTORS = weakref.WeakKeyDictionary()  # P -> (T, ||P||_F) while P lives
+_FACTORS = weakref.WeakKeyDictionary()  # P -> (packed T, ||P||_F), P alive
 
 
 def _schur_factor(P: WeylMatrix) -> Tuple[np.ndarray, float]:
-    """(T, ||P||_F): P's triangular Schur factor without the Schur vectors,
-    and its Frobenius norm, computed on the first query and kept."""
+    """(ap, ||P||_F): P's triangular Schur factor T without the Schur
+    vectors, upper-packed by ztrttp into the 1-D ap of N(N + 1)/2 entries,
+    and its Frobenius norm, computed on the first query and kept. The full
+    T is freed on return."""
     if P not in _FACTORS:
         T, _, norm = _factor(P, compute_v=0)
-        _FACTORS[P] = T, norm
+        _FACTORS[P] = lapack.ztrttp(T)[0], norm  # info != 0: a bad argument
     return _FACTORS[P]
+
+
+def _diagonal_index(n: int) -> np.ndarray:
+    """The positions of diag(T) in the packed T of order n: j(j + 3)/2."""
+    j = np.arange(n)
+    return j * (j + 3) // 2
 
 
 def _edge_rows(V: np.ndarray) -> np.ndarray:
@@ -193,7 +208,7 @@ def eigenvalues(P: WeylMatrix) -> SpectrumResult:
 
 def schur_eigenvalues(P: WeylMatrix) -> np.ndarray:
     """The eigenvalues alone, diag(T), in the order eigenvalues() returns."""
-    vals = np.diag(_schur_factor(P)[0])
+    vals = _schur_factor(P)[0][_diagonal_index(P.n)]
     return vals[np.argsort(np.abs(vals), kind="stable")]
 
 
@@ -202,30 +217,38 @@ def sigma_min(P: WeylMatrix, z: complex) -> float:
 
     P - z = Z (T - z) Z* has the singular values of the triangular R = T - z,
     so this runs Lanczos on R^-1 R^-* (largest eigenvalue 1 / sigma_min^2)
-    with full reorthogonalization: each step is two triangular solves. R is
-    the cached T with its diagonal shifted in place and restored, from a
-    saved copy, on every exit; so no N x N copy is made, and calls on one
-    matrix must not run concurrently. Raises SolverError when
-    LANCZOS_MAX_STEPS steps do not meet the stop rule, and ValueError for a
-    non-finite z, which no answer fits.
+    with full reorthogonalization: each step is two ztpsv solves on the
+    packed R. R is the cached packed T with its diagonal shifted in place
+    and restored, from a saved copy, on every exit; so no copy of T is made,
+    and calls on one matrix must not run concurrently. Beside the packed T
+    the iteration holds its Krylov basis, one length-N vector per step.
+    Raises SolverError when LANCZOS_MAX_STEPS steps do not meet the stop
+    rule, and ValueError for a non-finite z, which no answer fits.
+
+    A value at or below roundoff_floor(P) carries no digit: the stop rule
+    accepts the first Ritz value there, so it can lie far from the exact
+    sigma_min of P - z. Callers compare with the floor, as
+    resolvent_from_sigma does.
     """
     if not np.isfinite(z):
         raise ValueError(f"sigma_min needs a finite z, got {z}")
-    T, _ = _schur_factor(P)
-    diag = T.diagonal().copy()
-    np.fill_diagonal(T, diag - z)
-    try:
-        return _lanczos_sigma_min(T, z, roundoff_floor(P))
-    finally:
-        np.fill_diagonal(T, diag)
-
-
-def _lanczos_sigma_min(R: np.ndarray, z: complex, floor: float) -> float:
-    """sigma_min of the Fortran-ordered upper-triangular R = T - z (the
-    layout ztrsv reads without a copy), as sigma_min describes."""
-    n = R.shape[0]
-    if not np.all(np.diagonal(R)):
+    ap, _ = _schur_factor(P)
+    d = _diagonal_index(P.n)
+    diag = ap[d]
+    shifted = diag - z
+    if not np.all(shifted):
         return 0.0  # z is an eigenvalue to the last bit
+    ap[d] = shifted
+    try:
+        return _lanczos_sigma_min(ap, P.n, z, roundoff_floor(P))
+    finally:
+        ap[d] = diag
+
+
+def _lanczos_sigma_min(R: np.ndarray, n: int, z: complex,
+                       floor: float) -> float:
+    """sigma_min of the nonsingular upper-triangular R = T - z of order n,
+    packed as _schur_factor packs T, as sigma_min describes."""
     steps = min(LANCZOS_MAX_STEPS, n)
     V = np.empty((steps, n), dtype=complex)
     rng = np.random.default_rng(0)  # a fixed start vector
@@ -233,7 +256,7 @@ def _lanczos_sigma_min(R: np.ndarray, z: complex, floor: float) -> float:
     V[0] /= np.linalg.norm(V[0])
     alpha, beta = np.empty(steps), np.empty(steps)
     for k in range(steps):
-        w = ztrsv(R, ztrsv(R, V[k], trans=2), overwrite_x=1)
+        w = ztpsv(n, R, ztpsv(n, R, V[k], trans=2), overwrite_x=1)
         if not np.all(np.isfinite(w)):
             return 0.0  # R^-1 overflows: singular to working precision
         alpha[k] = np.vdot(V[k], w).real
@@ -300,24 +323,45 @@ def _pivot_floor(lam: complex, n: int) -> float:
                np.finfo(float).tiny * (n / ulp))
 
 
-def _solve_shifted(block: np.ndarray, lam: complex, rhs: np.ndarray,
-                   trans: int, n: int) -> np.ndarray:
-    """v with (block - lam) v = rhs (trans=0) or (block - lam)* v = rhs
-    (trans=2), for an upper-triangular block of T of order n. As in LAPACK's
-    ztrevc, which eig runs, a pivot below _pivot_floor is replaced by it, so
-    a repeated eigenvalue gives a large but finite vector."""
-    if rhs.size == 0:
-        return rhs
+def _solve_shifted(ap: np.ndarray, k: int,
+                   n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The right and left eigenvectors x and y of T for lam = T[k, k], from
+    the packed T of order n with no copy of a block of it: x, the first
+    k + 1 entries of a solution of (T - lam) x = 0 with x_k = 1 (the rest
+    are zero), and y, a solution of (T - lam)* y = 0 with y_k = 1 and zeros
+    above k.
+
+    T's diagonal is shifted by lam in place, and, as in LAPACK's ztrevc,
+    which eig runs, a pivot below _pivot_floor is raised to it, so a repeated
+    eigenvalue gives a large but finite vector; the diagonal is restored on
+    every exit. x[:k] is one ztpsv on the leading k x k block, which is the
+    first k(k + 1)/2 entries of ap, with the right-hand side -T[:k, k] that
+    follows them there. y is one conjugate-transpose ztpsv of order n with
+    right-hand side conj(p) e_k, p the raised pivot of row k: forward
+    substitution keeps y[:k] at 0 and gives y_k = 1, where e_k would give
+    1 / conj(p), near lam = 0 about 1e290 and no room for y to grow.
+    """
+    d = _diagonal_index(n)
+    diag = ap[d]
+    lam = diag[k]
     smin = _pivot_floor(lam, n)
-    A = np.array(block, order="F")  # the layout ztrsv reads without a copy
-    piv = A.diagonal() - lam
+    piv = diag - lam
     piv[np.abs(piv.real) + np.abs(piv.imag) < smin] = smin
-    np.fill_diagonal(A, piv)
-    v = ztrsv(A, rhs, trans=trans, overwrite_x=1)
-    if not np.all(np.isfinite(v)):
+    ap[d] = piv
+    try:
+        x = np.ones(k + 1, dtype=complex)
+        if k:
+            start = d[k] - k  # column k of T starts there
+            x[:k] = ztpsv(k, ap, -ap[start:d[k]], overwrite_x=1)
+        rhs = np.zeros(n, dtype=complex)
+        rhs[k] = np.conj(piv[k])
+        y = ztpsv(n, ap, rhs, trans=2, overwrite_x=1)
+    finally:
+        ap[d] = diag
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise SolverError(f"eigenvector back-substitution at lambda = {lam}, "
                           f"N = {n} overflowed")
-    return v
+    return x, y
 
 
 def _least_boundary_mass(P: WeylMatrix, lam: complex, m: int) -> float:
@@ -328,8 +372,8 @@ def _least_boundary_mass(P: WeylMatrix, lam: complex, m: int) -> float:
     block, orthonormalized after each, give that span; the least mass over
     it is the smallest eigenvalue of the m x m Gram matrix of its edge rows.
     P - lam is factored by one LU in place on a fresh build of P, the one
-    N x N array beside T, and a pivot of U below _pivot_floor is raised to
-    it, as _solve_shifted raises T's.
+    N x N array beside the packed T, and a pivot of U below _pivot_floor is
+    raised to it, as _solve_shifted raises T's.
     """
     n = P.n
     A = P.entries  # Fortran-ordered, the layout zgetrf factors in place
@@ -363,9 +407,9 @@ def spectrum_free_radius(P: WeylMatrix, z0: complex) -> FreeRadius:
     k) and left eigenvector y (y_k = 1, zero above k, so y* x = 1) give
     kappa = ||x|| ||y||.
     """
-    T, _ = _schur_factor(P)
+    ap, _ = _schur_factor(P)
     n = P.n
-    lams = T.diagonal()
+    lams = ap[_diagonal_index(n)]
     dist = np.abs(lams - z0)
     tested = np.zeros(n, dtype=bool)
     norm = scipy.linalg.norm  # BLAS nrm2: no overflow in the squares
@@ -379,13 +423,8 @@ def spectrum_free_radius(P: WeylMatrix, z0: complex) -> FreeRadius:
         mass = _least_boundary_mass(P, lams[k], copies.size)
         if mass <= BOUNDARY_MASS_THRESHOLD:
             k = copies[-1]
-            lam = lams[k]
-            x = np.ones(k + 1, dtype=complex)
-            x[:k] = _solve_shifted(T[:k, :k], lam, -T[:k, k], 0, n)
-            y = np.ones(n - k, dtype=complex)
-            y[1:] = _solve_shifted(T[k + 1:, k + 1:], lam,
-                                   -T[k, k + 1:].conj(), 2, n)
-            return FreeRadius(float(dist[k]), complex(lam),
+            x, y = _solve_shifted(ap, k, n)
+            return FreeRadius(float(dist[k]), complex(lams[k]),
                               float(norm(x) * norm(y)))
     raise SolverError("no eigenvalues survive the boundary-mass filter; "
                       "grid too small")

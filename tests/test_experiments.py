@@ -584,6 +584,42 @@ class TestCli:
         svg = (tmp_path / "field.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg") or "<svg" in svg
 
+    def test_pseudospectrum_counts_points_at_the_floor(self, tmp_path,
+                                                      monkeypatch, capsys):
+        # sigma_min(P, 5) returns 4.894 for this P where the exact value is
+        # 4: both lie far below the floor eps sqrt(32) 1e160, so the value
+        # carries no digit, and the command says so
+        n = 32
+        T = np.diag(np.linspace(-1, 1, n)).astype(complex)
+        T[0, 0] = 1e160
+        P = quantize.WeylMatrix.from_entries(T, 0.1, quantize.RealGrid(4.0, n),
+                                             "wrapped")
+        assert spectral.sigma_min(P, 5.0) == pytest.approx(4.894, abs=1e-3)
+        monkeypatch.setattr(cli, "_matrix", lambda args: P)
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["pseudospectrum", "--model", "davies", "--h", "0.1",
+                         "--center", "5,0", "--span", "0.5", "--res", "3",
+                         "--out", "field"])
+        assert code == cli.EXIT_OK
+        floor = spectral.roundoff_floor(P)
+        assert floor == pytest.approx(1.256e145, rel=1e-3)
+        assert (f"9 of 9 lattice points at or below the roundoff floor "
+                f"{floor:.3g}") in capsys.readouterr().out
+        # the CSV keeps its three columns and prints the values as computed
+        rows = (tmp_path / "field.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "re_z,im_z,sigma_min"
+        assert float(rows[5].split(",")[2]) == spectral.sigma_min(P, 5.0)
+
+    def test_pseudospectrum_above_the_floor_counts_none(self, tmp_path,
+                                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["pseudospectrum", "--model", "davies", "--h", "0.1",
+                         "--center", "0.1,0.1", "--span", "0.2", "--res", "2",
+                         "--L", "8", "--N", "256", "--out", "field"])
+        assert code == cli.EXIT_OK
+        assert "0 of 4 lattice points at or below the roundoff floor" \
+            in capsys.readouterr().out
+
     def test_scaling_writes_summary(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(

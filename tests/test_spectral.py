@@ -42,9 +42,15 @@ def wrap(entries, h=0.1, L=4.0):
     return WeylMatrix.from_entries(entries, h, RealGrid(L, n), "wrapped")
 
 
-def cached_T(P):
-    """The triangular Schur factor spectral keeps for P."""
+def cached_packed_T(P):
+    """The triangular Schur factor spectral keeps for P, upper-packed."""
     return spectral._schur_factor(P)[0]
+
+
+def cached_T(P):
+    """The triangular Schur factor spectral keeps for P, unpacked by ztpttr
+    into a fresh N x N array."""
+    return np.triu(lapack.ztpttr(P.n, cached_packed_T(P))[0])
 
 
 def hermitian_example(n=64, seed=7):
@@ -203,13 +209,30 @@ class TestSigmaMin:
         with pytest.raises(SolverError, match="did not converge"):
             sigma_min(hermitian_example(), 100.0)
 
-    def test_shifted_factor_is_restored(self):
+    @pytest.mark.parametrize("query", [
+        lambda P: sigma_min(P, 0.5 + 0.25j),
+        lambda P: spectrum_free_radius(P, 0.5 + 0.25j)])
+    def test_shifted_factor_is_restored(self, query, monkeypatch):
+        # sigma_min and the kappa solves shift the packed diagonal in place
+        monkeypatch.setattr(spectral, "BOUNDARY_MASS_THRESHOLD", 2.0)
         P = hermitian_example()
-        T = cached_T(P)
-        pristine = T.copy()
-        sigma_min(P, 0.5 + 0.25j)
-        assert cached_T(P) is T
-        assert np.array_equal(T, pristine)
+        ap = cached_packed_T(P)
+        pristine = ap.copy()
+        query(P)
+        assert cached_packed_T(P) is ap
+        assert np.array_equal(ap, pristine)
+
+    @pytest.mark.parametrize("tag", ["gevrey-transport:s=2",
+                                     "analytic-transport"])
+    def test_matches_svd_of_full_schur_factor(self, tag):
+        # the packed solves give the sigma_min of the full-storage factor
+        P = catalog_matrix(tag, 0.1)
+        T = scipy.linalg.schur(P.entries, output="complex")[0]
+        floor = roundoff_floor(P)
+        for z in (0.5 + 0.0j, 0.3 - 0.4j, 1.0 + 0.5j, -0.2 + 0.1j):
+            ref = scipy.linalg.svdvals(T - z * np.eye(P.n))[-1]
+            assert ref > 10 * floor
+            assert sigma_min(P, z) == pytest.approx(ref, rel=1e-12)
 
     def test_shifted_factor_is_restored_after_step_cap(self, monkeypatch):
         P = hermitian_example()
@@ -359,8 +382,26 @@ class TestFreeRadius:
         T[15, 15] = T[16, 16] + 1e-9
         T[15, 16] = 1e300  # x[15] = -1e300 / (T[15, 15] - T[16, 16])
         P = wrap(T)
+        pristine = cached_packed_T(P).copy()
         with pytest.raises(SolverError, match="overflow"):
             spectrum_free_radius(P, T[16, 16])
+        assert np.array_equal(cached_packed_T(P), pristine)  # shift undone
+
+    def test_left_vector_at_zero_eigenvalue_is_finite(self):
+        # lam = 0 raises its own pivot to smin = 3.2e-291; the right-hand
+        # side conj(smin) e_k keeps y_k at 1, not at 1 / smin = 3.1e290
+        n = 32
+        T = np.diag(np.linspace(-1, 1, n + 1)[np.arange(n + 1) != 16]
+                    ).astype(complex)
+        T[16, 16] = 0.0
+        T[16, 17] = 0.5
+        ap = lapack.ztrttp(T)[0]
+        x, y = spectral._solve_shifted(ap, 16, n)
+        assert x[16] == 1.0 and not np.any(x[:16])
+        assert y[16] == 1.0 and not np.any(y[:16])
+        # (T - 0)* y = 0 below row 16: y[17] T[17, 17] = -conj(T[16, 17])
+        assert y[17] == pytest.approx(-0.5 / T[17, 17].real, rel=1e-15)
+        assert np.array_equal(ap, lapack.ztrttp(T)[0])
 
 
 CATALOG = ("davies", "analytic-transport", "trapped-toy",
@@ -454,7 +495,7 @@ class TestSchurFactor:
         assert n == 1024
         cold = spectrum_free_radius(P, 0j)
         assert vs_shapes == [(1, n), (1, n)]  # workspace query, factorization
-        assert cached_T(P).shape == (n, n)
+        assert cached_packed_T(P).shape == (n * (n + 1) // 2,)
         tracemalloc.start()
         try:
             warm = spectrum_free_radius(P, 0j)
@@ -462,12 +503,14 @@ class TestSchurFactor:
         finally:
             tracemalloc.stop()
         assert warm == cold
-        assert peak < 1.5 * 16 * n * n
+        # the LU buffer and no copy of a block of T for kappa
+        assert peak < 1.1 * 16 * n * n
 
     def test_cold_path_holds_t_and_one_scratch_matrix(self):
-        # the assembled P holds two length-N arrays; the radius walk holds T
-        # and one LU buffer, and sigma_min shifts T in place beside its
-        # Krylov basis (steps x N)
+        # the assembled P holds two length-N arrays; packing holds T beside
+        # its packed copy, the radius walk holds the packed T and one LU
+        # buffer, and sigma_min shifts the packed T in place beside its
+        # Krylov basis (steps x N): each 1.5 N x N arrays
         model = model_from_tag("gevrey-transport:s=2")
         tracemalloc.start()
         try:
@@ -481,15 +524,30 @@ class TestSchurFactor:
         n = P.n
         assert n == 1024
         assert held < 1 << 20
-        assert peak < 2.25 * 16 * n * n
+        assert peak < 1.6 * 16 * n * n
+
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_cache_holds_the_packed_factor_alone(self, n, rng):
+        # T's upper triangle, N(N + 1)/2 entries, and no N x N array
+        P = wrap(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        schur_eigenvalues(P)
+        ap, norm = spectral._FACTORS[P]
+        assert ap.ndim == 1 and ap.size == n * (n + 1) // 2
+        T = scipy.linalg.schur(P.entries, output="complex")[0]
+        # column by column, each from row 0 to the diagonal
+        assert np.array_equal(ap, np.concatenate([T[:j + 1, j]
+                                                  for j in range(n)]))
+        assert np.array_equal(ap[spectral._diagonal_index(n)], np.diag(T))
 
 
 def full_schur_walk(P, z0, threshold=BOUNDARY_MASS_THRESHOLD):
     """The free-radius walk on the full Schur form (T, Z): each candidate's
-    eigenvector x of T is back-substituted and its boundary mass read from
+    eigenvector x of T is back-substituted, by the packed solves
+    spectrum_free_radius runs, on T packed, and its boundary mass read from
     the edge rows of Z x. Returns the FreeRadius and, per tested candidate,
     (eigenvalue, passed)."""
     T, Z = scipy.linalg.schur(P.entries, output="complex")
+    ap = lapack.ztrttp(T)[0]
     n = P.n
     lams = T.diagonal()
     dist = np.abs(lams - z0)
@@ -499,14 +557,10 @@ def full_schur_walk(P, z0, threshold=BOUNDARY_MASS_THRESHOLD):
     tested = []
     for k in np.argsort(dist, kind="stable"):
         lam = lams[k]
-        x = np.ones(k + 1, dtype=complex)
-        x[:k] = spectral._solve_shifted(T[:k, :k], lam, -T[:k, k], 0, n)
+        x, y = spectral._solve_shifted(ap, k, n)
         passed = (norm(edge_rows[:, :k + 1] @ x) / norm(x)) ** 2 <= threshold
         tested.append((lam, passed))
         if passed:
-            y = np.ones(n - k, dtype=complex)
-            y[1:] = spectral._solve_shifted(T[k + 1:, k + 1:], lam,
-                                            -T[k, k + 1:].conj(), 2, n)
             free = spectral.FreeRadius(float(dist[k]), complex(lam),
                                        float(norm(x) * norm(y)))
             return free, tested
