@@ -15,16 +15,13 @@ needs all N eigenvectors, Z X with X from back-substitution on T, so it
 computes (T, Z) for itself and keeps neither.
 
 An assembled WeylMatrix holds no N x N array: each LAPACK call factors a
-fresh build of P in place. T is kept in LAPACK's upper-packed storage, its
-N(N + 1)/2 upper-triangle entries column by column (T[i, j] at
-i + j(j + 1)/2, so T[j, j] at j(j + 3)/2), and the full array zgees
-returned is freed once packed. Packing briefly holds both (1.5 N x N
-arrays); after it, the radius walk holds the packed T and one LU buffer per
-candidate (1.5 again), and nothing else of order N^2 outlives a query.
-sigma_min and the kappa solves shift the packed diagonal in place and
-restore it on every exit; their solves are BLAS ztpsv on the packed T, and
-the leading k x k block kappa's right vector needs is a prefix of it, so no
-block of T is copied.
+fresh build of P in place. T is kept upper-packed (LAPACK's ztrttp layout:
+T[i, j] at i + j(j + 1)/2, N(N + 1)/2 entries), and the full array zgees
+returned is freed once packed. Packing holds both (1.5 N x N arrays), and
+so does the radius walk after it, with one LU buffer per candidate beside
+the packed T. sigma_min and the kappa solves are BLAS ztpsv on the packed
+T: they shift its diagonal in place, restore it on every exit, and copy no
+block of it.
 
 All routines are deterministic; pseudospectrum grids evaluate pointwise with
 values independent of evaluation order, since each sigma_min leaves T as it
