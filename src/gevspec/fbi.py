@@ -13,8 +13,13 @@ x = a_j + i b_k
     e^{-Phi_0(x) / h} e^{-(x - y)^2 / 2h} = c[j, k] G[j, y] E[k, y],
     c = e^{-i a b / h},  G = e^{-(a - y)^2 / 2h},  E = e^{i b y / h},
 
-and T u = c o ((G o u) E^T) is one (re_n x N) by (N x im_n) product and T*
-is the transposed pair. |c| = 1, so every factor is bounded at any h, and a
+G falls below e^{-DECAY_LOG} = 1e-12 once y lies more than
+w(h) = sqrt(2 h DECAY_LOG) outside the window [-re_span, re_span], so G and
+E are kept only on the real-grid columns W = {|y| <= re_span + w(h)}: T u =
+c o ((G o u_W) E^T) is one (re_n x |W|) by (|W| x im_n) product, and T* is
+the transposed pair, exactly zero off W. DECAY_LOG thus sets both the
+window and the grid check: a window that leaves the real grid raises
+GridExtentError. |c| = 1, so every factor is bounded at any h, and a
 Phi-weighted pairing reads only the excess phi - Phi_0 of its weight.
 
 The Toeplitz probe applies the Weyl quantization P by P @ U, one FFT
@@ -33,7 +38,7 @@ from .quantize import RealGrid, WeylMatrix, assemble_weyl
 from .symbols import ModelInstance, taylor_extension
 
 UNITARITY_TOL = 1e-6  # isometry defect allowed on interior states; bench/workloads.py gates on it
-DECAY_LOG = 27.64  # -log(1e-12); Gaussian tail budget at the real-grid edge
+DECAY_LOG = 27.64  # -log(1e-12); Gaussian tail budget of the kernel window
 
 
 class GridExtentError(ValueError):
@@ -80,34 +85,42 @@ def default_cgrid(h: float, re_span: float = 3.0, im_span: float = 3.0,
 class FactoredKernel:
     """The (re_n * im_n) x N transform kernel c[j, k] G[j, y] E[k, y].
 
-    Rows are the complex nodes j-major, as ComplexGrid.nodes(); vectors and
-    (rows, m) blocks are applied through the factors only.
+    Rows are the complex nodes j-major, as ComplexGrid.nodes(). G and E are
+    stored on the window columns y in W only (module docstring): K u reads
+    u[window], T u = c o ((G o u_W) E^T), and K* V is zero off the window.
+    Vectors and (rows, m) blocks are applied through the factors only.
     """
 
     c: np.ndarray  # (re_n, im_n), e^{-iab/h} times h^{-3/4} dx and calibration
-    G: np.ndarray  # (re_n, N), real
-    E: np.ndarray  # (im_n, N)
+    G: np.ndarray  # (re_n, |W|), real
+    E: np.ndarray  # (im_n, |W|)
+    window: slice  # the real-grid columns W
+    n: int  # real-grid points N
 
     @property
     def shape(self) -> Tuple[int, int]:
-        return self.c.size, self.G.shape[1]
+        return self.c.size, self.n
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
         re_n, im_n = self.c.shape
-        n = self.G.shape[1]
+        w = self.G.shape[1]
         # rows (j, l) of G[j, y] u[y, l] against E^T: one GEMM for any width
-        Gu = (self.G[:, None, :] * u.reshape(n, -1).T).reshape(-1, n)
+        uw = u.reshape(self.n, -1)[self.window]
+        Gu = (self.G[:, None, :] * uw.T).reshape(-1, w)
         out = (Gu @ self.E.T).reshape(re_n, -1, im_n) * self.c[:, None, :]
         return out.transpose(0, 2, 1).reshape((re_n * im_n,) + u.shape[1:])
 
     def adjoint_matmul(self, V: np.ndarray) -> np.ndarray:
-        """K* V = sum_j G[j, y] ((conj(c) o V) conj(E))[j, y]."""
+        """K* V = sum_j G[j, y] ((conj(c) o V) conj(E))[j, y] on the
+        window, 0 off it."""
         re_n, im_n = self.c.shape
-        n = self.G.shape[1]
+        w = self.G.shape[1]
         cV = V.reshape(re_n, im_n, -1) * np.conj(self.c)[:, :, None]
         R = cV.transpose(0, 2, 1).reshape(-1, im_n) @ np.conj(self.E)
-        return np.einsum("jy,jly->yl", self.G, R.reshape(re_n, -1, n)).reshape(
-            (n,) + V.shape[1:])
+        on_window = np.einsum("jy,jly->yl", self.G, R.reshape(re_n, -1, w))
+        out = np.zeros((self.n,) + V.shape[1:], dtype=on_window.dtype)
+        out[self.window] = on_window.reshape((w,) + V.shape[1:])
+        return out
 
 
 @dataclass(frozen=True)
@@ -163,17 +176,20 @@ def gaussian_state(grid: RealGrid, h: float, x0: float = 0.0, xi0: float = 0.0,
 def make_fbi(real_grid: RealGrid, cgrid: ComplexGrid, h: float) -> FBIOperator:
     """Build the transform Tu(x) = C h^{-3/4} int e^{-(x-y)^2/(2h)} u dy.
 
-    The kernel is kept in its weighted factors c, G, E (module docstring).
-    The constant is calibrated so the standard Gaussian has unit Phi_0
-    norm; calibration absorbs the quadrature error of the row sums.
+    The kernel is kept in its weighted factors c, G, E on the window W,
+    which must lie inside the real grid (module docstring). The constant
+    is calibrated so the standard Gaussian has unit Phi_0 norm;
+    calibration absorbs the quadrature error of the row sums.
     """
-    margin = real_grid.half_width_L - cgrid.re_span
-    if margin ** 2 / (2.0 * h) < DECAY_LOG:
-        need = cgrid.re_span + np.sqrt(2.0 * h * DECAY_LOG)
+    reach = cgrid.re_span + np.sqrt(2.0 * h * DECAY_LOG)
+    if reach > real_grid.half_width_L:
         raise GridExtentError(
-            f"kernel tail {np.exp(-margin**2 / (2*h)):.2e} above 1e-12 at the "
-            f"real-grid edge; need half_width_L >= {need:.3f}")
-    y = real_grid.nodes
+            f"kernel window |y| <= {reach:.3f} (tail 1e-12) leaves the real "
+            f"grid; need half_width_L >= {reach:.3f}")
+    nodes = real_grid.nodes
+    window = slice(int(np.searchsorted(nodes, -reach)),
+                   int(np.searchsorted(nodes, reach, side="right")))
+    y = nodes[window]
     a = cgrid.re_axis
     b = cgrid.im_axis
     G = a[:, None] - y[None, :]
@@ -183,7 +199,8 @@ def make_fbi(real_grid: RealGrid, cgrid: ComplexGrid, h: float) -> FBIOperator:
     E = np.exp((1j / h) * (b[:, None] * y[None, :]))
     c = np.exp((-1j / h) * (a[:, None] * b[None, :]))
     c *= h ** (-0.75) * real_grid.spacing
-    op = FBIOperator(FactoredKernel(c, G, E), h, real_grid, cgrid)
+    op = FBIOperator(FactoredKernel(c, G, E, window, real_grid.n_points),
+                     h, real_grid, cgrid)
     norm = op.norm_phi(op.apply(gaussian_state(real_grid, h)))
     if not (np.isfinite(norm) and norm > 0):
         raise GridExtentError(

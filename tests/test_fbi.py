@@ -154,6 +154,81 @@ class TestFactoredKernel:
         assert rel(K.adjoint_matmul(V), adj_cols) < 1e-13
 
 
+def probe_operator(model, h):
+    """toeplitz_sweep's operator at h."""
+    n = required_n_points(experiments.PROBE_L, h, model.symbol.xi_extent)
+    grid = RealGrid(experiments.PROBE_L, max(n, 128))
+    return make_fbi(grid, default_cgrid(h, re_span=1.5, im_span=2.2,
+                                        cells_per_width=3.0), h)
+
+
+def window_count(op):
+    """Real-grid columns within sqrt(2 h DECAY_LOG) of the complex window."""
+    reach = op.cgrid.re_span + np.sqrt(2.0 * op.h * fbi.DECAY_LOG)
+    return int(np.count_nonzero(np.abs(op.real_grid.nodes) <= reach))
+
+
+class TestKernelWindow:
+    @pytest.fixture(scope="class")
+    def narrow(self):
+        # re_span 1 on L = 8 at h = 0.1: the window keeps 42% of the
+        # columns; 1.5 cells per width keeps the dense M x N array small
+        h = 0.1
+        grid = RealGrid(8.0, max(required_n_points(8.0, h, 4.0), 256))
+        op = make_fbi(grid, default_cgrid(h, re_span=1.0,
+                                          cells_per_width=1.5), h)
+        assert 2 * window_count(op) < op.real_grid.n_points
+        return op
+
+    @pytest.mark.parametrize("h, share", [(0.0125, 0.5), (0.0015625, 0.25)])
+    def test_probe_kernel_stored_on_window(self, gevrey2, h, share):
+        op = probe_operator(gevrey2, h)
+        K = op.matrix
+        n = op.real_grid.n_points
+        assert K.shape == (op.cgrid.re_n * op.cgrid.im_n, n)
+        count = window_count(op)
+        assert K.G.shape == (op.cgrid.re_n, count)
+        assert K.E.shape == (op.cgrid.im_n, count)
+        assert count < share * n
+
+    def test_adjoint_zero_off_window(self, narrow):
+        K = narrow.matrix
+        rng = np.random.default_rng(7)
+        V = (rng.standard_normal((K.shape[0], 2))
+             + 1j * rng.standard_normal((K.shape[0], 2)))
+        off = np.ones(K.shape[1], dtype=bool)
+        off[K.window] = False
+        assert np.count_nonzero(off) == K.shape[1] - window_count(narrow)
+        assert np.all(K.adjoint_matmul(V)[off] == 0)
+        assert np.all(K.adjoint_matmul(V[:, 0])[off] == 0)
+
+    def test_apply_and_adjoint_match_dense(self, narrow):
+        dense = dense_kernel(narrow)
+        rng = np.random.default_rng(11)
+        n = narrow.real_grid.n_points
+        states = np.stack(
+            [gaussian_state(narrow.real_grid, narrow.h, x0, xi0, herm)
+             for x0, xi0, herm in STATES]
+            + [rng.standard_normal(n) + 1j * rng.standard_normal(n)], axis=1)
+        assert phi_rel(narrow.apply(states), dense @ states) < 1e-12
+        V = narrow.weights_phi() * (dense @ states)
+        for v in V.T:
+            assert rel(narrow.matrix.adjoint_matmul(v),
+                       dense.conj().T @ v) < 1e-12
+
+    def test_window_leaving_grid_raises(self):
+        h = 0.2
+        cgrid = default_cgrid(h)
+        reach = cgrid.re_span + np.sqrt(2.0 * h * fbi.DECAY_LOG)
+        with pytest.raises(GridExtentError, match="half_width_L"):
+            make_fbi(RealGrid(reach - 1e-3, 128), cgrid, h)
+        op = make_fbi(RealGrid(reach + 1e-3, 128), cgrid, h)
+        assert op.matrix.G.shape[1] == window_count(op)
+        # a complex window wider than the real grid leaves it at any h
+        with pytest.raises(GridExtentError, match="half_width_L"):
+            make_fbi(RealGrid(2.0, 128), default_cgrid(0.01), 0.01)
+
+
 class TestWeights:
     def test_base_weight_has_no_excess(self, op_h01):
         # the base weight is Phi_0 exactly: its excess is zero
