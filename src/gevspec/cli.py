@@ -33,16 +33,15 @@ def _matrix_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--L", type=float, default=4.0,
                         help="half width of the real grid")
     parser.add_argument("--N", type=int, default=0,
-                        help="grid points (0 = smallest power of two, at "
-                             f"least {quantize.MIN_N_POINTS}, satisfying the "
-                             "Nyquist rule)")
+                        help="grid points, even (0 = the grid rule of "
+                             "quantize.grid_for)")
 
 
 def _matrix(args) -> quantize.WeylMatrix:
     """The Weyl matrix the arguments name."""
     sym = model_from_tag(args.model).symbol
-    n = args.N or quantize.rule_n_points(sym, args.L, args.h)
-    return quantize.assemble_weyl(sym, quantize.RealGrid(args.L, n), args.h)
+    grid = quantize.grid_for(sym, args.L, args.h, args.N or None)
+    return quantize.assemble_weyl(sym, grid, args.h)
 
 
 def _cmd_quantize(args) -> int:
@@ -220,15 +219,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # checked first: FitError, GridExtentError and CoverageError subclass
-    # ValueError, which the config clause also takes
+    # ValueError, which the config clause takes
     except (experiments.NumericalFailure, spectral.SolverError,
             geometry.EscapeConstructionError, geometry.CoverageError,
             fbi.GridExtentError, experiments.FitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (experiments.ConfigError, quantize.GridError,
-            quantize.ResolutionError, spectral.BudgetError,
-            geometry.GeometryConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

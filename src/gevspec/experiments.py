@@ -28,7 +28,7 @@ from . import fbi, quantize, spectral
 from .symbols import ModelInstance, model_from_tag
 
 XI_PROBE = 1.146  # packet momentum where the model's next-order xi correction vanishes
-PROBE_L = 8.0  # real-grid half width of toeplitz_sweep
+PROBE_L = 8.0  # real-grid half width of toeplitz_probe
 SLOPE_MIN = 0.9  # criterion 05: the Toeplitz residual decays like O(h)
 DEFORM_EPSILON = 0.1  # the paper deforms by t = -eps h^(1-1/s) at one fixed eps
 BOUNDED_RESOLVENT_CAP = 1e8
@@ -148,15 +148,6 @@ class FitResult:
     n_points: int
 
 
-def grid_for(cfg: SweepConfig, h: float) -> quantize.RealGrid:
-    """The config's n_points, else the grid rule for its model's symbol."""
-    n = cfg.n_points
-    if n is None:
-        n = quantize.rule_n_points(model_from_tag(cfg.model_tag).symbol,
-                                   cfg.half_width_L, h)
-    return quantize.RealGrid(cfg.half_width_L, n)
-
-
 def exponent_for(model: ModelInstance) -> float:
     """Free-radius scaling exponent 1 - 1/s; 1 for analytic models."""
     s = model.symbol.order_s
@@ -170,20 +161,26 @@ def deformation_size(model: ModelInstance, h: float) -> float:
     return -DEFORM_EPSILON * h ** exponent_for(model)
 
 
+def toeplitz_probe(model: ModelInstance, h: float
+                   ) -> Tuple[fbi.FBIOperator, np.ndarray, np.ndarray]:
+    """(operator, u, v): the FBI operator on the model's grid of half width
+    PROBE_L at h, and the wave-packet pair at momentum XI_PROBE whose
+    Toeplitz residual toeplitz_sweep measures."""
+    grid = quantize.grid_for(model.symbol, PROBE_L, h)
+    cgrid = fbi.default_cgrid(h, re_span=1.5, im_span=2.2,
+                              cells_per_width=3.0)
+    return (fbi.make_fbi(grid, cgrid, h),
+            fbi.gaussian_state(grid, h, 0.0, XI_PROBE),
+            fbi.gaussian_state(grid, h, 0.05, XI_PROBE - 0.03))
+
+
 def toeplitz_sweep(model: ModelInstance, esc, h_list: Sequence[float]
                    ) -> List[Tuple[float, float, float]]:
     """(h, residual at t = 0, residual at t = deformation_size(model, h))
-    per h, both on one FBI operator (real grid of half width PROBE_L, at
-    least 128 points) and one wave-packet pair at momentum XI_PROBE."""
+    per h, both on toeplitz_probe(model, h)."""
     rows = []
     for h in h_list:
-        n = quantize.required_n_points(PROBE_L, h, model.symbol.xi_extent)
-        grid = quantize.RealGrid(PROBE_L, max(n, 128))
-        cgrid = fbi.default_cgrid(h, re_span=1.5, im_span=2.2,
-                                  cells_per_width=3.0)
-        op = fbi.make_fbi(grid, cgrid, h)
-        u = fbi.gaussian_state(grid, h, 0.0, XI_PROBE)
-        v = fbi.gaussian_state(grid, h, 0.05, XI_PROBE - 0.03)
+        op, u, v = toeplitz_probe(model, h)
         rows.append((h, *fbi.toeplitz_residuals(
             model, op, esc, (0.0, deformation_size(model, h)), u, v)))
     return rows
@@ -198,7 +195,7 @@ def toeplitz_slopes(rows: Sequence[Tuple[float, float, float]]
 
 
 def _measure_one(cfg: SweepConfig, model: ModelInstance, h: float) -> SweepRecord:
-    grid = grid_for(cfg, h)
+    grid = quantize.grid_for(model.symbol, cfg.half_width_L, h, cfg.n_points)
     P = quantize.assemble_weyl(model.symbol, grid, h)
     free = spectral.spectrum_free_radius(P, model.z0)
     r = free.radius

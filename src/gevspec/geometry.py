@@ -27,8 +27,9 @@ never moves and the flow is the straight line
 at constant speed, evaluated in closed form (see _escape_integral). Along
 it a real part keeps its value if its coordinate stays fixed, so each time
 node evaluates only the real part whose coordinate moves, and an
-imaginary part is never evaluated. When neither part is real, Re p
-vanishes identically, so G and H_{Im p} G vanish whatever the flow and
+imaginary part is never evaluated. When both parts are real, H_{Im p}
+vanishes, and when neither is, Re p does; either way G and H_{Im p} G
+vanish identically, _escape_integral returns exact zeros, and
 build_escape's margin check raises: the closed form serves every additive
 symbol. build_escape rejects a symbol without a split.
 """
@@ -45,6 +46,7 @@ from .symbols import (Box, GevreySymbol, ModelInstance, smooth_step,
                       smooth_step_d1, taylor_extension)
 
 DEFAULT_DT = 1e-2
+ESCAPE_T = 4.0  # T of the time cutoff chi_T: 1 on [0, T], 0 from 2T
 ZERO_TOL = 1e-3  # a lattice point with |p - z0| <= ZERO_TOL counts as a zero
 
 
@@ -277,25 +279,16 @@ def _escape_integral(sym: GevreySymbol, x0: np.ndarray, xi0: np.ndarray,
     Phi_t is the exact point (x0 + t vx, xi0 + t vk) at every node t. Re p
     is the sum of the split's real parts, and a real part's coordinate
     moves only when the other part is imaginary. So with one real part,
-    each node evaluates that part at its moved coordinate alone; with two,
-    nothing moves and Re p keeps its starting value; with none, Re p and
-    both integrals vanish.
+    each node evaluates that part at its moved coordinate alone. With two,
+    H_{Im p} = 0, and with none, Re p = 0: both fields are exact zeros,
+    not the rounding residue of 2 Re p + int chi_T' Re p dt.
     """
     a, b = sym.split.a, sym.split.b
-    if a.unit != b.unit:
-        part, start, v = ((a, x0, velocity[0]) if a.unit == 1
-                          else (b, xi0, velocity[1]))
-        re0 = part.re(start)
-
-        def re_at(t):
-            return part.re(start + t * v)
-    elif a.unit == 1:
-        re0 = a.re(x0) + b.re(xi0)
-
-        def re_at(t):
-            return re0
-    else:
+    if a.unit == b.unit:
         return np.zeros(x0.shape), np.zeros(x0.shape)
+    part, start, v = ((a, x0, velocity[0]) if a.unit == 1
+                      else (b, xi0, velocity[1]))
+    re0 = part.re(start)
     n_steps = int(round(2.0 * T / dt))
     t_nodes = dt * np.arange(n_steps + 1)
     w = _trapezoid_weights(_chi_T(T, t_nodes), dt)
@@ -306,7 +299,7 @@ def _escape_integral(sym: GevreySymbol, x0: np.ndarray, xi0: np.ndarray,
         acc = w[0] * re0
         acc_d1 = w_d1[0] * re0
         for k in range(1, n_steps + 1):
-            re = re_at(sign * t_nodes[k])
+            re = part.re(start + sign * t_nodes[k] * v)
             acc += w[k] * re
             if w_d1[k]:  # chi_T' vanishes on [0, T]
                 acc_d1 += w_d1[k] * re
@@ -343,8 +336,8 @@ def _default_lattice(box: Box) -> Box:
     return ((cx - r, cx + r), (ck - r, ck + r))
 
 
-def build_escape(model: ModelInstance, T: float = 4.0,
-                 lattice: Optional[Box] = None, n_x: int = 129, n_xi: int = 129,
+def build_escape(model: ModelInstance, lattice: Optional[Box] = None,
+                 n_x: int = 129, n_xi: int = 129,
                  dt: float = DEFAULT_DT) -> EscapeField:
     """Construct the escape function on a phase-space lattice and certify it.
 
@@ -382,7 +375,8 @@ def build_escape(model: ModelInstance, T: float = 4.0,
     raw = np.zeros(X.shape)
     h_raw = np.zeros(X.shape)
     raw[support], h_raw[support] = _escape_integral(
-        sym, X[support], K[support], (fx[support], fk[support]), T, dt)
+        sym, X[support], K[support], (fx[support], fk[support]), ESCAPE_T,
+        dt)
     G = chi * raw
     HG = chi * h_raw + raw * (fx * chi_x + fk * chi_xi)
 
@@ -393,7 +387,8 @@ def build_escape(model: ModelInstance, T: float = 4.0,
             f"no lattice points with |p - z0| <= {ZERO_TOL}")
     hg_zero = HG[zero_mask]
     margin_c = float(-hg_zero.max())
-    field = EscapeField(x_axis, xi_axis, G, HG, margin_c, r_outer, center, T)
+    field = EscapeField(x_axis, xi_axis, G, HG, margin_c, r_outer, center,
+                        ESCAPE_T)
     if margin_c <= 0:
         k_bad = int(np.argmax(hg_zero))
         bad = (float(X[zero_mask][k_bad]), float(K[zero_mask][k_bad]))

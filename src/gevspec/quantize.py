@@ -29,7 +29,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -58,8 +58,8 @@ class RealGrid:
 
     def __post_init__(self):
         n = self.n_points
-        if n < 2 or (n & (n - 1)) != 0:
-            raise GridError(f"n_points must be a power of two >= 2, got {n}")
+        if n < 2 or n % 2:
+            raise GridError(f"n_points must be even and >= 2, got {n}")
         if not self.half_width_L > 0:
             raise GridError(f"half_width_L must be positive, got {self.half_width_L}")
 
@@ -127,10 +127,15 @@ def required_n_points(half_width_L: float, h: float, xi_extent: float) -> int:
     return n
 
 
-def rule_n_points(sym: GevreySymbol, half_width_L: float, h: float) -> int:
-    """The grid rule: the smallest power-of-two N >= MIN_N_POINTS whose
+def grid_for(sym: GevreySymbol, half_width_L: float, h: float,
+             n_points: Optional[int] = None) -> RealGrid:
+    """The grid of half width L for sym at h: n_points points if given,
+    else the grid rule, the smallest power of two N >= MIN_N_POINTS whose
     dual Nyquist frequency covers the symbol's xi_extent."""
-    return max(required_n_points(half_width_L, h, sym.xi_extent), MIN_N_POINTS)
+    if n_points is None:
+        n_points = max(required_n_points(half_width_L, h, sym.xi_extent),
+                       MIN_N_POINTS)
+    return RealGrid(half_width_L, n_points)
 
 
 def assemble_weyl(sym: GevreySymbol, grid: RealGrid, h: float) -> WeylMatrix:

@@ -17,7 +17,7 @@ import gevspec
 from gevspec import cli, experiments, fbi, geometry, quantize, spectral
 from gevspec.experiments import (ConfigError, FitError, NumericalFailure,
                                  SweepConfig, SweepRecord, fit_power_law,
-                                 grid_for, parse_config,
+                                 parse_config,
                                  radius_scaling_summary,
                                  resolvent_growth_check, run_sweep)
 from gevspec.symbols import (make_analytic_transport, make_gevrey_transport,
@@ -89,10 +89,19 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             SweepConfig("heat-kernel", (0.1,))
 
-    @pytest.mark.parametrize("n", [100, -4, 0, 1])
-    def test_n_points_not_a_power_of_two_rejected(self, n):
-        with pytest.raises(ConfigError, match="power of two"):
+    @pytest.mark.parametrize("n", [99, -4, 0, 1])
+    def test_n_points_odd_or_below_two_rejected(self, n):
+        with pytest.raises(ConfigError, match="even and >= 2"):
             SweepConfig("davies", (0.1,), n_points=n)
+
+    def test_even_n_points_accepted(self):
+        assert SweepConfig("davies", (0.1,), n_points=100).n_points == 100
+
+
+def grid_for(cfg, h):
+    """The grid _measure_one quantizes cfg's model on at h."""
+    return quantize.grid_for(model_from_tag(cfg.model_tag).symbol,
+                             cfg.half_width_L, h, cfg.n_points)
 
 
 class TestGridRule:
@@ -428,17 +437,25 @@ class TestToeplitzSweep:
 
 
 class TestCli:
-    def test_quantize_writes_loadable_file(self, tmp_path):
+    @pytest.mark.parametrize("n", [256, 210])
+    def test_quantize_writes_loadable_file(self, tmp_path, n):
         out = tmp_path / "davies.weyl"
         code = cli.main(["quantize", "--model", "davies", "--h", "0.1",
-                         "--out", str(out), "--L", "8", "--N", "256"])
+                         "--out", str(out), "--L", "8", "--N", str(n)])
         assert code == cli.EXIT_OK
         from gevspec.quantize import load_weyl
         P = load_weyl(out)
-        assert P.n == 256
+        assert P.n == n
         assert P.h == 0.1
         assert P.grid.half_width_L == 8.0
         assert P.symbol_tag == "davies"
+
+    def test_odd_n_is_config_error(self, tmp_path):
+        out = tmp_path / "davies.weyl"
+        code = cli.main(["quantize", "--model", "davies", "--h", "0.1",
+                         "--out", str(out), "--L", "8", "--N", "255"])
+        assert code == cli.EXIT_CONFIG
+        assert not out.exists()
 
     def test_unknown_model_is_config_error(self, tmp_path):
         code = cli.main(["quantize", "--model", "nope", "--h", "0.1",
@@ -486,7 +503,7 @@ class TestCli:
                        f"output_dir = {tmp_path}\n", encoding="utf-8")
         assert cli.main(["scaling", "--config", str(cfg)]) == cli.EXIT_CONFIG
 
-    @pytest.mark.parametrize("n", ["100", "-4"])
+    @pytest.mark.parametrize("n", ["99", "-4"])
     def test_scaling_bad_n_points_writes_nothing(self, tmp_path, n):
         cfg = tmp_path / "sweep.cfg"
         out = tmp_path / "out"

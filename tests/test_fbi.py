@@ -41,6 +41,12 @@ def op_h005():
     return operator_for(0.05)
 
 
+@pytest.fixture(scope="module")
+def probe_h01(gevrey2):
+    """toeplitz_sweep's (operator, u, v) at h = 0.1."""
+    return experiments.toeplitz_probe(gevrey2, 0.1)
+
+
 class TestUnitarity:
     @pytest.mark.parametrize("h_key", ["op_h01", "op_h005"])
     def test_isometry_on_interior_states(self, h_key, request):
@@ -60,18 +66,15 @@ class TestUnitarity:
         with pytest.raises(GridExtentError, match="half_width_L"):
             make_fbi(RealGrid(4.0, 128), default_cgrid(0.2), 0.2)
 
-    def test_probe_grid_builds_at_small_h(self):
-        # toeplitz_sweep's grids at h = 0.003, where e^{(Im x)^2 / 2h} =
+    def test_probe_grid_builds_at_small_h(self, gevrey2):
+        # toeplitz_sweep's probe at h = 0.003, where e^{(Im x)^2 / 2h} =
         # e^{807} is not a float: only the weighted factor, of modulus 1,
         # is formed
         h = 0.003
-        grid = RealGrid(8.0, max(required_n_points(8.0, h, 4.0), 128))
-        op = make_fbi(grid, default_cgrid(h, re_span=1.5, im_span=2.2,
-                                          cells_per_width=3.0), h)
-        u = gaussian_state(grid, h)
+        op, packet, _ = experiments.toeplitz_probe(gevrey2, h)
+        u = gaussian_state(op.real_grid, h)
         assert op.norm_phi(op.apply(u)) == pytest.approx(op.real_norm(u),
                                                          rel=1e-8)
-        packet = gaussian_state(grid, h, 0.0, experiments.XI_PROBE)
         assert op.unitarity_defect(packet) <= 1e-6
 
     def test_non_finite_calibration_raises(self, monkeypatch):
@@ -154,14 +157,6 @@ class TestFactoredKernel:
         assert rel(K.adjoint_matmul(V), adj_cols) < 1e-13
 
 
-def probe_operator(model, h):
-    """toeplitz_sweep's operator at h."""
-    n = required_n_points(experiments.PROBE_L, h, model.symbol.xi_extent)
-    grid = RealGrid(experiments.PROBE_L, max(n, 128))
-    return make_fbi(grid, default_cgrid(h, re_span=1.5, im_span=2.2,
-                                        cells_per_width=3.0), h)
-
-
 def window_count(op):
     """Real-grid columns within sqrt(2 h DECAY_LOG) of the complex window."""
     reach = op.cgrid.re_span + np.sqrt(2.0 * op.h * fbi.DECAY_LOG)
@@ -182,7 +177,7 @@ class TestKernelWindow:
 
     @pytest.mark.parametrize("h, share", [(0.0125, 0.5), (0.0015625, 0.25)])
     def test_probe_kernel_stored_on_window(self, gevrey2, h, share):
-        op = probe_operator(gevrey2, h)
+        op = experiments.toeplitz_probe(gevrey2, h)[0]
         K = op.matrix
         n = op.real_grid.n_points
         assert K.shape == (op.cgrid.re_n * op.cgrid.im_n, n)
@@ -237,14 +232,14 @@ class TestWeights:
         assert np.array_equal(w.phi_values, np.zeros(b.shape))
         assert np.array_equal(w.xi_section, -b.astype(complex))
 
-    def test_deformed_weight_needs_escape_function(self, gevrey2, op_h01):
+    def test_deformed_weight_needs_escape_function(self, gevrey2, probe_h01):
         # without an escape function a nonzero t has nothing to deform by;
         # it must not fall back to the flat weight
+        op, u, _ = probe_h01
         with pytest.raises(ValueError, match="escape function"):
-            weight_phi_t(None, -0.01, op_h01)
-        u = gaussian_state(op_h01.real_grid, op_h01.h, 0.0, 1.146)
+            weight_phi_t(None, -0.01, op)
         with pytest.raises(ValueError, match="escape function"):
-            toeplitz_residual(gevrey2, op_h01, None, -0.0316, u, u)
+            toeplitz_residual(gevrey2, op, None, -0.0316, u, u)
 
     def test_deformed_weight_reads_fields_at(self, escape_gevrey2, op_h01):
         # Phi_t - Phi_0 = t G and xi_t = -Im x + t (G_xi - i G_x) at
@@ -345,25 +340,22 @@ class TestToeplitz:
     def test_residual_shrinks_with_h(self, gevrey2):
         res = {}
         for h in (0.2, 0.05):
-            op = operator_for(h)
-            u = gaussian_state(op.real_grid, h, 0.0, 1.146)
-            v = gaussian_state(op.real_grid, h, 0.05, 1.116)
+            op, u, v = experiments.toeplitz_probe(gevrey2, h)
             res[h] = toeplitz_residual(gevrey2, op, None, 0.0, u, v)
         assert res[0.05] < 0.5 * res[0.2]
 
     def test_residuals_equal_single_t_residuals(self, gevrey2, escape_gevrey2,
-                                                op_h01):
+                                                probe_h01):
         # P, U, V and (T P T*) U are formed once for all t; each residual
         # is the one a call at that t alone gives, bit for bit
-        u = gaussian_state(op_h01.real_grid, op_h01.h, 0.0, 1.146)
-        v = gaussian_state(op_h01.real_grid, op_h01.h, 0.05, 1.116)
+        op, u, v = probe_h01
         ts = (0.0, -0.0316, -0.0158)
-        got = toeplitz_residuals(gevrey2, op_h01, escape_gevrey2, ts, u, v)
-        assert got == [toeplitz_residual(gevrey2, op_h01, escape_gevrey2, t,
+        got = toeplitz_residuals(gevrey2, op, escape_gevrey2, ts, u, v)
+        assert got == [toeplitz_residual(gevrey2, op, escape_gevrey2, t,
                                          u, v) for t in ts]
 
     def test_residuals_never_assemble_dense_p(self, gevrey2, escape_gevrey2,
-                                              op_h01, monkeypatch):
+                                              probe_h01, monkeypatch):
         # P is assembled once and applied by P @ U; its dense entries are
         # never built
         def unreachable():
@@ -377,14 +369,14 @@ class TestToeplitz:
             return replace(real(sym, grid, h), build=unreachable)
 
         monkeypatch.setattr(fbi, "assemble_weyl", without_build)
-        u = gaussian_state(op_h01.real_grid, op_h01.h, 0.0, 1.146)
-        v = gaussian_state(op_h01.real_grid, op_h01.h, 0.05, 1.116)
-        res = toeplitz_residuals(gevrey2, op_h01, escape_gevrey2,
+        op, u, v = probe_h01
+        res = toeplitz_residuals(gevrey2, op, escape_gevrey2,
                                  (0.0, -0.0316), u, v)
-        assert built == [op_h01.real_grid.n_points]
+        assert built == [op.real_grid.n_points]
         assert all(np.isfinite(res))
 
-    def test_symbol_without_split_raises(self, gevrey2, op_h01, monkeypatch):
+    def test_symbol_without_split_raises(self, gevrey2, probe_h01,
+                                         monkeypatch):
         # the symbol on the section is the split's Taylor extension; without
         # a split, P would take the midpoint assembly's two (2N - 1) x N
         # arrays, so the split is checked before P is assembled
@@ -393,23 +385,19 @@ class TestToeplitz:
 
         monkeypatch.setattr(fbi, "assemble_weyl", unreachable)
         model = ModelInstance(replace(gevrey2.symbol, split=None), gevrey2.z0)
-        u = gaussian_state(op_h01.real_grid, op_h01.h, 0.0, 1.146)
+        op, u, _ = probe_h01
         with pytest.raises(ValueError, match="has no additive split"):
-            toeplitz_residuals(model, op_h01, None, (0.0,), u, u)
+            toeplitz_residuals(model, op, None, (0.0,), u, u)
 
     def test_residual_independent_of_blas_threads(self):
-        # toeplitz_sweep's operator at h = 0.025, in one child per thread
+        # toeplitz_sweep's probe at h = 0.025, in one child per thread
         # count; the count is set in the child's environment only
         child = (
-            "from gevspec import experiments, fbi, quantize\n"
+            "from gevspec import experiments, fbi\n"
             "from gevspec.symbols import make_gevrey_transport\n"
-            "h = 0.025\n"
-            "grid = quantize.RealGrid(experiments.PROBE_L, 1024)\n"
-            "op = fbi.make_fbi(grid, fbi.default_cgrid(\n"
-            "    h, re_span=1.5, im_span=2.2, cells_per_width=3.0), h)\n"
-            "u = fbi.gaussian_state(grid, h, 0.0, experiments.XI_PROBE)\n"
-            "v = fbi.gaussian_state(grid, h, 0.05, experiments.XI_PROBE - 0.03)\n"
             "model = make_gevrey_transport(2.0)\n"
+            "op, u, v = experiments.toeplitz_probe(model, 0.025)\n"
+            "assert op.real_grid.n_points == 1024\n"
             "print(repr(fbi.toeplitz_residuals(model, op, None, (0.0,), u, v)[0]))\n")
         src = str(Path(gevspec.__file__).resolve().parents[1])
         runs = []
@@ -425,15 +413,11 @@ class TestToeplitz:
         assert abs(two - one) <= 1e-10 * one
 
     def test_warm_call_memory_below_dense_p(self, gevrey2, escape_gevrey2):
-        # toeplitz_sweep's operator at h = 0.0125 has N = 2048, where a
+        # toeplitz_sweep's probe at h = 0.0125 has N = 2048, where a
         # dense P alone takes N^2 * 16 bytes = 64 MB
         h = 0.0125
-        grid = RealGrid(experiments.PROBE_L, 2048)
-        assert required_n_points(grid.half_width_L, h, 4.0) == 2048
-        op = make_fbi(grid, default_cgrid(h, re_span=1.5, im_span=2.2,
-                                          cells_per_width=3.0), h)
-        u = gaussian_state(grid, h, 0.0, 1.146)
-        v = gaussian_state(grid, h, 0.05, 1.116)
+        op, u, v = experiments.toeplitz_probe(gevrey2, h)
+        assert op.real_grid.n_points == 2048
         ts = (0.0, -0.1 * h ** 0.5)
         first = toeplitz_residuals(gevrey2, op, escape_gevrey2, ts, u, v)
         tracemalloc.start()

@@ -198,10 +198,11 @@ class TestFlow:
         assert np.all(np.abs(ref - got) <= (k + 4) * eps * scale)
 
     @pytest.mark.parametrize("parts", [(SQUARE, I_TANH), (I_SQUARE, SQUARE),
-                                       (SQUARE, SQUARE), (I_SQUARE, I_TANH)],
-                             ids=["real+i", "i+real", "real+real", "i+i"])
+                                       (I_SQUARE, I_TANH)],
+                             ids=["real+i", "i+real", "i+i"])
     def test_integral_matches_value_reference(self, parts):
-        # one branch of _escape_integral per pair of units
+        # each pair of units but two real parts, whose exact zeros the
+        # reference's quadrature only reaches up to rounding
         sym = additive_symbol(*parts, order_s=ANALYTIC, zero_set_hint=None,
                               name="parts")
         rng = np.random.default_rng(3)
@@ -211,6 +212,19 @@ class TestFlow:
         ref = _value_integral(sym, x0, xi0, velocity, 1.0, 0.01)
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
+
+    def test_two_real_parts_give_exact_zeros(self):
+        # H_{Im p} = 0: nothing moves, and G and H_{Im p} G vanish; the
+        # quadrature of 2 Re p + int chi_T' Re p dt would leave residue
+        sym = additive_symbol(SQUARE, SQUARE, order_s=ANALYTIC,
+                              zero_set_hint=None, name="x^2 + xi^2")
+        rng = np.random.default_rng(3)
+        x0, xi0 = rng.uniform(-2.0, 2.0, (2, 40))
+        velocity = geometry._hamiltonian_im(sym, x0, xi0)
+        for field in geometry._escape_integral(sym, x0, xi0, velocity, 1.0,
+                                               0.01):
+            assert np.array_equal(field, np.zeros(40))
+            assert not np.signbit(field).any()
 
     def test_split_flow_never_calls_grad(self, gevrey2):
         traced = dataclasses.replace(gevrey2.symbol, grad=_raising)
@@ -454,6 +468,18 @@ class TestBuildEscape:
                               name="i x^2 + i tanh(xi)")
         with pytest.raises(EscapeConstructionError):
             build_escape(ModelInstance(sym, 0j), n_x=33, n_xi=33)
+
+    @pytest.mark.parametrize("z0", [0.25, 0.5])
+    def test_two_real_parts_raise(self, z0):
+        # H_{Im p} G is exactly 0 on the zero circle, so the margin is 0,
+        # not the sign of a rounding residue
+        sym = additive_symbol(SQUARE, SQUARE, order_s=ANALYTIC,
+                              zero_set_hint=((-0.8, 0.8), (-0.8, 0.8)),
+                              name="x^2 + xi^2")
+        with pytest.raises(EscapeConstructionError,
+                           match=r"H_\(Im p\) G = 0\.000e\+00 >= 0"):
+            build_escape(ModelInstance(sym, z0),
+                         lattice=((-1.0, 1.0), (-1.0, 1.0)), n_x=33, n_xi=33)
 
     def test_trapped_model_raises_with_point(self, trapped_model):
         with pytest.raises(EscapeConstructionError) as exc_info:

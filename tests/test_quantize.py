@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from gevspec import quantize
 from gevspec.quantize import (GridError, RealGrid, ResolutionError, WeylMatrix,
                               assemble_weyl, compose_and_extract,
-                              interior_window, inverse_weyl, load_weyl,
-                              required_n_points, rule_n_points, save_weyl)
+                              grid_for, interior_window, inverse_weyl,
+                              load_weyl, required_n_points, save_weyl)
 from gevspec.symbols import ANALYTIC, GevreySymbol, model_from_tag, smooth_step
 
 
@@ -37,11 +37,16 @@ CATALOG = ("davies", "gevrey-transport:s=1.5", "gevrey-transport:s=2",
 
 
 class TestRealGrid:
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(GridError):
-            RealGrid(4.0, 100)
-        with pytest.raises(GridError):
-            RealGrid(4.0, 1)
+    @pytest.mark.parametrize("n", [99, 127, 1, 0, -4])
+    def test_rejects_odd_or_below_two(self, n):
+        with pytest.raises(GridError, match="even and >= 2"):
+            RealGrid(4.0, n)
+
+    @pytest.mark.parametrize("n", [2, 96, 98, 100, 126])
+    def test_accepts_any_even_size(self, n):
+        # the circulant's roll by N/2 and inverse_weyl's half band need N
+        # even; nothing needs a power of two
+        assert RealGrid(4.0, n).nodes.shape == (n,)
 
     def test_rejects_nonpositive_width(self):
         with pytest.raises(GridError):
@@ -60,6 +65,16 @@ class TestRealGrid:
         assert (th[1] - th[0]) * g.spacing == pytest.approx(
             2 * np.pi * h / g.n_points, rel=1e-12)
         assert th[0] == pytest.approx(-g.theta_max(h))
+
+    def test_grid_for_takes_n_points_or_the_floored_rule(self):
+        sym = model_from_tag("davies").symbol
+        assert required_n_points(4.0, 1.0, sym.xi_extent) == 16
+        assert grid_for(sym, 4.0, 1.0).n_points == quantize.MIN_N_POINTS
+        assert grid_for(sym, 4.0, 0.01) == RealGrid(
+            4.0, required_n_points(4.0, 0.01, sym.xi_extent))
+        assert grid_for(sym, 4.0, 1.0, 100) == RealGrid(4.0, 100)
+        with pytest.raises(GridError, match="even"):
+            grid_for(sym, 4.0, 1.0, 101)
 
     def test_required_n_points_covers_extent(self):
         for L, h, ext in [(4.0, 0.1, 4.0), (8.0, 0.025, 4.0), (6.0, 0.2, 3.0)]:
@@ -152,6 +167,18 @@ class TestAssembly:
             assert np.array_equal(assemble_weyl(sym, grid, h).entries,
                                   assemble_weyl(general, grid, h).entries)
 
+    @pytest.mark.parametrize("n", [96, 98, 100, 126])
+    def test_split_assembly_near_midpoint_assembly_at_even_n(self, n):
+        # off the powers of two the FFTs of the two assemblies round
+        # differently: the entries agree to a few ulp, not bit for bit
+        sym = model_from_tag("gevrey-transport:s=2").symbol
+        grid = RealGrid(6.0, n)
+        split = assemble_weyl(sym, grid, 0.2).entries
+        general = assemble_weyl(dataclasses.replace(sym, split=None), grid,
+                                0.2).entries
+        scale = np.abs(split).max()
+        assert np.abs(split - general).max() <= 4 * np.finfo(float).eps * scale
+
     @pytest.mark.parametrize("tag", CATALOG)
     def test_split_assembly_equals_sign_alternated_circulant(self, tag):
         # the entries built from roll(b, N/2) are bit for bit those of
@@ -159,7 +186,7 @@ class TestAssembly:
         # sweep's L = 6 grids
         sym = model_from_tag(tag).symbol
         for h in 0.2 * 2.0 ** (-np.arange(9) / 2.0):
-            grid = RealGrid(6.0, rule_n_points(sym, 6.0, h))
+            grid = grid_for(sym, 6.0, h)
             assert grid.n_points <= 2048
             B = np.fft.ifft(np.asarray(sym.split.b(grid.theta_nodes(h)),
                                        dtype=complex))
@@ -256,8 +283,11 @@ class TestInverseWeyl:
         c = inverse_weyl(assemble_weyl(X_SYM, g, 0.2))
         assert np.abs(c - g.nodes[:, None]).max() < 1e-12
 
-    def test_localized_symbol_round_trip(self):
-        g = RealGrid(8.0, 256)
+    @pytest.mark.parametrize("n", [226, 240, 250, 256])
+    def test_localized_symbol_round_trip(self, n):
+        # N/2 is odd at 226 and 250, where no offset of an even
+        # anti-diagonal ties at |d| = N/2
+        g = RealGrid(8.0, n)
         h = 0.1
         P = assemble_weyl(BUMP, g, h)
         c = inverse_weyl(P)
@@ -315,7 +345,7 @@ class TestInverseWeylResidues:
         assert np.abs(np.delete(c, p, axis=0)).max() == 0.0
 
     @pytest.mark.parametrize("taper", [False, True])
-    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("n", [16, 18, 30, 64, 256])
     def test_matches_brute_force_scan(self, n, taper):
         rng = np.random.default_rng(n)
         M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -380,6 +410,14 @@ class TestSerialization:
         assert Q.grid == P.grid
         assert Q.symbol_tag == "bump"
         assert np.array_equal(Q.entries, P.entries)
+
+    def test_odd_size_rejected(self, tmp_path):
+        # a well-formed file whose N the grid rejects
+        path = tmp_path / "odd.weyl"
+        path.write_bytes(quantize._HEADER.pack(b"WEYL", 1, 7, 0.25, 4.0, 3)
+                         + b"odd" + np.eye(7, dtype="<c16").tobytes())
+        with pytest.raises(GridError, match="even and >= 2"):
+            load_weyl(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.weyl"

@@ -11,7 +11,7 @@ from scipy.linalg import lapack
 
 from gevspec import spectral
 from gevspec.quantize import (RealGrid, WeylMatrix, assemble_weyl,
-                              load_weyl, required_n_points)
+                              grid_for, load_weyl, required_n_points)
 from gevspec.spectral import (BOUNDARY_MASS_THRESHOLD, MAX_DENSE_N,
                               BudgetError, PseudospectrumField, SolverError,
                               SpectrumResult, ZGrid, eigenvalues,
@@ -234,6 +234,15 @@ class TestSigmaMin:
             assert ref > 10 * floor
             assert sigma_min(P, z) == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [96, 98, 100, 126])
+    def test_matches_svd_at_even_n(self, n):
+        # off the powers of two, to the Lanczos tolerance as at 128
+        sym = model_from_tag("gevrey-transport:s=2").symbol
+        P = assemble_weyl(sym, RealGrid(6.0, n), 0.2)
+        for z in (0.5 + 0.0j, 0.3 - 0.4j, 1.0 + 0.5j, -0.2 + 0.1j):
+            assert sigma_min(P, z) == pytest.approx(sigma_min_direct(P, z),
+                                                    rel=spectral.LANCZOS_RTOL)
+
     def test_shifted_factor_is_restored_after_step_cap(self, monkeypatch):
         P = hermitian_example()
         pristine = cached_T(P).copy()
@@ -412,7 +421,7 @@ CATALOG = ("davies", "analytic-transport", "trapped-toy",
 def catalog_matrix(tag, h, L=6.0):
     """The sweep's matrix: the model's symbol on the grid rule N(h)."""
     sym = model_from_tag(tag).symbol
-    return assemble_weyl(sym, RealGrid(L, required_n_points(L, h, 4.0)), h)
+    return assemble_weyl(sym, grid_for(sym, L, h), h)
 
 
 # the queries that read the cached factor T

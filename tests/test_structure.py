@@ -1,7 +1,9 @@
 """Each decision has one owner. spectral.py holds the one zgees call site
 and the one comparison against MAX_DENSE_N; experiments.py holds the
-deformation size t(h). No other gevspec module names either. Every config
-key sets one SweepConfig field, and every field has a key."""
+deformation size t(h) and the Toeplitz probe's half width; quantize.py
+holds the grid rule, which every other module reaches through grid_for.
+No other gevspec module names any of these. Every config key sets one
+SweepConfig field, and every field has a key."""
 
 import ast
 import dataclasses
@@ -21,11 +23,11 @@ def named(tree, name):
             or (isinstance(node, ast.Attribute) and node.attr == name)]
 
 
-def names_outside(owner, names):
+def names_outside(owner, names, exempt=()):
     """(module, name) for each of names that a gevspec module other than
-    owner mentions."""
+    owner and the exempt modules mentions."""
     return [(path.name, name) for path in sorted(SRC.glob("*.py"))
-            if path.name != owner
+            if path.name != owner and path.name not in exempt
             for name in names if name in path.read_text(encoding="utf-8")]
 
 
@@ -36,6 +38,16 @@ def test_no_other_module_names_the_factorization():
 def test_no_other_module_names_the_deformation_size():
     assert names_outside("experiments.py",
                          ("exponent_for", "DEFORM_EPSILON")) == []
+
+
+def test_no_other_module_names_the_grid_rule():
+    # __init__.py re-exports required_n_points
+    assert names_outside("quantize.py", ("required_n_points", "MIN_N_POINTS"),
+                         exempt=("__init__.py",)) == []
+
+
+def test_no_other_module_names_the_probe_width():
+    assert names_outside("experiments.py", ("PROBE_L",)) == []
 
 
 def test_one_zgees_call_and_one_budget_comparison():
