@@ -19,7 +19,10 @@ change did better), median_change_rel and parent_iqr; the failed gate
 counts per run as [failed, attempted, correct]; and the environment the
 worker recorded. --claim adds whether the change improved METRIC on
 WORKLOAD by more than REL, in at least 9 of 10 pairs, with a median
-difference above the parent's interquartile range.
+difference above the parent's interquartile range. regressions lists, per
+workload and end-to-end metric, where the change's median is worse than
+the parent's by more than that metric's bound in BENCHMARK.json, the rule
+by which a change is rejected; the script prints each one.
 """
 
 from __future__ import annotations
@@ -103,6 +106,23 @@ def claim_result(spec: str, workloads: dict) -> dict:
             "met": bool(met)}
 
 
+def regressions(end_to_end: list, workloads: dict) -> list:
+    """The (workload, metric) entries whose change median is worse than
+    the parent's by more than the bound of the metric in end_to_end."""
+    found = []
+    for name, entry in workloads.items():
+        for metric in end_to_end:
+            m = entry[metric["name"]]
+            sign = 1.0 if m["better"] == "higher" else -1.0
+            worse = -sign * m["median_change_rel"]
+            if worse > metric["bound"]:
+                found.append({"workload": name, "metric": metric["name"],
+                              "worse_rel": worse, "bound": metric["bound"],
+                              "parent_median": m["parent"]["median"],
+                              "change_median": m["change"]["median"]})
+    return found
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True)
@@ -152,7 +172,12 @@ def main(argv=None) -> int:
            "order": "pair i runs the parent first for odd i and the change first for even i",
            "seed": args.seed,
            "env": env,
-           "workloads": workloads}
+           "workloads": workloads,
+           "regressions": regressions(spec["end_to_end"], workloads)}
+    for r in out["regressions"]:
+        print(f"regression: {r['workload']} {r['metric']} worse by "
+              f"{r['worse_rel']:.1%} (bound {r['bound']:.0%}): "
+              f"{r['parent_median']:.6g} -> {r['change_median']:.6g}")
     if args.claim:
         out["claim"] = claim_result(args.claim, workloads)
     path = ROOT / f"BENCH_{args.label}.json"

@@ -148,9 +148,10 @@ def gevrey_flat(s: float, t):
         raise ValueError(f"Gevrey order must be finite and exceed 1, got {s}")
     t = np.asarray(t, dtype=float)
     a = 1.0 / (s - 1.0)
-    pos, tp = _positive(t)
-    with np.errstate(over="ignore"):
-        out = np.where(pos, np.exp(-tp ** (-a)), 0.0)
+    # t <= 0 and nan become +0.0, whose power is inf and whose exp(-inf) is
+    # +0.0: one select, and the positive entries see the same operations
+    with np.errstate(over="ignore", divide="ignore"):
+        out = np.exp(-(np.where(t > 0, t, 0.0) ** -a))
     if out.ndim == 0:
         return float(out)
     return out

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from gevspec import geometry
+from gevspec import geometry, quantize
 from gevspec.symbols import (make_analytic_transport, make_gevrey_transport,
                              make_trapped_toy)
+
+
+def fbi_grid(h):
+    """The grid of the FBI and composition tests at h: half width 8 and
+    the grid rule's N for the catalog's xi extent 4, at least 256 points."""
+    return quantize.RealGrid(
+        8.0, max(quantize.required_n_points(8.0, h, 4.0), 256))
 
 
 @pytest.fixture(scope="session")

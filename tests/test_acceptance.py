@@ -18,6 +18,7 @@ from gevspec import cli, experiments, fbi, geometry, quantize, spectral
 from gevspec.experiments import SweepConfig, run_sweep
 from gevspec.symbols import (make_analytic_transport, make_davies,
                              make_gevrey_transport, make_trapped_toy)
+from conftest import fbi_grid
 
 SWEEP_H_LIST = (0.2, 0.1414, 0.1, 0.0707, 0.05, 0.0354, 0.025, 0.0177,
                 0.0125)
@@ -127,8 +128,7 @@ def test_criterion_02_weyl_structure(capsys):
 def test_criterion_03_composition_remainder(capsys, gevrey2, analytic_model):
     sups = []
     for h in (0.2, 0.1, 0.05, 0.025):
-        grid = quantize.RealGrid(
-            8.0, max(quantize.required_n_points(8.0, h, 4.0), 256))
+        grid = fbi_grid(h)
         r = quantize.compose_and_extract(gevrey2.symbol,
                                          analytic_model.symbol, grid, h)
         w = quantize.interior_window(grid, h)
@@ -147,8 +147,7 @@ def test_criterion_04_fbi_unitarity(capsys):
               (-0.1, 0.4, 3)]
     worst = 0.0
     for h in (0.1, 0.05):
-        grid = quantize.RealGrid(
-            8.0, max(quantize.required_n_points(8.0, h, 4.0), 256))
+        grid = fbi_grid(h)
         op = fbi.make_fbi(grid, fbi.default_cgrid(h), h)
         for x0, xi0, herm in states:
             u = fbi.gaussian_state(grid, h, x0, xi0, herm)

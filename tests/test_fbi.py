@@ -15,20 +15,18 @@ from gevspec.fbi import (FBIOperator, GridExtentError,
                          apply_conjugated, default_cgrid, gaussian_state,
                          make_fbi, toeplitz_residual, toeplitz_residuals,
                          weight_phi_t)
-from gevspec.quantize import (RealGrid, WeylMatrix, assemble_weyl,
-                              required_n_points)
+from gevspec.quantize import RealGrid, WeylMatrix, assemble_weyl
 from gevspec.symbols import (ANALYTIC, ZERO, ModelInstance, additive_symbol,
                              make_davies)
+from conftest import fbi_grid
 from test_quantize import plain_symbol
 
 STATES = [(0.0, 0.0, 0), (0.5, 0.3, 0), (-0.4, -0.2, 1), (0.2, 0.1, 2),
           (-0.1, 0.4, 3)]
 
 
-def operator_for(h, L=8.0):
-    n = max(required_n_points(L, h, 4.0), 256)
-    grid = RealGrid(L, n)
-    return make_fbi(grid, default_cgrid(h), h)
+def operator_for(h):
+    return make_fbi(fbi_grid(h), default_cgrid(h), h)
 
 
 @pytest.fixture(scope="module")
@@ -169,9 +167,8 @@ class TestKernelWindow:
         # re_span 1 on L = 8 at h = 0.1: the window keeps 42% of the
         # columns; 1.5 cells per width keeps the dense M x N array small
         h = 0.1
-        grid = RealGrid(8.0, max(required_n_points(8.0, h, 4.0), 256))
-        op = make_fbi(grid, default_cgrid(h, re_span=1.0,
-                                          cells_per_width=1.5), h)
+        op = make_fbi(fbi_grid(h), default_cgrid(h, re_span=1.0,
+                                                 cells_per_width=1.5), h)
         assert 2 * window_count(op) < op.real_grid.n_points
         return op
 

@@ -71,27 +71,39 @@ def _record_re(mp):
     return calls
 
 
+def _distinct(start, speed):
+    """_distinct_trajectories of the pairs, checked against their bits: the
+    first pairs are pairwise distinct bit patterns, and the inverse maps
+    them back to every pair, bit for bit."""
+    first, inverse = geometry._distinct_trajectories(start, speed)
+    pairs = np.stack([start, speed], axis=-1).view(np.int64)
+    assert len({row.tobytes() for row in pairs[first]}) == len(first)
+    assert np.array_equal(pairs[first][inverse], pairs)
+    return first, inverse
+
+
 def _sampled_points(sym, x0, xi0, T, dt=geometry.DEFAULT_DT):
-    """The (x, xi) points at which _escape_integral evaluates Re p, stacked:
-    the forward nodes t = dt, ..., 2T, then the backward nodes t = -dt, ...,
-    -2T; shape (2, n_steps, 2, len(x0)). Only the real part whose
-    coordinate moves is evaluated, so that coordinate is read from the
-    calls of its re, and the other one, which the flow keeps fixed, is its
-    start."""
+    """The (x, xi) points at which _escape_integral evaluates Re p for every
+    start, stacked: the forward nodes t = dt, ..., 2T, then the backward
+    nodes t = -dt, ..., -2T; shape (2, n_steps, 2, len(x0)). Only the real
+    part whose coordinate moves is evaluated, so that coordinate is read
+    from the calls of its re, and the other one, which the flow keeps
+    fixed, is its start. Each call sees the distinct (start, speed) pairs
+    only; the inverse maps its points back to every start."""
     x0 = np.asarray(x0, dtype=float)
     xi0 = np.asarray(xi0, dtype=float)
     moving = 1 if sym.split.a.unit == 1j else 0  # a moves x, b moves xi
     part = (sym.split.a, sym.split.b)[moving]
+    velocity = geometry._hamiltonian_im(sym, x0, xi0)
     with pytest.MonkeyPatch.context() as mp:
         calls = _record_re(mp)
-        geometry._escape_integral(sym, x0, xi0,
-                                  geometry._hamiltonian_im(sym, x0, xi0),
-                                  T, dt)
+        geometry._escape_integral(sym, x0, xi0, velocity, T, dt)
     assert all(seen is part for seen, _ in calls)
     start = (x0, xi0)
-    assert np.array_equal(calls[0][1], start[moving])
+    first, inverse = _distinct(start[moving], velocity[moving])
+    assert np.array_equal(calls[0][1], start[moving][first])
     points = np.empty((len(calls) - 1, 2, len(x0)))
-    points[:, moving] = [t for _, t in calls[1:]]
+    points[:, moving] = [t[inverse] for _, t in calls[1:]]
     points[:, 1 - moving] = start[1 - moving]
     return points.reshape(2, -1, 2, len(x0))
 
@@ -437,12 +449,79 @@ class TestBuildEscape:
             assert np.all(field[~support] == 0.0)
             assert not np.signbit(field[~support]).any()
         # x moves under i tanh(xi), which is never evaluated: only a(x) is,
-        # once at the starts, which are the support, and once per node
+        # once at the starts, which are the distinct (x, speed) pairs of
+        # the support, and once per node
         n_steps = int(round(2.0 * esc.T / geometry.DEFAULT_DT))
         assert len(calls) == 1 + 2 * n_steps
         assert all(part is sym.split.a for part, _ in calls)
-        assert np.array_equal(calls[0][1], X[support])
-        assert all(t.shape == (support.sum(),) for _, t in calls)
+        first, _ = _distinct(X[support], fx[support])
+        assert np.array_equal(calls[0][1], X[support][first])
+        assert all(t.shape == first.shape for _, t in calls)
+
+    @pytest.mark.parametrize("fixture", ["escape_gevrey2", "escape_analytic"])
+    def test_default_lattice_even_in_xi(self, fixture, request):
+        # the lattice is symmetric about xi = 0 to the last bit, and so are
+        # the cutoff and the speed sech^2(xi): G and H_{Im p} G are even
+        esc = request.getfixturevalue(fixture)
+        assert np.array_equal(esc.xi_axis, -esc.xi_axis[::-1])
+        for field in (esc.G_values, esc.HG_values):
+            assert np.array_equal(field, field[:, ::-1])
+
+    @pytest.mark.parametrize("model", [make_gevrey_transport(2.0),
+                                       make_analytic_transport()],
+                             ids=lambda m: m.tag)
+    def test_default_lattice_integrates_distinct_trajectories(self, model):
+        # 12 605 support points, of which the rows xi and -xi repeat a
+        # trajectory: each node evaluates a(x) at 6 366 points
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _record_re(mp)
+            esc = build_escape(model)
+        X, K = np.meshgrid(esc.x_axis, esc.xi_axis, indexing="ij")
+        cut = (esc.cutoff_center, esc.cutoff_radius / 2.0, esc.cutoff_radius,
+               X, K)
+        chi_x, chi_xi = geometry._chi_cut_grad(*cut)
+        support = ((geometry._chi_cut(*cut) != 0.0) | (chi_x != 0.0)
+                   | (chi_xi != 0.0))
+        assert support.sum() == 12605
+        assert {t.shape for _, t in calls} == {(6366,)}
+
+    def test_signed_zero_starts_stay_distinct(self, gevrey2):
+        # -0.0 and +0.0 differ in their bits, so they are two trajectories;
+        # a pair without a repeat keeps its place
+        sym = gevrey2.symbol
+        x0 = np.array([-0.0, 0.0, 0.0, -0.0])
+        xi0 = np.zeros(4)
+        first, inverse = _distinct(x0, np.ones(4))
+        assert np.array_equal(first, [0, 1])
+        assert np.array_equal(inverse, [0, 1, 1, 0])
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _record_re(mp)
+            geometry._escape_integral(sym, x0, xi0,
+                                      geometry._hamiltonian_im(sym, x0, xi0),
+                                      1.0, 0.01)
+        assert np.array_equal(np.signbit(calls[0][1]), [True, False])
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(dt=0.0), "time step"),
+        (dict(dt=-0.01), "time step"),
+        (dict(n_x=3), "at least 4 nodes"),
+        (dict(n_xi=3), "at least 4 nodes"),
+        (dict(lattice=((1.0, -1.0), (-1.0, 1.0))), "ascend"),
+    ], ids=["dt-zero", "dt-negative", "n_x-3", "n_xi-3", "descending-x"])
+    def test_bad_arguments_are_config_errors(self, gevrey2, kwargs, match):
+        # each used to fail late: ZeroDivisionError, IndexError, IndexError
+        # in fields_at, or a CoverageError at every point of a descending
+        # axis that had built
+        with pytest.raises(GeometryConfigError, match=match):
+            build_escape(gevrey2, **kwargs)
+
+    def test_four_nodes_per_axis_build(self, gevrey2):
+        # the fewest nodes the cubic splines take
+        esc = build_escape(gevrey2, lattice=((-1.5, 1.5), (-1.0, 1.0)),
+                           n_x=4, n_xi=5)
+        assert esc.margin_c > 0
+        g = esc.fields_at(esc.x_axis, esc.xi_axis[2])[0]
+        assert np.abs(g - esc.G_values[:, 2]).max() <= 1e-12 * esc.sup_G
 
     def test_all_orders_build(self):
         for s in (1.5, 3.0):

@@ -78,6 +78,19 @@ class TestGevreyFlat:
             assert np.all(g[~pos] == 0.0)
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
+    def test_signed_zeros_and_infinities(self, s):
+        # +0.0 without a sign bit at both zeros and at -inf, 1.0 at +inf,
+        # with no warning, in scalar and array form
+        t = np.array([-0.0, 0.0, np.inf, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gevrey_flat(s, t)
+            scalars = [gevrey_flat(s, v) for v in t]
+        for values in (got, np.array(scalars)):
+            assert np.array_equal(values, [0.0, 0.0, 1.0, 0.0])
+            assert not np.signbit(values).any()
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
     def test_derivatives_vanish_where_the_exponential_underflows(self, s):
         # exp(-t^(-a)) is 0 at t = 1e-100, where t^(-a-k) may be inf
         with warnings.catch_warnings():
