@@ -22,7 +22,10 @@ WORKLOAD by more than REL, in at least 9 of 10 pairs, with a median
 difference above the parent's interquartile range. regressions lists, per
 workload and end-to-end metric, where the change's median is worse than
 the parent's by more than that metric's bound in BENCHMARK.json, the rule
-by which a change is rejected; the script prints each one.
+by which a change is rejected. unresolved lists where the runs spread too
+widely to tell: the interquartile range of either side, relative to the
+parent's median, is wider than the bound, and not every change run beats
+every parent run. The script prints each entry of both lists.
 """
 
 from __future__ import annotations
@@ -123,6 +126,29 @@ def regressions(end_to_end: list, workloads: dict) -> list:
     return found
 
 
+def unresolved(end_to_end: list, workloads: dict) -> list:
+    """The (workload, metric) entries whose spread, the wider interquartile
+    range of the two sides relative to the parent's median, exceeds the
+    bound of the metric in end_to_end, unless every change run is better
+    than every parent run."""
+    found = []
+    for name, entry in workloads.items():
+        for metric in end_to_end:
+            m = entry[metric["name"]]
+            p, c = m["parent"], m["change"]
+            spread = (max(p["q3"] - p["q1"], c["q3"] - c["q1"])
+                      / abs(p["median"]))
+            sign = 1.0 if m["better"] == "higher" else -1.0
+            dominates = all(sign * (b - a) > 0
+                            for a in p["runs"] for b in c["runs"])
+            if spread > metric["bound"] and not dominates:
+                found.append({"workload": name, "metric": metric["name"],
+                              "spread_rel": spread, "bound": metric["bound"],
+                              "parent_median": p["median"],
+                              "change_median": c["median"]})
+    return found
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True)
@@ -173,10 +199,15 @@ def main(argv=None) -> int:
            "seed": args.seed,
            "env": env,
            "workloads": workloads,
-           "regressions": regressions(spec["end_to_end"], workloads)}
+           "regressions": regressions(spec["end_to_end"], workloads),
+           "unresolved": unresolved(spec["end_to_end"], workloads)}
     for r in out["regressions"]:
         print(f"regression: {r['workload']} {r['metric']} worse by "
               f"{r['worse_rel']:.1%} (bound {r['bound']:.0%}): "
+              f"{r['parent_median']:.6g} -> {r['change_median']:.6g}")
+    for r in out["unresolved"]:
+        print(f"unresolved: {r['workload']} {r['metric']} spread "
+              f"{r['spread_rel']:.1%} (bound {r['bound']:.0%}): "
               f"{r['parent_median']:.6g} -> {r['change_median']:.6g}")
     if args.claim:
         out["claim"] = claim_result(args.claim, workloads)

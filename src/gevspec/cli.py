@@ -127,7 +127,7 @@ def _cmd_scaling(args) -> int:
 def _cmd_toeplitz(args) -> int:
     """Write toeplitz.csv; EXIT_NUMERICAL unless both residual slopes reach
     SLOPE_MIN (criterion 05)."""
-    cfg = experiments.parse_config(args.config)
+    cfg = experiments.parse_config(args.config, experiments.TOEPLITZ_KEYS)
     model = model_from_tag(cfg.model_tag)
     esc = geometry.build_escape(model)
     rows = experiments.toeplitz_sweep(model, esc, cfg.h_list)

@@ -81,11 +81,14 @@ CONFIG_KEYS = {
     "n_points": ("n_points", int),
     "output_dir": ("output_dir", str),
 }
+# the keys `gevspec toeplitz` reads: its probe sets its own grid
+TOEPLITZ_KEYS = {k: CONFIG_KEYS[k] for k in ("model", "h_list", "output_dir")}
 
 
-def parse_config(path: Union[str, Path]) -> SweepConfig:
+def parse_config(path: Union[str, Path], keys: dict = CONFIG_KEYS
+                 ) -> SweepConfig:
     """Flat key = value lines, UTF-8, # comments, no nesting; each key of
-    CONFIG_KEYS at most once."""
+    keys, the table of the command that reads the config, at most once."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -99,9 +102,10 @@ def parse_config(path: Union[str, Path]) -> SweepConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            field, parse = CONFIG_KEYS[key]
+            if key not in keys:
+                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}"
+                                  f" (this command reads {', '.join(keys)})")
+            field, parse = keys[key]
             if field in kwargs:
                 raise ConfigError(f"{path}:{lineno}: key {key!r} is set twice")
             kwargs[field] = parse(val)
@@ -351,9 +355,10 @@ def emit_outputs(cfg: SweepConfig, records: Sequence[SweepRecord],
         "fits": fits,
         "records": [rec.as_dict() for rec in records],
     }
+    # encoded whole before the file is opened, so a value JSON cannot hold
+    # raises TypeError and leaves no partial file
+    text = json.dumps(_finite_or_null(summary), indent=2, sort_keys=True,
+                      allow_nan=False)
     spath = out_dir / "summary.json"
-    with open(spath, "w", encoding="utf-8") as fh:
-        json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True,
-                  default=str, allow_nan=False)
-        fh.write("\n")
+    spath.write_text(text + "\n", encoding="utf-8")
     return [str(spath)]

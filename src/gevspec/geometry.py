@@ -18,20 +18,18 @@ is what decides that the zero set escapes.
 
 Every symbol is read by its additive split p = a(x) + b(xi), so the field is
     H_{Im p} = (d Im b / dxi, -d Im a / dx),
-the counterpart of the diagonal-plus-circulant Weyl matrix in quantize, and
-Re p along the flow is the sum of the split's real parts. Each component
-of the field depends on the other coordinate only. When one part is real,
-its component vanishes, so the coordinate the other component depends on
-never moves and the flow is the straight line
-    Phi_t(x, xi) = (x + t d Im b / dxi (xi), xi - t d Im a / dx (x))
-at constant speed, evaluated in closed form (see _escape_integral). Along
-it a real part keeps its value if its coordinate stays fixed, so each time
-node evaluates only the real part whose coordinate moves, and an
-imaginary part is never evaluated. When both parts are real, H_{Im p}
-vanishes, and when neither is, Re p does; either way G and H_{Im p} G
-vanish identically, _escape_integral returns exact zeros, and
-build_escape's margin check raises: the closed form serves every additive
-symbol. build_escape rejects a symbol without a split.
+the counterpart of the diagonal-plus-circulant Weyl matrix in quantize.
+build_escape is the one reader of the split's units. When exactly one part
+is real, only its coordinate moves, at the imaginary part's slope: x at
+d Im b / dxi, or xi at -d Im a / dx. The slope depends on the other
+coordinate only, which stays fixed, so the flow is the straight line
+    Phi_t(x, xi) = (x + t d Im b / dxi (xi), xi)  or  (x, xi - t d Im a / dx (x))
+at constant speed, evaluated in closed form, and Re p along it is the real
+part at its moved coordinate: _escape_integral integrates that one part,
+and an imaginary part is never evaluated. When both parts are real,
+H_{Im p} vanishes, and when neither is, Re p does; either way G and
+H_{Im p} G are exact zeros and build_escape's margin check raises. A
+symbol without a split is rejected.
 
 A straight trajectory is fixed by its start and speed along the moving
 coordinate, so _escape_integral integrates each distinct (start, speed)
@@ -50,7 +48,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .symbols import (Box, GevreySymbol, ModelInstance, smooth_step,
+from .symbols import (AdditiveSplit, Box, ModelInstance, Part, smooth_step,
                       smooth_step_d1, taylor_extension)
 
 DEFAULT_DT = 1e-2
@@ -198,10 +196,6 @@ class EscapeField:
         return _cubic_spline(self.x_axis, self.xi_axis,
                              np.stack([self.G_values, *self._lattice_grad]))
 
-    def _outside_support(self, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        r = np.hypot(x - self.cutoff_center[0], xi - self.cutoff_center[1])
-        return r >= self.cutoff_radius
-
     def fields_at(self, x, xi) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(G, d_x G, d_xi G) at the points (x, xi), from one pass of the
         lattice splines; the gradient is the lattice's centered differences
@@ -214,8 +208,10 @@ class EscapeField:
         inside = (
             (x >= self.x_axis[0]) & (x <= self.x_axis[-1])
             & (xi >= self.xi_axis[0]) & (xi <= self.xi_axis[-1]))
-        if not np.all(inside | self._outside_support(x, xi)):
-            k = int(np.argmax(~(inside | self._outside_support(x, xi))))
+        r = np.hypot(x - self.cutoff_center[0], xi - self.cutoff_center[1])
+        covered = inside | (r >= self.cutoff_radius)
+        if not np.all(covered):
+            k = int(np.argmax(~covered))
             raise CoverageError(
                 "escape lattice does not cover requested point "
                 f"({x.ravel()[k]:.4f}, {xi.ravel()[k]:.4f}) inside the cutoff ball")
@@ -234,11 +230,17 @@ class DeformationCheck:
     worst_point: Tuple[float, float]
 
 
-def _hamiltonian_im(sym: GevreySymbol, x: np.ndarray, xi: np.ndarray):
-    """H_{Im p} = (d_xi Im p, -d_x Im p) at (x, xi), from the additive split."""
-    shape = np.broadcast(x, xi).shape
-    return (np.broadcast_to(sym.split.b.im_d1(xi), shape),
-            np.broadcast_to(-sym.split.a.im_d1(x), shape))
+def _moving_part(split: AdditiveSplit, x: np.ndarray, xi: np.ndarray):
+    """(axis, part, speed) of the flow of H_{Im p} from the points (x, xi),
+    or None when both parts of the split are real or neither is. With one
+    real part, only its coordinate moves: x (axis 0) at d Im b / dxi (xi),
+    or xi (axis 1) at -d Im a / dx (x)."""
+    a, b = split.a, split.b
+    if a.unit == b.unit:
+        return None
+    if a.unit == 1:
+        return 0, a, b.d1(xi)
+    return 1, b, -a.d1(x)
 
 
 def _chi_T(T: float, t: np.ndarray) -> np.ndarray:
@@ -252,21 +254,18 @@ def _chi_T_d1(T: float, t: np.ndarray) -> np.ndarray:
 
 
 def _chi_cut(center: Tuple[float, float], r_inner: float, r_outer: float,
-             x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    r = np.hypot(np.asarray(x) - center[0], np.asarray(xi) - center[1])
-    return 1.0 - smooth_step((r - r_inner) / (r_outer - r_inner))
-
-
-def _chi_cut_grad(center: Tuple[float, float], r_inner: float, r_outer: float,
-                  x: np.ndarray, xi: np.ndarray):
-    """(d_x, d_xi) of _chi_cut. The radial derivative vanishes for
-    r <= r_inner, so clipping r there keeps the quotient finite at the center."""
+             x: np.ndarray, xi: np.ndarray):
+    """(chi_cut, d_x chi_cut, d_xi chi_cut) from one radius: chi_cut is 1
+    within r_inner of center and 0 from r_outer. The radial derivative
+    vanishes for r <= r_inner, so clipping r there keeps the quotient finite
+    at the center."""
     dx = np.asarray(x) - center[0]
     dk = np.asarray(xi) - center[1]
     r = np.hypot(dx, dk)
     width = r_outer - r_inner
-    radial = -smooth_step_d1((r - r_inner) / width) / (width * np.maximum(r, r_inner))
-    return radial * dx, radial * dk
+    u = (r - r_inner) / width
+    radial = -smooth_step_d1(u) / (width * np.maximum(r, r_inner))
+    return 1.0 - smooth_step(u), radial * dx, radial * dk
 
 
 def _trapezoid_weights(f: np.ndarray, dt: float) -> np.ndarray:
@@ -291,35 +290,22 @@ def _distinct_trajectories(start: np.ndarray, speed: np.ndarray):
     return index[order], rank[inverse.ravel()]
 
 
-def _escape_integral(sym: GevreySymbol, x0: np.ndarray, xi0: np.ndarray,
-                     velocity: Tuple[np.ndarray, np.ndarray], T: float,
-                     dt: float):
-    """raw = -int chi_T Re p(Phi_t) dt + int chi_T Re p(Phi_-t) dt and its
-    flow derivative H_{Im p} raw = 2 Re p + int chi_T' (Re p(Phi_t) +
-    Re p(Phi_-t)) dt, both trapezoid in t over the same trajectories.
+def _escape_integral(part: Part, start: np.ndarray, speed: np.ndarray,
+                     T: float, dt: float):
+    """raw = -int chi_T f(Phi_t) dt + int chi_T f(Phi_-t) dt and its flow
+    derivative H_{Im p} raw = 2 f + int chi_T' (f(Phi_t) + f(Phi_-t)) dt,
+    both trapezoid in t over the same trajectories, for the real part
+    f = part.f, which is Re p along the flow.
 
-    velocity is H_{Im p} at (x0, xi0), constant along each trajectory, so
-    Phi_t is the exact point (x0 + t vx, xi0 + t vk) at every node t. Re p
-    is the sum of the split's real parts, and a real part's coordinate
-    moves only when the other part is imaginary. So with one real part,
-    each node evaluates that part at its moved coordinate alone. With two,
-    H_{Im p} = 0, and with none, Re p = 0: both fields are exact zeros,
-    not the rounding residue of 2 Re p + int chi_T' Re p dt.
-
-    With one real part a trajectory is fixed by its start and speed along
-    the moving coordinate, so each distinct (start, speed) pair, by bit
-    pattern, is integrated once and its fields are copied to its repeats.
+    start and speed are 1-D arrays: f's coordinate moves from start at
+    speed, so Phi_t is the exact point start + t speed at every node t. A
+    trajectory is fixed by its start and speed, so each distinct (start,
+    speed) pair, by bit pattern, is integrated once and its fields are
+    copied to its repeats.
     """
-    a, b = sym.split.a, sym.split.b
-    if a.unit == b.unit:
-        return np.zeros(x0.shape), np.zeros(x0.shape)
-    part, start, v = ((a, x0, velocity[0]) if a.unit == 1
-                      else (b, xi0, velocity[1]))
-    shape = np.shape(start)
-    start, v = np.ravel(start), np.ravel(v)
-    first, inverse = _distinct_trajectories(start, v)
-    start, v = start[first], v[first]
-    re0 = part.re(start)
+    first, inverse = _distinct_trajectories(start, speed)
+    start, speed = start[first], speed[first]
+    re0 = part.f(start)
     n_steps = int(round(2.0 * T / dt))
     t_nodes = dt * np.arange(n_steps + 1)
     w = _trapezoid_weights(_chi_T(T, t_nodes), dt)
@@ -332,14 +318,14 @@ def _escape_integral(sym: GevreySymbol, x0: np.ndarray, xi0: np.ndarray,
         acc = w[0] * re0
         acc_d1 = w_d1[0] * re0
         for k in range(1, n_steps + 1):
-            np.multiply(sign * t_nodes[k], v, out=point)
-            re = part.re(np.add(start, point, out=point))
+            np.multiply(sign * t_nodes[k], speed, out=point)
+            re = part.f(np.add(start, point, out=point))
             acc += np.multiply(w[k], re, out=term)
             if w_d1[k]:  # chi_T' vanishes on [0, T]
                 acc_d1 += np.multiply(w_d1[k], re, out=term)
         raw = raw - sign * acc
         h_raw += acc_d1
-    return raw[inverse].reshape(shape), h_raw[inverse].reshape(shape)
+    return raw[inverse], h_raw[inverse]
 
 
 def _deriv_1d(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:
@@ -359,15 +345,6 @@ def _lattice_gradient(values: np.ndarray, x_axis: np.ndarray,
     gx = _deriv_1d(values, float(x_axis[1] - x_axis[0]), axis=0)
     gxi = _deriv_1d(values, float(xi_axis[1] - xi_axis[0]), axis=1)
     return gx, gxi
-
-
-def _default_lattice(box: Box) -> Box:
-    """Square box covering the cutoff ball of radius 2x the hint diagonal,
-    so the sampled lattice plus compact support determine G everywhere."""
-    (xlo, xhi), (klo, khi) = box
-    cx, ck = 0.5 * (xlo + xhi), 0.5 * (klo + khi)
-    r = 2.0 * float(np.hypot(xhi - xlo, khi - klo)) * 1.01
-    return ((cx - r, cx + r), (ck - r, ck + r))
 
 
 def _axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -406,8 +383,15 @@ def build_escape(model: ModelInstance, lattice: Optional[Box] = None,
     hint = sym.zero_set_hint
     if hint is None:
         raise GeometryConfigError("model has no zero-set hint box")
+    (hxlo, hxhi), (hklo, hkhi) = hint
+    center = (0.5 * (hxlo + hxhi), 0.5 * (hklo + hkhi))
+    diag = float(np.hypot(hxhi - hxlo, hkhi - hklo))
+    r_outer = 2.0 * diag
     if lattice is None:
-        lattice = _default_lattice(hint)
+        # the square about the cutoff ball: the sampled lattice plus
+        # compact support determine G everywhere
+        half = r_outer * 1.01
+        lattice = tuple((c - half, c + half) for c in center)
     if not all(-np.inf < lo < hi < np.inf for lo, hi in lattice):
         raise GeometryConfigError(
             f"lattice axes must ascend between finite ends, got {lattice}")
@@ -415,24 +399,21 @@ def build_escape(model: ModelInstance, lattice: Optional[Box] = None,
                        for (lo, hi), n in zip(lattice, (n_x, n_xi)))
     X, K = np.meshgrid(x_axis, xi_axis, indexing="ij")
 
-    (hxlo, hxhi), (hklo, hkhi) = hint
-    center = (0.5 * (hxlo + hxhi), 0.5 * (hklo + hkhi))
-    diag = float(np.hypot(hxhi - hxlo, hkhi - hklo))
-    r_outer = 2.0 * diag
-
-    chi = _chi_cut(center, diag, r_outer, X, K)
-    chi_x, chi_xi = _chi_cut_grad(center, diag, r_outer, X, K)
-    fx, fk = _hamiltonian_im(sym, X, K)
+    chi, chi_x, chi_xi = _chi_cut(center, diag, r_outer, X, K)
     # G and H_{Im p} G vanish wherever chi_cut and its gradient do, so
     # trajectories start from the cutoff's support only
     support = (chi != 0.0) | (chi_x != 0.0) | (chi_xi != 0.0)
     raw = np.zeros(X.shape)
     h_raw = np.zeros(X.shape)
-    raw[support], h_raw[support] = _escape_integral(
-        sym, X[support], K[support], (fx[support], fk[support]), ESCAPE_T,
-        dt)
+    flux = 0.0  # H_{Im p} chi_cut
+    moving = _moving_part(sym.split, X, K)
+    if moving is not None:
+        axis, part, speed = moving
+        raw[support], h_raw[support] = _escape_integral(
+            part, (X, K)[axis][support], speed[support], ESCAPE_T, dt)
+        flux = speed * (chi_x, chi_xi)[axis]
     G = chi * raw
-    HG = chi * h_raw + raw * (fx * chi_x + fk * chi_xi)
+    HG = chi * h_raw + raw * flux
 
     vals = np.asarray(sym.value(X, K))
     zero_mask = np.abs(vals - model.z0) <= ZERO_TOL

@@ -232,10 +232,7 @@ def sigma_min(P: WeylMatrix, z: complex) -> float:
     ap, _ = _schur_factor(P)
     d = _diagonal_index(P.n)
     diag = ap[d]
-    shifted = diag - z
-    if not np.all(shifted):
-        return 0.0  # z is an eigenvalue to the last bit
-    ap[d] = shifted
+    ap[d] = diag - z
     try:
         return _lanczos_sigma_min(ap, P.n, z, roundoff_floor(P))
     finally:
@@ -244,8 +241,10 @@ def sigma_min(P: WeylMatrix, z: complex) -> float:
 
 def _lanczos_sigma_min(R: np.ndarray, n: int, z: complex,
                        floor: float) -> float:
-    """sigma_min of the nonsingular upper-triangular R = T - z of order n,
-    packed as _schur_factor packs T, as sigma_min describes."""
+    """sigma_min of the upper-triangular R = T - z of order n, packed as
+    _schur_factor packs T, as sigma_min describes; 0.0 when R is singular
+    to working precision, a zero on its diagonal (z an eigenvalue to the
+    last bit) included."""
     steps = min(LANCZOS_MAX_STEPS, n)
     V = np.empty((steps, n), dtype=complex)
     rng = np.random.default_rng(0)  # a fixed start vector
@@ -255,7 +254,7 @@ def _lanczos_sigma_min(R: np.ndarray, n: int, z: complex,
     for k in range(steps):
         w = ztpsv(n, R, ztpsv(n, R, V[k], trans=2), overwrite_x=1)
         if not np.all(np.isfinite(w)):
-            return 0.0  # R^-1 overflows: singular to working precision
+            return 0.0  # a zero pivot, or R^-1 overflows
         alpha[k] = np.vdot(V[k], w).real
         basis = V[:k + 1]
         for _ in range(2):  # full reorthogonalization; twice is enough

@@ -35,7 +35,9 @@ class Part:
     """One additive part unit * f(t) of a symbol, t being x or xi.
 
     f is real, d1 = f' and d2 = f'' are its closed-form derivatives, and
-    unit is 1 or 1j.
+    unit is 1 or 1j: the part is real or imaginary. geometry.build_escape
+    reads the two units of a split to decide which coordinate the flow of
+    H_{Im p} moves.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -49,16 +51,6 @@ class Part:
 
     def __call__(self, t):
         return self.unit * self.f(t)
-
-    def re(self, t):
-        """The real part: f when the unit is 1, else zeros, without
-        evaluating f."""
-        return self.f(t) if self.unit == 1 else _vanishing(t)
-
-    def im_d1(self, t):
-        """d/dt of the imaginary part: f' when the unit is i, else zeros,
-        without evaluating f'."""
-        return self.d1(t) if self.unit == 1j else _vanishing(t)
 
 
 @dataclass(frozen=True)

@@ -73,3 +73,33 @@ def test_regressions_apply_each_bound_in_its_direction():
     assert (wall["parent_median"], wall["change_median"]) == (1.0, 1.3)
     assert found[1]["worse_rel"] == pytest.approx(0.3)
     assert found[2]["worse_rel"] == pytest.approx(0.06)
+
+
+def test_unresolved_where_spread_exceeds_bound():
+    # wall_s (bound 25%): a parent IQR of 40% of its median is unresolved
+    # however close the medians, unless every change run is faster than
+    # every parent run; a spread on the change side alone counts too, and
+    # a 10% spread on each side is resolved
+    bench_pairs = load_script()
+    end_to_end = [m for m in json.loads((ROOT / "BENCHMARK.json").read_text(
+        encoding="utf-8"))["end_to_end"] if m["name"] == "wall_s"]
+    spec = {"name": "wall_s", "unit": "s", "better": "lower"}
+
+    def entry(parent, change):
+        def as_runs(values):
+            return [{"metrics": {"wall_s": {"value": v}}} for v in values]
+        return {"wall_s": bench_pairs.summarize(spec, as_runs(parent),
+                                                as_runs(change))}
+
+    wide = [0.6, 0.8, 1.0, 1.2, 1.4]
+    narrow = [0.9, 0.95, 1.0, 1.05, 1.1]
+    workloads = {"wide-parent": entry(wide, wide),
+                 "wide-change": entry(narrow, wide),
+                 "narrow": entry(narrow, narrow),
+                 "dominated": entry(wide, [v / 3.0 for v in wide])}
+    found = bench_pairs.unresolved(end_to_end, workloads)
+    assert [r["workload"] for r in found] == ["wide-parent", "wide-change"]
+    assert found[0]["spread_rel"] == pytest.approx(0.4)
+    assert found[0]["bound"] == 0.25
+    assert (found[1]["parent_median"], found[1]["change_median"]) == (1.0, 1.0)
+    assert bench_pairs.regressions(end_to_end, workloads) == []

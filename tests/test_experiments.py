@@ -684,6 +684,14 @@ class TestCli:
         assert summary["fits"]["resolvent"]["r_squared"] is None
         assert summary["fits"]["resolvent"]["max_resolvent"] == 2.0
 
+    def test_summary_value_json_cannot_hold_raises(self, tmp_path):
+        # a numpy bool is not a JSON value: it raises, and is neither
+        # written as a str nor left in a partial file
+        cfg = SweepConfig("davies", (0.1,), output_dir=str(tmp_path))
+        with pytest.raises(TypeError, match="bool"):
+            experiments.emit_outputs(cfg, [], {"radius": {"pass": np.True_}})
+        assert not (tmp_path / "summary.json").exists()
+
     @pytest.mark.parametrize("radius_exponent, resnorms", [
         (1.0, None),  # fitted exponent 1, outside 0.5 +/- 0.15
         (0.5, [2.0 ** 30 * k for k in (1, 0.5, 1, 0.5, 1)]),  # check fails
@@ -790,6 +798,19 @@ class TestCli:
                                            model="trapped-toy")
         assert code == cli.EXIT_NUMERICAL
         assert (text, n_built) == ("", 0)
+
+    @pytest.mark.parametrize("line", ["L = 2", "n_points = 64"])
+    def test_toeplitz_rejects_grid_keys(self, tmp_path, capsys, line):
+        # the probe sets its own grid, so a grid key would be carried
+        # without being read
+        cfg = tmp_path / "toeplitz.cfg"
+        cfg.write_text(f"model = gevrey-transport:s=2\nh_list = 0.2, 0.1\n"
+                       f"{line}\noutput_dir = {tmp_path}\n", encoding="utf-8")
+        assert cli.main(["toeplitz", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        key = line.split()[0]
+        assert f"config error: {cfg}:3: unknown config key {key!r}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "toeplitz.csv").exists()
 
     def test_missing_config_is_config_error(self, tmp_path):
         code = cli.main(["scaling", "--config", str(tmp_path / "absent.cfg")])

@@ -14,7 +14,7 @@ from gevspec.geometry import (CoverageError, EscapeConstructionError,
                               GeometryConfigError, build_escape,
                               check_deformed_ellipticity, escape_csv_lines)
 from gevspec.symbols import (ANALYTIC, I_SQUARE, I_TANH, SQUARE,
-                             ModelInstance, Part, additive_symbol,
+                             ModelInstance, additive_symbol,
                              make_analytic_transport, make_davies,
                              make_gevrey_transport, make_trapped_toy)
 
@@ -53,22 +53,37 @@ def _pairing_error(esc, model):
     independent discretizations of the same field H_{Im p} G."""
     gx, gxi = geometry._lattice_gradient(esc.G_values, esc.x_axis, esc.xi_axis)
     X, K = np.meshgrid(esc.x_axis, esc.xi_axis, indexing="ij")
-    fx, fk = geometry._hamiltonian_im(model.symbol, X, K)
+    fx, fk = _grad_field(model.symbol, X, K)
     return np.abs(fx * gx + fk * gxi - esc.HG_values)
 
 
-def _record_re(mp):
-    """Patch Part.re through mp to record (part, argument) for every call;
-    returns the record."""
+def _recording(part, calls):
+    """part with an f that appends (part, argument) to calls at every call."""
+    def f(t):
+        calls.append((part, np.array(t, dtype=float)))
+        return part.f(t)
+
+    return dataclasses.replace(part, f=f)
+
+
+def _recorded(model):
+    """(model with both parts of its split recording their f, the record).
+    value and grad keep the original parts, so the record holds the calls
+    of the split's readers only."""
     calls = []
-    real_re = Part.re
+    split = model.symbol.split
+    split = dataclasses.replace(split, a=_recording(split.a, calls),
+                                b=_recording(split.b, calls))
+    sym = dataclasses.replace(model.symbol, split=split)
+    return dataclasses.replace(model, symbol=sym), calls
 
-    def recording(self, t):
-        calls.append((self, np.array(t, dtype=float)))
-        return real_re(self, t)
 
-    mp.setattr(Part, "re", recording)
-    return calls
+def _cutoff(esc):
+    """(chi_cut, d_x chi_cut, d_xi chi_cut) on the lattice of esc, with the
+    lattice."""
+    X, K = np.meshgrid(esc.x_axis, esc.xi_axis, indexing="ij")
+    return geometry._chi_cut(esc.cutoff_center, esc.cutoff_radius / 2.0,
+                             esc.cutoff_radius, X, K), (X, K)
 
 
 def _distinct(start, speed):
@@ -87,25 +102,21 @@ def _sampled_points(sym, x0, xi0, T, dt=geometry.DEFAULT_DT):
     start, stacked: the forward nodes t = dt, ..., 2T, then the backward
     nodes t = -dt, ..., -2T; shape (2, n_steps, 2, len(x0)). Only the real
     part whose coordinate moves is evaluated, so that coordinate is read
-    from the calls of its re, and the other one, which the flow keeps
+    from the calls of its f, and the other one, which the flow keeps
     fixed, is its start. Each call sees the distinct (start, speed) pairs
     only; the inverse maps its points back to every start."""
-    x0 = np.asarray(x0, dtype=float)
-    xi0 = np.asarray(xi0, dtype=float)
-    moving = 1 if sym.split.a.unit == 1j else 0  # a moves x, b moves xi
-    part = (sym.split.a, sym.split.b)[moving]
-    velocity = geometry._hamiltonian_im(sym, x0, xi0)
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _record_re(mp)
-        geometry._escape_integral(sym, x0, xi0, velocity, T, dt)
-    assert all(seen is part for seen, _ in calls)
-    start = (x0, xi0)
-    first, inverse = _distinct(start[moving], velocity[moving])
-    assert np.array_equal(calls[0][1], start[moving][first])
-    points = np.empty((len(calls) - 1, 2, len(x0)))
-    points[:, moving] = [t[inverse] for _, t in calls[1:]]
-    points[:, 1 - moving] = start[1 - moving]
-    return points.reshape(2, -1, 2, len(x0))
+    start = (np.asarray(x0, dtype=float), np.asarray(xi0, dtype=float))
+    axis, part, speed = geometry._moving_part(sym.split, *start)
+    calls = []
+    geometry._escape_integral(_recording(part, calls), start[axis], speed,
+                              T, dt)
+    first, inverse = _distinct(start[axis], speed)
+    assert np.array_equal(calls[0][1], start[axis][first])
+    n = len(start[0])
+    points = np.empty((len(calls) - 1, 2, n))
+    points[:, axis] = [t[inverse] for _, t in calls[1:]]
+    points[:, 1 - axis] = start[1 - axis]
+    return points.reshape(2, -1, 2, n)
 
 
 def _value_integral(sym, x0, xi0, velocity, T, dt):
@@ -161,43 +172,49 @@ class TestFlow:
 
     @pytest.mark.parametrize("model", CATALOG, ids=lambda m: m.tag)
     def test_split_field_equals_grad_field(self, model):
-        # the lattice holds signed zeros, negative values and tanh's
-        # saturated tail
+        # the speed of the moving coordinate is its component of the field
+        # read from sym.grad, and the other component is zero. The lattice
+        # holds signed zeros, negative values and tanh's saturated tail
         x = np.concatenate([np.linspace(-6.0, 6.0, 97), [-0.0, 0.0]])
         X, K = np.meshgrid(x, x, indexing="ij")
-        assert model.symbol.split is not None
-        for got, ref in zip(geometry._hamiltonian_im(model.symbol, X, K),
-                            _grad_field(model.symbol, X, K)):
-            assert got.shape == X.shape
-            assert np.array_equal(got, ref)
+        split = model.symbol.split
+        axis, part, speed = geometry._moving_part(split, X, K)
+        assert part is (split.a, split.b)[axis] and part.unit == 1
+        field = _grad_field(model.symbol, X, K)
+        assert speed.shape == X.shape
+        assert np.array_equal(speed, field[axis])
+        assert np.array_equal(field[1 - axis], np.zeros(X.shape))
 
     @pytest.mark.parametrize("model", CATALOG, ids=lambda m: m.tag)
     @pytest.mark.parametrize("t", [-8.0, -0.01, 0.37, 8.0])
     def test_field_constant_along_line(self, model, t):
-        # what makes the closed-form line exact: the field at
-        # (x + t vx, xi + t vk) is the field at (x, xi), bit for bit up to
-        # the sign of a zero (x = -0.0 moved by t * 0.0 is +0.0)
+        # what makes the closed-form line exact: the speed depends on the
+        # coordinate that stays fixed, so at the moved point it is the
+        # speed at the start, bit for bit
         x = np.concatenate([np.linspace(-6.0, 6.0, 97), [-0.0, 0.0]])
-        X, K = np.meshgrid(x, x, indexing="ij")
-        vx, vk = geometry._hamiltonian_im(model.symbol, X, K)
-        for got, ref in zip(geometry._hamiltonian_im(model.symbol, X + t * vx,
-                                                     K + t * vk), (vx, vk)):
-            assert np.array_equal(got, ref)
+        points = list(np.meshgrid(x, x, indexing="ij"))
+        axis, _, speed = geometry._moving_part(model.symbol.split, *points)
+        points[axis] = points[axis] + t * speed
+        assert np.array_equal(
+            geometry._moving_part(model.symbol.split, *points)[2], speed)
 
     @pytest.mark.parametrize("model", CATALOG, ids=lambda m: m.tag)
     @pytest.mark.parametrize("dt", [0.01, -0.01])
     def test_closed_form_line_matches_references(self, model, dt):
         # every node of both time directions over the default T = 4, from
         # seeded starts across the model's default lattice and signed zeros
-        (xlo, xhi), (klo, khi) = geometry._default_lattice(
-            model.symbol.zero_set_hint)
+        (xlo, xhi), (klo, khi) = model.symbol.zero_set_hint
+        cx, ck = 0.5 * (xlo + xhi), 0.5 * (klo + khi)
+        half = 2.0 * float(np.hypot(xhi - xlo, khi - klo)) * 1.01
         rng = np.random.default_rng(7)
-        x0 = np.concatenate([rng.uniform(xlo, xhi, 40), [-0.0, 0.0, 0.0]])
-        xi0 = np.concatenate([rng.uniform(klo, khi, 40), [0.0, -0.0, 0.0]])
+        x0 = np.concatenate([rng.uniform(cx - half, cx + half, 40),
+                             [-0.0, 0.0, 0.0]])
+        xi0 = np.concatenate([rng.uniform(ck - half, ck + half, 40),
+                              [0.0, -0.0, 0.0]])
         got = _sampled_points(model.symbol, x0, xi0, 4.0)[int(dt < 0)]
         n_steps = len(got)
         assert n_steps == 800
-        v = np.array(geometry._hamiltonian_im(model.symbol, x0, xi0))
+        v = np.array(_grad_field(model.symbol, x0, xi0))
         start = np.array([x0, xi0])
         k = np.arange(1, n_steps + 1)[:, None, None]
         t = k * np.longdouble(dt)
@@ -209,34 +226,22 @@ class TestFlow:
         ref = np.array(list(_rk4_flow(model.symbol, x0, xi0, n_steps, dt)))
         assert np.all(np.abs(ref - got) <= (k + 4) * eps * scale)
 
-    @pytest.mark.parametrize("parts", [(SQUARE, I_TANH), (I_SQUARE, SQUARE),
-                                       (I_SQUARE, I_TANH)],
-                             ids=["real+i", "i+real", "i+i"])
+    @pytest.mark.parametrize("parts", [(SQUARE, I_TANH), (I_SQUARE, SQUARE)],
+                             ids=["real+i", "i+real"])
     def test_integral_matches_value_reference(self, parts):
-        # each pair of units but two real parts, whose exact zeros the
-        # reference's quadrature only reaches up to rounding
+        # each direction of the moving coordinate; with two real parts or
+        # none nothing is integrated (test_two_real_parts_raise,
+        # test_two_imaginary_parts_raise)
         sym = additive_symbol(*parts, order_s=ANALYTIC, zero_set_hint=None,
                               name="parts")
         rng = np.random.default_rng(3)
-        x0, xi0 = rng.uniform(-2.0, 2.0, (2, 40))
-        velocity = geometry._hamiltonian_im(sym, x0, xi0)
-        got = geometry._escape_integral(sym, x0, xi0, velocity, 1.0, 0.01)
-        ref = _value_integral(sym, x0, xi0, velocity, 1.0, 0.01)
+        start = rng.uniform(-2.0, 2.0, (2, 40))
+        axis, part, speed = geometry._moving_part(sym.split, *start)
+        got = geometry._escape_integral(part, start[axis], speed, 1.0, 0.01)
+        ref = _value_integral(sym, *start, _grad_field(sym, *start), 1.0,
+                              0.01)
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
-
-    def test_two_real_parts_give_exact_zeros(self):
-        # H_{Im p} = 0: nothing moves, and G and H_{Im p} G vanish; the
-        # quadrature of 2 Re p + int chi_T' Re p dt would leave residue
-        sym = additive_symbol(SQUARE, SQUARE, order_s=ANALYTIC,
-                              zero_set_hint=None, name="x^2 + xi^2")
-        rng = np.random.default_rng(3)
-        x0, xi0 = rng.uniform(-2.0, 2.0, (2, 40))
-        velocity = geometry._hamiltonian_im(sym, x0, xi0)
-        for field in geometry._escape_integral(sym, x0, xi0, velocity, 1.0,
-                                               0.01):
-            assert np.array_equal(field, np.zeros(40))
-            assert not np.signbit(field).any()
 
     def test_split_flow_never_calls_grad(self, gevrey2):
         traced = dataclasses.replace(gevrey2.symbol, grad=_raising)
@@ -407,15 +412,20 @@ class TestBuildEscape:
                                        make_gevrey_transport(3.0),
                                        make_analytic_transport()],
                              ids=lambda m: m.tag)
-    def test_split_build_equals_grad_build(self, model, monkeypatch):
-        kw = dict(lattice=((-2.0, 2.0), (-1.0, 1.0)), n_x=33, n_xi=17)
-        esc = build_escape(model, **kw)
-        monkeypatch.setattr(geometry, "_hamiltonian_im", _grad_field)
-        monkeypatch.setattr(geometry, "_escape_integral", _value_integral)
-        ref = build_escape(model, **kw)
-        assert np.array_equal(esc.G_values, ref.G_values)
-        assert np.array_equal(esc.HG_values, ref.HG_values)
-        assert esc.margin_c == ref.margin_c
+    def test_split_build_equals_grad_build(self, model):
+        # the reference reads the field from sym.grad and Re p from
+        # sym.value at both coordinates of every node of every lattice point
+        esc = build_escape(model, lattice=((-2.0, 2.0), (-1.0, 1.0)),
+                           n_x=33, n_xi=17)
+        (chi, chi_x, chi_xi), (X, K) = _cutoff(esc)
+        fx, fk = _grad_field(model.symbol, X, K)
+        raw, h_raw = _value_integral(model.symbol, X, K, (fx, fk), esc.T,
+                                     geometry.DEFAULT_DT)
+        HG = chi * h_raw + raw * (fx * chi_x + fk * chi_xi)
+        assert np.array_equal(esc.G_values, chi * raw)
+        assert np.array_equal(esc.HG_values, HG)
+        zero = np.abs(model.symbol.value(X, K) - model.z0) <= geometry.ZERO_TOL
+        assert esc.margin_c == -HG[zero].max()
 
     @pytest.mark.parametrize("box", [
         dict(n_x=33, n_xi=33),
@@ -428,21 +438,17 @@ class TestBuildEscape:
                              ids=lambda m: m.tag)
     def test_integrals_run_on_cutoff_support_only(self, model, box):
         sym = model.symbol
-        with pytest.MonkeyPatch.context() as mp:
-            calls = _record_re(mp)
-            esc = build_escape(model, **box)
+        recorded, calls = _recorded(model)
+        esc = build_escape(recorded, **box)
         # the full-lattice reference
-        X, K = np.meshgrid(esc.x_axis, esc.xi_axis, indexing="ij")
-        cut = (esc.cutoff_center, esc.cutoff_radius / 2.0, esc.cutoff_radius,
-               X, K)
-        chi = geometry._chi_cut(*cut)
-        chi_x, chi_xi = geometry._chi_cut_grad(*cut)
-        fx, fk = geometry._hamiltonian_im(sym, X, K)
-        raw, h_raw = geometry._escape_integral(sym, X, K, (fx, fk), esc.T,
-                                               geometry.DEFAULT_DT)
+        (chi, chi_x, chi_xi), (X, K) = _cutoff(esc)
+        axis, part, fx = geometry._moving_part(sym.split, X, K)
+        assert (axis, part) == (0, sym.split.a)
+        raw, h_raw = (v.reshape(X.shape) for v in geometry._escape_integral(
+            part, X.ravel(), fx.ravel(), esc.T, geometry.DEFAULT_DT))
         assert np.array_equal(esc.G_values, chi * raw)
         assert np.array_equal(esc.HG_values,
-                              chi * h_raw + raw * (fx * chi_x + fk * chi_xi))
+                              chi * h_raw + raw * (fx * chi_x))
         support = (chi != 0.0) | (chi_x != 0.0) | (chi_xi != 0.0)
         assert support.any() and not support.all()
         for field in (esc.G_values, esc.HG_values):
@@ -453,10 +459,26 @@ class TestBuildEscape:
         # the support, and once per node
         n_steps = int(round(2.0 * esc.T / geometry.DEFAULT_DT))
         assert len(calls) == 1 + 2 * n_steps
-        assert all(part is sym.split.a for part, _ in calls)
+        assert all(seen is sym.split.a for seen, _ in calls)
         first, _ = _distinct(X[support], fx[support])
         assert np.array_equal(calls[0][1], X[support][first])
         assert all(t.shape == first.shape for _, t in calls)
+
+    @pytest.mark.parametrize("fixture", ["escape_gevrey2", "escape_analytic"])
+    def test_default_lattice_squares_the_cutoff_ball(self, fixture, request):
+        # the cutoff ball has radius twice the hint's diagonal, about the
+        # hint's centre, and the default lattice is the square of half
+        # width 1.01 x that radius about the same centre
+        esc = request.getfixturevalue(fixture)
+        model = {"escape_gevrey2": "gevrey2",
+                 "escape_analytic": "analytic_model"}[fixture]
+        (xlo, xhi), (klo, khi) = request.getfixturevalue(
+            model).symbol.zero_set_hint
+        assert esc.cutoff_center == (0.5 * (xlo + xhi), 0.5 * (klo + khi))
+        assert esc.cutoff_radius == 2.0 * np.hypot(xhi - xlo, khi - klo)
+        half = esc.cutoff_radius * 1.01
+        for axis, c in zip((esc.x_axis, esc.xi_axis), esc.cutoff_center):
+            assert np.array_equal(axis, geometry._axis(c - half, c + half, 129))
 
     @pytest.mark.parametrize("fixture", ["escape_gevrey2", "escape_analytic"])
     def test_default_lattice_even_in_xi(self, fixture, request):
@@ -473,32 +495,23 @@ class TestBuildEscape:
     def test_default_lattice_integrates_distinct_trajectories(self, model):
         # 12 605 support points, of which the rows xi and -xi repeat a
         # trajectory: each node evaluates a(x) at 6 366 points
-        with pytest.MonkeyPatch.context() as mp:
-            calls = _record_re(mp)
-            esc = build_escape(model)
-        X, K = np.meshgrid(esc.x_axis, esc.xi_axis, indexing="ij")
-        cut = (esc.cutoff_center, esc.cutoff_radius / 2.0, esc.cutoff_radius,
-               X, K)
-        chi_x, chi_xi = geometry._chi_cut_grad(*cut)
-        support = ((geometry._chi_cut(*cut) != 0.0) | (chi_x != 0.0)
-                   | (chi_xi != 0.0))
+        recorded, calls = _recorded(model)
+        esc = build_escape(recorded)
+        support = np.any([c != 0.0 for c in _cutoff(esc)[0]], axis=0)
         assert support.sum() == 12605
         assert {t.shape for _, t in calls} == {(6366,)}
 
     def test_signed_zero_starts_stay_distinct(self, gevrey2):
         # -0.0 and +0.0 differ in their bits, so they are two trajectories;
         # a pair without a repeat keeps its place
-        sym = gevrey2.symbol
         x0 = np.array([-0.0, 0.0, 0.0, -0.0])
-        xi0 = np.zeros(4)
-        first, inverse = _distinct(x0, np.ones(4))
+        speed = np.ones(4)  # sech^2(0), the speed at xi = 0
+        first, inverse = _distinct(x0, speed)
         assert np.array_equal(first, [0, 1])
         assert np.array_equal(inverse, [0, 1, 1, 0])
-        with pytest.MonkeyPatch.context() as mp:
-            calls = _record_re(mp)
-            geometry._escape_integral(sym, x0, xi0,
-                                      geometry._hamiltonian_im(sym, x0, xi0),
-                                      1.0, 0.01)
+        calls = []
+        geometry._escape_integral(_recording(gevrey2.symbol.split.a, calls),
+                                  x0, speed, 1.0, 0.01)
         assert np.array_equal(np.signbit(calls[0][1]), [True, False])
 
     @pytest.mark.parametrize("kwargs, match", [
@@ -541,11 +554,12 @@ class TestBuildEscape:
 
     def test_two_imaginary_parts_raise(self):
         # Re p vanishes identically, so G and H_{Im p} G vanish on the zero
-        # set whatever the flow
+        # set whatever the flow: the margin is exactly 0
         sym = additive_symbol(I_SQUARE, I_TANH, order_s=ANALYTIC,
                               zero_set_hint=((-0.5, 0.5), (-0.4, 0.4)),
                               name="i x^2 + i tanh(xi)")
-        with pytest.raises(EscapeConstructionError):
+        with pytest.raises(EscapeConstructionError,
+                           match=r"H_\(Im p\) G = 0\.000e\+00 >= 0"):
             build_escape(ModelInstance(sym, 0j), n_x=33, n_xi=33)
 
     @pytest.mark.parametrize("z0", [0.25, 0.5])
@@ -559,6 +573,27 @@ class TestBuildEscape:
                            match=r"H_\(Im p\) G = 0\.000e\+00 >= 0"):
             build_escape(ModelInstance(sym, z0),
                          lattice=((-1.0, 1.0), (-1.0, 1.0)), n_x=33, n_xi=33)
+
+    def test_moving_part_decided_in_both_directions(self):
+        # p = i tanh(x) + xi^2 moves xi and p' = x^2 + i tanh(xi) moves x.
+        # p'(x, xi) = p(xi, x), and the swap of the axes reverses the flow,
+        # so G changes sign and H_{Im p} G does not. raw is the difference
+        # of the two time directions and keeps its bits; h_raw adds them in
+        # the other order, so H_{Im p} G agrees to rounding
+        p = additive_symbol(I_TANH, SQUARE, order_s=ANALYTIC,
+                            zero_set_hint=((-0.5, 0.5), (-0.4, 0.4)),
+                            name="i tanh(x) + xi^2")
+        q = additive_symbol(SQUARE, I_TANH, order_s=ANALYTIC,
+                            zero_set_hint=((-0.4, 0.4), (-0.5, 0.5)),
+                            name="x^2 + i tanh(xi)")
+        esc_p, esc_q = (build_escape(ModelInstance(sym, 0j)) for sym in (p, q))
+        assert np.array_equal(esc_p.x_axis, esc_q.xi_axis)
+        assert np.array_equal(esc_p.xi_axis, esc_q.x_axis)
+        assert np.array_equal(esc_p.G_values, -esc_q.G_values.T)
+        scale = np.abs(esc_q.HG_values).max()
+        assert np.abs(esc_p.HG_values - esc_q.HG_values.T).max() \
+            <= 4 * np.finfo(float).eps * scale
+        assert esc_p.margin_c == esc_q.margin_c == 72.86139872547457
 
     def test_trapped_model_raises_with_point(self, trapped_model):
         with pytest.raises(EscapeConstructionError) as exc_info:
@@ -582,9 +617,7 @@ class TestBuildEscape:
         # the pairing is compared on the annulus only
         esc = build_escape(gevrey2, lattice=((-1.0, 6.0), (-0.5, 0.5)),
                            n_x=281, n_xi=21)
-        X, K = np.meshgrid(esc.x_axis, esc.xi_axis, indexing="ij")
-        chi = geometry._chi_cut(esc.cutoff_center, esc.cutoff_radius / 2.0,
-                                esc.cutoff_radius, X, K)
+        chi = _cutoff(esc)[0][0]
         annulus = ((chi > 0.0) & (chi < 1.0))[2:-2, 2:-2]
         assert annulus.any()
         err = _pairing_error(esc, gevrey2)[2:-2, 2:-2][annulus].max()

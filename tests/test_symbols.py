@@ -205,10 +205,6 @@ class TestDerivativeConsistency:
             assert np.abs(part.d2(t) - fd).max() < 1e-4
 
 
-def _raising(t):
-    raise AssertionError("a real part must not evaluate its derivative")
-
-
 class TestAdditiveSplit:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.tag)
     def test_parts_sum_to_value(self, model):
@@ -223,12 +219,6 @@ class TestAdditiveSplit:
         transports = [make_analytic_transport()] + [
             make_gevrey_transport(s) for s in (1.5, 2.0, 3.0)]
         assert all(m.symbol.split.b is symbols.I_TANH for m in transports)
-
-    def test_im_d1_of_real_part_is_zero_without_evaluating_d1(self):
-        part = symbols.Part(np.cos, _raising, _raising)
-        t = np.linspace(-2.0, 2.0, 9)
-        assert np.array_equal(part.im_d1(t), np.zeros(9))
-        assert np.array_equal(symbols.I_TANH.im_d1(t), 1.0 / np.cosh(t) ** 2)
 
     def test_unit_is_one_or_i(self):
         with pytest.raises(ValueError, match="unit"):
