@@ -26,6 +26,11 @@ by which a change is rejected. unresolved lists where the runs spread too
 widely to tell: the interquartile range of either side, relative to the
 parent's median, is wider than the bound, and not every change run beats
 every parent run. The script prints each entry of both lists.
+
+A run that exits non-zero or prints no result is recorded as
+{pair, side, exit_code} in its workload's failed_runs and printed, and its
+pair is left out of every statistic; measuring goes on, the file is
+written, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -56,18 +61,26 @@ def export_parent(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+class RunFailed(Exception):
+    """A bench/run.py run that exited non-zero or printed no result."""
+
+    def __init__(self, exit_code: int):
+        super().__init__(f"exit {exit_code}")
+        self.exit_code = exit_code
+
+
 def bench_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One bench/run.py run: its final metrics line plus the recorded env."""
+    """One bench/run.py run: its final metrics line plus the recorded env;
+    RunFailed if it exits non-zero or prints no record."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=checkout, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{workload} in {checkout}: benchmark failed "
-                         f"(exit {proc.returncode})")
-    record = next(line.split(" ", 1)[1] for line in lines
-                  if line.startswith("record "))
+    record = next((line.split(" ", 1)[1] for line in lines
+                   if line.startswith("record ")), None)
+    if proc.returncode != 0 or record is None:
+        raise RunFailed(proc.returncode)
     out = json.loads(lines[-1])
     out["env"] = json.loads(Path(record).read_text(encoding="utf-8"))["env"]
     return out
@@ -93,6 +106,11 @@ def summarize(metric: dict, parent: list, change: list) -> dict:
 
 def claim_result(spec: str, workloads: dict) -> dict:
     workload, metric, target = spec.split(":")
+    out = {"metric": f"{workload} {metric}",
+           "target": f"better by more than {float(target):.0%}",
+           "measured": "no complete pair", "met": False}
+    if metric not in workloads[workload]:
+        return out
     m = workloads[workload][metric]
     sign = 1.0 if m["better"] == "higher" else -1.0
     gain = sign * m["median_change_rel"]
@@ -100,13 +118,12 @@ def claim_result(spec: str, workloads: dict) -> dict:
     margin = sign * (m["change"]["median"] - m["parent"]["median"])
     met = (gain > float(target) and m["change_wins"] >= 0.9 * pairs
            and margin > m["parent_iqr"])
-    return {"metric": f"{workload} {metric}",
-            "target": f"better by more than {float(target):.0%}",
-            "measured": (f"{gain:+.2%} better ({m['parent']['median']:.6g} -> "
-                         f"{m['change']['median']:.6g} {m['unit']}), better in "
-                         f"{m['change_wins']} of {pairs} pairs, parent IQR "
-                         f"{m['parent_iqr']:.3g}"),
-            "met": bool(met)}
+    out["measured"] = (f"{gain:+.2%} better ({m['parent']['median']:.6g} -> "
+                       f"{m['change']['median']:.6g} {m['unit']}), better in "
+                       f"{m['change_wins']} of {pairs} pairs, parent IQR "
+                       f"{m['parent_iqr']:.3g}")
+    out["met"] = bool(met)
+    return out
 
 
 def regressions(end_to_end: list, workloads: dict) -> list:
@@ -115,6 +132,8 @@ def regressions(end_to_end: list, workloads: dict) -> list:
     found = []
     for name, entry in workloads.items():
         for metric in end_to_end:
+            if metric["name"] not in entry:
+                continue  # no complete pair
             m = entry[metric["name"]]
             sign = 1.0 if m["better"] == "higher" else -1.0
             worse = -sign * m["median_change_rel"]
@@ -134,6 +153,8 @@ def unresolved(end_to_end: list, workloads: dict) -> list:
     found = []
     for name, entry in workloads.items():
         for metric in end_to_end:
+            if metric["name"] not in entry:
+                continue  # no complete pair
             m = entry[metric["name"]]
             p, c = m["parent"], m["change"]
             spread = (max(p["q3"] - p["q1"], c["q3"] - c["q1"])
@@ -173,21 +194,36 @@ def main(argv=None) -> int:
         export_parent(args.parent, parent_dir)
         for name, pairs in plan.items():
             runs = {"parent": [], "change": []}
+            failed_runs = []
             for i in range(1, pairs + 1):
                 order = ("parent", "change") if i % 2 else ("change", "parent")
+                pair = {}
                 for who in order:
                     checkout = parent_dir if who == "parent" else ROOT
-                    runs[who].append(bench_once(checkout, name, args.seed))
+                    try:
+                        pair[who] = bench_once(checkout, name, args.seed)
+                    except RunFailed as exc:
+                        failed_runs.append({"pair": i, "side": who,
+                                            "exit_code": exc.exit_code})
+                        print(f"{name} pair {i}/{pairs} {who}: failed "
+                              f"(exit {exc.exit_code})", flush=True)
+                        continue
                     print(f"{name} pair {i}/{pairs} {who}: "
-                          f"{json.dumps(runs[who][-1]['metrics'])}", flush=True)
+                          f"{json.dumps(pair[who]['metrics'])}", flush=True)
+                if len(pair) == 2:
+                    for who, result in pair.items():
+                        runs[who].append(result)
+            entry = {"failed_runs": failed_runs}
+            workloads[name] = entry
+            if not runs["change"]:
+                continue
             env = env or runs["change"][0]["env"]
-            entry = {m["name"]: summarize(m, runs["parent"], runs["change"])
-                     for m in spec["end_to_end"]}
+            entry.update({m["name"]: summarize(m, runs["parent"], runs["change"])
+                          for m in spec["end_to_end"]})
             entry["failed"] = {who: [[r["failed"], r["attempted"], r["correct"]]
                                      for r in rs] for who, rs in runs.items()}
             entry["gate_failures"] = {who: sum(r["failed"] for r in rs)
                                       for who, rs in runs.items()}
-            workloads[name] = entry
 
     out = {"label": args.label,
            "parent_commit": git("rev-parse", "--short", args.parent).decode().strip(),
@@ -214,7 +250,11 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {path}")
-    return 0
+    failed = [(name, r) for name, w in workloads.items() for r in w["failed_runs"]]
+    for name, r in failed:
+        print(f"failed run: {name} pair {r['pair']} {r['side']} "
+              f"(exit {r['exit_code']})")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Each command builds its inputs, calls the library, writes its files and
 applies its verdict. main maps library errors to the exit codes: 0
-success, 2 configuration error, 3 numerical failure.
+success, 2 configuration error or an output it cannot write, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_pseudospectrum(args) -> int:
-    window = spectral.ZGrid(_parse_complex(args.center), args.span, args.span,
+    window = quantize.ZGrid(_parse_complex(args.center), args.span, args.span,
                             args.res, args.res)
     P = _matrix(args)
     field = spectral.pseudospectrum(P, window)
@@ -77,9 +78,7 @@ def _cmd_pseudospectrum(args) -> int:
         "\n".join(spectral.pseudospectrum_csv_lines(field)) + "\n",
         encoding="utf-8")
     svg_path = f"{stem}.svg"
-    c = window.center
-    extent = (c.real - window.re_span, c.real + window.re_span,
-              c.imag - window.im_span, c.imag + window.im_span)
+    extent = (*window.re_axis[[0, -1]], *window.im_axis[[0, -1]])
     svgout.heatmap_svg(field.sigma_min.T, extent, svg_path,
                        spectral.schur_eigenvalues(P),
                        f"log10 sigma_min, {args.model}, h={args.h}")
@@ -225,7 +224,7 @@ def main(argv=None) -> int:
             fbi.GridExtentError, experiments.FitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -169,11 +169,18 @@ def toeplitz_probe(model: ModelInstance, h: float
                    ) -> Tuple[fbi.FBIOperator, np.ndarray, np.ndarray]:
     """(operator, u, v): the FBI operator on the model's grid of half width
     PROBE_L at h, and the wave-packet pair at momentum XI_PROBE whose
-    Toeplitz residual toeplitz_sweep measures."""
+    Toeplitz residual toeplitz_sweep measures. An h whose kernel window
+    leaves that grid raises ConfigError."""
     grid = quantize.grid_for(model.symbol, PROBE_L, h)
     cgrid = fbi.default_cgrid(h, re_span=1.5, im_span=2.2,
                               cells_per_width=3.0)
-    return (fbi.make_fbi(grid, cgrid, h),
+    try:
+        op = fbi.make_fbi(grid, cgrid, h)
+    except fbi.GridExtentError as exc:
+        raise ConfigError(
+            f"h = {h:g} is too large for the Toeplitz probe: its kernel "
+            f"window leaves |y| <= PROBE_L = {PROBE_L:g}") from exc
+    return (op,
             fbi.gaussian_state(grid, h, 0.0, XI_PROBE),
             fbi.gaussian_state(grid, h, 0.05, XI_PROBE - 0.03))
 

@@ -22,6 +22,8 @@ window and the grid check: a window that leaves the real grid raises
 GridExtentError. |c| = 1, so every factor is bounded at any h, and a
 Phi-weighted pairing reads only the excess phi - Phi_0 of its weight.
 
+The nodes x lie on a quantize.ZGrid at centre 0; each operator builds its
+j-major node vector once (FBIOperator.nodes) for all its weights.
 The Toeplitz probe applies the Weyl quantization P by P @ U, one FFT
 pair for a split symbol (quantize.WeylMatrix), so it forms no N x N array.
 """
@@ -29,12 +31,13 @@ pair for a split symbol (quantize.WeylMatrix), so it forms no N x N array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import EscapeField
-from .quantize import RealGrid, WeylMatrix, assemble_weyl
+from .quantize import RealGrid, WeylMatrix, ZGrid, assemble_weyl
 from .symbols import ModelInstance, taylor_extension
 
 UNITARITY_TOL = 1e-6  # isometry defect allowed on interior states; bench/workloads.py gates on it
@@ -45,47 +48,19 @@ class GridExtentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ComplexGrid:
-    re_span: float
-    im_span: float
-    re_n: int
-    im_n: int
-
-    @property
-    def re_axis(self) -> np.ndarray:
-        return np.linspace(-self.re_span, self.re_span, self.re_n)
-
-    @property
-    def im_axis(self) -> np.ndarray:
-        return np.linspace(-self.im_span, self.im_span, self.im_n)
-
-    @property
-    def cell_area(self) -> float:
-        da = 2.0 * self.re_span / (self.re_n - 1)
-        db = 2.0 * self.im_span / (self.im_n - 1)
-        return da * db
-
-    def nodes(self) -> np.ndarray:
-        """Flattened complex nodes a_j + i b_k, j-major."""
-        A, B = np.meshgrid(self.re_axis, self.im_axis, indexing="ij")
-        return (A + 1j * B).ravel()
-
-
 def default_cgrid(h: float, re_span: float = 3.0, im_span: float = 3.0,
-                  cells_per_width: float = 4.0) -> ComplexGrid:
-    """Resolution rule: about cells_per_width cells per Gaussian width sqrt(h)."""
+                  cells_per_width: float = 4.0) -> ZGrid:
+    """Lattice at 0, with cells_per_width cells per Gaussian width sqrt(h)."""
     d = np.sqrt(h) / cells_per_width
-    return ComplexGrid(re_span, im_span,
-                       int(np.ceil(2 * re_span / d)) + 1,
-                       int(np.ceil(2 * im_span / d)) + 1)
+    return ZGrid(0j, re_span, im_span, int(np.ceil(2 * re_span / d)) + 1,
+                 int(np.ceil(2 * im_span / d)) + 1)
 
 
 @dataclass(frozen=True)
 class FactoredKernel:
     """The (re_n * im_n) x N transform kernel c[j, k] G[j, y] E[k, y].
 
-    Rows are the complex nodes j-major, as ComplexGrid.nodes(). G and E are
+    Rows are the complex nodes j-major, as FBIOperator.nodes. G and E are
     stored on the window columns y in W only (module docstring): K u reads
     u[window], T u = c o ((G o u_W) E^T), and K* V is zero off the window.
     Vectors and (rows, m) blocks are applied through the factors only.
@@ -130,7 +105,12 @@ class FBIOperator:
     matrix: FactoredKernel  # shape (re_n * im_n, N)
     h: float
     real_grid: RealGrid
-    cgrid: ComplexGrid
+    cgrid: ZGrid
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """The complex nodes a_j + i b_k, j-major: the kernel's rows."""
+        return self.cgrid.nodes().T.ravel()
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.matrix @ u
@@ -154,13 +134,6 @@ class FBIOperator:
         return abs(self.norm_phi(self.apply(u)) - nu) / nu
 
 
-@dataclass(frozen=True)
-class BargmannWeight:
-    phi_values: np.ndarray  # the excess Phi_t - Phi_0 = t G o kappa_phi^{-1}
-    xi_section: np.ndarray
-    cgrid: ComplexGrid
-
-
 def gaussian_state(grid: RealGrid, h: float, x0: float = 0.0, xi0: float = 0.0,
                    hermite: int = 0) -> np.ndarray:
     """Normalized coherent state, optionally with a Hermite-polynomial factor."""
@@ -173,7 +146,7 @@ def gaussian_state(grid: RealGrid, h: float, x0: float = 0.0, xi0: float = 0.0,
     return u / np.sqrt(grid.spacing * np.sum(np.abs(u) ** 2))
 
 
-def make_fbi(real_grid: RealGrid, cgrid: ComplexGrid, h: float) -> FBIOperator:
+def make_fbi(real_grid: RealGrid, cgrid: ZGrid, h: float) -> FBIOperator:
     """Build the transform Tu(x) = C h^{-3/4} int e^{-(x-y)^2/(2h)} u dy.
 
     The kernel is kept in its weighted factors c, G, E on the window W,
@@ -211,25 +184,23 @@ def make_fbi(real_grid: RealGrid, cgrid: ComplexGrid, h: float) -> FBIOperator:
 
 
 def weight_phi_t(esc: Optional[EscapeField], t: float,
-                 fbi_op: FBIOperator) -> BargmannWeight:
-    """First-order deformed weight Phi_t = Phi_0 + t G(Re x, -Im x), given
-    by its excess t G(Re x, -Im x) over Phi_0.
+                 fbi_op: FBIOperator) -> Tuple[np.ndarray, np.ndarray]:
+    """(excess t G(Re x, -Im x) over Phi_0, section xi_t) of the first-order
+    deformed weight Phi_t = Phi_0 + t G(Re x, -Im x) on the operator's nodes.
 
     The section xi_t(x) = (2/i) d_x Phi_t is -Im x for the quadratic part
     plus t (G_xi - i G_x)(Re x, -Im x) from the correction, with G
     derivatives taken from the escape lattice; G and both derivatives come
     from one spline pass. A nonzero t needs esc.
     """
-    x = fbi_op.cgrid.nodes()
-    a = np.real(x)
-    b = np.imag(x)
-    xi0 = -b.astype(complex)
+    x = fbi_op.nodes
+    xi0 = -x.imag.astype(complex)
     if t == 0.0:
-        return BargmannWeight(np.zeros(x.shape), xi0, fbi_op.cgrid)
+        return np.zeros(x.shape), xi0
     if esc is None:
         raise ValueError(f"the weight at t = {t} needs an escape function")
-    g, gx, gxi = esc.fields_at(a, -b)
-    return BargmannWeight(t * g, xi0 + t * gxi - 1j * t * gx, fbi_op.cgrid)
+    g, gx, gxi = esc.fields_at(x.real, -x.imag)
+    return t * g, xi0 + t * gxi - 1j * t * gx
 
 
 def apply_conjugated(P: WeylMatrix, fbi_op: FBIOperator,
@@ -245,19 +216,17 @@ def apply_conjugated(P: WeylMatrix, fbi_op: FBIOperator,
     return fbi_op.apply(P @ (fbi_op.matrix.adjoint_matmul(U) * scale))
 
 
-def _symbol_on_section(model: ModelInstance, weight: BargmannWeight) -> np.ndarray:
-    """a~(x, xi_t(x)) with a = p composed with kappa_phi^{-1}, order-2 extension.
+def _symbol_on_section(model: ModelInstance, x: np.ndarray,
+                       xi: np.ndarray) -> np.ndarray:
+    """a~(x, xi) on the nodes x and the section xi, with a = p composed
+    with kappa_phi^{-1}, order-2 extension.
 
     kappa_phi^{-1}(x, xi) = (x + i xi, xi); splitting into real and imaginary
     parts gives the real base point and the imaginary offset fed to the
     second-order extension of p.
     """
-    x = weight.cgrid.nodes()
-    a = np.real(x)
-    b = np.imag(x)
-    xi = weight.xi_section
-    rho_re = (a - np.imag(xi), np.real(xi))
-    rho_im = (b + np.real(xi), np.imag(xi))
+    rho_re = (x.real - xi.imag, xi.real)
+    rho_im = (x.imag + xi.real, xi.imag)
     return taylor_extension(model.symbol, rho_re, rho_im)
 
 
@@ -269,24 +238,21 @@ def toeplitz_residuals(model: ModelInstance, fbi_op: FBIOperator,
 
     Compares <(T P T*) U, V>_{Phi_t} with the integral of a~(x, xi_t) U
     conj(V) against the Phi_t weight, for U = Tu, V = Tv. P, U, V and
-    (T P T*) U do not depend on t and are formed once for all of ts. The
-    symbol on the section is the split's extension, so a symbol without a
-    split raises ValueError before P is assembled.
+    (T P T*) U do not depend on t and are formed once for all of ts. Each
+    t's excess and section symbol, the split's extension, come first, so a
+    symbol without a split raises ValueError before P is assembled.
     """
-    if model.symbol.split is None:
-        raise ValueError(f"symbol {model.symbol.name!r} has no additive split")
+    weights = [(excess, _symbol_on_section(model, fbi_op.nodes, xi))
+               for excess, xi in (weight_phi_t(esc, t, fbi_op) for t in ts)]
     P = assemble_weyl(model.symbol, fbi_op.real_grid, fbi_op.h)
     U = fbi_op.apply(u)
     V = fbi_op.apply(v)
     TPU = apply_conjugated(P, fbi_op, U)
     out = []
-    for t in ts:
-        weight = weight_phi_t(esc, t, fbi_op)
-        lhs = fbi_op.inner_phi(TPU, V, weight.phi_values)
-        sym_field = _symbol_on_section(model, weight)
-        rhs = fbi_op.inner_phi(sym_field * U, V, weight.phi_values)
-        denom = (fbi_op.norm_phi(U, weight.phi_values)
-                 * fbi_op.norm_phi(V, weight.phi_values))
+    for excess, sym_field in weights:
+        lhs = fbi_op.inner_phi(TPU, V, excess)
+        rhs = fbi_op.inner_phi(sym_field * U, V, excess)
+        denom = fbi_op.norm_phi(U, excess) * fbi_op.norm_phi(V, excess)
         out.append(abs(lhs - rhs) / denom)
     return out
 

@@ -81,6 +81,36 @@ class RealGrid:
 
 
 @dataclass(frozen=True)
+class ZGrid:
+    """The lattice center + a + i b, a and b on linspace axes of half spans
+    re_span and im_span: a pseudospectrum's z window, and at center 0 the
+    FBI side's nodes. nodes() is row-major: rows sweep Im z."""
+    center: complex
+    re_span: float
+    im_span: float
+    re_n: int
+    im_n: int
+
+    @property
+    def re_axis(self) -> np.ndarray:
+        return self.center.real + np.linspace(-self.re_span, self.re_span,
+                                              self.re_n)
+
+    @property
+    def im_axis(self) -> np.ndarray:
+        return self.center.imag + np.linspace(-self.im_span, self.im_span,
+                                              self.im_n)
+
+    @property
+    def cell_area(self) -> float:
+        return ((2.0 * self.re_span / (self.re_n - 1))
+                * (2.0 * self.im_span / (self.im_n - 1)))
+
+    def nodes(self) -> np.ndarray:
+        return self.re_axis[None, :] + 1j * self.im_axis[:, None]
+
+
+@dataclass(frozen=True)
 class WeylMatrix:
     """A Weyl matrix on its grid, kept as the two functions that build its
     entries and apply it: an assembled split symbol holds a(x_j) and

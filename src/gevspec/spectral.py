@@ -41,7 +41,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 from scipy.linalg.blas import ztpsv
 
-from .quantize import WeylMatrix, save_weyl
+from .quantize import WeylMatrix, ZGrid, save_weyl
 
 BOUNDARY_MASS_THRESHOLD = 1e-6
 BOUNDARY_FRACTION = 0.10  # outer fraction of grid nodes counted as boundary
@@ -81,20 +81,6 @@ class FreeRadius:
     radius: float
     eigenvalue: complex
     kappa: float
-
-
-@dataclass(frozen=True)
-class ZGrid:
-    center: complex
-    re_span: float
-    im_span: float
-    re_n: int
-    im_n: int
-
-    def nodes(self) -> np.ndarray:
-        re = self.center.real + np.linspace(-self.re_span, self.re_span, self.re_n)
-        im = self.center.imag + np.linspace(-self.im_span, self.im_span, self.im_n)
-        return re[None, :] + 1j * im[:, None]  # row-major: rows sweep Im z
 
 
 @dataclass(frozen=True)

@@ -103,3 +103,56 @@ def test_unresolved_where_spread_exceeds_bound():
     assert found[0]["bound"] == 0.25
     assert (found[1]["parent_median"], found[1]["change_median"]) == (1.0, 1.0)
     assert bench_pairs.regressions(end_to_end, workloads) == []
+
+
+@pytest.mark.parametrize("fail_at", [None, 3])
+def test_failed_run_drops_its_pair_and_exits_1(tmp_path, monkeypatch, capsys,
+                                               fail_at):
+    # three pairs of escape-toeplitz, the runs numbered in the order they
+    # start: parent, change | change, parent | parent, change. Run 3, the
+    # change side of pair 2, fails: pair 2 leaves every statistic, the
+    # other pairs are still measured and the file is still written
+    bench_pairs = load_script()
+    (tmp_path / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"),
+        encoding="utf-8")
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text(
+        encoding="utf-8"))["end_to_end"]
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export_parent", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: b"abc1234\n")
+    started = []
+
+    def fake_bench_once(checkout, workload, seed):
+        started.append("change" if checkout == tmp_path else "parent")
+        if len(started) == fail_at:
+            raise bench_pairs.RunFailed(1)
+        value = float(len(started))
+        return {"metrics": {m["name"]: {"value": value} for m in end_to_end},
+                "failed": 0, "attempted": 1, "correct": 1,
+                "env": {"run": len(started)}}
+
+    monkeypatch.setattr(bench_pairs, "bench_once", fake_bench_once)
+    code = bench_pairs.main(["--label", "t", "--workload", "escape-toeplitz=3",
+                             "--claim", "escape-toeplitz:wall_s:0.1"])
+    assert started == ["parent", "change", "change", "parent", "parent",
+                       "change"]
+    out = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    entry = out["workloads"]["escape-toeplitz"]
+    wall = entry["wall_s"]
+    if fail_at is None:
+        assert code == 0
+        assert entry["failed_runs"] == []
+        assert wall["parent"]["runs"] == [1.0, 4.0, 5.0]
+        assert wall["change"]["runs"] == [2.0, 3.0, 6.0]
+        return
+    assert code == 1
+    assert entry["failed_runs"] == [{"pair": 2, "side": "change",
+                                     "exit_code": 1}]
+    assert wall["parent"]["runs"] == [1.0, 5.0]
+    assert wall["change"]["runs"] == [2.0, 6.0]
+    assert entry["failed"] == {"parent": [[0, 1, 1]] * 2,
+                               "change": [[0, 1, 1]] * 2}
+    assert out["claim"]["measured"].endswith("of 2 pairs, parent IQR 2")
+    assert "failed run: escape-toeplitz pair 2 change (exit 1)" \
+        in capsys.readouterr().out

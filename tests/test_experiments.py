@@ -812,6 +812,47 @@ class TestCli:
             in capsys.readouterr().err
         assert not (tmp_path / "toeplitz.csv").exists()
 
+    @pytest.mark.usefixtures("stand_in_escape")
+    def test_toeplitz_h_above_probe_reach_is_config_error(self, tmp_path,
+                                                          capsys, monkeypatch):
+        # at h = 0.9 the kernel window passes the probe's fixed half width
+        # PROBE_L = 8, which no config key sets: the message names h and
+        # PROBE_L, and the first h fails before any residual is computed
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a residual computed")
+
+        monkeypatch.setattr(fbi, "toeplitz_residuals", unreachable)
+        cfg = tmp_path / "toeplitz.cfg"
+        cfg.write_text("model = gevrey-transport:s=2\n"
+                       "h_list = 0.9, 0.2, 0.1, 0.05\n"
+                       f"output_dir = {tmp_path}\n", encoding="utf-8")
+        assert cli.main(["toeplitz", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "0.9" in err and "PROBE_L" in err
+        assert "half_width_L" not in err
+        assert not (tmp_path / "toeplitz.csv").exists()
+
+    def test_escape_unwritable_out_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "e.csv"
+        assert cli.main(["escape", "--model", "analytic-transport",
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "margin_c = " in captured.out
+        assert str(out) in captured.err
+        assert not out.parent.exists()
+
+    def test_scaling_output_under_a_file_is_config_error(self, tmp_path,
+                                                         capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "out"
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("model = davies\nh_list = 0.1, 0.05\nL = 8\n"
+                       f"n_points = 512\noutput_dir = {out}\n",
+                       encoding="utf-8")
+        assert cli.main(["scaling", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert str(out) in capsys.readouterr().err
+
     def test_missing_config_is_config_error(self, tmp_path):
         code = cli.main(["scaling", "--config", str(tmp_path / "absent.cfg")])
         assert code == cli.EXIT_CONFIG

@@ -15,7 +15,7 @@ from gevspec.fbi import (FBIOperator, GridExtentError,
                          apply_conjugated, default_cgrid, gaussian_state,
                          make_fbi, toeplitz_residual, toeplitz_residuals,
                          weight_phi_t)
-from gevspec.quantize import RealGrid, WeylMatrix, assemble_weyl
+from gevspec.quantize import RealGrid, WeylMatrix, ZGrid, assemble_weyl
 from gevspec.symbols import (ANALYTIC, ZERO, ModelInstance, additive_symbol,
                              make_davies)
 from conftest import fbi_grid
@@ -23,6 +23,8 @@ from test_quantize import plain_symbol
 
 STATES = [(0.0, 0.0, 0), (0.5, 0.3, 0), (-0.4, -0.2, 1), (0.2, 0.1, 2),
           (-0.1, 0.4, 3)]
+# criterion 05's ladder continued to h = 0.0015625 (tests/test_acceptance.py)
+DEEP_LADDER = tuple(0.2 * 2.0 ** (-k / 2) for k in range(15))
 
 
 def operator_for(h):
@@ -82,10 +84,53 @@ class TestUnitarity:
             make_fbi(RealGrid(8.0, 256), default_cgrid(0.1), 0.1)
 
 
+class TestLattice:
+    def test_one_lattice_type(self):
+        assert gevspec.ZGrid is ZGrid
+        assert gevspec.spectral.ZGrid is ZGrid
+        assert isinstance(default_cgrid(0.1), ZGrid)
+
+    @pytest.mark.parametrize("h", DEEP_LADDER)
+    def test_probe_lattice_axes_and_cell_area(self, h):
+        # the lattice of toeplitz_probe: centred at 0, so its axes are the
+        # bare linspace, bit for bit
+        cg = default_cgrid(h, 1.5, 2.2, 3.0)
+        assert cg.center == 0j
+        assert cg.re_axis.tobytes() \
+            == np.linspace(-1.5, 1.5, cg.re_n).tobytes()
+        assert cg.im_axis.tobytes() \
+            == np.linspace(-2.2, 2.2, cg.im_n).tobytes()
+        assert cg.cell_area \
+            == (2 * 1.5 / (cg.re_n - 1)) * (2 * 2.2 / (cg.im_n - 1))
+
+    def test_operator_nodes_j_major_and_cached(self, op_h01):
+        cg = op_h01.cgrid
+        A, B = np.meshgrid(cg.re_axis, cg.im_axis, indexing="ij")
+        assert op_h01.nodes.tobytes() == (A + 1j * B).ravel().tobytes()
+        assert op_h01.nodes is op_h01.nodes
+
+    def test_residuals_build_nodes_once(self, gevrey2, escape_gevrey2,
+                                        monkeypatch):
+        # a fresh operator: both t read the one node vector it builds
+        op, u, v = experiments.toeplitz_probe(gevrey2, 0.1)
+        built = []
+        real = ZGrid.nodes
+
+        def counting(self):
+            built.append(self)
+            return real(self)
+
+        monkeypatch.setattr(ZGrid, "nodes", counting)
+        res = toeplitz_residuals(gevrey2, op, escape_gevrey2,
+                                 (0.0, -0.0316), u, v)
+        assert built == [op.cgrid]
+        assert all(np.isfinite(res))
+
+
 def dense_kernel(op):
     """The M x N weighted kernel e^{-Phi_0 / h} K from its closed form,
     calibrated as make_fbi is."""
-    x = op.cgrid.nodes()
+    x = op.nodes
     y = op.real_grid.nodes
     phi0 = 0.5 * np.imag(x) ** 2
     K = (op.h ** -0.75 * op.real_grid.spacing
@@ -224,10 +269,10 @@ class TestKernelWindow:
 class TestWeights:
     def test_base_weight_has_no_excess(self, op_h01):
         # the base weight is Phi_0 exactly: its excess is zero
-        w = weight_phi_t(None, 0.0, op_h01)
-        b = np.imag(op_h01.cgrid.nodes())
-        assert np.array_equal(w.phi_values, np.zeros(b.shape))
-        assert np.array_equal(w.xi_section, -b.astype(complex))
+        excess, xi = weight_phi_t(None, 0.0, op_h01)
+        b = np.imag(op_h01.nodes)
+        assert np.array_equal(excess, np.zeros(b.shape))
+        assert np.array_equal(xi, -b.astype(complex))
 
     def test_deformed_weight_needs_escape_function(self, gevrey2, probe_h01):
         # without an escape function a nonzero t has nothing to deform by;
@@ -242,25 +287,24 @@ class TestWeights:
         # Phi_t - Phi_0 = t G and xi_t = -Im x + t (G_xi - i G_x) at
         # (Re x, -Im x), with G and its gradient from the escape field
         t = -0.0316
-        w = weight_phi_t(escape_gevrey2, t, op_h01)
-        x = op_h01.cgrid.nodes()
+        excess, xi = weight_phi_t(escape_gevrey2, t, op_h01)
+        x = op_h01.nodes
         a, b = np.real(x), np.imag(x)
         g, gx, gxi = escape_gevrey2.fields_at(a, -b)
-        assert np.array_equal(w.phi_values, t * g)
-        assert np.array_equal(w.xi_section,
-                              -b.astype(complex) + t * gxi - 1j * t * gx)
+        assert np.array_equal(excess, t * g)
+        assert np.array_equal(xi, -b.astype(complex) + t * gxi - 1j * t * gx)
 
     def test_deformation_bounded_by_sup_g(self, escape_gevrey2, op_h01):
         t = -0.1 * np.sqrt(op_h01.h)
-        w = weight_phi_t(escape_gevrey2, t, op_h01)
-        assert np.abs(w.phi_values).max() <= abs(t) * escape_gevrey2.sup_G + 1e-12
+        excess, _ = weight_phi_t(escape_gevrey2, t, op_h01)
+        assert np.abs(excess).max() <= abs(t) * escape_gevrey2.sup_G + 1e-12
 
     def test_deformation_gradient_small(self, escape_gevrey2, op_h01):
         # the weight correction has lattice gradient bounded by |t| sup|grad G|
         t = -0.1 * np.sqrt(op_h01.h)
-        w = weight_phi_t(escape_gevrey2, t, op_h01)
+        excess, _ = weight_phi_t(escape_gevrey2, t, op_h01)
         cg = op_h01.cgrid
-        corr = w.phi_values.reshape(cg.re_n, cg.im_n)
+        corr = excess.reshape(cg.re_n, cg.im_n)
         da = cg.re_axis[1] - cg.re_axis[0]
         db = cg.im_axis[1] - cg.im_axis[0]
         ga, gb = np.gradient(corr, da, db)
@@ -326,11 +370,11 @@ class TestToeplitz:
         v = gaussian_state(op.real_grid, op.h, 2.5, 0.0)
         from gevspec.fbi import _symbol_on_section
         P = assemble_weyl(gevrey2.symbol, op.real_grid, op.h)
-        weight = weight_phi_t(None, 0.0, op)
+        excess, xi = weight_phi_t(None, 0.0, op)
         U, V = op.apply(u), op.apply(v)
-        lhs = op.inner_phi(apply_conjugated(P, op, U), V, weight.phi_values)
-        field = _symbol_on_section(gevrey2, weight)
-        rhs = op.inner_phi(field * U, V, weight.phi_values)
+        lhs = op.inner_phi(apply_conjugated(P, op, U), V, excess)
+        field = _symbol_on_section(gevrey2, op.nodes, xi)
+        rhs = op.inner_phi(field * U, V, excess)
         assert abs(lhs) < 1e-8
         assert abs(rhs) < 1e-8
 
