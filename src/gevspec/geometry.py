@@ -32,12 +32,20 @@ H_{Im p} G are exact zeros and build_escape's margin check raises. A
 symbol without a split is rejected.
 
 A straight trajectory is fixed by its start and speed along the moving
-coordinate, so _escape_integral integrates each distinct (start, speed)
-pair once, grouped by bit pattern, and copies the fields to its repeats.
-build_escape's axes are symmetric about their centre to the last bit. On
-the default lattices, centred at xi = 0, the transport speed sech^2(xi) is
-even, so the rows xi and -xi share their trajectories and about half of
-the support is integrated: 6 366 of 12 605 points at 129 x 129.
+coordinate, and it runs forward only: the backward trajectory from
+(x0, v) is the forward one from (x0, -v), and when the moving part
+declares its f even (symbols.Part.even) also the forward one from
+(-x0, v), at the mirror images of the same points. So _escape_integral
+integrates each distinct (start, speed) pair of the starts and of their
+mirrors once, by bit pattern, in one forward pass, and both time
+directions of every start read it with the same floating-point
+operations as two passes would make. build_escape's axes are symmetric
+about their centre to the last bit. On the default lattices, centred at
+xi = 0, the transport speed sech^2(xi) is even, so the rows xi and -xi
+share their trajectories, and every catalog real part is even, so the
+column -x holds the mirrors of the column x: 6 366 trajectories of
+2T/dt + 1 = 801 nodes serve the 12 605 support points at 129 x 129. A
+part not declared even pays a second trajectory per start.
 """
 
 from __future__ import annotations
@@ -298,34 +306,40 @@ def _escape_integral(part: Part, start: np.ndarray, speed: np.ndarray,
     f = part.f, which is Re p along the flow.
 
     start and speed are 1-D arrays: f's coordinate moves from start at
-    speed, so Phi_t is the exact point start + t speed at every node t. A
-    trajectory is fixed by its start and speed, so each distinct (start,
-    speed) pair, by bit pattern, is integrated once and its fields are
-    copied to its repeats.
+    speed, so Phi_t is the exact point start + t speed at every node t.
+    The backward trajectory from (start, speed) is the forward one from
+    (start, -speed), and for a part declared even also the forward one
+    from (-start, speed), with -0.0 read as +0.0: both give f the same
+    values, bit for bit. So one forward pass integrates each distinct
+    (start, speed) pair of the starts and of their mirrors, by bit
+    pattern, once, and both directions of every start read it.
     """
+    n = start.size
+    if part.even:
+        start, speed = np.concatenate([start, 0.0 - start]), np.tile(speed, 2)
+    else:
+        start, speed = np.tile(start, 2), np.concatenate([speed, -speed])
     first, inverse = _distinct_trajectories(start, speed)
     start, speed = start[first], speed[first]
+    forward, backward = inverse[:n], inverse[n:]
     re0 = part.f(start)
     n_steps = int(round(2.0 * T / dt))
     t_nodes = dt * np.arange(n_steps + 1)
     w = _trapezoid_weights(_chi_T(T, t_nodes), dt)
     w_d1 = _trapezoid_weights(_chi_T_d1(T, t_nodes), dt)
-    raw = np.zeros(start.shape)
-    h_raw = 2.0 * re0
+    acc = w[0] * re0
+    acc_d1 = w_d1[0] * re0
     point = np.empty(start.shape)
     term = np.empty(start.shape)
-    for sign in (1.0, -1.0):
-        acc = w[0] * re0
-        acc_d1 = w_d1[0] * re0
-        for k in range(1, n_steps + 1):
-            np.multiply(sign * t_nodes[k], speed, out=point)
-            re = part.f(np.add(start, point, out=point))
-            acc += np.multiply(w[k], re, out=term)
-            if w_d1[k]:  # chi_T' vanishes on [0, T]
-                acc_d1 += np.multiply(w_d1[k], re, out=term)
-        raw = raw - sign * acc
-        h_raw += acc_d1
-    return raw[inverse], h_raw[inverse]
+    for k in range(1, n_steps + 1):
+        np.multiply(t_nodes[k], speed, out=point)
+        re = part.f(np.add(start, point, out=point))
+        acc += np.multiply(w[k], re, out=term)
+        if w_d1[k]:  # chi_T' vanishes on [0, T]
+            acc_d1 += np.multiply(w_d1[k], re, out=term)
+    raw = (0.0 - acc[forward]) + acc[backward]
+    h_raw = 2.0 * re0[forward] + acc_d1[forward] + acc_d1[backward]
+    return raw, h_raw
 
 
 def _deriv_1d(values: np.ndarray, spacing: float, axis: int) -> np.ndarray:

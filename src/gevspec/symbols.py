@@ -37,13 +37,18 @@ class Part:
     f is real, d1 = f' and d2 = f'' are its closed-form derivatives, and
     unit is 1 or 1j: the part is real or imaginary. geometry.build_escape
     reads the two units of a split to decide which coordinate the flow of
-    H_{Im p} moves.
+    H_{Im p} moves. even declares f(-t) == f(t) bit for bit, -0.0 and
+    +0.0 included; geometry._escape_integral then reads a backward
+    trajectory of the moving part from the mirrored forward one. Declare
+    it only for an f that is even in floating point, as a function of t^2
+    or |t| is.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
     unit: complex = 1
+    even: bool = False
 
     def __post_init__(self):
         if self.unit not in (1, 1j):
@@ -120,10 +125,11 @@ def _sech2(xi):
 # the catalog's parts: t^2 (the Davies oscillator's xi^2), i t^2 (its i x^2
 # and the trapped toy's), i tanh(xi) (both transport models) and zero (the
 # trapped toy's xi part)
-SQUARE = Part(np.square, lambda t: 2.0 * t, lambda t: np.full(np.shape(t), 2.0))
+SQUARE = Part(np.square, lambda t: 2.0 * t, lambda t: np.full(np.shape(t), 2.0),
+              even=True)
 I_SQUARE = replace(SQUARE, unit=1j)
 I_TANH = Part(np.tanh, _sech2, lambda xi: -2.0 * _sech2(xi) * np.tanh(xi), 1j)
-ZERO = Part(_vanishing, _vanishing, _vanishing)
+ZERO = Part(_vanishing, _vanishing, _vanishing, even=True)
 
 
 def _positive(t):
@@ -217,7 +223,7 @@ def make_gevrey_transport(s: float) -> ModelInstance:
     def fpp(x):
         return _gevrey_flat_d2(s, x ** 2 - 1.0) * 4.0 * x ** 2 + 2.0 * _gevrey_flat_d1(s, x ** 2 - 1.0)
 
-    sym = additive_symbol(Part(f, fp, fpp), I_TANH, order_s=s,
+    sym = additive_symbol(Part(f, fp, fpp, even=True), I_TANH, order_s=s,
                           zero_set_hint=((-1.3, 1.3), (-0.4, 0.4)),
                           name=f"gevrey-transport:s={s:g}")
     return ModelInstance(sym, z0=0j)
@@ -235,7 +241,8 @@ def make_analytic_transport() -> ModelInstance:
     def gpp(x):
         return (2.0 - 6.0 * x ** 2) / (1.0 + x ** 2) ** 3
 
-    sym = additive_symbol(Part(g, gp, gpp), I_TANH, order_s=ANALYTIC,
+    sym = additive_symbol(Part(g, gp, gpp, even=True), I_TANH,
+                          order_s=ANALYTIC,
                           zero_set_hint=((-0.5, 0.5), (-0.4, 0.4)),
                           name="analytic-transport")
     return ModelInstance(sym, z0=0j)

@@ -28,9 +28,9 @@ SWEEP_H_LIST = (0.2, 0.1414, 0.1, 0.0707, 0.05, 0.0354, 0.025, 0.0177,
 SWEEP_L = 6.0
 
 
-# criterion 05's ladder continued down to h = 0.0015625 for the reported,
-# ungated local slopes
-DEEP_TOEPLITZ_H_LIST = tuple(0.2 * 2.0 ** (-k / 2) for k in range(15))
+# criterion 05's ladder continued down to h = 0.00039 (N = 65536) for
+# the reported, ungated local slopes
+DEEP_TOEPLITZ_H_LIST = tuple(0.2 * 2.0 ** (-k / 2) for k in range(19))
 
 
 def announce(capsys, num, ok, detail):

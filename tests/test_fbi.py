@@ -23,8 +23,8 @@ from test_quantize import plain_symbol
 
 STATES = [(0.0, 0.0, 0), (0.5, 0.3, 0), (-0.4, -0.2, 1), (0.2, 0.1, 2),
           (-0.1, 0.4, 3)]
-# criterion 05's ladder continued to h = 0.0015625 (tests/test_acceptance.py)
-DEEP_LADDER = tuple(0.2 * 2.0 ** (-k / 2) for k in range(15))
+# criterion 05's ladder continued to h = 0.00039 (tests/test_acceptance.py)
+DEEP_LADDER = tuple(0.2 * 2.0 ** (-k / 2) for k in range(19))
 
 
 def operator_for(h):
@@ -206,40 +206,134 @@ def window_count(op):
     return int(np.count_nonzero(np.abs(op.real_grid.nodes) <= reach))
 
 
+def row_columns(op):
+    """(re_n, K) real-grid columns of each row's window, s_j + m."""
+    K = op.matrix
+    return K.starts[:, None] + np.arange(K.G.shape[1])
+
+
+def windowed_dense(op):
+    """The M x N kernel from its closed form on each row's K columns from
+    s_j and zero off them, calibrated as make_fbi is."""
+    x = op.nodes
+    y = op.real_grid.nodes
+    on = np.zeros((op.cgrid.re_n, y.size), dtype=bool)
+    on[np.arange(op.cgrid.re_n)[:, None], row_columns(op)] = True
+    on = np.repeat(on, op.cgrid.im_n, axis=0)  # rows are j-major
+    phi0 = 0.5 * np.imag(x) ** 2
+    D = np.where(on, op.h ** -0.75 * op.real_grid.spacing * np.exp(
+        -(phi0[:, None] + 0.5 * (x[:, None] - y[None, :]) ** 2) / op.h), 0.0)
+    return D / op.norm_phi(D @ gaussian_state(op.real_grid, op.h))
+
+
+def narrow_operator():
+    # re_span 1 on L = 8 at h = 0.1: the rows' windows cover 42% of the
+    # columns; 1.5 cells per width keeps the dense M x N array small
+    h = 0.1
+    op = make_fbi(fbi_grid(h), default_cgrid(h, re_span=1.0,
+                                             cells_per_width=1.5), h)
+    assert 2 * window_count(op) < op.real_grid.n_points
+    return op
+
+
+def edge_operator():
+    # the kernel's reach lies between the last node L - dx and L: the
+    # window check passes, and the last rows' tails leave the grid's nodes
+    h = 0.2
+    cgrid = default_cgrid(h, cells_per_width=1.5)
+    reach = cgrid.re_span + np.sqrt(2.0 * h * fbi.DECAY_LOG)
+    grid = RealGrid(reach + 1e-3, 128)
+    assert grid.nodes[-1] < reach <= grid.half_width_L
+    return make_fbi(grid, cgrid, h)
+
+
 class TestKernelWindow:
-    @pytest.fixture(scope="class")
-    def narrow(self):
-        # re_span 1 on L = 8 at h = 0.1: the window keeps 42% of the
-        # columns; 1.5 cells per width keeps the dense M x N array small
-        h = 0.1
-        op = make_fbi(fbi_grid(h), default_cgrid(h, re_span=1.0,
-                                                 cells_per_width=1.5), h)
-        assert 2 * window_count(op) < op.real_grid.n_points
-        return op
+    @pytest.fixture(scope="class", params=["narrow", "edge"])
+    def probe(self, request):
+        return {"narrow": narrow_operator, "edge": edge_operator}[
+            request.param]()
 
     @pytest.mark.parametrize("h, share", [(0.0125, 0.5), (0.0015625, 0.25)])
     def test_probe_kernel_stored_on_window(self, gevrey2, h, share):
+        # each row keeps the K columns within the tail of its a_j, a
+        # share of the window W = {|y| <= re_span + tail} that falls with h
         op = experiments.toeplitz_probe(gevrey2, h)[0]
         K = op.matrix
         n = op.real_grid.n_points
-        assert K.shape == (op.cgrid.re_n * op.cgrid.im_n, n)
-        count = window_count(op)
-        assert K.G.shape == (op.cgrid.re_n, count)
-        assert K.E.shape == (op.cgrid.im_n, count)
-        assert count < share * n
+        re_n, im_n = op.cgrid.re_n, op.cgrid.im_n
+        assert K.shape == (re_n * im_n, n)
+        width = K.G.shape[1]
+        assert K.G.shape == (re_n, width)
+        assert K.E.shape == (im_n, width)
+        assert K.starts.shape == (re_n,)
+        assert width < share * window_count(op)
+        y = op.real_grid.nodes
+        tail = np.sqrt(2.0 * h * fbi.DECAY_LOG)
+        near = np.abs(op.cgrid.re_axis[:, None] - y[None, :]) <= tail
+        cols = row_columns(op)
+        for j in range(re_n):
+            assert np.array_equal(np.flatnonzero(near[j]),
+                                  cols[j][near[j][cols[j]]])
 
-    def test_adjoint_zero_off_window(self, narrow):
-        K = narrow.matrix
+    def test_rows_stay_on_grid(self, probe):
+        # every row's K columns are grid columns, and they hold every
+        # node within the tail of a_j: the last rows of the edge grid
+        # start early rather than run past the last node
+        cols = row_columns(probe)
+        assert cols.min() >= 0 and cols.max() < probe.real_grid.n_points
+        y = probe.real_grid.nodes
+        tail = np.sqrt(2.0 * probe.h * fbi.DECAY_LOG)
+        for a, row in zip(probe.cgrid.re_axis, cols):
+            need = np.flatnonzero(np.abs(y - a) <= tail)
+            assert need[0] >= row[0] and need[-1] <= row[-1]
+
+    def test_apply_matches_windowed_dense(self, probe):
+        # the factors, the strided windows of u and the scatter by s_j
+        # against the closed form on the same columns
+        D = windowed_dense(probe)
+        K = probe.matrix
+        top = np.abs(D).max()
+        n = K.shape[1]
+        assert np.abs(K @ np.eye(n) - D).max() <= 1e-13 * top
+        assert np.abs(K.adjoint_matmul(np.eye(K.shape[0]))
+                      - D.conj().T).max() <= 1e-13 * top
+        rng = np.random.default_rng(13)
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        V = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(
+            K.shape[0])
+        assert (np.abs(K @ u - D @ u).max()
+                <= 1e-13 * top * np.abs(u).sum())
+        assert (np.abs(K.adjoint_matmul(V) - D.conj().T @ V).max()
+                <= 1e-13 * top * np.abs(V).sum())
+
+    def test_adjoint_pairing(self, probe):
+        # <K u, V> = <u, K* V> for (rows, k) blocks and for their columns
+        K = probe.matrix
+        rng = np.random.default_rng(17)
+        u = rng.standard_normal((K.shape[1], 3)) + 1j * rng.standard_normal(
+            (K.shape[1], 3))
+        V = rng.standard_normal((K.shape[0], 3)) + 1j * rng.standard_normal(
+            (K.shape[0], 3))
+        Ku, KV = K @ u, K.adjoint_matmul(V)
+        for i in range(3):
+            scale = np.linalg.norm(Ku[:, i]) * np.linalg.norm(V[:, i])
+            for Kui, KVi in ((Ku[:, i], KV[:, i]),
+                             (K @ u[:, i], K.adjoint_matmul(V[:, i]))):
+                assert abs(np.vdot(V[:, i], Kui) - np.vdot(KVi, u[:, i])) \
+                    <= 1e-13 * scale
+
+    def test_adjoint_zero_off_window(self, probe):
+        K = probe.matrix
         rng = np.random.default_rng(7)
         V = (rng.standard_normal((K.shape[0], 2))
              + 1j * rng.standard_normal((K.shape[0], 2)))
         off = np.ones(K.shape[1], dtype=bool)
-        off[K.window] = False
-        assert np.count_nonzero(off) == K.shape[1] - window_count(narrow)
+        off[row_columns(probe).ravel()] = False
         assert np.all(K.adjoint_matmul(V)[off] == 0)
         assert np.all(K.adjoint_matmul(V[:, 0])[off] == 0)
 
-    def test_apply_and_adjoint_match_dense(self, narrow):
+    def test_apply_and_adjoint_match_dense(self):
+        narrow = narrow_operator()
         dense = dense_kernel(narrow)
         rng = np.random.default_rng(11)
         n = narrow.real_grid.n_points
@@ -260,7 +354,7 @@ class TestKernelWindow:
         with pytest.raises(GridExtentError, match="half_width_L"):
             make_fbi(RealGrid(reach - 1e-3, 128), cgrid, h)
         op = make_fbi(RealGrid(reach + 1e-3, 128), cgrid, h)
-        assert op.matrix.G.shape[1] == window_count(op)
+        assert row_columns(op).max() == op.real_grid.n_points - 1
         # a complex window wider than the real grid leaves it at any h
         with pytest.raises(GridExtentError, match="half_width_L"):
             make_fbi(RealGrid(2.0, 128), default_cgrid(0.01), 0.01)

@@ -14,10 +14,11 @@ from gevspec.geometry import (CoverageError, EscapeConstructionError,
                               GeometryConfigError, build_escape,
                               check_deformed_ellipticity, escape_csv_lines)
 from gevspec.symbols import (ANALYTIC, I_SQUARE, I_TANH, SQUARE,
-                             ModelInstance, additive_symbol,
+                             ModelInstance, Part, additive_symbol,
                              make_analytic_transport, make_davies,
                              make_gevrey_transport, make_trapped_toy)
 
+EXP = Part(np.exp, np.exp, np.exp)
 CATALOG = [make_davies(), make_analytic_transport(), make_gevrey_transport(1.5),
            make_gevrey_transport(2.0), make_gevrey_transport(3.0),
            make_trapped_toy()]
@@ -97,26 +98,44 @@ def _distinct(start, speed):
     return first, inverse
 
 
+def _mirrored(part, start, speed):
+    """(starts, forward, backward) of _escape_integral's one forward pass:
+    starts are the coordinates of the distinct (start, speed) pairs of the
+    starts and of their mirrors, (-start, speed) with -0.0 read as +0.0
+    for an even part and (start, -speed) otherwise, and forward and
+    backward map each start to the pass's trajectory of either
+    direction."""
+    mirror = (0.0 - start, speed) if part.even else (start, -speed)
+    both = np.concatenate([start, mirror[0]])
+    first, inverse = _distinct(both, np.concatenate([speed, mirror[1]]))
+    return both[first], inverse[:len(start)], inverse[len(start):]
+
+
 def _sampled_points(sym, x0, xi0, T, dt=geometry.DEFAULT_DT):
     """The (x, xi) points at which _escape_integral evaluates Re p for every
     start, stacked: the forward nodes t = dt, ..., 2T, then the backward
     nodes t = -dt, ..., -2T; shape (2, n_steps, 2, len(x0)). Only the real
     part whose coordinate moves is evaluated, so that coordinate is read
     from the calls of its f, and the other one, which the flow keeps
-    fixed, is its start. Each call sees the distinct (start, speed) pairs
-    only; the inverse maps its points back to every start."""
+    fixed, is its start. The calls run forward only, over the distinct
+    trajectories of the starts and their mirrors: a start's backward nodes
+    are its mirror's forward nodes, negated for an even part, whose mirror
+    starts at -x0."""
     start = (np.asarray(x0, dtype=float), np.asarray(xi0, dtype=float))
     axis, part, speed = geometry._moving_part(sym.split, *start)
     calls = []
     geometry._escape_integral(_recording(part, calls), start[axis], speed,
                               T, dt)
-    first, inverse = _distinct(start[axis], speed)
-    assert np.array_equal(calls[0][1], start[axis][first])
+    starts, forward, backward = _mirrored(part, start[axis], speed)
+    assert np.array_equal(calls[0][1], starts)
+    nodes = np.array([t for _, t in calls[1:]])
     n = len(start[0])
-    points = np.empty((len(calls) - 1, 2, n))
-    points[:, axis] = [t[inverse] for _, t in calls[1:]]
-    points[:, 1 - axis] = start[1 - axis]
-    return points.reshape(2, -1, 2, n)
+    points = np.empty((2, len(nodes), 2, n))
+    points[0, :, axis] = nodes[:, forward]
+    points[1, :, axis] = -nodes[:, backward] if part.even \
+        else nodes[:, backward]
+    points[:, :, 1 - axis] = start[1 - axis]
+    return points
 
 
 def _value_integral(sym, x0, xi0, velocity, T, dt):
@@ -226,11 +245,14 @@ class TestFlow:
         ref = np.array(list(_rk4_flow(model.symbol, x0, xi0, n_steps, dt)))
         assert np.all(np.abs(ref - got) <= (k + 4) * eps * scale)
 
-    @pytest.mark.parametrize("parts", [(SQUARE, I_TANH), (I_SQUARE, SQUARE)],
-                             ids=["real+i", "i+real"])
+    @pytest.mark.parametrize("parts", [(SQUARE, I_TANH), (I_SQUARE, SQUARE),
+                                       (EXP, I_TANH)],
+                             ids=["real+i", "i+real", "undeclared+i"])
     def test_integral_matches_value_reference(self, parts):
-        # each direction of the moving coordinate; with two real parts or
-        # none nothing is integrated (test_two_real_parts_raise,
+        # each direction of the moving coordinate, from starts whose
+        # mirrors are not starts; exp is not even, so its backward
+        # trajectories are the forward ones at -speed. With two real
+        # parts or none nothing is integrated (test_two_real_parts_raise,
         # test_two_imaginary_parts_raise)
         sym = additive_symbol(*parts, order_s=ANALYTIC, zero_set_hint=None,
                               name="parts")
@@ -242,6 +264,47 @@ class TestFlow:
                               0.01)
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("model", [make_gevrey_transport(2.0),
+                                       make_davies()], ids=lambda m: m.tag)
+    def test_even_part_off_centre_lattice_matches_value_reference(self,
+                                                                  model):
+        # a lattice off centre in both coordinates lacks the mirrors of
+        # its starts, which are integrated on their own
+        X, K = np.meshgrid(geometry._axis(-1.0, 6.0, 57),
+                           geometry._axis(-0.3, 0.9, 13), indexing="ij")
+        sym = model.symbol
+        axis, part, speed = geometry._moving_part(sym.split, X.ravel(),
+                                                  K.ravel())
+        assert part.even
+        start = (X.ravel(), K.ravel())[axis]
+        starts, _, _ = _mirrored(part, start, speed)
+        assert len(starts) > len(_distinct(start, speed)[0])
+        got = geometry._escape_integral(part, start, speed, 1.0, 0.01)
+        ref = _value_integral(sym, X.ravel(), K.ravel(),
+                              _grad_field(sym, X.ravel(), K.ravel()), 1.0,
+                              0.01)
+        for g, r in zip(got, ref):
+            assert g.tobytes() == r.tobytes()
+
+    @pytest.mark.parametrize("model", CATALOG, ids=lambda m: m.tag)
+    def test_declared_even_parts_are_even_bit_for_bit(self, model):
+        # on signed zeros, on the default lattice's axes and on the
+        # points of trajectories from across that lattice
+        split = model.symbol.split
+        even = [(i, p) for i, p in enumerate((split.a, split.b)) if p.even]
+        assert even
+        (xlo, xhi), (klo, khi) = model.symbol.zero_set_hint
+        centre = (0.5 * (xlo + xhi), 0.5 * (klo + khi))
+        half = 2.0 * float(np.hypot(xhi - xlo, khi - klo)) * 1.01
+        axes = [geometry._axis(c - half, c + half, 129) for c in centre]
+        rng = np.random.default_rng(19)
+        x0, xi0 = (rng.uniform(c - half, c + half, 20) for c in centre)
+        points = _sampled_points(model.symbol, x0, xi0, 4.0)
+        for i, part in even:
+            t = np.concatenate([[-0.0, 0.0], axes[i],
+                                points[:, :, i].ravel()])
+            assert part.f(-t).tobytes() == part.f(t).tobytes()
 
     def test_split_flow_never_calls_grad(self, gevrey2):
         traced = dataclasses.replace(gevrey2.symbol, grad=_raising)
@@ -456,13 +519,20 @@ class TestBuildEscape:
             assert not np.signbit(field[~support]).any()
         # x moves under i tanh(xi), which is never evaluated: only a(x) is,
         # once at the starts, which are the distinct (x, speed) pairs of
-        # the support, and once per node
+        # the support and of their mirrors (-x, speed), and once per
+        # forward node. The default box is symmetric in x, so its mirrors
+        # are its own starts; the off-centre one lacks most of them
         n_steps = int(round(2.0 * esc.T / geometry.DEFAULT_DT))
-        assert len(calls) == 1 + 2 * n_steps
+        assert len(calls) == 1 + n_steps
         assert all(seen is sym.split.a for seen, _ in calls)
-        first, _ = _distinct(X[support], fx[support])
-        assert np.array_equal(calls[0][1], X[support][first])
-        assert all(t.shape == first.shape for _, t in calls)
+        starts, _, _ = _mirrored(sym.split.a, X[support], fx[support])
+        assert np.array_equal(calls[0][1], starts)
+        assert all(t.shape == starts.shape for _, t in calls)
+        distinct = len(_distinct(X[support], fx[support])[0])
+        if "lattice" in box:
+            assert distinct < len(starts) < 2 * distinct
+        else:
+            assert len(starts) == distinct
 
     @pytest.mark.parametrize("fixture", ["escape_gevrey2", "escape_analytic"])
     def test_default_lattice_squares_the_cutoff_ball(self, fixture, request):
@@ -494,12 +564,15 @@ class TestBuildEscape:
                              ids=lambda m: m.tag)
     def test_default_lattice_integrates_distinct_trajectories(self, model):
         # 12 605 support points, of which the rows xi and -xi repeat a
-        # trajectory: each node evaluates a(x) at 6 366 points
+        # trajectory, and the even a(x) on the symmetric x axis makes the
+        # column -x each column's mirror: one forward pass evaluates a(x)
+        # at 6 366 points per node, 801 times
         recorded, calls = _recorded(model)
         esc = build_escape(recorded)
         support = np.any([c != 0.0 for c in _cutoff(esc)[0]], axis=0)
         assert support.sum() == 12605
         assert {t.shape for _, t in calls} == {(6366,)}
+        assert len(calls) == 1 + int(round(2.0 * esc.T / geometry.DEFAULT_DT))
 
     def test_signed_zero_starts_stay_distinct(self, gevrey2):
         # -0.0 and +0.0 differ in their bits, so they are two trajectories;
