@@ -266,16 +266,16 @@ def toeplitz_residuals(model: ModelInstance, fbi_op: FBIOperator,
     multiplication, one per deformation size t in ts.
 
     Compares <(T P T*) U, V>_{Phi_t} with the integral of a~(x, xi_t) U
-    conj(V) against the Phi_t weight, for U = Tu, V = Tv. P, U, V and
-    (T P T*) U do not depend on t and are formed once for all of ts. Each
-    t's excess and section symbol, the split's extension, come first, so a
-    symbol without a split raises ValueError before P is assembled.
+    conj(V) against the Phi_t weight, for U = Tu, V = Tv, one apply of the
+    (N, 2) block of u and v. P, U, V and (T P T*) U do not depend on t and
+    are formed once for all of ts. Each t's excess and section symbol, the
+    split's extension, come first, so a symbol without a split raises
+    ValueError before P is assembled.
     """
     weights = [(excess, _symbol_on_section(model, fbi_op.nodes, xi))
                for excess, xi in (weight_phi_t(esc, t, fbi_op) for t in ts)]
     P = assemble_weyl(model.symbol, fbi_op.real_grid, fbi_op.h)
-    U = fbi_op.apply(u)
-    V = fbi_op.apply(v)
+    U, V = fbi_op.apply(np.stack([u, v], axis=1)).T
     TPU = apply_conjugated(P, fbi_op, U)
     out = []
     for excess, sym_field in weights:

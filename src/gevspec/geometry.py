@@ -80,9 +80,6 @@ class CoverageError(ValueError):
     pass
 
 
-_BAND = 3  # a cubic collocation row spans four adjacent basis functions
-
-
 def _cubic_basis(t: np.ndarray, x: np.ndarray):
     """The first index j, per point, of the four cubic B-splines on the
     knots t that can be nonzero at x, and the list of their values B_j ..
@@ -103,41 +100,17 @@ def _cubic_basis(t: np.ndarray, x: np.ndarray):
     return i - 3, b
 
 
-def _collocation_lu(axis: np.ndarray):
+def _collocation(axis: np.ndarray):
     """The not-a-knot knots of one axis (each end node four times, then the
-    interior nodes but the first and last) and the LU factors of its
-    collocation matrix B_j(axis[r]), packed in one array with the unit
-    lower triangle implied. The matrix is banded and totally positive, so
-    elimination without pivoting is stable (de Boor & Pinkus, Numer. Math.
-    27, 1977) and no entry leaves the band."""
+    interior nodes but the first and last) and its collocation matrix
+    B_j(axis[r]), dense n x n."""
     t = np.concatenate([np.full(4, axis[0]), axis[2:-2], np.full(4, axis[-1])])
     j, b = _cubic_basis(t, axis)
     n = axis.size
-    lu = np.zeros((n, n))
+    B = np.zeros((n, n))
     for c in range(4):
-        lu[np.arange(n), j + c] = b[c]
-    for k in range(n - 1):
-        below = slice(k + 1, k + 1 + _BAND)
-        lu[below, k] /= lu[k, k]
-        lu[below, below] -= np.outer(lu[below, k], lu[k, below])
-    return t, lu
-
-
-def _band_solve(lu: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
-    """Solve with _collocation_lu's factors along one axis of values, for
-    every line along it. The sweeps are elementwise numpy, with no BLAS
-    call, so a line's result depends neither on the other lines nor on the
-    thread count."""
-    moved = np.moveaxis(values, axis, 0)
-    y = moved.reshape(len(moved), -1).copy()
-    n = len(lu)
-    for k in range(n - 1):
-        y[k + 1:k + 1 + _BAND] -= lu[k + 1:k + 1 + _BAND, k, None] * y[k]
-    for k in range(n - 1, -1, -1):
-        y[k] /= lu[k, k]
-        above = slice(max(k - _BAND, 0), k)
-        y[above] -= lu[above, k, None] * y[k]
-    return np.moveaxis(y.reshape(moved.shape), 0, axis)
+        B[np.arange(n), j + c] = b[c]
+    return t, B
 
 
 @dataclass(frozen=True)
@@ -172,12 +145,14 @@ def _cubic_spline(x_axis: np.ndarray, xi_axis: np.ndarray,
     Guide to Splines, 2001) of lattice values of shape (fields, n_x, n_xi).
 
     The collocation matrix is the Kronecker product of the two axes', so
-    one banded solve along each axis gives the coefficients exactly, with
-    one factorization per axis for all fields, no iterative solver and no
-    dependence on the BLAS thread count.
+    coef solves B_x coef B_xi^T = values: one numpy.linalg.solve along x,
+    then one along xi on the transposed result, each for every field at
+    once. The solves run on numpy's LAPACK; that their results do not
+    depend on the BLAS thread count is tested at 1 and 2 threads.
     """
-    (tx, lux), (tk, luk) = _collocation_lu(x_axis), _collocation_lu(xi_axis)
-    coef = _band_solve(luk, _band_solve(lux, values, 1), 2)
+    (tx, Bx), (tk, Bk) = _collocation(x_axis), _collocation(xi_axis)
+    along_x = np.linalg.solve(Bx, values)
+    coef = np.linalg.solve(Bk, along_x.transpose(0, 2, 1)).transpose(0, 2, 1)
     return _Spline((tx, tk), np.ascontiguousarray(coef))
 
 

@@ -372,13 +372,18 @@ def compose_and_extract(a: GevreySymbol, b: GevreySymbol, grid: RealGrid,
 
 def save_weyl(path, P: WeylMatrix) -> None:
     """Flat binary export: a versioned header (magic, version, N, h, L, tag
-    length, then the UTF-8 symbol tag) followed by row-major complex128."""
+    length, then the UTF-8 symbol tag) followed by row-major complex128.
+    The Fortran-ordered build is written in blocks of N/8 rows, so the
+    row-major payload never needs a second N x N array."""
     tag = P.symbol_tag.encode("utf-8")
+    entries = P.entries.astype("<c16", copy=False)
+    step = max(1, P.n // 8)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, P.n, P.h,
                               P.grid.half_width_L, len(tag)))
         fh.write(tag)
-        fh.write(P.entries.astype("<c16", copy=False).tobytes(order="C"))
+        for r in range(0, P.n, step):
+            fh.write(entries[r:r + step].tobytes(order="C"))
 
 
 def load_weyl(path) -> WeylMatrix:

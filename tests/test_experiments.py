@@ -14,7 +14,8 @@ import scipy.linalg
 from scipy.linalg import lapack
 
 import gevspec
-from gevspec import cli, experiments, fbi, geometry, quantize, spectral
+from gevspec import (cli, experiments, fbi, geometry, quantize, spectral,
+                     svgout)
 from gevspec.experiments import (ConfigError, FitError, NumericalFailure,
                                  SweepConfig, SweepRecord, fit_power_law,
                                  parse_config,
@@ -436,6 +437,18 @@ class TestToeplitzSweep:
                       <= 1e-10 * np.abs(one[:, 1:]))
 
 
+class TestHeatmap:
+    def test_field_above_cell_budget_is_strided(self, tmp_path):
+        # 300 x 150 cells exceed MAX_CELLS; every second one is drawn
+        values = np.exp(np.add.outer(np.arange(300.0), np.arange(150.0)) / 50)
+        path = tmp_path / "field.svg"
+        svgout.heatmap_svg(values, (0.0, 1.0, 0.0, 0.5), str(path), [1j],
+                           "strided")
+        rects = path.read_text(encoding="utf-8").count("<rect ")
+        assert values.size > svgout.MAX_CELLS
+        assert rects == 150 * 75 <= svgout.MAX_CELLS
+
+
 class TestCli:
     @pytest.mark.parametrize("n", [256, 210])
     def test_quantize_writes_loadable_file(self, tmp_path, n):
@@ -449,6 +462,42 @@ class TestCli:
         assert P.h == 0.1
         assert P.grid.half_width_L == 8.0
         assert P.symbol_tag == "davies"
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_spectrum_writes_eigenvalue_csv(self, to_file, tmp_path, capsys):
+        argv = ["spectrum", "--model", "davies", "--h", "0.1", "--L", "8",
+                "--N", "256"]
+        out = tmp_path / "spec.csv"
+        assert cli.main(argv + ["--out", str(out)] * to_file) == cli.EXIT_OK
+        text = capsys.readouterr().out
+        if to_file:
+            assert text == f"wrote {out}: 256 eigenvalues\n"
+            text = out.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        assert lines[0] == "re_lambda,im_lambda,boundary_mass"
+        assert len(lines) == 257
+        sym = model_from_tag("davies").symbol
+        P = quantize.assemble_weyl(sym, quantize.RealGrid(8.0, 256), 0.1)
+        assert lines == spectral.spectrum_csv_lines(spectral.eigenvalues(P))
+
+    def test_escape_writes_lattice_csv(self, tmp_path, escape_gevrey2):
+        out = tmp_path / "escape.csv"
+        assert cli.main(["escape", "--model", "gevrey-transport:s=2",
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert out.read_text(encoding="utf-8").splitlines() \
+            == geometry.escape_csv_lines(escape_gevrey2)
+
+    def test_center_without_comma_is_a_python_complex(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for center, stem in (("0.1,0.1", "comma"), ("0.1+0.1j", "plain")):
+            code = cli.main(["pseudospectrum", "--model", "davies", "--h",
+                             "0.1", "--center", center, "--span", "0.2",
+                             "--res", "3", "--L", "8", "--N", "256",
+                             "--out", stem])
+            assert code == cli.EXIT_OK
+        assert (tmp_path / "plain.csv").read_bytes() \
+            == (tmp_path / "comma.csv").read_bytes()
 
     def test_odd_n_is_config_error(self, tmp_path):
         out = tmp_path / "davies.weyl"

@@ -431,6 +431,20 @@ class TestBuildEscape:
                                (esc.G_values, lat_x, lat_xi)):
             assert np.abs(got - values).max() <= 1e-12 * np.abs(values).max()
 
+    def test_spline_coefficients_solve_collocation(self, escape_gevrey2):
+        # B_x C B_xi^T reproduces the lattice values of every field
+        esc = escape_gevrey2
+        values = np.stack([esc.G_values, *geometry._lattice_gradient(
+            esc.G_values, esc.x_axis, esc.xi_axis)])
+        spline = geometry._cubic_spline(esc.x_axis, esc.xi_axis, values)
+        (tx, Bx), (tk, Bk) = (geometry._collocation(a)
+                              for a in (esc.x_axis, esc.xi_axis))
+        assert np.array_equal(tx, spline.knots[0])
+        assert np.array_equal(tk, spline.knots[1])
+        for coef, want in zip(spline.coef, values):
+            got = Bx @ coef @ Bk.T
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_splines_independent_of_blas_threads(self, escape_gevrey2,
                                                  tmp_path):
         # the splines and the integrals of a build; the thread count is set

@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -410,6 +411,24 @@ class TestSerialization:
         assert Q.grid == P.grid
         assert Q.symbol_tag == "bump"
         assert np.array_equal(Q.entries, P.entries)
+
+    def test_save_streams_row_blocks(self, tmp_path):
+        # the payload is the C-ordered entries, written without a second
+        # N x N array beside the Fortran-ordered build
+        P = assemble_weyl(model_from_tag("gevrey-transport:s=2").symbol,
+                          RealGrid(4.0, 1024), 0.01)
+        path = tmp_path / "big.weyl"
+        tracemalloc.start()
+        try:
+            save_weyl(path, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 16 * P.n ** 2
+        entries = P.entries
+        raw = path.read_bytes()
+        assert raw[-16 * P.n ** 2:] == entries.tobytes(order="C")
+        assert np.array_equal(load_weyl(path).entries, entries)
 
     def test_odd_size_rejected(self, tmp_path):
         # a well-formed file whose N the grid rejects
