@@ -16,10 +16,12 @@ workloads (and optionally their pair counts).
 The file holds, per workload and end-to-end metric of BENCHMARK.json, the
 runs, median and quartiles of each side, change_wins (pairs in which the
 change did better), median_change_rel and parent_iqr; the failed gate
-counts per run as [failed, attempted, correct]; and the environment the
-worker recorded. --claim adds whether the change improved METRIC on
-WORKLOAD by more than REL, in at least 9 of 10 pairs, with a median
-difference above the parent's interquartile range. regressions lists, per
+counts per run as [failed, attempted, correct]; the 1-minute load
+average read just before each run, per side in the order of the runs
+and printed on each run's line, since the timings follow machine load;
+and the environment the worker recorded. --claim adds whether the change
+improved METRIC on WORKLOAD by more than REL, in at least 9 of 10 pairs,
+with a median difference above the parent's interquartile range. regressions lists, per
 workload and end-to-end metric, where the change's median is worse than
 the parent's by more than that metric's bound in BENCHMARK.json, the rule
 by which a change is rejected. unresolved lists where the runs spread too
@@ -38,6 +40,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import subprocess
 import sys
 import tarfile
@@ -200,15 +203,18 @@ def main(argv=None) -> int:
                 pair = {}
                 for who in order:
                     checkout = parent_dir if who == "parent" else ROOT
+                    load = os.getloadavg()[0]
                     try:
                         pair[who] = bench_once(checkout, name, args.seed)
                     except RunFailed as exc:
                         failed_runs.append({"pair": i, "side": who,
                                             "exit_code": exc.exit_code})
-                        print(f"{name} pair {i}/{pairs} {who}: failed "
-                              f"(exit {exc.exit_code})", flush=True)
+                        print(f"{name} pair {i}/{pairs} {who} (load "
+                              f"{load:.2f}): failed (exit {exc.exit_code})",
+                              flush=True)
                         continue
-                    print(f"{name} pair {i}/{pairs} {who}: "
+                    pair[who]["load"] = load
+                    print(f"{name} pair {i}/{pairs} {who} (load {load:.2f}): "
                           f"{json.dumps(pair[who]['metrics'])}", flush=True)
                 if len(pair) == 2:
                     for who, result in pair.items():
@@ -224,6 +230,8 @@ def main(argv=None) -> int:
                                      for r in rs] for who, rs in runs.items()}
             entry["gate_failures"] = {who: sum(r["failed"] for r in rs)
                                       for who, rs in runs.items()}
+            entry["load"] = {who: [r["load"] for r in rs]
+                             for who, rs in runs.items()}
 
     out = {"label": args.label,
            "parent_commit": git("rev-parse", "--short", args.parent).decode().strip(),

@@ -219,8 +219,10 @@ def weight_phi_t(esc: Optional[EscapeField], t: float,
 
     The section xi_t(x) = (2/i) d_x Phi_t is -Im x for the quadratic part
     plus t (G_xi - i G_x)(Re x, -Im x) from the correction, with G
-    derivatives taken from the escape lattice; G and both derivatives come
-    from one spline pass. A nonzero t needs esc.
+    derivatives taken from the escape lattice. The points (Re x, -Im x)
+    form the lattice of the axes a_j and -b_k, so G and both derivatives
+    come from one EscapeField.fields_on on those axes, raveled j-major
+    as the nodes. A nonzero t needs esc.
     """
     x = fbi_op.nodes
     xi0 = -x.imag.astype(complex)
@@ -228,7 +230,8 @@ def weight_phi_t(esc: Optional[EscapeField], t: float,
         return np.zeros(x.shape), xi0
     if esc is None:
         raise ValueError(f"the weight at t = {t} needs an escape function")
-    g, gx, gxi = esc.fields_at(x.real, -x.imag)
+    cg = fbi_op.cgrid
+    g, gx, gxi = (f.ravel() for f in esc.fields_on(cg.re_axis, -cg.im_axis))
     return t * g, xi0 + t * gxi - 1j * t * gx
 
 

@@ -46,6 +46,12 @@ share their trajectories, and every catalog real part is even, so the
 column -x holds the mirrors of the column x: 6 366 trajectories of
 2T/dt + 1 = 801 nodes serve the 12 605 support points at 129 x 129. A
 part not declared even pays a second trajectory per start.
+
+G and its lattice gradient are read through tensor-product cubic
+splines, only ever on a lattice (the FBI nodes (Re x, -Im x) form one).
+So _basis(knots, points), the dense B-spline basis of one axis at its
+points, serves both the collocation solve and EscapeField.fields_on,
+which evaluates the coefficients C as E_x C E_xi^T.
 """
 
 from __future__ import annotations
@@ -100,60 +106,23 @@ def _cubic_basis(t: np.ndarray, x: np.ndarray):
     return i - 3, b
 
 
-def _collocation(axis: np.ndarray):
-    """The not-a-knot knots of one axis (each end node four times, then the
-    interior nodes but the first and last) and its collocation matrix
-    B_j(axis[r]), dense n x n."""
-    t = np.concatenate([np.full(4, axis[0]), axis[2:-2], np.full(4, axis[-1])])
-    j, b = _cubic_basis(t, axis)
-    n = axis.size
-    B = np.zeros((n, n))
+def _knots(axis: np.ndarray) -> np.ndarray:
+    """The not-a-knot knots of one axis: each end node four times, then
+    the interior nodes but the first and last."""
+    return np.concatenate([np.full(4, axis[0]), axis[2:-2],
+                           np.full(4, axis[-1])])
+
+
+def _basis(knots: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The dense matrix B_j(points[r]) of the cubic B-splines on knots,
+    one row per point; a point off [knots[0], knots[-1]] gets a zero row.
+    On an axis's own nodes it is that axis's collocation matrix."""
+    rows = np.flatnonzero((points >= knots[0]) & (points <= knots[-1]))
+    j, b = _cubic_basis(knots, points[rows])
+    B = np.zeros((points.size, knots.size - 4))
     for c in range(4):
-        B[np.arange(n), j + c] = b[c]
-    return t, B
-
-
-@dataclass(frozen=True)
-class _Spline:
-    """Tensor-product cubic splines on one lattice: the knots of each axis
-    and coefficients of shape (number of fields, n_x, n_xi)."""
-    knots: Tuple[np.ndarray, np.ndarray]
-    coef: np.ndarray
-
-    def __call__(self, x: np.ndarray, xi: np.ndarray) -> List[np.ndarray]:
-        """Every field at the points (x, xi), 1-D arrays of one length. The
-        fields share one basis per axis, and each value sums 16 terms."""
-        jx, bx = _cubic_basis(self.knots[0], x)
-        jk, bk = _cubic_basis(self.knots[1], xi)
-        n_xi = self.coef.shape[2]
-        corner = jx * n_xi + jk  # flat index of coefficient (jx, jk)
-        values = []
-        for c in self.coef.reshape(len(self.coef), -1):
-            total = 0.0
-            for a in range(4):
-                row = 0.0
-                for b in range(4):
-                    row = row + bk[b] * c[corner + (a * n_xi + b)]
-                total = total + bx[a] * row
-            values.append(total)
-        return values
-
-
-def _cubic_spline(x_axis: np.ndarray, xi_axis: np.ndarray,
-                  values: np.ndarray) -> _Spline:
-    """Tensor-product cubic interpolant (not-a-knot; de Boor, A Practical
-    Guide to Splines, 2001) of lattice values of shape (fields, n_x, n_xi).
-
-    The collocation matrix is the Kronecker product of the two axes', so
-    coef solves B_x coef B_xi^T = values: one numpy.linalg.solve along x,
-    then one along xi on the transposed result, each for every field at
-    once. The solves run on numpy's LAPACK; that their results do not
-    depend on the BLAS thread count is tested at 1 and 2 threads.
-    """
-    (tx, Bx), (tk, Bk) = _collocation(x_axis), _collocation(xi_axis)
-    along_x = np.linalg.solve(Bx, values)
-    coef = np.linalg.solve(Bk, along_x.transpose(0, 2, 1)).transpose(0, 2, 1)
-    return _Spline((tx, tk), np.ascontiguousarray(coef))
+        B[rows, j + c] = b[c]
+    return B
 
 
 @dataclass(frozen=True)
@@ -174,33 +143,46 @@ class EscapeField:
         return _lattice_gradient(self.G_values, self.x_axis, self.xi_axis)
 
     @cached_property
-    def _spline(self) -> _Spline:
-        """Cubic splines of G, d_x G and d_xi G, built once per field."""
-        return _cubic_spline(self.x_axis, self.xi_axis,
-                             np.stack([self.G_values, *self._lattice_grad]))
+    def _coef(self) -> np.ndarray:
+        """Coefficients C, shape (3, n_x, n_xi), of the tensor-product cubic
+        interpolants (not-a-knot; de Boor, A Practical Guide to Splines,
+        2001) of G, d_x G and d_xi G on the lattice, solved once per field.
 
-    def fields_at(self, x, xi) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(G, d_x G, d_xi G) at the points (x, xi), from one pass of the
-        lattice splines; the gradient is the lattice's centered differences
-        interpolated. G and its gradient vanish outside the cutoff ball, so
-        points there evaluate to zero without lattice coverage; anything
-        else out of range is a coverage error."""
+        The collocation matrix is the Kronecker product of the two axes',
+        so C solves B_x C B_xi^T = values: one numpy.linalg.solve along x,
+        then one along xi on the transposed result, each for all three
+        fields at once. The solves run on numpy's LAPACK; that their
+        results do not depend on the BLAS thread count is tested at 1 and
+        2 threads.
+        """
+        Bx, Bk = (_basis(_knots(a), a) for a in (self.x_axis, self.xi_axis))
+        values = np.stack([self.G_values, *self._lattice_grad])
+        along_x = np.linalg.solve(Bx, values).transpose(0, 2, 1)
+        return np.linalg.solve(Bk, along_x).transpose(0, 2, 1)
+
+    def fields_on(self, x, xi) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(G, d_x G, d_xi G) on the lattice of the 1-D axes x and xi, each
+        of shape (len(x), len(xi)), as E_x C E_xi^T with E each axis's
+        basis at its points; the gradient is the lattice's centered
+        differences interpolated. An axis point off the escape lattice
+        gets a zero basis row: G and its gradient vanish outside the cutoff
+        ball, and a lattice point inside it that the escape lattice misses
+        is a coverage error."""
         x = np.asarray(x, dtype=float)
         xi = np.asarray(xi, dtype=float)
-        x, xi = np.broadcast_arrays(x, xi)
-        inside = (
-            (x >= self.x_axis[0]) & (x <= self.x_axis[-1])
-            & (xi >= self.xi_axis[0]) & (xi <= self.xi_axis[-1]))
-        r = np.hypot(x - self.cutoff_center[0], xi - self.cutoff_center[1])
-        covered = inside | (r >= self.cutoff_radius)
-        if not np.all(covered):
-            k = int(np.argmax(~covered))
+        in_x = (x >= self.x_axis[0]) & (x <= self.x_axis[-1])
+        in_xi = (xi >= self.xi_axis[0]) & (xi <= self.xi_axis[-1])
+        r = np.hypot(x[:, None] - self.cutoff_center[0],
+                     xi[None, :] - self.cutoff_center[1])
+        uncovered = (r < self.cutoff_radius) & ~(in_x[:, None] & in_xi)
+        if uncovered.any():
+            i, j = np.unravel_index(np.argmax(uncovered), uncovered.shape)
             raise CoverageError(
                 "escape lattice does not cover requested point "
-                f"({x.ravel()[k]:.4f}, {xi.ravel()[k]:.4f}) inside the cutoff ball")
-        vals = self._spline(np.where(inside, x, self.x_axis[0]).ravel(),
-                            np.where(inside, xi, self.xi_axis[0]).ravel())
-        return tuple(np.where(inside, v.reshape(x.shape), 0.0) for v in vals)
+                f"({x[i]:.4f}, {xi[j]:.4f}) inside the cutoff ball")
+        Ex = _basis(_knots(self.x_axis), x)
+        Ek = _basis(_knots(self.xi_axis), xi)
+        return tuple(Ex @ c @ Ek.T for c in self._coef)
 
     @property
     def sup_G(self) -> float:

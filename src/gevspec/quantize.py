@@ -60,8 +60,9 @@ class RealGrid:
         n = self.n_points
         if n < 2 or n % 2:
             raise GridError(f"n_points must be even and >= 2, got {n}")
-        if not self.half_width_L > 0:
-            raise GridError(f"half_width_L must be positive, got {self.half_width_L}")
+        if not 0 < self.half_width_L < np.inf:
+            raise GridError("half_width_L must be positive and finite, got "
+                            f"{self.half_width_L}")
 
     @property
     def spacing(self) -> float:
@@ -396,6 +397,8 @@ def load_weyl(path) -> WeylMatrix:
         if version != _VERSION:
             raise GridError(f"{path}: unsupported WEYL header version {version}; "
                             f"this reader knows version {_VERSION}")
+        if not 0 < h <= 1:
+            raise GridError(f"{path}: header h = {h} is not in (0, 1]")
         tag = fh.read(tag_len)
         payload = fh.read()
     if len(payload) != 16 * n * n:

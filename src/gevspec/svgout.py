@@ -44,7 +44,7 @@ def heatmap_svg(values: np.ndarray,
     """
     field = np.log10(np.maximum(np.asarray(values, dtype=float), 1e-300))
     stride = 1
-    while (field.shape[0] // stride) * (field.shape[1] // stride) > MAX_CELLS:
+    while field[::stride, ::stride].size > MAX_CELLS:  # the cells drawn
         stride += 1
     field = field[::stride, ::stride]
     nx, ny = field.shape

@@ -156,3 +156,41 @@ def test_failed_run_drops_its_pair_and_exits_1(tmp_path, monkeypatch, capsys,
     assert out["claim"]["measured"].endswith("of 2 pairs, parent IQR 2")
     assert "failed run: escape-toeplitz pair 2 change (exit 1)" \
         in capsys.readouterr().out
+
+
+def test_load_recorded_before_each_run(tmp_path, monkeypatch, capsys):
+    # the 1-minute load average is read just before each run starts, kept
+    # per side in the order of the runs and printed on the run's line
+    bench_pairs = load_script()
+    (tmp_path / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"),
+        encoding="utf-8")
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text(
+        encoding="utf-8"))["end_to_end"]
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "export_parent", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: b"abc1234\n")
+    events = []
+
+    def fake_getloadavg():
+        events.append("load")
+        return (0.25 * len(events), 0.0, 0.0)
+
+    def fake_bench_once(checkout, workload, seed):
+        events.append("change" if checkout == tmp_path else "parent")
+        return {"metrics": {m["name"]: {"value": 1.0} for m in end_to_end},
+                "failed": 0, "attempted": 1, "correct": 1, "env": {}}
+
+    monkeypatch.setattr(bench_pairs.os, "getloadavg", fake_getloadavg)
+    monkeypatch.setattr(bench_pairs, "bench_once", fake_bench_once)
+    assert bench_pairs.main(["--label", "t",
+                             "--workload", "escape-toeplitz=2"]) == 0
+    assert events == ["load", "parent", "load", "change",
+                      "load", "change", "load", "parent"]
+    out = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
+    # each read returns a quarter of the events so far: 0.25, 0.75, ...
+    assert out["workloads"]["escape-toeplitz"]["load"] == {
+        "parent": [0.25, 1.75], "change": [0.75, 1.25]}
+    printed = capsys.readouterr().out
+    assert "escape-toeplitz pair 1/2 parent (load 0.25): {" in printed
+    assert "escape-toeplitz pair 2/2 parent (load 1.75): {" in printed

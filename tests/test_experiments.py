@@ -448,6 +448,16 @@ class TestHeatmap:
         assert values.size > svgout.MAX_CELLS
         assert rects == 150 * 75 <= svgout.MAX_CELLS
 
+    def test_odd_field_stays_within_cell_budget(self, tmp_path):
+        # 401 x 401 (pseudospectrum --res 401) at stride 2 draws 201 x 201
+        # cells, 40 401 > MAX_CELLS; stride 3 draws 134 x 134
+        values = np.exp(np.add.outer(np.arange(401.0), np.arange(401.0)) / 50)
+        path = tmp_path / "field.svg"
+        svgout.heatmap_svg(values, (0.0, 1.0, 0.0, 1.0), str(path), [],
+                           "odd")
+        rects = path.read_text(encoding="utf-8").count("<rect ")
+        assert rects == 134 * 134 <= svgout.MAX_CELLS
+
 
 class TestCli:
     @pytest.mark.parametrize("n", [256, 210])

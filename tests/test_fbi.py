@@ -377,14 +377,21 @@ class TestWeights:
         with pytest.raises(ValueError, match="escape function"):
             toeplitz_residual(gevrey2, op, None, -0.0316, u, u)
 
-    def test_deformed_weight_reads_fields_at(self, escape_gevrey2, op_h01):
+    def test_deformed_weight_reads_fields_on(self, escape_gevrey2, op_h01):
         # Phi_t - Phi_0 = t G and xi_t = -Im x + t (G_xi - i G_x) at
-        # (Re x, -Im x), with G and its gradient from the escape field
+        # (Re x, -Im x), with G and its gradient from the escape field on
+        # the lattice of the axes a_j and -b_k, raveled j-major: node n
+        # is a_j + i b_k with j, k = divmod(n, im_n)
         t = -0.0316
         excess, xi = weight_phi_t(escape_gevrey2, t, op_h01)
         x = op_h01.nodes
         a, b = np.real(x), np.imag(x)
-        g, gx, gxi = escape_gevrey2.fields_at(a, -b)
+        cg = op_h01.cgrid
+        j, k = np.divmod(np.arange(x.size), cg.im_n)
+        assert np.array_equal(a, cg.re_axis[j])
+        assert np.array_equal(b, cg.im_axis[k])
+        on = escape_gevrey2.fields_on(cg.re_axis, -cg.im_axis)
+        g, gx, gxi = (f[j, k] for f in on)
         assert np.array_equal(excess, t * g)
         assert np.array_equal(xi, -b.astype(complex) + t * gxi - 1j * t * gx)
 

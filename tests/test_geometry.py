@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gevspec
-from gevspec import geometry
+from gevspec import experiments, geometry
 from gevspec.geometry import (CoverageError, EscapeConstructionError,
                               GeometryConfigError, build_escape,
                               check_deformed_ellipticity, escape_csv_lines)
@@ -346,43 +346,63 @@ class TestBuildEscape:
     def test_compact_support(self, escape_gevrey2):
         cx, ck = escape_gevrey2.cutoff_center
         r = escape_gevrey2.cutoff_radius
-        far = escape_gevrey2.fields_at([cx + r + 0.5, cx - 2 * r], [ck, ck])
+        far = escape_gevrey2.fields_on([cx + r + 0.5, cx - 2 * r], [ck])
         assert all(np.all(v == 0.0) for v in far)
-        g, gx, gk = escape_gevrey2.fields_at(cx + r + 1.0, ck)
+        g, gx, gk = escape_gevrey2.fields_on([cx + r + 1.0], [ck])
         assert g == 0.0 and gx == 0.0 and gk == 0.0
 
-    def test_fields_at_uncovered_point_raises(self, gevrey2):
+    def test_axis_partly_off_lattice_outside_ball(self, escape_gevrey2):
+        # x runs past the lattice's right end, where every point lies
+        # outside the cutoff ball: those columns are exact zeros and the
+        # lattice part still interpolates G
+        esc = escape_gevrey2
+        x = np.append(esc.x_axis, esc.x_axis[-1] + np.array([1e-9, 0.1, 1.0]))
+        g, gx, gxi = esc.fields_on(x, esc.xi_axis)
+        n = esc.x_axis.size
+        assert x[n] - esc.cutoff_center[0] > esc.cutoff_radius
+        for v in (g, gx, gxi):
+            assert v.shape == (n + 3, esc.xi_axis.size)
+            assert np.all(v[n:] == 0.0)
+        assert np.abs(g[:n] - esc.G_values).max() <= 1e-12 * esc.sup_G
+
+    def test_fields_on_uncovered_point_raises(self, gevrey2):
         # the lattice stops at |x| = 2, inside the cutoff ball of radius 5.4
         esc = build_escape(gevrey2, lattice=((-2.0, 2.0), (-1.0, 1.0)),
                            n_x=33, n_xi=17)
-        with pytest.raises(CoverageError, match="does not cover"):
-            esc.fields_at([0.0, 2.5], [0.0, 0.0])
+        with pytest.raises(CoverageError,
+                           match=r"does not cover .*\(2\.5000, 0\.0000\)"):
+            esc.fields_on([0.0, 2.5], [0.0])
 
     def test_splines_built_once(self, escape_gevrey2, monkeypatch):
-        built = []
-        real = geometry._cubic_spline
+        solved = []
+        real = np.linalg.solve
 
         def counting(*args):
-            built.append(args)
+            solved.append(args)
             return real(*args)
 
-        monkeypatch.setattr(geometry, "_cubic_spline", counting)
+        monkeypatch.setattr(np.linalg, "solve", counting)
         esc = dataclasses.replace(escape_gevrey2)  # no splines cached yet
         x = np.linspace(-1.5, 1.5, 7)
         xi = np.linspace(-0.4, 0.4, 7)
-        g1, gx, gxi = esc.fields_at(x, xi)
-        g2 = esc.fields_at(x, xi)[0]
-        assert len(built) == 1
-        # the values of each field's spline built afresh on its own
+        g1, gx, gxi = esc.fields_on(x, xi)
+        g2 = esc.fields_on(x, xi)[0]
+        assert len(solved) == 2  # along x, then along xi, all fields at once
+        # the values of each field's spline solved afresh on its own
         axes = (esc.x_axis, esc.xi_axis)
+        Bx, Bk = (geometry._basis(geometry._knots(a), a) for a in axes)
+        Ex = geometry._basis(geometry._knots(axes[0]), x)
+        Ek = geometry._basis(geometry._knots(axes[1]), xi)
         lat_x, lat_xi = geometry._lattice_gradient(esc.G_values, *axes)
         for got, values in ((g1, esc.G_values), (g2, esc.G_values),
                             (gx, lat_x), (gxi, lat_xi)):
-            fresh = real(*axes, values[None])(x, xi)[0]
-            assert np.array_equal(got, fresh)
+            fresh = real(Bk, real(Bx, values).T).T
+            assert np.array_equal(got, Ex @ fresh @ Ek.T)
 
-    def test_splines_match_scipy_reference(self, escape_gevrey2):
-        # the same not-a-knot interpolant, built by scipy.interpolate
+    def test_splines_match_scipy_reference(self, escape_gevrey2, gevrey2):
+        # the same not-a-knot interpolant, built by scipy.interpolate, on
+        # the lattice, both last edges, a random lattice and the nodes
+        # (Re x, -Im x) of the Toeplitz probe at h = 0.0125
         interp = pytest.importorskip("scipy.interpolate")
         esc = escape_gevrey2
         axes = (esc.x_axis, esc.xi_axis)
@@ -393,19 +413,19 @@ class TestBuildEscape:
             return interp.NdBSpline((along_x.t, along_xi.t), along_xi.c.T, 3)
 
         rng = np.random.default_rng(7)
-        X, K = np.meshgrid(*axes, indexing="ij")
-        last_x = np.full(300, axes[0][-1]), rng.uniform(*axes[1][[0, -1]], 300)
-        last_xi = rng.uniform(*axes[0][[0, -1]], 300), np.full(300, axes[1][-1])
-        point_sets = [(X.ravel(), K.ravel()), last_x, last_xi,
-                      (rng.uniform(*axes[0][[0, -1]], 5000),
-                       rng.uniform(*axes[1][[0, -1]], 5000))]
-        lat_x, lat_xi = geometry._lattice_gradient(esc.G_values, *axes)
-        for values in (esc.G_values, lat_x, lat_xi):
-            ref = reference(values)
-            ours = geometry._cubic_spline(*axes, values[None])
-            for x, xi in point_sets:
-                got = ours(x, xi)[0]
-                want = ref(np.stack([x, xi], axis=-1))
+        probe = experiments.toeplitz_probe(gevrey2, 0.0125)[0].cgrid
+        lattices = [axes, (axes[0][-1:], rng.uniform(*axes[1][[0, -1]], 300)),
+                    (rng.uniform(*axes[0][[0, -1]], 300), axes[1][-1:]),
+                    (rng.uniform(*axes[0][[0, -1]], 70),
+                     rng.uniform(*axes[1][[0, -1]], 70)),
+                    (probe.re_axis, -probe.im_axis)]
+        fields = (esc.G_values,
+                  *geometry._lattice_gradient(esc.G_values, *axes))
+        refs = [reference(values) for values in fields]
+        for x, xi in lattices:
+            X, K = np.meshgrid(x, xi, indexing="ij")
+            for got, values, ref in zip(esc.fields_on(x, xi), fields, refs):
+                want = ref(np.stack([X, K], axis=-1))
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(values).max()
 
     def test_import_skips_scipy_interpolate(self):
@@ -424,10 +444,9 @@ class TestBuildEscape:
 
     def test_splines_interpolate_lattice_values(self, escape_gevrey2):
         esc = dataclasses.replace(escape_gevrey2)
-        X, K = np.meshgrid(esc.x_axis, esc.xi_axis, indexing="ij")
         lat_x, lat_xi = geometry._lattice_gradient(esc.G_values, esc.x_axis,
                                                    esc.xi_axis)
-        for got, values in zip(esc.fields_at(X, K),
+        for got, values in zip(esc.fields_on(esc.x_axis, esc.xi_axis),
                                (esc.G_values, lat_x, lat_xi)):
             assert np.abs(got - values).max() <= 1e-12 * np.abs(values).max()
 
@@ -436,12 +455,9 @@ class TestBuildEscape:
         esc = escape_gevrey2
         values = np.stack([esc.G_values, *geometry._lattice_gradient(
             esc.G_values, esc.x_axis, esc.xi_axis)])
-        spline = geometry._cubic_spline(esc.x_axis, esc.xi_axis, values)
-        (tx, Bx), (tk, Bk) = (geometry._collocation(a)
-                              for a in (esc.x_axis, esc.xi_axis))
-        assert np.array_equal(tx, spline.knots[0])
-        assert np.array_equal(tk, spline.knots[1])
-        for coef, want in zip(spline.coef, values):
+        Bx, Bk = (geometry._basis(geometry._knots(a), a)
+                  for a in (esc.x_axis, esc.xi_axis))
+        for coef, want in zip(esc._coef, values):
             got = Bx @ coef @ Bk.T
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -455,9 +471,8 @@ class TestBuildEscape:
             "import hashlib, pickle, sys\n"
             "import numpy as np\n"
             "esc = pickle.loads(open(sys.argv[1], 'rb').read())\n"
-            "X, K = np.meshgrid(np.linspace(-2.4, 2.4, 53),\n"
-            "                   np.linspace(-0.9, 0.9, 37), indexing='ij')\n"
-            "v = [*esc.fields_at(X, K)]\n"
+            "v = [*esc.fields_on(np.linspace(-2.4, 2.4, 53),\n"
+            "                    np.linspace(-0.9, 0.9, 37))]\n"
             "from gevspec.geometry import build_escape\n"
             "from gevspec.symbols import make_gevrey_transport\n"
             "b = build_escape(make_gevrey_transport(2.0), n_x=33, n_xi=33)\n"
@@ -481,7 +496,7 @@ class TestBuildEscape:
     def test_interior_interpolation_matches_lattice(self, escape_gevrey2):
         esc = escape_gevrey2
         i, j = len(esc.x_axis) // 2, len(esc.xi_axis) // 2
-        v = esc.fields_at(esc.x_axis[i], esc.xi_axis[j])[0]
+        v = esc.fields_on(esc.x_axis[i:i + 1], esc.xi_axis[j:j + 1])[0][0, 0]
         assert v == pytest.approx(esc.G_values[i, j], abs=1e-12)
 
     @pytest.mark.parametrize("model", [make_gevrey_transport(1.5),
@@ -610,7 +625,7 @@ class TestBuildEscape:
     ], ids=["dt-zero", "dt-negative", "n_x-3", "n_xi-3", "descending-x"])
     def test_bad_arguments_are_config_errors(self, gevrey2, kwargs, match):
         # each used to fail late: ZeroDivisionError, IndexError, IndexError
-        # in fields_at, or a CoverageError at every point of a descending
+        # in the spline evaluation, or a CoverageError at every point of a descending
         # axis that had built
         with pytest.raises(GeometryConfigError, match=match):
             build_escape(gevrey2, **kwargs)
@@ -620,7 +635,7 @@ class TestBuildEscape:
         esc = build_escape(gevrey2, lattice=((-1.5, 1.5), (-1.0, 1.0)),
                            n_x=4, n_xi=5)
         assert esc.margin_c > 0
-        g = esc.fields_at(esc.x_axis, esc.xi_axis[2])[0]
+        g = esc.fields_on(esc.x_axis, esc.xi_axis[2:3])[0][:, 0]
         assert np.abs(g - esc.G_values[:, 2]).max() <= 1e-12 * esc.sup_G
 
     def test_all_orders_build(self):

@@ -53,6 +53,12 @@ class TestRealGrid:
         with pytest.raises(GridError):
             RealGrid(0.0, 64)
 
+    @pytest.mark.parametrize("L", [np.inf, np.nan])
+    def test_rejects_infinite_width(self, L):
+        # an infinite or NaN width would give NaN nodes
+        with pytest.raises(GridError, match="positive and finite"):
+            RealGrid(L, 8)
+
     def test_spacing_and_nodes(self):
         g = RealGrid(4.0, 8)
         assert g.spacing == pytest.approx(1.0)
@@ -437,6 +443,22 @@ class TestSerialization:
                          + b"odd" + np.eye(7, dtype="<c16").tobytes())
         with pytest.raises(GridError, match="even and >= 2"):
             load_weyl(path)
+
+    @pytest.mark.parametrize("h, L, match", [
+        (-1.0, 4.0, r"h = -1\.0 is not in \(0, 1\]"),
+        (np.nan, 4.0, r"h = nan is not in \(0, 1\]"),
+        (5.0, 4.0, r"h = 5\.0 is not in \(0, 1\]"),
+        (0.25, np.inf, "positive and finite"),
+    ], ids=["h-negative", "h-nan", "h-above-1", "L-inf"])
+    def test_bad_header_value_rejected(self, tmp_path, h, L, match):
+        # h outside (0, 1] or an infinite L describes no grid of this program
+        path = tmp_path / "bad.weyl"
+        path.write_bytes(quantize._HEADER.pack(b"WEYL", 1, 8, h, L, 3)
+                         + b"one" + np.eye(8, dtype="<c16").tobytes())
+        with pytest.raises(GridError, match=match) as info:
+            load_weyl(path)
+        if not np.isinf(L):
+            assert str(path) in str(info.value)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.weyl"
