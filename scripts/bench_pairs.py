@@ -16,10 +16,12 @@ workloads (and optionally their pair counts).
 The file holds, per workload and end-to-end metric of BENCHMARK.json, the
 runs, median and quartiles of each side, change_wins (pairs in which the
 change did better), median_change_rel and parent_iqr; the failed gate
-counts per run as [failed, attempted, correct]; the 1-minute load
-average read just before each run, per side in the order of the runs
-and printed on each run's line, since the timings follow machine load;
-and the environment the worker recorded. --claim adds whether the change
+counts per run as [failed, attempted, correct]; each run's CPU share,
+the user + system seconds of the script's child processes during the run
+over the run's wall seconds, per side in the order of the runs and
+printed on each run's line, since the timings follow machine load and a
+run slowed by outside load shows a lower share than its pair; and the
+environment the worker recorded. --claim adds whether the change
 improved METRIC on WORKLOAD by more than REL, in at least 9 of 10 pairs,
 with a median difference above the parent's interquartile range. regressions lists, per
 workload and end-to-end metric, where the change's median is worse than
@@ -27,7 +29,8 @@ the parent's by more than that metric's bound in BENCHMARK.json, the rule
 by which a change is rejected. unresolved lists where the runs spread too
 widely to tell: the interquartile range of either side, relative to the
 parent's median, is wider than the bound, and not every change run beats
-every parent run. The script prints each entry of both lists.
+every parent run. One pass over the entries gives both lists, and the
+script prints each of their entries.
 
 A run that exits non-zero or prints no result is recorded as
 {pair, side, exit_code} in its workload's failed_runs and printed, and its
@@ -40,11 +43,12 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
+import resource
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -129,48 +133,40 @@ def claim_result(spec: str, workloads: dict) -> dict:
     return out
 
 
-def regressions(end_to_end: list, workloads: dict) -> list:
-    """The (workload, metric) entries whose change median is worse than
-    the parent's by more than the bound of the metric in end_to_end."""
-    found = []
+def verdicts(end_to_end: list, workloads: dict) -> tuple:
+    """(regressions, unresolved) from one pass over the (workload, metric)
+    entries, each against the bound of the metric in end_to_end.
+    regressions: the change median is worse than the parent's by more than
+    the bound. unresolved: the spread, the wider interquartile range of the
+    two sides relative to the parent's median, exceeds the bound, unless
+    every change run is better than every parent run."""
+    regressions, unresolved = [], []
     for name, entry in workloads.items():
         for metric in end_to_end:
             if metric["name"] not in entry:
                 continue  # no complete pair
             m = entry[metric["name"]]
+            p, c, bound = m["parent"], m["change"], metric["bound"]
             sign = 1.0 if m["better"] == "higher" else -1.0
+            head = {"workload": name, "metric": metric["name"]}
+            tail = {"bound": bound, "parent_median": p["median"],
+                    "change_median": c["median"]}
             worse = -sign * m["median_change_rel"]
-            if worse > metric["bound"]:
-                found.append({"workload": name, "metric": metric["name"],
-                              "worse_rel": worse, "bound": metric["bound"],
-                              "parent_median": m["parent"]["median"],
-                              "change_median": m["change"]["median"]})
-    return found
-
-
-def unresolved(end_to_end: list, workloads: dict) -> list:
-    """The (workload, metric) entries whose spread, the wider interquartile
-    range of the two sides relative to the parent's median, exceeds the
-    bound of the metric in end_to_end, unless every change run is better
-    than every parent run."""
-    found = []
-    for name, entry in workloads.items():
-        for metric in end_to_end:
-            if metric["name"] not in entry:
-                continue  # no complete pair
-            m = entry[metric["name"]]
-            p, c = m["parent"], m["change"]
+            if worse > bound:
+                regressions.append({**head, "worse_rel": worse, **tail})
             spread = (max(p["q3"] - p["q1"], c["q3"] - c["q1"])
                       / abs(p["median"]))
-            sign = 1.0 if m["better"] == "higher" else -1.0
             dominates = all(sign * (b - a) > 0
                             for a in p["runs"] for b in c["runs"])
-            if spread > metric["bound"] and not dominates:
-                found.append({"workload": name, "metric": metric["name"],
-                              "spread_rel": spread, "bound": metric["bound"],
-                              "parent_median": p["median"],
-                              "change_median": c["median"]})
-    return found
+            if spread > bound and not dominates:
+                unresolved.append({**head, "spread_rel": spread, **tail})
+    return regressions, unresolved
+
+
+def children_cpu_s() -> float:
+    """User + system seconds of the script's finished child processes."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def main(argv=None) -> int:
@@ -203,19 +199,21 @@ def main(argv=None) -> int:
                 pair = {}
                 for who in order:
                     checkout = parent_dir if who == "parent" else ROOT
-                    load = os.getloadavg()[0]
+                    cpu, start = children_cpu_s(), time.perf_counter()
                     try:
                         pair[who] = bench_once(checkout, name, args.seed)
                     except RunFailed as exc:
                         failed_runs.append({"pair": i, "side": who,
                                             "exit_code": exc.exit_code})
-                        print(f"{name} pair {i}/{pairs} {who} (load "
-                              f"{load:.2f}): failed (exit {exc.exit_code})",
-                              flush=True)
+                        print(f"{name} pair {i}/{pairs} {who}: failed "
+                              f"(exit {exc.exit_code})", flush=True)
                         continue
-                    pair[who]["load"] = load
-                    print(f"{name} pair {i}/{pairs} {who} (load {load:.2f}): "
-                          f"{json.dumps(pair[who]['metrics'])}", flush=True)
+                    share = ((children_cpu_s() - cpu)
+                             / (time.perf_counter() - start))
+                    pair[who]["cpu_share"] = share
+                    print(f"{name} pair {i}/{pairs} {who} (cpu share "
+                          f"{share:.2f}): {json.dumps(pair[who]['metrics'])}",
+                          flush=True)
                 if len(pair) == 2:
                     for who, result in pair.items():
                         runs[who].append(result)
@@ -230,8 +228,8 @@ def main(argv=None) -> int:
                                      for r in rs] for who, rs in runs.items()}
             entry["gate_failures"] = {who: sum(r["failed"] for r in rs)
                                       for who, rs in runs.items()}
-            entry["load"] = {who: [r["load"] for r in rs]
-                             for who, rs in runs.items()}
+            entry["cpu_share"] = {who: [r["cpu_share"] for r in rs]
+                                  for who, rs in runs.items()}
 
     out = {"label": args.label,
            "parent_commit": git("rev-parse", "--short", args.parent).decode().strip(),
@@ -242,9 +240,9 @@ def main(argv=None) -> int:
            "order": "pair i runs the parent first for odd i and the change first for even i",
            "seed": args.seed,
            "env": env,
-           "workloads": workloads,
-           "regressions": regressions(spec["end_to_end"], workloads),
-           "unresolved": unresolved(spec["end_to_end"], workloads)}
+           "workloads": workloads}
+    out["regressions"], out["unresolved"] = verdicts(spec["end_to_end"],
+                                                     workloads)
     for r in out["regressions"]:
         print(f"regression: {r['workload']} {r['metric']} worse by "
               f"{r['worse_rel']:.1%} (bound {r['bound']:.0%}): "

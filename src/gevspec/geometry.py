@@ -63,7 +63,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .symbols import (AdditiveSplit, Box, ModelInstance, Part, smooth_step,
-                      smooth_step_d1, taylor_extension)
+                      taylor_extension)
 
 DEFAULT_DT = 1e-2
 ESCAPE_T = 4.0  # T of the time cutoff chi_T: 1 on [0, T], 0 from 2T
@@ -208,14 +208,12 @@ def _moving_part(split: AdditiveSplit, x: np.ndarray, xi: np.ndarray):
     return 1, b, -a.d1(x)
 
 
-def _chi_T(T: float, t: np.ndarray) -> np.ndarray:
-    """Smooth time cutoff: 1 on [0, T], supported on [0, 2T]."""
-    return 1.0 - smooth_step(np.asarray(t, dtype=float) / T - 1.0)
-
-
-def _chi_T_d1(T: float, t: np.ndarray) -> np.ndarray:
-    """d/dt of _chi_T; supported on [T, 2T] and nonpositive."""
-    return -smooth_step_d1(np.asarray(t, dtype=float) / T - 1.0) / T
+def _chi_T(T: float, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(chi_T, d chi_T/dt): the smooth time cutoff, 1 on [0, T] and
+    supported on [0, 2T], and its derivative, supported on [T, 2T] and
+    nonpositive."""
+    step, d_step = smooth_step(np.asarray(t, dtype=float) / T - 1.0)
+    return 1.0 - step, -d_step / T
 
 
 def _chi_cut(center: Tuple[float, float], r_inner: float, r_outer: float,
@@ -229,8 +227,9 @@ def _chi_cut(center: Tuple[float, float], r_inner: float, r_outer: float,
     r = np.hypot(dx, dk)
     width = r_outer - r_inner
     u = (r - r_inner) / width
-    radial = -smooth_step_d1(u) / (width * np.maximum(r, r_inner))
-    return 1.0 - smooth_step(u), radial * dx, radial * dk
+    step, d_step = smooth_step(u)
+    radial = -d_step / (width * np.maximum(r, r_inner))
+    return 1.0 - step, radial * dx, radial * dk
 
 
 def _trapezoid_weights(f: np.ndarray, dt: float) -> np.ndarray:
@@ -282,8 +281,7 @@ def _escape_integral(part: Part, start: np.ndarray, speed: np.ndarray,
     re0 = part.f(start)
     n_steps = int(round(2.0 * T / dt))
     t_nodes = dt * np.arange(n_steps + 1)
-    w = _trapezoid_weights(_chi_T(T, t_nodes), dt)
-    w_d1 = _trapezoid_weights(_chi_T_d1(T, t_nodes), dt)
+    w, w_d1 = (_trapezoid_weights(chi, dt) for chi in _chi_T(T, t_nodes))
     acc = w[0] * re0
     acc_d1 = w_d1[0] * re0
     point = np.empty(start.shape)

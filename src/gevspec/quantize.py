@@ -328,7 +328,7 @@ def inverse_weyl(P: WeylMatrix, taper: bool = False) -> np.ndarray:
         if not taper:
             return np.ones_like(d, dtype=float)
         u = np.abs(d) / (n / 2.0)
-        return 1.0 - smooth_step((u - 0.5) / 0.5)
+        return 1.0 - smooth_step((u - 0.5) / 0.5)[0]
 
     M = P.entries
     p = np.arange(n)

@@ -10,6 +10,10 @@ circulant of the sign-alternated ifft of b(theta_m), and its Hamiltonian
 field H_{Im p} is (d Im b / dxi, -d Im a / dx); quantize reads the split
 for the first, geometry for the second, and taylor_extension extends each
 part on its own.
+
+The Gevrey-s flat function E_s(t) = exp(-t^(-1/(s-1))) is evaluated by
+_flat alone, and its value and two derivatives are read from one such
+evaluation; smooth_step, built from E_2, returns its derivative with it.
 """
 
 from __future__ import annotations
@@ -132,70 +136,53 @@ I_TANH = Part(np.tanh, _sech2, lambda xi: -2.0 * _sech2(xi) * np.tanh(xi), 1j)
 ZERO = Part(_vanishing, _vanishing, _vanishing, even=True)
 
 
-def _positive(t):
-    """(t > 0, t with its other entries set to 1): the flat functions are
-    evaluated on every entry and selected with np.where, so the positive
-    entries see the same elementwise operations as a masked gather would."""
-    pos = t > 0
-    return pos, np.where(pos, t, 1.0)
+@np.errstate(over="ignore", divide="ignore")
+def _flat(s: float, t):
+    """(a, tp, e) of the Gevrey-s flat function at t: a = 1/(s-1), tp is t
+    where t > 0 and +0.0 elsewhere, nan included, and e = exp(-tp^(-a)).
+    At tp = +0.0 the power is inf and e is +0.0, so e > 0 only where t > 0
+    and e has not underflowed: the one mask the derivatives need. The
+    positive entries see the same operations as a masked gather would."""
+    t = np.asarray(t, dtype=float)
+    a = 1.0 / (s - 1.0)
+    tp = np.where(t > 0, t, 0.0)
+    return a, tp, np.exp(-(tp ** -a))
 
 
 def gevrey_flat(s: float, t):
     """The canonical Gevrey-s flat function: exp(-t^(-1/(s-1))) for t > 0, else 0."""
     if not 1 < s < math.inf:
         raise ValueError(f"Gevrey order must be finite and exceed 1, got {s}")
-    t = np.asarray(t, dtype=float)
-    a = 1.0 / (s - 1.0)
-    # t <= 0 and nan become +0.0, whose power is inf and whose exp(-inf) is
-    # +0.0: one select, and the positive entries see the same operations
-    with np.errstate(over="ignore", divide="ignore"):
-        out = np.exp(-(np.where(t > 0, t, 0.0) ** -a))
+    out = _flat(s, t)[2]
     if out.ndim == 0:
         return float(out)
     return out
 
 
-def _gevrey_flat_d1(s: float, t):
-    """First derivative of gevrey_flat in t (vanishes for t <= 0)."""
-    t = np.asarray(t, dtype=float)
-    a = 1.0 / (s - 1.0)
-    pos, tp = _positive(t)
-    # where exp(-t^(-a)) underflows to 0, t^(-a-1) may overflow and 0 * inf
-    # is nan; the derivative is 0 there
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.exp(-tp ** (-a))
-        return np.where(pos & (e > 0), e * a * tp ** (-a - 1.0), 0.0)
+# where e = 0, tp^(-a-k) may be inf and 0 * inf is nan; the derivatives
+# are 0 there
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _flat_d1(a, tp, e):
+    """First derivative in t of the flat function from _flat's (a, tp, e)."""
+    return np.where(e > 0, e * a * tp ** (-a - 1.0), 0.0)
 
 
-def _gevrey_flat_d2(s: float, t):
-    t = np.asarray(t, dtype=float)
-    a = 1.0 / (s - 1.0)
-    pos, tp = _positive(t)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _gevrey_flat_d1
-        e = np.exp(-tp ** (-a))
-        return np.where(pos & (e > 0),
-                        e * ((a * tp ** (-a - 1.0)) ** 2
-                             - a * (a + 1.0) * tp ** (-a - 2.0)), 0.0)
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _flat_d2(a, tp, e):
+    """Second derivative in t of the flat function from _flat's (a, tp, e)."""
+    return np.where(e > 0, e * ((a * tp ** (-a - 1.0)) ** 2
+                                - a * (a + 1.0) * tp ** (-a - 2.0)), 0.0)
 
 
 def smooth_step(u):
-    """Smooth transition 0 -> 1 on [0, 1], flat to all orders at both ends."""
+    """(step, d step/du): a smooth transition 0 -> 1 on [0, 1], flat to all
+    orders at both ends, from one flat evaluation at u and one at 1 - u;
+    the derivative is zero outside (0, 1)."""
     u = np.asarray(u, dtype=float)
-    lo = gevrey_flat(2.0, u)
-    hi = gevrey_flat(2.0, 1.0 - u)
-    lo = np.asarray(lo)
-    hi = np.asarray(hi)
-    return lo / (lo + hi + 1e-300)
-
-
-def smooth_step_d1(u):
-    """Derivative of smooth_step in u; zero outside (0, 1)."""
-    u = np.asarray(u, dtype=float)
-    lo = np.asarray(gevrey_flat(2.0, u))
-    hi = np.asarray(gevrey_flat(2.0, 1.0 - u))
-    d_lo = _gevrey_flat_d1(2.0, u)
-    d_hi = _gevrey_flat_d1(2.0, 1.0 - u)
-    return (d_lo * hi + lo * d_hi) / (lo + hi + 1e-300) ** 2
+    lo, hi = _flat(2.0, u), _flat(2.0, 1.0 - u)
+    den = lo[2] + hi[2] + 1e-300
+    return (lo[2] / den,
+            (_flat_d1(*lo) * hi[2] + lo[2] * _flat_d1(*hi)) / den ** 2)
 
 
 def make_davies() -> ModelInstance:
@@ -218,10 +205,11 @@ def make_gevrey_transport(s: float) -> ModelInstance:
         return np.asarray(gevrey_flat(s, x ** 2 - 1.0))
 
     def fp(x):
-        return _gevrey_flat_d1(s, x ** 2 - 1.0) * 2.0 * x
+        return _flat_d1(*_flat(s, x ** 2 - 1.0)) * 2.0 * x
 
     def fpp(x):
-        return _gevrey_flat_d2(s, x ** 2 - 1.0) * 4.0 * x ** 2 + 2.0 * _gevrey_flat_d1(s, x ** 2 - 1.0)
+        flat = _flat(s, x ** 2 - 1.0)
+        return _flat_d2(*flat) * 4.0 * x ** 2 + 2.0 * _flat_d1(*flat)
 
     sym = additive_symbol(Part(f, fp, fpp, even=True), I_TANH, order_s=s,
                           zero_set_hint=((-1.3, 1.3), (-0.4, 0.4)),

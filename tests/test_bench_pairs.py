@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import resource
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -64,7 +66,7 @@ def test_regressions_apply_each_bound_in_its_direction():
 
     workloads = {w: {name: entry(name, *pair) for name, pair in m.items()}
                  for w, m in medians.items()}
-    found = bench_pairs.regressions(end_to_end, workloads)
+    found, _ = bench_pairs.verdicts(end_to_end, workloads)
     assert [(r["workload"], r["metric"]) for r in found] == [
         ("a", "wall_s"), ("b", "zpoints_per_s"), ("b", "peak_rss_mb")]
     wall = found[0]
@@ -97,12 +99,12 @@ def test_unresolved_where_spread_exceeds_bound():
                  "wide-change": entry(narrow, wide),
                  "narrow": entry(narrow, narrow),
                  "dominated": entry(wide, [v / 3.0 for v in wide])}
-    found = bench_pairs.unresolved(end_to_end, workloads)
+    regressions, found = bench_pairs.verdicts(end_to_end, workloads)
     assert [r["workload"] for r in found] == ["wide-parent", "wide-change"]
     assert found[0]["spread_rel"] == pytest.approx(0.4)
     assert found[0]["bound"] == 0.25
     assert (found[1]["parent_median"], found[1]["change_median"]) == (1.0, 1.0)
-    assert bench_pairs.regressions(end_to_end, workloads) == []
+    assert regressions == []
 
 
 @pytest.mark.parametrize("fail_at", [None, 3])
@@ -158,8 +160,9 @@ def test_failed_run_drops_its_pair_and_exits_1(tmp_path, monkeypatch, capsys,
         in capsys.readouterr().out
 
 
-def test_load_recorded_before_each_run(tmp_path, monkeypatch, capsys):
-    # the 1-minute load average is read just before each run starts, kept
+def test_cpu_share_recorded_for_each_run(tmp_path, monkeypatch, capsys):
+    # each run's share is the children's user + system seconds it added
+    # over its wall seconds, both read just before and just after it, kept
     # per side in the order of the runs and printed on the run's line
     bench_pairs = load_script()
     (tmp_path / "BENCHMARK.json").write_text(
@@ -170,27 +173,38 @@ def test_load_recorded_before_each_run(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "export_parent", lambda rev, dest: None)
     monkeypatch.setattr(bench_pairs, "git", lambda *args: b"abc1234\n")
+    clock = {"wall": 100.0, "user": 10.0, "sys": 1.0}
     events = []
 
-    def fake_getloadavg():
-        events.append("load")
-        return (0.25 * len(events), 0.0, 0.0)
+    def fake_getrusage(who):
+        assert who == resource.RUSAGE_CHILDREN
+        events.append("cpu")
+        return SimpleNamespace(ru_utime=clock["user"], ru_stime=clock["sys"])
 
     def fake_bench_once(checkout, workload, seed):
+        # run k takes 2 s of wall and 0.5 k s of CPU, a fifth of it system
         events.append("change" if checkout == tmp_path else "parent")
+        k = len(events) - events.count("cpu")
+        clock["wall"] += 2.0
+        clock["user"] += 0.4 * k
+        clock["sys"] += 0.1 * k
         return {"metrics": {m["name"]: {"value": 1.0} for m in end_to_end},
                 "failed": 0, "attempted": 1, "correct": 1, "env": {}}
 
-    monkeypatch.setattr(bench_pairs.os, "getloadavg", fake_getloadavg)
+    monkeypatch.setattr(bench_pairs, "resource", SimpleNamespace(
+        getrusage=fake_getrusage, RUSAGE_CHILDREN=resource.RUSAGE_CHILDREN))
+    monkeypatch.setattr(bench_pairs, "time", SimpleNamespace(
+        perf_counter=lambda: clock["wall"]))
     monkeypatch.setattr(bench_pairs, "bench_once", fake_bench_once)
     assert bench_pairs.main(["--label", "t",
                              "--workload", "escape-toeplitz=2"]) == 0
-    assert events == ["load", "parent", "load", "change",
-                      "load", "change", "load", "parent"]
+    assert events == ["cpu", "parent", "cpu"] + ["cpu", "change", "cpu"] * 2 \
+        + ["cpu", "parent", "cpu"]
     out = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))
-    # each read returns a quarter of the events so far: 0.25, 0.75, ...
-    assert out["workloads"]["escape-toeplitz"]["load"] == {
-        "parent": [0.25, 1.75], "change": [0.75, 1.25]}
+    shares = out["workloads"]["escape-toeplitz"]["cpu_share"]
+    assert shares.keys() == {"parent", "change"}
+    for who, want in (("parent", [0.25, 1.0]), ("change", [0.5, 0.75])):
+        assert shares[who] == pytest.approx(want, rel=1e-12)
     printed = capsys.readouterr().out
-    assert "escape-toeplitz pair 1/2 parent (load 0.25): {" in printed
-    assert "escape-toeplitz pair 2/2 parent (load 1.75): {" in printed
+    assert "escape-toeplitz pair 1/2 parent (cpu share 0.25): {" in printed
+    assert "escape-toeplitz pair 2/2 parent (cpu share 1.00): {" in printed

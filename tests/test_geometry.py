@@ -143,8 +143,8 @@ def _value_integral(sym, x0, xi0, velocity, T, dt):
     every node, accumulated in the same order."""
     n_steps = int(round(2.0 * T / dt))
     t_nodes = dt * np.arange(n_steps + 1)
-    w = geometry._trapezoid_weights(geometry._chi_T(T, t_nodes), dt)
-    w_d1 = geometry._trapezoid_weights(geometry._chi_T_d1(T, t_nodes), dt)
+    w, w_d1 = (geometry._trapezoid_weights(chi, dt)
+               for chi in geometry._chi_T(T, t_nodes))
     vx, vk = velocity
     re0 = np.real(sym.value(x0, xi0))
     raw = np.zeros(x0.shape)

@@ -311,7 +311,7 @@ def brute_force_inverse_weyl(P: WeylMatrix, taper: bool) -> np.ndarray:
     ds = np.arange(-n, n + 1)
     weight = np.ones(ds.shape)
     if taper:
-        weight = 1.0 - smooth_step((np.abs(ds) / (n / 2.0) - 0.5) / 0.5)
+        weight = 1.0 - smooth_step((np.abs(ds) / (n / 2.0) - 0.5) / 0.5)[0]
     M = P.entries  # each read builds the matrix again
     G = np.zeros((2 * n - 1, half), dtype=complex)
     kept = np.full(G.shape, n)  # |d| of the entry kept so far; n for none

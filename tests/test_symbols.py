@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gevspec import symbols
+from gevspec import geometry, symbols
 from gevspec.symbols import (ANALYTIC, gevrey_flat, make_analytic_transport,
                              make_davies, make_gevrey_transport,
                              make_trapped_toy, model_from_tag, smooth_step,
@@ -16,6 +16,14 @@ from gevspec.symbols import (ANALYTIC, gevrey_flat, make_analytic_transport,
 ALL_MODELS = [make_davies(), make_analytic_transport(),
               make_gevrey_transport(1.5), make_gevrey_transport(2.0),
               make_gevrey_transport(3.0), make_trapped_toy()]
+
+
+def flat_d1(s, t):
+    return symbols._flat_d1(*symbols._flat(s, t))
+
+
+def flat_d2(s, t):
+    return symbols._flat_d2(*symbols._flat(s, t))
 
 
 class TestGevreyFlat:
@@ -55,7 +63,7 @@ class TestGevreyFlat:
         t = np.linspace(0.05, 4.0, 37)
         d = 1e-6
         fd = (gevrey_flat(2.5, t + d) - gevrey_flat(2.5, t - d)) / (2 * d)
-        assert np.allclose(symbols._gevrey_flat_d1(2.5, t), fd, atol=1e-7)
+        assert np.allclose(flat_d1(2.5, t), fd, atol=1e-7)
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
     def test_matches_masked_evaluation(self, s):
@@ -70,8 +78,8 @@ class TestGevreyFlat:
                np.exp(-tp ** (-a)) * a * tp ** (-a - 1.0),
                np.exp(-tp ** (-a)) * ((a * tp ** (-a - 1.0)) ** 2
                                       - a * (a + 1.0) * tp ** (-a - 2.0))]
-        got = [gevrey_flat(s, t), symbols._gevrey_flat_d1(s, t),
-               symbols._gevrey_flat_d2(s, t)]
+        got = [gevrey_flat(s, t), flat_d1(s, t),
+               flat_d2(s, t)]
         for g, r in zip(got, ref):
             assert g.shape == t.shape and g.dtype == np.float64
             assert np.array_equal(g[pos], r)
@@ -95,8 +103,8 @@ class TestGevreyFlat:
         # exp(-t^(-a)) is 0 at t = 1e-100, where t^(-a-k) may be inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d1 = symbols._gevrey_flat_d1(s, 1e-100)
-            d2 = symbols._gevrey_flat_d2(s, 1e-100)
+            d1 = flat_d1(s, 1e-100)
+            d2 = flat_d2(s, 1e-100)
         assert d1 == 0.0 and d2 == 0.0
 
 
@@ -105,19 +113,42 @@ class TestSmoothStep:
     def test_derivative_vanishes_at_tiny_u(self, u):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert symbols.smooth_step_d1(u) == 0.0
+            assert smooth_step(u)[1] == 0.0
 
     def test_endpoints(self):
-        assert smooth_step(-0.2) == 0.0
-        assert smooth_step(0.0) == 0.0
-        assert smooth_step(1.0) == pytest.approx(1.0)
-        assert smooth_step(1.5) == pytest.approx(1.0)
+        assert smooth_step(-0.2)[0] == 0.0
+        assert smooth_step(0.0)[0] == 0.0
+        assert smooth_step(1.0)[0] == pytest.approx(1.0)
+        assert smooth_step(1.5)[0] == pytest.approx(1.0)
 
     @given(u=st.floats(-1.0, 2.0))
     @settings(max_examples=100, deadline=None)
     def test_range(self, u):
-        v = float(smooth_step(u))
+        v = float(smooth_step(u)[0])
         assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("call, count", [
+        (lambda: smooth_step(np.linspace(-0.5, 1.5, 41)), 2),
+        (lambda: geometry._chi_cut((0.0, 0.0), 1.0, 2.0,
+                                   *np.meshgrid(np.linspace(-3, 3, 9),
+                                                np.linspace(-3, 3, 9))), 2),
+        (lambda: geometry._chi_T(4.0, 0.01 * np.arange(801)), 2),
+        (lambda: make_gevrey_transport(2.0).symbol.split.a.d2(
+            np.linspace(-2.0, 2.0, 41)), 1)],
+        ids=["smooth_step", "chi_cut", "chi_T", "gevrey-transport f''"])
+    def test_one_flat_evaluation_per_point_set(self, monkeypatch, call, count):
+        # a step and its derivative read one flat evaluation at u and one
+        # at 1 - u, and the transport f'' reads f' and f'' from one
+        calls = []
+        flat = symbols._flat
+
+        def counting(s, t):
+            calls.append(s)
+            return flat(s, t)
+
+        monkeypatch.setattr(symbols, "_flat", counting)
+        call()
+        assert len(calls) == count
 
 
 class TestDavies:
