@@ -79,7 +79,7 @@ def _cmd_pseudospectrum(args) -> int:
         encoding="utf-8")
     svg_path = f"{stem}.svg"
     extent = (*window.re_axis[[0, -1]], *window.im_axis[[0, -1]])
-    svgout.heatmap_svg(field.sigma_min.T, extent, svg_path,
+    svgout.heatmap_svg(field.sigma_min, extent, svg_path,
                        spectral.schur_eigenvalues(P),
                        f"log10 sigma_min, {args.model}, h={args.h}")
     print(f"wrote {csv_path} and {svg_path}")

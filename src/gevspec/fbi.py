@@ -133,7 +133,7 @@ class FBIOperator:
     @cached_property
     def nodes(self) -> np.ndarray:
         """The complex nodes a_j + i b_k, j-major: the kernel's rows."""
-        return self.cgrid.nodes().T.ravel()
+        return self.cgrid.nodes().ravel()
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.matrix @ u

@@ -241,17 +241,15 @@ def _trapezoid_weights(f: np.ndarray, dt: float) -> np.ndarray:
 
 def _distinct_trajectories(start: np.ndarray, speed: np.ndarray):
     """(first, inverse) of the (start, speed) pairs of 1-D arrays, grouped
-    by bit pattern: first indexes one pair of each group, in order of first
-    occurrence, and inverse maps every pair to its group, so
-    start[first][inverse] equals start bit for bit. Bit patterns keep -0.0 and +0.0 apart,
-    so pairs without a repeat keep their own order: first is arange."""
+    by bit pattern: first indexes one pair of each group, in np.unique's
+    order of the groups' bytes, and inverse maps every pair to its group,
+    so start[first][inverse] equals start bit for bit. Bit patterns keep
+    -0.0 and +0.0 apart. Each trajectory is integrated on its own, so the
+    order of the groups changes no value."""
     pairs = np.stack([start, speed], axis=-1)
     keys = pairs.view(np.dtype((np.void, pairs.itemsize * 2))).ravel()
-    _, index, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(index)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return index[order], rank[inverse.ravel()]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def _escape_integral(part: Part, start: np.ndarray, speed: np.ndarray,

@@ -85,7 +85,8 @@ class RealGrid:
 class ZGrid:
     """The lattice center + a + i b, a and b on linspace axes of half spans
     re_span and im_span: a pseudospectrum's z window, and at center 0 the
-    FBI side's nodes. nodes() is row-major: rows sweep Im z."""
+    FBI side's nodes. nodes()[i, j] is re_axis[i] + i im_axis[j]: indexed
+    [Re, Im], as every other lattice array in gevspec."""
     center: complex
     re_span: float
     im_span: float
@@ -108,7 +109,7 @@ class ZGrid:
                 * (2.0 * self.im_span / (self.im_n - 1)))
 
     def nodes(self) -> np.ndarray:
-        return self.re_axis[None, :] + 1j * self.im_axis[:, None]
+        return self.re_axis[:, None] + 1j * self.im_axis[None, :]
 
 
 @dataclass(frozen=True)
@@ -230,27 +231,17 @@ def _circulant_apply(a: np.ndarray, b: np.ndarray,
 def _midpoint_weyl(sym: GevreySymbol, grid: RealGrid,
                    theta: np.ndarray) -> np.ndarray:
     """General assembly: p sampled at the midpoints (x_j + x_k)/2 and
-    transformed along theta, one row per anti-diagonal j + k."""
+    transformed along theta, one row F[a] per anti-diagonal a = j + k, so
+    P_jk = (-1)^(j-k) F[j + k, (j - k) mod N]."""
     n = grid.n_points
-    dx = grid.spacing
     # midpoints (x_j + x_k)/2 indexed by a = j + k on the half-spacing grid
-    mids = -grid.half_width_L + 0.5 * dx * np.arange(2 * n - 1)
-    rows = np.asarray(sym.value(mids[:, None], theta[None, :]), dtype=complex)
-    rows = np.broadcast_to(rows, (2 * n - 1, n))
-    # entry at difference d = j - k is (-1)^d * F_a[d mod N] with F_a = ifft over m
-    F = np.fft.ifft(rows, axis=1)
-    del rows  # not read again; freeing it lowers the peak at large N
-    # F[j + k, (j - k) mod N] sits at flat offset j(N+1) + k(N-1), plus N
-    # above the diagonal: two strided views of F, no index arrays
-    strided = np.lib.stride_tricks.as_strided
-    step = F.strides[1]
-    strides = ((n + 1) * step, (n - 1) * step)
-    lower = strided(F, (n, n), strides, writeable=False)
-    upper = strided(F.reshape(-1)[n:], (n - 1, n), strides, writeable=False)
-    P = lower.copy()
-    np.copyto(P[:-1], upper, where=np.arange(n) > np.arange(n - 1)[:, None])
-    P[0::2, 1::2] *= -1.0
-    P[1::2, 0::2] *= -1.0
+    mids = -grid.half_width_L + 0.5 * grid.spacing * np.arange(2 * n - 1)
+    F = np.fft.ifft(np.broadcast_to(np.asarray(
+        sym.value(mids[:, None], theta[None, :]), dtype=complex),
+        (2 * n - 1, n)), axis=1)
+    j, k = np.arange(n)[:, None], np.arange(n)
+    P = F[j + k, (j - k) % n]
+    P[(j - k) % 2 == 1] *= -1.0
     return P
 
 

@@ -86,7 +86,7 @@ class FreeRadius:
 @dataclass(frozen=True)
 class PseudospectrumField:
     z_grid: ZGrid
-    sigma_min: np.ndarray  # shape (im_n, re_n)
+    sigma_min: np.ndarray  # shape (re_n, im_n), indexed as z_grid.nodes()
 
 
 def check_window(window: ZGrid) -> None:
@@ -433,9 +433,9 @@ def spectrum_csv_lines(spec: SpectrumResult) -> List[str]:
 
 
 def pseudospectrum_csv_lines(field: PseudospectrumField) -> List[str]:
+    """A header, then one row per lattice node, Im-major: the rows sweep
+    Re z at the first Im z, then at the next."""
     lines = ["re_z,im_z,sigma_min"]
-    zs = field.z_grid.nodes()
-    for idx in np.ndindex(zs.shape):
-        z = zs[idx]
-        lines.append(f"{z.real:.17g},{z.imag:.17g},{field.sigma_min[idx]:.17g}")
+    for z, s in zip(field.z_grid.nodes().T.ravel(), field.sigma_min.T.ravel()):
+        lines.append(f"{z.real:.17g},{z.imag:.17g},{s:.17g}")
     return lines

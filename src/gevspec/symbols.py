@@ -180,7 +180,8 @@ def smooth_step(u):
     the derivative is zero outside (0, 1)."""
     u = np.asarray(u, dtype=float)
     lo, hi = _flat(2.0, u), _flat(2.0, 1.0 - u)
-    den = lo[2] + hi[2] + 1e-300
+    # den ** 2 stays normal at u = NaN (lo = hi = 0); lo + hi > 0.27 elsewhere
+    den = lo[2] + hi[2] + 1e-150
     return (lo[2] / den,
             (_flat_d1(*lo) * hi[2] + lo[2] * _flat_d1(*hi)) / den ** 2)
 

@@ -604,17 +604,17 @@ class TestBuildEscape:
         assert len(calls) == 1 + int(round(2.0 * esc.T / geometry.DEFAULT_DT))
 
     def test_signed_zero_starts_stay_distinct(self, gevrey2):
-        # -0.0 and +0.0 differ in their bits, so they are two trajectories;
-        # a pair without a repeat keeps its place
+        # -0.0 and +0.0 differ in their bits, so they are two trajectories
         x0 = np.array([-0.0, 0.0, 0.0, -0.0])
         speed = np.ones(4)  # sech^2(0), the speed at xi = 0
         first, inverse = _distinct(x0, speed)
-        assert np.array_equal(first, [0, 1])
-        assert np.array_equal(inverse, [0, 1, 1, 0])
+        assert len(first) == 2
+        assert np.array_equal(x0[first][inverse].view(np.int64),
+                              x0.view(np.int64))
         calls = []
         geometry._escape_integral(_recording(gevrey2.symbol.split.a, calls),
                                   x0, speed, 1.0, 0.01)
-        assert np.array_equal(np.signbit(calls[0][1]), [True, False])
+        assert sorted(np.signbit(calls[0][1])) == [False, True]
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(dt=0.0), "time step"),

@@ -158,6 +158,24 @@ class TestAssembly:
         ref = F[a, d % n] * np.where(d % 2 == 0, 1.0, -1.0)
         assert np.array_equal(assemble_weyl(sym, grid, h).entries, ref)
 
+    @pytest.mark.parametrize("sym", [
+        plain_symbol(lambda x, xi: x * xi + 0j, "x*xi", 1.0),
+        plain_symbol(lambda x, xi: (np.cos(xi) + 1j * np.sin(2 * xi))
+                     * np.exp(-x ** 2), "complex-bump", 1.0)],
+        ids=lambda s: s.name)
+    @pytest.mark.parametrize("n", [8, 16, 30, 32])
+    def test_general_assembly_matches_defining_sum(self, sym, n):
+        # P_jk = (1/N) sum_m exp(i (x_j - x_k) theta_m / h)
+        #        p((x_j + x_k)/2, theta_m), summed term by term
+        grid, h = RealGrid(3.0, n), 0.5
+        x = grid.nodes[:, None, None]
+        y = grid.nodes[None, :, None]
+        theta = grid.theta_nodes(h)
+        ref = np.mean(np.exp(1j * (x - y) * theta / h)
+                      * sym.value((x + y) / 2, theta), axis=2)
+        P = assemble_weyl(sym, grid, h).entries
+        assert np.abs(P - ref).max() <= 1e-13 * np.abs(ref).max()
+
     @pytest.mark.parametrize("tag", ["davies", "gevrey-transport:s=2",
                                      "analytic-transport", "trapped-toy"])
     @pytest.mark.parametrize("L", [6.0, 8.0])

@@ -301,11 +301,12 @@ class TestPseudospectrum:
             reverse[idx] = sigma_min(P, zs[idx])
         assert np.array_equal(field.sigma_min, reverse)
 
-    def test_rows_sweep_imaginary_axis(self):
-        win = ZGrid(0j, 1.0, 2.0, 3, 5)
+    def test_nodes_indexed_re_then_im(self):
+        win = ZGrid(0.5 - 1j, 1.0, 2.0, 3, 5)
         zs = win.nodes()
-        assert np.allclose(zs[:, 0].imag, np.linspace(-2, 2, 5))
-        assert np.allclose(zs[0, :].real, np.linspace(-1, 1, 3))
+        assert zs.shape == (3, 5)
+        for i, j in np.ndindex(zs.shape):
+            assert zs[i, j] == win.re_axis[i] + 1j * win.im_axis[j]
 
 
 class TestFreeRadius:
@@ -626,10 +627,14 @@ class TestCsv:
         assert complex(float(fields[0]), float(fields[1])) in (1 + 2j, -0.5j)
 
     def test_pseudospectrum_csv_layout(self):
-        field = pseudospectrum(wrap(np.eye(4)), ZGrid(0j, 1.0, 1.0, 2, 2))
+        # rows are Im-major: Re z sweeps its axis at each Im z in turn
+        win = ZGrid(0j, 1.0, 2.0, 2, 3)
+        field = pseudospectrum(wrap(np.eye(4)), win)
         lines = pseudospectrum_csv_lines(field)
         assert lines[0] == "re_z,im_z,sigma_min"
-        assert len(lines) == 5
-        vals = [float(l.split(",")[2]) for l in lines[1:]]
-        assert vals == pytest.approx([abs(z - 1.0) for z in
-                                      field.z_grid.nodes().ravel()])
+        rows = [tuple(map(float, l.split(","))) for l in lines[1:]]
+        assert [r[:2] for r in rows] == [(-1.0, -2.0), (1.0, -2.0),
+                                          (-1.0, 0.0), (1.0, 0.0),
+                                          (-1.0, 2.0), (1.0, 2.0)]
+        assert [r[2] for r in rows] == pytest.approx(
+            [abs(complex(re, im) - 1.0) for re, im, _ in rows])

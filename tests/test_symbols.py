@@ -115,6 +115,14 @@ class TestSmoothStep:
             warnings.simplefilter("error")
             assert smooth_step(u)[1] == 0.0
 
+    def test_nan_gives_zero_step_and_derivative(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step, d1 = smooth_step(np.array([np.nan, 0.5]))
+            assert smooth_step(np.nan) == (0.0, 0.0)
+        assert step[0] == 0.0 and d1[0] == 0.0
+        assert step[1] == 0.5 and d1[1] > 0.0
+
     def test_endpoints(self):
         assert smooth_step(-0.2)[0] == 0.0
         assert smooth_step(0.0)[0] == 0.0
