@@ -2,8 +2,8 @@
 
 Each command builds its inputs, calls the library, writes its files and
 applies its verdict. main maps library errors to the exit codes: 0
-success, 2 configuration error or an output it cannot write, 3 numerical
-failure.
+success, 2 configuration error, an output it cannot write or an array
+too large for memory, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -38,15 +38,24 @@ def _matrix_args(parser: argparse.ArgumentParser) -> None:
                              "quantize.grid_for)")
 
 
-def _matrix(args) -> quantize.WeylMatrix:
-    """The Weyl matrix the arguments name."""
+def _symbol_and_grid(args):
+    """The symbol and the grid the arguments name."""
     sym = model_from_tag(args.model).symbol
-    grid = quantize.grid_for(sym, args.L, args.h, args.N or None)
+    return sym, quantize.grid_for(sym, args.L, args.h, args.N or None)
+
+
+def _matrix(args) -> quantize.WeylMatrix:
+    """The Weyl matrix the arguments name, for a command that factors it:
+    the dense budget is checked on the grid before P is assembled."""
+    sym, grid = _symbol_and_grid(args)
+    spectral.check_dense_budget(grid)
     return quantize.assemble_weyl(sym, grid, args.h)
 
 
 def _cmd_quantize(args) -> int:
-    P = _matrix(args)
+    # saving factors nothing, so no dense budget binds here
+    sym, grid = _symbol_and_grid(args)
+    P = quantize.assemble_weyl(sym, grid, args.h)
     quantize.save_weyl(args.out, P)
     print(f"wrote {args.out}: N = {P.n}, h = {P.h}")
     return EXIT_OK
@@ -66,6 +75,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_pseudospectrum(args) -> int:
     window = quantize.ZGrid(_parse_complex(args.center), args.span, args.span,
                             args.res, args.res)
+    spectral.check_window(window)
     P = _matrix(args)
     field = spectral.pseudospectrum(P, window)
     floor = spectral.roundoff_floor(P)
@@ -125,8 +135,13 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_toeplitz(args) -> int:
     """Write toeplitz.csv; EXIT_NUMERICAL unless both residual slopes reach
-    SLOPE_MIN (criterion 05)."""
+    SLOPE_MIN (criterion 05). An h_list too short to fit is a config
+    error, raised before the escape function is built."""
     cfg = experiments.parse_config(args.config, experiments.TOEPLITZ_KEYS)
+    if len(cfg.h_list) < experiments.MIN_FIT_POINTS:
+        raise experiments.ConfigError(
+            f"h_list has {len(cfg.h_list)} values; the slope fit needs at "
+            f"least {experiments.MIN_FIT_POINTS}")
     model = model_from_tag(cfg.model_tag)
     esc = geometry.build_escape(model)
     rows = experiments.toeplitz_sweep(model, esc, cfg.h_list)
@@ -224,7 +239,7 @@ def main(argv=None) -> int:
             fbi.GridExtentError, experiments.FitError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

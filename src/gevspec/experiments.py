@@ -30,6 +30,7 @@ from .symbols import ModelInstance, model_from_tag
 XI_PROBE = 1.146  # packet momentum where the model's next-order xi correction vanishes
 PROBE_L = 8.0  # real-grid half width of toeplitz_probe
 SLOPE_MIN = 0.9  # criterion 05: the Toeplitz residual decays like O(h)
+MIN_FIT_POINTS = 4  # fewest usable values fit_power_law fits
 DEFORM_EPSILON = 0.1  # the paper deforms by t = -eps h^(1-1/s) at one fixed eps
 BOUNDED_RESOLVENT_CAP = 1e8
 
@@ -207,6 +208,7 @@ def toeplitz_slopes(rows: Sequence[Tuple[float, float, float]]
 
 def _measure_one(cfg: SweepConfig, model: ModelInstance, h: float) -> SweepRecord:
     grid = quantize.grid_for(model.symbol, cfg.half_width_L, h, cfg.n_points)
+    spectral.check_dense_budget(grid)
     P = quantize.assemble_weyl(model.symbol, grid, h)
     free = spectral.spectrum_free_radius(P, model.z0)
     r = free.radius
@@ -257,7 +259,8 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
 
 def fit_power_law(hs: Sequence[float], values: Sequence[float]) -> FitResult:
     """Least squares of log(value) on log(h); nonpositive or non-finite
-    values are excluded with a warning, and at least 4 must remain."""
+    values are excluded with a warning, and at least MIN_FIT_POINTS must
+    remain."""
     keep_h, keep_v = [], []
     for h, v in zip(hs, values):
         if not (np.isfinite(v) and v > 0):
@@ -265,8 +268,9 @@ def fit_power_law(hs: Sequence[float], values: Sequence[float]) -> FitResult:
             continue
         keep_h.append(h)
         keep_v.append(v)
-    if len(keep_h) < 4:
-        raise FitError(f"only {len(keep_h)} usable records, need at least 4")
+    if len(keep_h) < MIN_FIT_POINTS:
+        raise FitError(f"only {len(keep_h)} usable records, need at least "
+                       f"{MIN_FIT_POINTS}")
     slope, intercept, r2 = _line_fit(np.log(np.asarray(keep_h)),
                                      np.log(np.asarray(keep_v)))
     return FitResult(slope, intercept, r2, len(keep_h))
@@ -307,7 +311,8 @@ def radius_scaling_summary(records: Sequence[SweepRecord],
 
     "pass" is the verdict: c_lower_bound > 0 and, for finite s with the
     spectrum approaching z0, a fitted exponent inside the band, so a
-    Gevrey sweep too short to fit (fewer than 4 records) fails.
+    Gevrey sweep too short to fit (fewer than MIN_FIT_POINTS records)
+    fails.
     """
     expo = exponent_for(model)
     recs = [r for r in records if np.isfinite(r.free_radius)]
@@ -321,7 +326,7 @@ def radius_scaling_summary(records: Sequence[SweepRecord],
     out = {"exponent_target": expo, "c_lower_bound": c_min,
            "radius_min": float(min(r.free_radius for r in recs)),
            "spectrum_approaches_z0": bool(approaching)}
-    if approaching and len(recs) >= 4:
+    if approaching and len(recs) >= MIN_FIT_POINTS:
         fit = fit_power_law([r.h for r in recs],
                             [r.free_radius for r in recs])
         out["radius_fit_slope"] = fit.slope

@@ -35,12 +35,13 @@ windows and the grid check: a kernel whose reach re_span + w leaves the
 real grid raises GridExtentError, and a row whose K columns would pass
 the grid's last node starts earlier. |c| = 1, so every factor is bounded
 at any h, and a Phi-weighted pairing reads only the excess phi - Phi_0
-of its weight.
+of its weight. T and T* each take and return one vector.
 
 The nodes x lie on a quantize.ZGrid at centre 0; each operator builds its
 j-major node vector once (FBIOperator.nodes) for all its weights.
-The Toeplitz probe applies the Weyl quantization P by P @ U, one FFT
-pair for a split symbol (quantize.WeylMatrix), so it forms no N x N array.
+The Toeplitz probe applies T to u and to v, one vector each, and the
+Weyl quantization P by P @ T*U, one FFT pair for a split symbol
+(quantize.WeylMatrix), so it forms no N x N array.
 """
 
 from __future__ import annotations
@@ -78,11 +79,11 @@ class FactoredKernel:
     axis a_j on its own K columns y_{s_j + m}, m < K (module docstring):
     its entry at row (j, k) and column s_j + m is c[j, k] G[j, m] E[k, m].
 
-    Rows are the complex nodes j-major, as FBIOperator.nodes. @ reads
-    the K entries of u from every s_j, a strided view of u, and
-    adjoint_matmul adds each row's K entries back at s_j: both are zero
-    off the rows' windows. Vectors and (rows, m) blocks are applied
-    through the factors only.
+    Rows are the complex nodes j-major, as FBIOperator.nodes. @ takes a
+    length-N vector u and reads its K entries from every s_j, a strided
+    view of u; adjoint_matmul takes a vector over the rows and adds each
+    row's K entries back at s_j, zero off the rows' windows. Both apply
+    the kernel through its factors only and return vectors.
     """
 
     # (re_n, im_n), e^{i b_k (y_{s_j} - a_j) / h} times h^{-3/4} dx and
@@ -98,27 +99,21 @@ class FactoredKernel:
         return self.c.size, self.n
 
     def __matmul__(self, u: np.ndarray) -> np.ndarray:
-        re_n, im_n = self.c.shape
-        w = self.G.shape[1]
-        # rows (j, l) of G[j, m] u[s_j + m, l] against E^T: one GEMM for
-        # any width, on the windows of u gathered from a strided view
-        windows = sliding_window_view(u.reshape(self.n, -1), w, axis=0)
-        Gu = (self.G[:, None, :] * windows[self.starts]).reshape(-1, w)
-        out = (Gu @ self.E.T).reshape(re_n, -1, im_n) * self.c[:, None, :]
-        return out.transpose(0, 2, 1).reshape((re_n * im_n,) + u.shape[1:])
+        # rows j of G[j, m] u[s_j + m], gathered from a strided view of u,
+        # against E^T: one GEMM
+        Gu = self.G * sliding_window_view(u, self.G.shape[1])[self.starts]
+        return ((Gu @ self.E.T) * self.c).ravel()
 
     def adjoint_matmul(self, V: np.ndarray) -> np.ndarray:
         """K* V: row j adds G[j, m] ((conj(c) o V) conj(E))[j, m] to
         column s_j + m; 0 off the windows."""
-        re_n, im_n = self.c.shape
         w = self.G.shape[1]
-        cV = V.reshape(re_n, im_n, -1) * np.conj(self.c)[:, :, None]
-        R = cV.transpose(0, 2, 1).reshape(-1, im_n) @ np.conj(self.E)
-        rows = (R.reshape(re_n, -1, w) * self.G[:, None, :]).transpose(0, 2, 1)
-        out = np.zeros((self.n, rows.shape[2]), dtype=rows.dtype)
+        cV = V.reshape(self.c.shape) * np.conj(self.c)
+        rows = (cV @ np.conj(self.E)) * self.G
+        out = np.zeros(self.n, dtype=rows.dtype)
         for s, row in zip(self.starts, rows):
             out[s:s + w] += row
-        return out.reshape((self.n,) + V.shape[1:])
+        return out
 
 
 @dataclass(frozen=True)
@@ -241,8 +236,8 @@ def apply_conjugated(P: WeylMatrix, fbi_op: FBIOperator,
 
     T* is the adjoint for the dx and Phi_0-weighted pairings; on the
     weighted U it is K* U cell_area / dx, with K the factored kernel; U is
-    a vector or an (M, k) block. P is applied through P @ T*U, one FFT pair
-    for an assembled split symbol.
+    a vector on the nodes, and so is the result. P is applied through
+    P @ T*U, one FFT pair for an assembled split symbol.
     """
     scale = fbi_op.cgrid.cell_area / fbi_op.real_grid.spacing
     return fbi_op.apply(P @ (fbi_op.matrix.adjoint_matmul(U) * scale))
@@ -269,16 +264,16 @@ def toeplitz_residuals(model: ModelInstance, fbi_op: FBIOperator,
     multiplication, one per deformation size t in ts.
 
     Compares <(T P T*) U, V>_{Phi_t} with the integral of a~(x, xi_t) U
-    conj(V) against the Phi_t weight, for U = Tu, V = Tv, one apply of the
-    (N, 2) block of u and v. P, U, V and (T P T*) U do not depend on t and
-    are formed once for all of ts. Each t's excess and section symbol, the
-    split's extension, come first, so a symbol without a split raises
-    ValueError before P is assembled.
+    conj(V) against the Phi_t weight, for U = Tu and V = Tv, one apply
+    each. P, U, V and (T P T*) U do not depend on t and are formed once
+    for all of ts. Each t's excess and section symbol, the split's
+    extension, come first, so a symbol without a split raises ValueError
+    before P is assembled.
     """
     weights = [(excess, _symbol_on_section(model, fbi_op.nodes, xi))
                for excess, xi in (weight_phi_t(esc, t, fbi_op) for t in ts)]
     P = assemble_weyl(model.symbol, fbi_op.real_grid, fbi_op.h)
-    U, V = fbi_op.apply(np.stack([u, v], axis=1)).T
+    U, V = fbi_op.apply(u), fbi_op.apply(v)
     TPU = apply_conjugated(P, fbi_op, U)
     out = []
     for excess, sym_field in weights:

@@ -119,7 +119,7 @@ class WeylMatrix:
     roll(b(theta_m), N/2), two length-N arrays that serve both; an explicit
     matrix (from_entries) holds its array. Each read of entries builds a
     fresh Fortran-ordered complex N x N array that the reader owns and may
-    factor in place; P @ U applies P to a vector or an (N, k) block."""
+    factor in place; P @ u applies P to a length-N vector u."""
     build: Callable[[], np.ndarray]
     apply: Callable[[np.ndarray], np.ndarray]
     h: float
@@ -221,11 +221,8 @@ def _circulant_weyl(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _circulant_apply(a: np.ndarray, b: np.ndarray,
                      U: np.ndarray) -> np.ndarray:
-    """(diag(a) + C) U = a o U + ifft(b o fft(U)) along axis 0, for a vector
-    or an (N, k) block."""
-    shape = (-1,) + (1,) * (np.ndim(U) - 1)
-    CU = np.fft.ifft(b.reshape(shape) * np.fft.fft(U, axis=0), axis=0)
-    return a.reshape(shape) * U + CU
+    """(diag(a) + C) U = a o U + ifft(b o fft(U)) for a length-N vector U."""
+    return a * U + np.fft.ifft(b * np.fft.fft(U))
 
 
 def _midpoint_weyl(sym: GevreySymbol, grid: RealGrid,

@@ -3,7 +3,8 @@
 One complex Schur factorization per matrix serves every query but one: the
 triangular factor T of P = Z T Z*, without the Schur vectors Z, computed on
 the first query and kept with ||P||_F while P lives. _factor, which checks
-the size budget, is the one place a matrix is factored. The eigenvalues
+the size budget, is the one place a matrix is factored; check_dense_budget
+checks that budget on a grid before P is assembled. The eigenvalues
 are diag(T); sigma_min(P - z) = sigma_min(T - z) comes from Lanczos with
 triangular solves on T (the EigTool design: Trefethen, Acta Numerica 1999;
 Wright & Trefethen, SISC 2001). spectrum_free_radius() walks diag(T)
@@ -41,7 +42,7 @@ import scipy.linalg
 from scipy.linalg import lapack
 from scipy.linalg.blas import ztpsv
 
-from .quantize import WeylMatrix, ZGrid, save_weyl
+from .quantize import RealGrid, WeylMatrix, ZGrid, save_weyl
 
 BOUNDARY_MASS_THRESHOLD = 1e-6
 BOUNDARY_FRACTION = 0.10  # outer fraction of grid nodes counted as boundary
@@ -108,6 +109,14 @@ def check_window(window: ZGrid) -> None:
         raise BudgetError(f"z-window center must be finite, got {window.center}")
 
 
+def check_dense_budget(grid: RealGrid) -> None:
+    """Raise BudgetError unless a matrix on grid, of order N, fits the
+    dense budget MAX_DENSE_N; a caller checks it before P is assembled."""
+    if grid.n_points > MAX_DENSE_N:
+        raise BudgetError(f"dense factorization limited to N <= "
+                          f"{MAX_DENSE_N}, got {grid.n_points}")
+
+
 def _factor(P: WeylMatrix, compute_v: int
             ) -> Tuple[np.ndarray, np.ndarray, float]:
     """(T, Z, ||P||_F) of the complex Schur form P = Z T Z*, computed by
@@ -125,9 +134,7 @@ def _factor(P: WeylMatrix, compute_v: int
     SolverError when the QR iteration fails (zgees info != 0), after
     dumping P, built again, to a temporary file.
     """
-    if P.n > MAX_DENSE_N:
-        raise BudgetError(
-            f"dense factorization limited to N <= {MAX_DENSE_N}, got {P.n}")
+    check_dense_budget(P.grid)
     a = np.asarray_chkfinite(P.entries)
     norm = scipy.linalg.norm(a.ravel(order="K"), check_finite=False)
 

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -632,6 +633,66 @@ class TestCli:
         assert code == cli.EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
 
+    @staticmethod
+    def run_capped(argv, cwd):
+        """`gevspec argv` in a child process whose address space is capped
+        at 2 GiB, set in the child only: an array sized by an h far below
+        the dense budget fails there at once."""
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = str(Path(gevspec.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-m", "gevspec.cli", *argv],
+                              cwd=cwd, env=env, preexec_fn=cap,
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("spectrum", []),
+        ("pseudospectrum", ["--center", "0.1,0.1", "--span", "0.2",
+                            "--res", "5"])])
+    def test_dense_budget_checked_before_assembly(self, command, extra,
+                                                  tmp_path):
+        # at h = 1e-12 the grid rule's N is 2^44: the theta nodes alone
+        # would take 128 TiB
+        out = self.run_capped([command, "--model", "davies", "--h", "1e-12",
+                               *extra], tmp_path)
+        assert out.returncode == cli.EXIT_CONFIG, out.stderr
+        assert out.stderr.startswith("config error: dense factorization "
+                                     f"limited to N <= {spectral.MAX_DENSE_N}")
+        assert "Traceback" not in out.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_quantize_out_of_memory_is_config_error(self, tmp_path):
+        # quantize factors nothing, so no order budget stops it; the
+        # failed allocation is a config error with numpy's message
+        out = self.run_capped(["quantize", "--model", "davies", "--h",
+                               "1e-12", "--out", "big.weyl"], tmp_path)
+        assert out.returncode == cli.EXIT_CONFIG, out.stderr
+        assert out.stderr.startswith("config error: Unable to allocate")
+        assert "Traceback" not in out.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_skips_h_above_dense_budget(self, tmp_path):
+        # h = 1e-12 is skipped with the budget's reason before P is
+        # assembled; the h = 0.2 row stays and summary.json is written
+        cfg = tmp_path / "two.cfg"
+        cfg.write_text("model = gevrey-transport:s=2\nh_list = 0.2, 1e-12\n"
+                       f"L = 6\noutput_dir = {tmp_path}\n", encoding="utf-8")
+        out = self.run_capped(["scaling", "--config", str(cfg)], tmp_path)
+        assert out.returncode == cli.EXIT_NUMERICAL, out.stderr
+        assert "Traceback" not in out.stderr
+        assert (f"[sweep] h = 1e-12 skipped: dense factorization limited to "
+                f"N <= {spectral.MAX_DENSE_N}") in out.stdout
+        rows = (tmp_path / "sweep.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert len(rows) == 2 and float(rows[1].split(",")[0]) == 0.2
+        summary = json.loads((tmp_path / "summary.json").read_text(
+            encoding="utf-8"))
+        assert summary["skipped_h"] == [1e-12]
+        assert [rec["h"] for rec in summary["records"]] == [0.2]
+
     def test_quantize_keeps_large_n(self, tmp_path, monkeypatch):
         # the dense budget binds a factorization, not a saved matrix
         seen = []
@@ -844,11 +905,20 @@ class TestCli:
         code, _, _ = toeplitz_run(lambda h, t: h if t == 0.0 else h ** 0.5)
         assert code == cli.EXIT_NUMERICAL
 
-    @pytest.mark.usefixtures("stand_in_escape")
-    def test_toeplitz_three_points_is_numerical_failure(self, toeplitz_run):
-        code, text, _ = toeplitz_run(lambda h, t: h, h_list="0.2, 0.1, 0.05")
-        assert code == cli.EXIT_NUMERICAL
-        assert len(text.splitlines()) == 4  # the rows are written first
+    def test_toeplitz_three_points_is_config_error(self, toeplitz_run,
+                                                   monkeypatch, capsys):
+        # fewer h than a slope fit takes: rejected before the escape
+        # function is built, and no CSV is written
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the escape function was built")
+
+        monkeypatch.setattr(geometry, "build_escape", unreachable)
+        code, text, n_built = toeplitz_run(lambda h, t: h,
+                                           h_list="0.2, 0.1, 0.05")
+        assert code == cli.EXIT_CONFIG
+        assert (text, n_built) == ("", 0)
+        assert (f"at least {experiments.MIN_FIT_POINTS}"
+                in capsys.readouterr().err)
 
     def test_toeplitz_escape_failure_is_numerical_failure(self, toeplitz_run):
         # the real escape construction, which fails on the trapped toy

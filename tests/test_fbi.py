@@ -190,15 +190,6 @@ class TestFactoredKernel:
             rhs = np.vdot(K.adjoint_matmul(V), u)
             assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
-    def test_block_equals_columns(self, op_h01, states):
-        K = op_h01.matrix
-        cols = np.stack([K @ u for u in states.T], axis=1)
-        assert phi_rel(K @ states, cols) < 1e-13
-        w = op_h01.weights_phi()
-        V = w * cols
-        adj_cols = np.stack([K.adjoint_matmul(v) for v in V.T], axis=1)
-        assert rel(K.adjoint_matmul(V), adj_cols) < 1e-13
-
 
 def window_count(op):
     """Real-grid columns within sqrt(2 h DECAY_LOG) of the complex window."""
@@ -289,14 +280,16 @@ class TestKernelWindow:
 
     def test_apply_matches_windowed_dense(self, probe):
         # the factors, the strided windows of u and the scatter by s_j
-        # against the closed form on the same columns
+        # against the closed form on the same columns, built column by
+        # column from the unit vectors
         D = windowed_dense(probe)
         K = probe.matrix
         top = np.abs(D).max()
-        n = K.shape[1]
-        assert np.abs(K @ np.eye(n) - D).max() <= 1e-13 * top
-        assert np.abs(K.adjoint_matmul(np.eye(K.shape[0]))
-                      - D.conj().T).max() <= 1e-13 * top
+        m, n = K.shape
+        assert np.abs(np.stack([K @ e for e in np.eye(n)], axis=1)
+                      - D).max() <= 1e-13 * top
+        assert np.abs(np.stack([K.adjoint_matmul(e) for e in np.eye(m)],
+                               axis=1) - D.conj().T).max() <= 1e-13 * top
         rng = np.random.default_rng(13)
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         V = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(
@@ -307,30 +300,28 @@ class TestKernelWindow:
                 <= 1e-13 * top * np.abs(V).sum())
 
     def test_adjoint_pairing(self, probe):
-        # <K u, V> = <u, K* V> for (rows, k) blocks and for their columns
+        # <K u, V> = <u, K* V> for three vector pairs
         K = probe.matrix
         rng = np.random.default_rng(17)
-        u = rng.standard_normal((K.shape[1], 3)) + 1j * rng.standard_normal(
-            (K.shape[1], 3))
-        V = rng.standard_normal((K.shape[0], 3)) + 1j * rng.standard_normal(
-            (K.shape[0], 3))
-        Ku, KV = K @ u, K.adjoint_matmul(V)
-        for i in range(3):
-            scale = np.linalg.norm(Ku[:, i]) * np.linalg.norm(V[:, i])
-            for Kui, KVi in ((Ku[:, i], KV[:, i]),
-                             (K @ u[:, i], K.adjoint_matmul(V[:, i]))):
-                assert abs(np.vdot(V[:, i], Kui) - np.vdot(KVi, u[:, i])) \
-                    <= 1e-13 * scale
+        for _ in range(3):
+            u = rng.standard_normal(K.shape[1]) + 1j * rng.standard_normal(
+                K.shape[1])
+            V = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(
+                K.shape[0])
+            Ku = K @ u
+            scale = np.linalg.norm(Ku) * np.linalg.norm(V)
+            assert abs(np.vdot(V, Ku) - np.vdot(K.adjoint_matmul(V), u)) \
+                <= 1e-13 * scale
 
     def test_adjoint_zero_off_window(self, probe):
         K = probe.matrix
         rng = np.random.default_rng(7)
-        V = (rng.standard_normal((K.shape[0], 2))
-             + 1j * rng.standard_normal((K.shape[0], 2)))
         off = np.ones(K.shape[1], dtype=bool)
         off[row_columns(probe).ravel()] = False
-        assert np.all(K.adjoint_matmul(V)[off] == 0)
-        assert np.all(K.adjoint_matmul(V[:, 0])[off] == 0)
+        for _ in range(2):
+            V = (rng.standard_normal(K.shape[0])
+                 + 1j * rng.standard_normal(K.shape[0]))
+            assert np.all(K.adjoint_matmul(V)[off] == 0)
 
     def test_apply_and_adjoint_match_dense(self):
         narrow = narrow_operator()
@@ -341,7 +332,8 @@ class TestKernelWindow:
             [gaussian_state(narrow.real_grid, narrow.h, x0, xi0, herm)
              for x0, xi0, herm in STATES]
             + [rng.standard_normal(n) + 1j * rng.standard_normal(n)], axis=1)
-        assert phi_rel(narrow.apply(states), dense @ states) < 1e-12
+        got = np.stack([narrow.apply(u) for u in states.T], axis=1)
+        assert phi_rel(got, dense @ states) < 1e-12
         V = narrow.weights_phi() * (dense @ states)
         for v in V.T:
             assert rel(narrow.matrix.adjoint_matmul(v),
@@ -437,7 +429,8 @@ class TestEgorov:
         P = assemble_weyl(real_bump, grid, h)
         op = make_fbi(grid, default_cgrid(h, re_span=2.0, im_span=2.0,
                                           cells_per_width=2.0), h)
-        M = apply_conjugated(P, op, np.eye(op.matrix.shape[0]))
+        M = np.stack([apply_conjugated(P, op, e)
+                      for e in np.eye(op.matrix.shape[0])], axis=1)
         WM = op.weights_phi() * M
         defect = np.abs(WM - WM.conj().T).max() / np.abs(WM).max()
         assert defect < 1e-8
@@ -531,28 +524,36 @@ class TestToeplitz:
         with pytest.raises(ValueError, match="has no additive split"):
             toeplitz_residuals(model, op, None, (0.0,), u, u)
 
-    def test_residual_independent_of_blas_threads(self):
-        # toeplitz_sweep's probe at h = 0.025, in one child per thread
-        # count; the count is set in the child's environment only
+    @pytest.mark.parametrize("h, n", [(0.025, 1024), (0.0015625, 16384)])
+    def test_residual_independent_of_blas_threads(self, h, n):
+        # toeplitz_sweep's probe at h, both t, at the ladder's top and
+        # deep end, in one child per thread count; the count is set in
+        # the child's environment only
         child = (
-            "from gevspec import experiments, fbi\n"
+            "import sys\n"
+            "from gevspec import experiments, fbi, geometry\n"
             "from gevspec.symbols import make_gevrey_transport\n"
             "model = make_gevrey_transport(2.0)\n"
-            "op, u, v = experiments.toeplitz_probe(model, 0.025)\n"
-            "assert op.real_grid.n_points == 1024\n"
-            "print(repr(fbi.toeplitz_residuals(model, op, None, (0.0,), u, v)[0]))\n")
+            "h, n = float(sys.argv[1]), int(sys.argv[2])\n"
+            "op, u, v = experiments.toeplitz_probe(model, h)\n"
+            "assert op.real_grid.n_points == n\n"
+            "ts = (0.0, experiments.deformation_size(model, h))\n"
+            "print(*map(repr, fbi.toeplitz_residuals(\n"
+            "    model, op, geometry.build_escape(model), ts, u, v)))\n")
         src = str(Path(gevspec.__file__).resolve().parents[1])
         runs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join(
                            [src, os.environ.get("PYTHONPATH", "")]))
-            out = subprocess.run([sys.executable, "-c", child], env=env,
-                                 capture_output=True, text=True, check=True)
-            runs.append(float(out.stdout))
+            out = subprocess.run(
+                [sys.executable, "-c", child, repr(h), str(n)], env=env,
+                capture_output=True, text=True, check=True)
+            runs.append(np.array(out.stdout.split(), dtype=float))
         one, two = runs
-        assert np.isfinite(one) and one > 0
-        assert abs(two - one) <= 1e-10 * one
+        assert one.shape == (2,)
+        assert np.all(np.isfinite(one) & (one > 0))
+        assert np.all(np.abs(two - one) <= 1e-10 * one)
 
     def test_warm_call_memory_below_dense_p(self, gevrey2, escape_gevrey2):
         # toeplitz_sweep's probe at h = 0.0125 has N = 2048, where a
